@@ -198,12 +198,10 @@ def cmd_norm(args):
 def cmd_spectrum(args):
     import numpy as np
 
-    from .spectral import dense_spectrum
-
     params = _parse_params(args.param)
     name, fam = _resolve_family(args.family, params)
     n = args.n
-    vals, weights = fam.spectrum(n)
+    vals, weights = fam.spectrum(n, cap=args.dense_cap)
     vals = np.asarray(vals)
     order = np.argsort(vals)
     csv_lines = ["eigenvalue,weight"]
@@ -252,7 +250,7 @@ def cmd_ids(args):
 
     params = _parse_params(args.param)
     name, fam = _resolve_family(args.family, params)
-    vals, weights = fam.spectrum(args.n)
+    vals, weights = fam.spectrum(args.n, cap=args.dense_cap)
     shift = args.shift
     if shift is None:
         shift = float(max(vals))
@@ -270,12 +268,20 @@ def cmd_ids(args):
     return EXIT_OK
 
 
+def _check_thermo_inputs(beta, name, value):
+    if not (math.isfinite(beta) and beta > 0):
+        raise InputError("--beta must be finite and positive, got %r" % beta)
+    if not math.isfinite(value):
+        raise InputError("--%s must be finite, got %r" % (name, value))
+
+
 def cmd_density(args):
     from . import thermo
 
+    _check_thermo_inputs(args.beta, "mu", args.mu)
     params = _parse_params(args.param)
     name, fam = _resolve_family(args.family, params)
-    vals, weights = fam.spectrum(args.n)
+    vals, weights = fam.spectrum(args.n, cap=args.dense_cap)
     shift = args.shift if args.shift is not None else float(max(vals))
     rho = thermo.finite_volume_density(vals, weights, shift, args.beta,
                                        args.mu)
@@ -298,9 +304,10 @@ def cmd_critical(args):
 def cmd_mu_solve(args):
     from . import thermo
 
+    _check_thermo_inputs(args.beta, "rho", args.rho)
     params = _parse_params(args.param)
     name, fam = _resolve_family(args.family, params)
-    vals, weights = fam.spectrum(args.n)
+    vals, weights = fam.spectrum(args.n, cap=args.dense_cap)
     shift = args.shift if args.shift is not None else float(max(vals))
     mu = thermo.solve_mu(vals, weights, shift, args.beta, args.rho,
                          tol=args.tol)
@@ -338,7 +345,7 @@ def cmd_bec(args):
     xi = _parse_fock(args.xi, d)
     eta = _parse_fock(args.eta or args.xi, d)
     ns = _parse_nrange(args.n)
-    rows = cb.sweep_rows(cfg, ns, xi, eta, smooth=args.smooth)
+    rows = cb.sweep_rows(cfg, ns, xi, eta)
     csv_text = cb.sweep_csv(rows)
     sweep = [dict(zip(("n", "mu_n", "eps_n", "k0_n", "kplus_n", "kprime_n",
                        "two_point_total", "density_n"), r)) for r in rows]
@@ -462,7 +469,6 @@ def build_parser():
     p.add_argument("--eta", action="append", default=[])
     p.add_argument("--limit", action="store_true",
                    help="also evaluate the infinite-volume two-point limit")
-    p.add_argument("--smooth", choices=("cheb", "block"), default="cheb")
     _add_common(p)
     p.set_defaults(func=cmd_bec)
 

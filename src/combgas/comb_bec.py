@@ -18,12 +18,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
 from scipy import integrate, linalg as dla, special
 
 from . import thermo
-from .families import CombFamily
-from .resolvent import (finite_chain_resolvent_entry, kernel_finite_chain,
+from .families import CombFamily, fiber_blocks, periodic_base_modes
+from .resolvent import (finite_chain_resolvent_matrix, kernel_finite_chain,
                         kernel_line, theta_of)
 
 
@@ -69,24 +68,9 @@ def comb_norm_finite(d, n, tol=1e-14):
 # lattice sums over the discrete torus
 
 
-def _torus_grids(d, n):
-    side = 2 * n + 1
-    theta1 = 2.0 * np.pi * np.arange(-n, n + 1) / side
-    cos1 = np.cos(theta1)
-    shape = [1] * d
-    cos_axes = []
-    theta_axes = []
-    for ax in range(d):
-        sh = shape.copy()
-        sh[ax] = side
-        cos_axes.append(cos1.reshape(sh))
-        theta_axes.append(theta1.reshape(sh))
-    s = np.zeros([side] * d)
-    csum = np.zeros([side] * d)
-    for ax in range(d):
-        s = s + (1.0 - cos_axes[ax])
-        csum = csum + cos_axes[ax]
-    return theta_axes, csum, s
+def _torus_gap(theta_axes):
+    """sum_i (1 - cos theta_i), summed term by term: no cancellation near 0."""
+    return sum(1.0 - np.cos(t) for t in theta_axes)
 
 
 def lattice_coeffs(d, n, eps):
@@ -94,10 +78,9 @@ def lattice_coeffs(d, n, eps):
     of 1/(eps + sum_i (1-cos theta_i)) over the discrete torus."""
     if eps <= 0:
         raise CombError("eps must be positive")
-    side = 2 * n + 1
-    vol = side ** d
-    _, _, s = _torus_grids(d, n)
-    flat = s.ravel()
+    vol = (2 * n + 1) ** d
+    theta_axes, _ = periodic_base_modes(d, n)
+    flat = _torus_gap(theta_axes).ravel()
     k0 = 1.0 / (vol * eps)
     mask = flat > 1e-12
     kplus = float(np.sum(1.0 / (eps + flat[mask]))) / vol
@@ -113,12 +96,12 @@ def q_entry(d, n, eps, delta):
         raise CombError("delta must have %d components" % d)
     side = 2 * n + 1
     vol = side ** d
-    theta_axes, csum, s = _torus_grids(d, n)
+    theta_axes, base = periodic_base_modes(d, n)
     phase = np.zeros([side] * d)
     for ax in range(d):
         phase = phase + delta[ax] * theta_axes[ax]
-    num = (csum / d) * np.cos(phase) - 1.0
-    return float(np.sum(num / (eps + s))) / vol
+    num = (0.5 * base / d) * np.cos(phase) - 1.0
+    return float(np.sum(num / (eps + _torus_gap(theta_axes)))) / vol
 
 
 def q_limit(d, delta, tol=1e-10):
@@ -156,13 +139,6 @@ def q_limit(d, delta, tol=1e-10):
         val, err = integrate.quad(integrand, 0.0, np.inf, limit=600,
                                   epsabs=tol * 1e-2, epsrel=tol * 1e-2)
     return float(val)
-
-
-def phi_entry_limit(d, delta):
-    """<delta_j, Phi delta_k> of the limiting backbone operator, d >= 3."""
-    if d < 3:
-        raise CombError("limit backbone operator needs d >= 3 (transience)")
-    return 2.0 * d * d * (thermo.green_lattice(d) + q_limit(d, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +197,7 @@ class CombRunConfig:
 
 
 # ---------------------------------------------------------------------------
-# bounded correction and its Chebyshev application
+# bounded correction and its fiber-block matrix elements
 
 
 def bounded_correction(x):
@@ -241,81 +217,18 @@ def bounded_correction(x):
     return out
 
 
-def chebyshev_coeffs(func, lo, hi, tol=1e-12, max_deg=4096):
-    """Adaptive Chebyshev expansion of func on [lo, hi]."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    deg = 32
-    while True:
-        coeffs = npcheb.chebinterpolate(lambda u: func(mid + half * u), deg)
-        scale = np.max(np.abs(coeffs))
-        if np.all(np.abs(coeffs[-4:]) < tol * scale) or deg >= max_deg:
-            break
-        deg *= 2
-    keep = np.nonzero(np.abs(coeffs) >= 1e-16 * scale)[0]
-    return coeffs[: keep[-1] + 1] if keep.size else coeffs[:1]
-
-
-def chebyshev_apply(mat, coeffs, lo, hi, vec):
-    """Clenshaw evaluation of sum_k c_k T_k(scaled mat) applied to vec."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-
-    def xhat(v):
-        return (mat @ v - mid * v) / half
-
-    b1 = np.zeros_like(vec)
-    b2 = np.zeros_like(vec)
-    for k in range(len(coeffs) - 1, 0, -1):
-        b1, b2 = coeffs[k] * vec + 2.0 * xhat(b1) - b2, b1
-    return coeffs[0] * vec + xhat(b1) - b2
-
-
-def _comb_index(d, n, jvec, j):
-    side = 2 * n + 1
-    idx = 0
-    for c in jvec:
-        if abs(c) > n:
-            raise CombError("support escapes the volume")
-        idx = idx * side + (c + n)
-    if abs(j) > n:
-        raise CombError("support escapes the volume")
-    return idx * side + (j + n)
-
-
-def _to_full(d, n, fv):
-    vec = np.zeros((2 * n + 1) ** (d + 1))
-    for (jvec, j), amp in fv.entries.items():
-        vec[_comb_index(d, n, jvec, j)] += amp
-    return vec
-
-
-def smooth_term_cheb(d, n, beta, mu, xi, eta, tol=1e-12):
-    """<eta, f(beta H_n) xi> by a Chebyshev expansion in A_{Lambda_n}."""
-    lam = lambda_n(d, mu)
-    mat = CombFamily(d).matrix(n)
-    radius = norm_limit(d)
-    lo, hi = -radius - 1e-9, radius + 1e-9
-    coeffs = chebyshev_coeffs(
-        lambda a: bounded_correction(beta * (lam - a)), lo, hi, tol=tol)
-    vxi = _to_full(d, n, xi)
-    veta = _to_full(d, n, eta)
-    return float(veta @ chebyshev_apply(mat, coeffs, lo, hi, vxi)), len(coeffs)
-
-
 def block_matrix_element(d, n, func, xi, eta):
     """Exact <eta, func(A_{Lambda_n}) xi> via base-Fourier fiber blocks.
 
     In the base eigenbasis the comb adjacency splits into chain-plus-impurity
     tridiagonal blocks A_Y + a_p P_0; matrix elements reduce to lattice sums
-    of per-block fiber elements, deduplicated over equal base eigenvalues.
-    The eigenvalue grid is built on the same theta grid as the phases so that
-    each a_p is paired with its own Fourier mode.
+    of per-block fiber elements, deduplicated over equal base eigenvalues
+    (`families.fiber_blocks` over `families.periodic_base_modes`).  `func`
+    acts elementwise on an array of block eigenvalues.
     """
     side = 2 * n + 1
-    theta_axes, csum, _ = _torus_grids(d, n)
-    base = np.round(2.0 * csum, 10)
-    uniq, uinv = np.unique(base, return_inverse=True)
+    theta_axes, base = periodic_base_modes(d, n)
+    uniq, uinv, _ = fiber_blocks(base)
     fib_xi = {jv: _fiber_vec(n, f) for jv, f in xi.fibers().items()}
     fib_eta = {jv: _fiber_vec(n, f) for jv, f in eta.fibers().items()}
     pairs = [(jv_e, jv_x) for jv_e in fib_eta for jv_x in fib_xi]
@@ -332,7 +245,7 @@ def block_matrix_element(d, n, func, xi, eta):
             elem[pi, ui] = float(np.sum(proj_eta[jv_e] * fw * proj_xi[jv_x]))
     total = 0.0
     vol = side ** d
-    grid_elem = elem[:, uinv.ravel()]
+    grid_elem = elem[:, uinv]
     for pi, (jv_e, jv_x) in enumerate(pairs):
         delta = tuple(e - x for e, x in zip(jv_e, jv_x))
         if any(delta):
@@ -372,7 +285,7 @@ class TwoPointBreakdown:
     kplus: float
 
 
-def two_point_finite(cfg, n, xi, eta, smooth="cheb"):
+def two_point_finite(cfg, n, xi, eta):
     """omega_n(a+(xi) a(eta)) = <eta, (e^{beta H_n} - 1)^{-1} xi>
     through the tensor decomposition of H_n^{-1}."""
     d, beta = cfg.d, cfg.beta
@@ -391,7 +304,7 @@ def two_point_finite(cfg, n, xi, eta, smooth="cheb"):
     for jv, ve in fib_eta.items():
         if jv in fib_xi:
             if rmat is None:
-                rmat = _chain_resolvent(lam, n)
+                rmat = finite_chain_resolvent_matrix(lam, n)
             line += float(ve @ rmat @ fib_xi[jv])
 
     # rank-one fiber factor: overlaps with z_n = R_{Y_n}(lam) delta_0
@@ -407,25 +320,11 @@ def two_point_finite(cfg, n, xi, eta, smooth="cheb"):
     qpart *= pref
     cond = pref * k0 * sum(a_eta.values()) * sum(a_xi.values())
 
-    if smooth == "cheb":
-        sm, _ = smooth_term_cheb(d, n, beta, mu, xi, eta)
-    else:
-        sm = block_matrix_element(
-            d, n, lambda a: bounded_correction(beta * (lam - a)), xi, eta)
+    sm = block_matrix_element(
+        d, n, lambda a: bounded_correction(beta * (lam - a)), xi, eta)
     total = sm + (line + qpart + cond) / beta
     return TwoPointBreakdown(sm, line / beta, qpart / beta, cond / beta,
                              total, n, mu, eps, k0, kplus)
-
-
-def _chain_resolvent(lam, n):
-    size = 2 * n + 1
-    out = np.empty((size, size))
-    for j in range(-n, n + 1):
-        for k in range(j, n + 1):
-            v = finite_chain_resolvent_entry(lam, n, j, k)
-            out[j + n, k + n] = v
-            out[k + n, j + n] = v
-    return out
 
 
 def pf_overlap(d, fv, normalized=True):
@@ -586,11 +485,11 @@ def pf_projection_term(d, n, mu, xi, eta):
     return overlap(eta) * overlap(xi) / gap
 
 
-def sweep_rows(cfg, ns, xi, eta, with_density=True, smooth="cheb"):
+def sweep_rows(cfg, ns, xi, eta, with_density=True):
     """Rows (n, mu, eps, k0, kplus, kprime, two_point_total, density)."""
     rows = []
     for n in ns:
-        bd = two_point_finite(cfg, n, xi, eta, smooth=smooth)
+        bd = two_point_finite(cfg, n, xi, eta)
         kprime, _ = condensate_coefficient(cfg, n, xi, eta)
         dens = (density_finite(cfg.d, n, cfg.beta, cfg.mu_of(n))
                 if with_density else float("nan"))

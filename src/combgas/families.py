@@ -35,9 +35,6 @@ class GraphFamily:
     """Base class: n -> Lambda_n.  Subclasses fill in the construction."""
 
     name = "family"
-    params = {}
-    base_radius = None      # norm of the unperturbed infinite graph
-    expected_norm = None    # closed-form limit norm, when known
 
     def volume(self, n):
         raise NotImplementedError
@@ -68,8 +65,6 @@ class GraphFamily:
 
 class ChainFamily(GraphFamily):
     name = "chain"
-    base_radius = 2.0
-    expected_norm = 2.0
 
     def volume(self, n):
         return 2 * n + 1
@@ -102,9 +97,6 @@ class LatticeFamily(GraphFamily):
         self.d = d
         self.boundary = boundary
         self.name = "lattice"
-        self.params = {"d": d, "boundary": boundary}
-        self.base_radius = 2.0 * d
-        self.expected_norm = 2.0 * d
 
     def volume(self, n):
         return (2 * n + 1) ** self.d
@@ -130,6 +122,36 @@ class LatticeFamily(GraphFamily):
         return idx
 
 
+def periodic_base_modes(d, n):
+    """Fourier modes of the periodic base box (Z_{2n+1})^d.
+
+    Returns the angle axes theta_i = 2 pi k/(2n+1), k = -n..n, each shaped
+    to broadcast along its own axis, and the base eigenvalue
+    2 sum_i cos theta_i of every mode on the full (2n+1)^d grid.
+    """
+    side = 2 * n + 1
+    theta1 = 2.0 * np.pi * np.arange(-n, n + 1) / side
+    theta_axes = []
+    base = np.zeros([side] * d)
+    for ax in range(d):
+        shape = [1] * d
+        shape[ax] = side
+        theta_axes.append(theta1.reshape(shape))
+        base = base + 2.0 * np.cos(theta_axes[ax])
+    return theta_axes, base
+
+
+def fiber_blocks(base):
+    """Group base eigenvalues into fiber blocks A_Y + a*P_0.
+
+    Modes whose eigenvalues agree to 1e-10 share one block.  Returns the
+    distinct block values a (ascending), the block of each mode (flattened
+    order) and the number of modes per block.
+    """
+    return np.unique(np.round(np.ravel(base), 10), return_inverse=True,
+                     return_counts=True)
+
+
 class CombFamily(GraphFamily):
     """X_n -| Y_n: base box (periodic by default) with chain fibers [-n,n]."""
 
@@ -137,9 +159,6 @@ class CombFamily(GraphFamily):
         self.d = d
         self.periodic = periodic
         self.name = "comb"
-        self.params = {"d": d, "periodic": periodic}
-        self.base_radius = 2.0
-        self.expected_norm = 2.0 * np.sqrt(d * d + 1.0)
 
     def volume(self, n):
         return (2 * n + 1) ** (self.d + 1)
@@ -187,11 +206,11 @@ class CombFamily(GraphFamily):
         return idx * side + (label[-1] + n)
 
     def base_eigenvalues(self, n):
-        side = 2 * n + 1
+        """Eigenvalues of the base adjacency, one per base mode (flattened)."""
         if self.periodic:
-            one = 2.0 * np.cos(2.0 * np.pi * np.arange(side) / side)
-        else:
-            one = 2.0 * np.cos(np.pi * np.arange(1, side + 1) / (side + 1))
+            return periodic_base_modes(self.d, n)[1].ravel()
+        side = 2 * n + 1
+        one = 2.0 * np.cos(np.pi * np.arange(1, side + 1) / (side + 1))
         total = one
         for _ in range(self.d - 1):
             total = np.add.outer(total, one).ravel()
@@ -201,11 +220,13 @@ class CombFamily(GraphFamily):
         """Exact full spectrum via the fiber-impurity block decomposition.
 
         In the eigenbasis of the base, I (x) A_Y + A_X (x) P_0 splits into
-        tridiagonal blocks A_Y + a*P_0, one per base eigenvalue a.
+        tridiagonal blocks A_Y + a*P_0, one per base eigenvalue a.  The
+        blocks are exact and no dense matrix is ever formed, so the dense
+        cap does not apply and `cap` is ignored.
         """
         side = 2 * n + 1
-        base = np.round(self.base_eigenvalues(n), 10)
-        uniq, counts = np.unique(base, return_counts=True)
+        base = self.base_eigenvalues(n)
+        uniq, _, counts = fiber_blocks(base)
         off = np.ones(side - 1)
         vals = []
         weights = []
@@ -229,9 +250,6 @@ class FiberUnionFamily(GraphFamily):
     def __init__(self, d):
         self.d = d
         self.name = "fiber_union"
-        self.params = {"d": d}
-        self.base_radius = 2.0
-        self.expected_norm = 2.0
 
     def volume(self, n):
         return (2 * n + 1) ** (self.d + 1)
@@ -256,10 +274,6 @@ class FiberUnionFamily(GraphFamily):
 
 class NailChainFamily(GraphFamily):
     name = "nail_chain"
-    base_radius = 2.0
-
-    def __init__(self):
-        self.expected_norm = float(np.sqrt(2.0 + np.sqrt(5.0)))
 
     def volume(self, n):
         return 2 * n + 2
@@ -292,9 +306,6 @@ class StarFamily(GraphFamily):
             raise FamilyError("star needs k >= 3 strands")
         self.k = k
         self.name = "star"
-        self.params = {"k": k}
-        self.base_radius = 2.0
-        self.expected_norm = k / np.sqrt(k - 1.0)
 
     def volume(self, m):
         return 1 + self.k * m
@@ -337,9 +348,6 @@ class StarBoxFamily(GraphFamily, BoxChainMixin):
             raise FamilyError("star-box needs k >= 4 strands")
         self.k = k
         self.name = "star_box"
-        self.params = {"k": k}
-        self.base_radius = 2.0 * np.sqrt(2.0)
-        self.expected_norm = k / np.sqrt(k - 2.0)
 
     def volume(self, m):
         return 1 + self.k * self.box_size(m)
@@ -364,9 +372,6 @@ class PolygonalStarFamily(GraphFamily):
             raise FamilyError("polygon needs p >= 3")
         self.p = p
         self.name = "polygonal_star"
-        self.params = {"p": p}
-        self.base_radius = 2.0
-        self.expected_norm = 2.5
 
     def volume(self, m):
         return self.p * (m + 1)
@@ -390,9 +395,6 @@ class PolygonalStarBoxFamily(GraphFamily, BoxChainMixin):
             raise FamilyError("polygon needs p >= 3")
         self.p = p
         self.name = "polygonal_star_box"
-        self.params = {"p": p}
-        self.base_radius = 2.0 * np.sqrt(2.0)
-        self.expected_norm = 3.0
 
     def volume(self, m):
         return self.p * self.box_size(m)
@@ -418,9 +420,6 @@ class HGraphFamily(GraphFamily):
             raise FamilyError("k >= 1 required")
         self.k = k
         self.name = "h_graph"
-        self.params = {"k": k}
-        self.base_radius = 2.0
-        self.expected_norm = float(np.sqrt(k * k + 4.0))
 
     def volume(self, n):
         return 2 * (2 * n + 1)
@@ -450,9 +449,6 @@ class ModifiedLadderFamily(GraphFamily):
         self.k = k
         self.nrem = nrem
         self.name = "modified_ladder"
-        self.params = {"k": k, "nrem": nrem}
-        self.base_radius = 3.0
-        self.expected_norm = None  # hidden-spectrum status is the target
 
     def volume(self, n):
         return 2 * (2 * n + 1)
@@ -481,8 +477,6 @@ class LadderFamily(ModifiedLadderFamily):
     def __init__(self):
         super().__init__(1, 0)
         self.name = "ladder"
-        self.params = {}
-        self.expected_norm = 3.0
 
     def folner(self, n):
         return Fraction(4, self.volume(n))

@@ -311,24 +311,6 @@ def _induced(labels, edge_labels):
     return from_edges(labels, edges)
 
 
-def folner_ratio(family, n):
-    """Exact boundary-to-volume ratio |F(Λn)|/|V(Λn)| of a family volume."""
-    return family.folner(n)
-
-
-def boundary_count(g, infinite_neighbors):
-    """Vertices of g adjacent to the complement, via a neighbor rule.
-
-    `infinite_neighbors(label)` yields the neighbor labels of a vertex in the
-    infinite graph; a vertex is boundary when some neighbor lies outside g.
-    """
-    count = 0
-    for lab in g.labels:
-        if any(not g.has_vertex(nb) for nb in infinite_neighbors(lab)):
-            count += 1
-    return count
-
-
 def symdiff_density(x, y, window):
     """Exact |(EX symdiff EY) ∩ E(window)| / |window| as a Fraction.
 

@@ -96,11 +96,6 @@ class SecularSystem:
         return float(np.linalg.det(np.eye(s.shape[0]) - s))
 
 
-def secular_matrix(system, lam):
-    """Entrywise assembly of S(lam) on the system's support."""
-    return system.secular_matrix_on_support(lam)
-
-
 @dataclass
 class SecularSolution:
     name: str

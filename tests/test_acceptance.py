@@ -252,8 +252,7 @@ def test_criterion_07_comb_condensation_limit():
     xi = FockVector.delta((0, 0, 0), 0)
     cfg = CombRunConfig(d=3, beta=beta, mu_schedule=("condensate_scaled", 1.0))
     ns = [4, 6, 8]
-    totals = [cb.two_point_finite(cfg, n, xi, xi, smooth="block").total
-              for n in ns]
+    totals = [cb.two_point_finite(cfg, n, xi, xi).total for n in ns]
     diffs = [b - a for a, b in zip(totals, totals[1:])]
     cauchy = all(d > 0 for d in diffs) and diffs[1] < diffs[0]
     sides = np.array([2 * n + 1 for n in ns], dtype=float)

@@ -93,6 +93,31 @@ def test_density_and_mu_solve_round_trip(capsys):
     assert doc2["result"]["density"] == pytest.approx(0.25, rel=1e-6)
 
 
+@pytest.mark.parametrize("cmd,flag,beta,value", [
+    ("density", "--mu", "nan", "-0.5"),
+    ("density", "--mu", "-1", "-0.5"),
+    ("density", "--mu", "1", "nan"),
+    ("mu-solve", "--rho", "nan", "0.25"),
+    ("mu-solve", "--rho", "-1", "0.25"),
+    ("mu-solve", "--rho", "1", "nan"),
+])
+def test_density_and_mu_solve_reject_bad_domain(capsys, cmd, flag, beta,
+                                                value):
+    code, out = run_cli(capsys, cmd, "--family", "comb", "--param", "d=1",
+                        "--n", "3", "--beta", beta, flag, value)
+    assert code == 1
+    assert out == ""
+
+
+def test_dense_cap_is_honoured(capsys):
+    argv = ("spectrum", "--family", "lattice", "--param", "d=2", "--n", "3")
+    code, out = run_cli(capsys, *argv, "--dense-cap", "10")
+    assert code == 1
+    assert out == ""
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+
+
 def test_critical(capsys):
     code, doc = run_json(capsys, "critical", "--beta", "1", "--gap",
                          str(2 * math.sqrt(10) - 2))
@@ -103,8 +128,7 @@ def test_critical(capsys):
 
 def test_bec_sweep_and_limit(capsys):
     code, doc = run_json(capsys, "bec", "--d", "3", "--beta", "1", "--c", "1",
-                         "--n", "4:6:2", "--xi", "0,0,0,0", "--limit",
-                         "--smooth", "block")
+                         "--n", "4:6:2", "--xi", "0,0,0,0", "--limit")
     assert code == 0
     assert len(doc["result"]["sweep"]) == 2
     assert doc["result"]["limit"]["condensate_slope"] == pytest.approx(

@@ -10,15 +10,15 @@ from combgas.comb_bec import (CombRunConfig, FockVector, block_matrix_element,
                               density_limit, eps_n, fixed_density_mu,
                               lattice_coeffs, norm_limit, pf_overlap,
                               pf_projection_term, q_entry, q_limit,
-                              smooth_term_cheb, sweep_csv, sweep_rows,
-                              two_point_finite, two_point_limit)
+                              sweep_csv, sweep_rows, two_point_finite,
+                              two_point_limit)
 from combgas.families import CombFamily
 
 
 def full_vector(d, n, fv):
     v = np.zeros((2 * n + 1) ** (d + 1))
     for (jv, j), a in fv.entries.items():
-        v[cb._comb_index(d, n, jv, j)] += a
+        v[CombFamily(d).index_of(n, jv + (j,))] += a
     return v
 
 
@@ -95,14 +95,15 @@ def test_bounded_correction_series_and_value():
     assert bounded_correction(50.0) == pytest.approx(-1 / 50.0, abs=1e-12)
 
 
-def test_chebyshev_vs_dense_matrix_function():
-    # spec-level invariant: Chebyshev application within 1e-8 of dense
+def test_block_matrix_element_vs_dense_matrix_function():
+    # spec-level invariant: fiber-block application within 1e-8 of dense
     d, n, beta, mu = 1, 4, 1.0, -0.3
     xi = FockVector.delta((0,), 0)
     eta = FockVector.delta((2,), -1)
-    sm, deg = smooth_term_cheb(d, n, beta, mu, xi, eta)
-    a = CombFamily(d).matrix(n).toarray()
     lam = norm_limit(d) - mu
+    sm = block_matrix_element(
+        d, n, lambda a: bounded_correction(beta * (lam - a)), xi, eta)
+    a = CombFamily(d).matrix(n).toarray()
     w, u = np.linalg.eigh(a)
     f = bounded_correction(beta * (lam - w))
     want = float(full_vector(d, n, eta) @ u @ np.diag(f) @ u.T
