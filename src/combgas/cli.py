@@ -148,15 +148,14 @@ def cmd_build(args):
 
 def cmd_catalog(args):
     from .families import catalog_names
-    from .secular import catalog_expected
+    from .secular import SecularError, catalog_expected
 
     rows = []
     for name in catalog_names():
         row = {"name": name}
         try:
-            row["norm_example"] = catalog_expected(
-                name, **{"k": 3, "d": 1}.copy())
-        except Exception:
+            row["norm_example"] = catalog_expected(name, k=3, d=1)
+        except SecularError:  # no closed form, or k = 3 out of range
             pass
         rows.append(row)
     _emit(args, _manifest(args, "catalog"), rows)
@@ -164,12 +163,14 @@ def cmd_catalog(args):
 
 
 def cmd_norm(args):
+    from .secular import SecularError
+
     params = _parse_params(args.param)
     name, fam = _resolve_family(args.family, params)
     result = {"family": name}
     try:
         system = _catalog_secular(name, params)
-    except Exception:
+    except SecularError:  # no secular system: exhaustion only
         system = None
     if system is not None:
         from .secular import solve_secular
@@ -268,9 +269,13 @@ def cmd_ids(args):
     return EXIT_OK
 
 
-def _check_thermo_inputs(beta, name, value):
-    if not (math.isfinite(beta) and beta > 0):
-        raise InputError("--beta must be finite and positive, got %r" % beta)
+def _check_positive(name, value):
+    if not (math.isfinite(value) and value > 0):
+        raise InputError("--%s must be finite and positive, got %r"
+                         % (name, value))
+
+
+def _check_finite(name, value):
     if not math.isfinite(value):
         raise InputError("--%s must be finite, got %r" % (name, value))
 
@@ -278,7 +283,8 @@ def _check_thermo_inputs(beta, name, value):
 def cmd_density(args):
     from . import thermo
 
-    _check_thermo_inputs(args.beta, "mu", args.mu)
+    _check_positive("beta", args.beta)
+    _check_finite("mu", args.mu)
     params = _parse_params(args.param)
     name, fam = _resolve_family(args.family, params)
     vals, weights = fam.spectrum(args.n, cap=args.dense_cap)
@@ -294,6 +300,8 @@ def cmd_density(args):
 def cmd_critical(args):
     from . import thermo
 
+    _check_positive("beta", args.beta)
+    _check_positive("gap", args.gap)
     rho_c = thermo.critical_density_shifted(args.beta, args.gap)
     result = {"beta": args.beta, "norm_gap": args.gap,
               "critical_density": rho_c}
@@ -304,7 +312,8 @@ def cmd_critical(args):
 def cmd_mu_solve(args):
     from . import thermo
 
-    _check_thermo_inputs(args.beta, "rho", args.rho)
+    _check_positive("beta", args.beta)
+    _check_finite("rho", args.rho)
     params = _parse_params(args.param)
     name, fam = _resolve_family(args.family, params)
     vals, weights = fam.spectrum(args.n, cap=args.dense_cap)
@@ -335,9 +344,12 @@ def cmd_bec(args):
     from . import comb_bec as cb
 
     d = args.d
+    _check_positive("beta", args.beta)
     if args.c is not None:
+        _check_positive("c", args.c)
         schedule = ("condensate_scaled", args.c)
     elif args.mu_power is not None:
+        _check_finite("mu-power", args.mu_power)
         schedule = ("power", args.mu_power)
     else:
         raise InputError("bec needs --c or --mu-power")
@@ -482,8 +494,8 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     if args.threads:
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", str(args.threads))
+        os.environ["OMP_NUM_THREADS"] = str(args.threads)
+        os.environ["OPENBLAS_NUM_THREADS"] = str(args.threads)
     try:
         return args.func(args)
     except (InputError, FileNotFoundError, json.JSONDecodeError) as exc:

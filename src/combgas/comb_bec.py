@@ -18,11 +18,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, linalg as dla, special
+from scipy import integrate, special
 
 from . import thermo
-from .families import CombFamily, fiber_blocks, periodic_base_modes
-from .resolvent import (finite_chain_resolvent_matrix, kernel_finite_chain,
+from .families import (CombFamily, block_spectrum, fiber_blocks, fiber_eigen,
+                       periodic_base_modes)
+from .resolvent import (finite_chain_resolvent_entry, kernel_finite_chain,
                         kernel_line, theta_of)
 
 
@@ -217,54 +218,66 @@ def bounded_correction(x):
     return out
 
 
-def block_matrix_element(d, n, func, xi, eta):
+def fiber_support(n, *vectors):
+    """Sorted fiber coordinates j that the Fock vectors touch, all in [-n, n]."""
+    support = tuple(sorted({j for fv in vectors for (_, j) in fv.entries}))
+    if support and max(-support[0], support[-1]) > n:
+        raise CombError("support escapes the volume")
+    return support
+
+
+def block_matrix_element(d, n, func, xi, eta, eig=None):
     """Exact <eta, func(A_{Lambda_n}) xi> via base-Fourier fiber blocks.
 
     In the base eigenbasis the comb adjacency splits into chain-plus-impurity
-    tridiagonal blocks A_Y + a_p P_0; matrix elements reduce to lattice sums
-    of per-block fiber elements, deduplicated over equal base eigenvalues
-    (`families.fiber_blocks` over `families.periodic_base_modes`).  `func`
-    acts elementwise on an array of block eigenvalues.
+    blocks A_Y + a_p P_0, one per distinct base eigenvalue
+    (`families.fiber_blocks` over `families.periodic_base_modes`); matrix
+    elements reduce to lattice sums of per-block fiber elements.  The
+    secular engine `families.fiber_eigen` gives every block eigenvalue and
+    the eigenvector entries on the fibers of xi and eta in one pass; `eig`
+    passes eigendata it already computed for this volume, with a support
+    covering those fibers.  `func` acts elementwise on an array of block
+    eigenvalues.
     """
     side = 2 * n + 1
     theta_axes, base = periodic_base_modes(d, n)
     uniq, uinv, _ = fiber_blocks(base)
-    fib_xi = {jv: _fiber_vec(n, f) for jv, f in xi.fibers().items()}
-    fib_eta = {jv: _fiber_vec(n, f) for jv, f in eta.fibers().items()}
-    pairs = [(jv_e, jv_x) for jv_e in fib_eta for jv_x in fib_xi]
-    off = np.ones(side - 1)
-    elem = np.zeros((len(pairs), uniq.size))
-    for ui, a in enumerate(uniq):
-        diag = np.zeros(side)
-        diag[n] = a
-        w, u = dla.eigh_tridiagonal(diag, off)
-        fw = func(w)
-        proj_xi = {jv: u.T @ v for jv, v in fib_xi.items()}
-        proj_eta = {jv: u.T @ v for jv, v in fib_eta.items()}
-        for pi, (jv_e, jv_x) in enumerate(pairs):
-            elem[pi, ui] = float(np.sum(proj_eta[jv_e] * fw * proj_xi[jv_x]))
+    support = fiber_support(n, xi, eta)
+    if eig is None:
+        eig = fiber_eigen(n, uniq, support)
+    row = {j: i for i, j in enumerate(eig.support)}
+
+    def project(fv):
+        # <u, v> with every block eigenvector u, per base coordinate of fv
+        out = {}
+        for jv, f in fv.fibers().items():
+            rows = [row[j] for j in f]
+            amps = np.array(list(f.values()))
+            out[jv] = (amps @ eig.odd_vec[rows],
+                       np.tensordot(amps, eig.even_vec[rows], axes=1))
+        return out
+
+    proj_xi = project(xi)
+    proj_eta = project(eta)
+    fw = func(np.concatenate((eig.odd, eig.even.ravel())))
+    f_odd, f_even = fw[:n], fw[n:].reshape(eig.even.shape)
     total = 0.0
     vol = side ** d
-    grid_elem = elem[:, uinv]
-    for pi, (jv_e, jv_x) in enumerate(pairs):
-        delta = tuple(e - x for e, x in zip(jv_e, jv_x))
-        if any(delta):
-            phase = np.zeros([side] * d)
-            for ax in range(d):
-                phase = phase + delta[ax] * theta_axes[ax]
-            total += float(np.sum(np.cos(phase).ravel() * grid_elem[pi])) / vol
-        else:
-            total += float(np.sum(grid_elem[pi])) / vol
+    for jv_e, (odd_e, even_e) in proj_eta.items():
+        for jv_x, (odd_x, even_x) in proj_xi.items():
+            # the odd sector is the same in every block
+            elem = (np.sum(even_e * f_even * even_x, axis=1)
+                    + float(np.sum(odd_e * f_odd * odd_x)))
+            grid_elem = elem[uinv]
+            delta = tuple(e - x for e, x in zip(jv_e, jv_x))
+            if any(delta):
+                phase = np.zeros([side] * d)
+                for ax in range(d):
+                    phase = phase + delta[ax] * theta_axes[ax]
+                total += float(np.sum(np.cos(phase).ravel() * grid_elem)) / vol
+            else:
+                total += float(np.sum(grid_elem)) / vol
     return total
-
-
-def _fiber_vec(n, fiber_map):
-    v = np.zeros(2 * n + 1)
-    for j, amp in fiber_map.items():
-        if abs(j) > n:
-            raise CombError("support escapes the volume")
-        v[j + n] = amp
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -285,32 +298,34 @@ class TwoPointBreakdown:
     kplus: float
 
 
-def two_point_finite(cfg, n, xi, eta):
+def two_point_finite(cfg, n, xi, eta, eig=None):
     """omega_n(a+(xi) a(eta)) = <eta, (e^{beta H_n} - 1)^{-1} xi>
-    through the tensor decomposition of H_n^{-1}."""
+    through the tensor decomposition of H_n^{-1}.  `eig` is handed on to
+    `block_matrix_element`."""
     d, beta = cfg.d, cfg.beta
     mu = cfg.mu_of(n)
     if mu >= 0:
         raise CombError("mu must be negative")
+    fiber_support(n, xi, eta)  # refuses fibers that leave [-n, n]
     lam = lambda_n(d, mu)
     eps = eps_n(d, n, mu)
     k0, kplus = lattice_coeffs(d, n, eps)
-    fib_xi = {jv: _fiber_vec(n, f) for jv, f in xi.fibers().items()}
-    fib_eta = {jv: _fiber_vec(n, f) for jv, f in eta.fibers().items()}
+    fib_xi = xi.fibers()
+    fib_eta = eta.fibers()
 
-    # fiber-diagonal part I (x) R_{Y_n}
+    # fiber-diagonal part I (x) R_{Y_n}, on the supports of the fiber vectors
     line = 0.0
-    rmat = None
-    for jv, ve in fib_eta.items():
-        if jv in fib_xi:
-            if rmat is None:
-                rmat = finite_chain_resolvent_matrix(lam, n)
-            line += float(ve @ rmat @ fib_xi[jv])
+    for jv, fe in fib_eta.items():
+        for k, ak in fib_xi.get(jv, {}).items():
+            for j, aj in fe.items():
+                line += aj * ak * finite_chain_resolvent_entry(lam, n, j, k)
 
     # rank-one fiber factor: overlaps with z_n = R_{Y_n}(lam) delta_0
-    z = np.array([kernel_finite_chain(lam, n, j) for j in range(-n, n + 1)])
-    a_eta = {jv: float(v @ z) for jv, v in fib_eta.items()}
-    a_xi = {jv: float(v @ z) for jv, v in fib_xi.items()}
+    def overlap(f):
+        return sum(amp * kernel_finite_chain(lam, n, j) for j, amp in f.items())
+
+    a_eta = {jv: overlap(f) for jv, f in fib_eta.items()}
+    a_xi = {jv: overlap(f) for jv, f in fib_xi.items()}
     pref = 2.0 * d * (d + eps)
     qpart = 0.0
     for jv_e, ae in a_eta.items():
@@ -321,7 +336,7 @@ def two_point_finite(cfg, n, xi, eta):
     cond = pref * k0 * sum(a_eta.values()) * sum(a_xi.values())
 
     sm = block_matrix_element(
-        d, n, lambda a: bounded_correction(beta * (lam - a)), xi, eta)
+        d, n, lambda a: bounded_correction(beta * (lam - a)), xi, eta, eig)
     total = sm + (line + qpart + cond) / beta
     return TwoPointBreakdown(sm, line / beta, qpart / beta, cond / beta,
                              total, n, mu, eps, k0, kplus)
@@ -441,9 +456,11 @@ def condensate_coefficient(cfg, n, xi=None, eta=None):
 # densities
 
 
-def density_finite(d, n, beta, mu):
-    """Per-site density on Lambda_n via the exact block spectrum."""
-    vals, w = CombFamily(d).spectrum(n)
+def density_finite(d, n, beta, mu, spectrum=None):
+    """Per-site density on Lambda_n via the exact block spectrum; `spectrum`
+    passes the (eigenvalues, weights) of `CombFamily(d).spectrum(n)` when the
+    caller already has them."""
+    vals, w = CombFamily(d).spectrum(n) if spectrum is None else spectrum
     return thermo.finite_volume_density(vals, w, norm_limit(d), beta, mu)
 
 
@@ -486,12 +503,19 @@ def pf_projection_term(d, n, mu, xi, eta):
 
 
 def sweep_rows(cfg, ns, xi, eta, with_density=True):
-    """Rows (n, mu, eps, k0, kplus, kprime, two_point_total, density)."""
+    """Rows (n, mu, eps, k0, kplus, kprime, two_point_total, density).
+
+    Each volume's fiber blocks are solved once; the smooth term and the
+    density share that eigendata.
+    """
     rows = []
     for n in ns:
-        bd = two_point_finite(cfg, n, xi, eta)
+        uniq, _, counts = fiber_blocks(periodic_base_modes(cfg.d, n)[1])
+        eig = fiber_eigen(n, uniq, fiber_support(n, xi, eta))
+        bd = two_point_finite(cfg, n, xi, eta, eig)
         kprime, _ = condensate_coefficient(cfg, n, xi, eta)
-        dens = (density_finite(cfg.d, n, cfg.beta, cfg.mu_of(n))
+        dens = (density_finite(cfg.d, n, cfg.beta, cfg.mu_of(n),
+                               block_spectrum(eig, counts))
                 if with_density else float("nan"))
         rows.append((n, bd.mu, bd.eps, bd.k0, bd.kplus, kprime, bd.total,
                      dens))

@@ -9,10 +9,11 @@ exhaustion cross-checks.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg as dla
 from scipy import sparse
 
 from . import graphs
@@ -152,6 +153,177 @@ def fiber_blocks(base):
                      return_counts=True)
 
 
+class FiberSolveError(ArithmeticError):
+    """A fiber-block root search hit its iteration cap."""
+
+
+class FiberEigen(NamedTuple):
+    """Eigendata of the fiber blocks A_Y + a*P_0 on the chain [-n, n].
+
+    odd (n,): odd-sector eigenvalues, shared by every block.
+    even (B, n+1): even-sector eigenvalues, row b for block a[b].
+    support: fiber coordinates j of the eigenvector entries below.
+    odd_vec (S, n), even_vec (S, B, n+1): unit eigenvector entries v(j) at
+    j = support[s], in the column order of odd / even.
+    """
+
+    odd: np.ndarray
+    even: np.ndarray
+    support: tuple = ()
+    odd_vec: np.ndarray = None
+    even_vec: np.ndarray = None
+
+
+_ROOT_TOL = 1e-14
+_ROOT_CAP = 100
+
+
+def _bracketed_newton(fun, x, lo, hi, scale):
+    """Root of the increasing fun on [lo, hi] from x, elementwise.
+
+    Newton steps that leave the bracket are replaced by bisection.  Stops
+    once every element's last Newton step, or its bracket, is below
+    _ROOT_TOL * scale; raises FiberSolveError after _ROOT_CAP iterations.
+    """
+    for _ in range(_ROOT_CAP):
+        r, dr = fun(x)
+        lo = np.where(r < 0.0, x, lo)
+        hi = np.where(r > 0.0, x, hi)
+        new = x - r / dr
+        out = ~((new >= lo) & (new <= hi))
+        new = np.where(out, 0.5 * (lo + hi), new)
+        done = (((np.abs(new - x) <= _ROOT_TOL * scale) & ~out)
+                | (hi - lo <= _ROOT_TOL * scale))
+        x = new
+        if done.all():
+            return x
+    raise FiberSolveError("fiber-block root search did not converge in %d "
+                          "iterations" % _ROOT_CAP)
+
+
+def _top_root(b, big):
+    """Top even eigenvalue of A_Y + b*P_0, b >= 0, N = big = n+1.
+
+    It solves F(lam) = b with F = 1/<d0, (lam - A_Y)^{-1} d0> on the even
+    sector: F = 2 sin(phi) cot(N phi) at lam = 2cos(phi), which is real for
+    imaginary phi (lam = 2cosh(theta)) too.  F is increasing and concave
+    above the top a = 0 pole 2cos(pi/(2N)), so its tangent at lam = 2 gives
+    a lower bound for the root, and F >= sqrt(lam^2 - 4) an upper bound.
+    """
+    pole = 2.0 * math.cos(0.5 * math.pi / big)
+    slope0 = (1.0 + 2.0 * big * big) / (3.0 * big)  # F'(2)
+
+    def fun(lam):
+        phi = np.arccos(0.5 * lam + 0j)
+        cot_n = 1.0 / np.tan(big * phi)
+        f = 2.0 * (np.sin(phi) * cot_n).real
+        df = (big * (1.0 + cot_n * cot_n) - cot_n / np.tan(phi)).real
+        # F'(lam) cancels near lam = 2, where F' = slope0 (1 + O(N^2 |lam-2|))
+        flat = big * big * np.abs(2.0 - lam) < 1e-6
+        return np.where(lam == 2.0, 2.0 / big, f) - b, np.where(flat, slope0, df)
+
+    lo = np.full(b.shape, pole)
+    hi = np.sqrt(b * b + 4.0) + 1e-9
+    # start from the bound on the root's side of lam = 2 (F(2) = 2/N)
+    x = np.where(b * big > 2.0, hi, np.maximum(lo, 2.0 + (b - 2.0 / big) / slope0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _bracketed_newton(fun, x, lo, hi, hi)
+
+
+def _top_vector(lam, big):
+    """Unnormalised top even eigenvector at |j| = 0..n, columns of a
+    (B, n+1) array: sin((N-|j|)phi)/phi below lam = 2, overflow-free
+    e^{-N theta} sinh((N-|j|)theta)/theta above it, N - |j| at lam = 2."""
+    fiber = np.arange(big)
+    m = big - fiber
+    t = 0.5 * lam[:, None]
+    phi = np.arccos(np.minimum(t, 1.0))
+    theta = np.arccosh(np.maximum(t, 1.0))
+    trig = m * np.sinc(m * phi / math.pi)
+    safe = np.where(theta > 0.0, theta, 1.0)
+    hyp = -np.exp(-fiber * theta) * np.expm1(-2.0 * m * theta) / (2.0 * safe)
+    return np.where(t < 1.0, trig, np.where(theta > 0.0, hyp, m))
+
+
+def fiber_eigen(n, a, support=()):
+    """Every eigenvalue of the fiber blocks A_Y + a*P_0, one block per a.
+
+    A_Y is the chain [-n, n] and P_0 the projection on its origin.  Each
+    block splits by the reflection j -> -j:
+
+    * odd sector: eigenvalues 2cos(pi k/N), k = 1..n, N = n+1, with unit
+      vectors sign(j) sin((N-|j|) pi k/N)/sqrt(N), the same for every a;
+    * even sector: a rank-one change of the chain (Golub 1973).  For a >= 0,
+      lam = 2cos(phi) solves a sin(N phi) = 2 sin(phi) cos(N phi), one root
+      in each bracket ((k-1) pi/N, (k-1/2) pi/N), k = 2..N, and a top root
+      that leaves [-2, 2] once a N > 2 (then lam = 2cosh(theta) with
+      a tanh(N theta) = 2 sinh(theta)).  Vectors are sin((N-|j|) phi).
+
+    A negative a uses spec(A_Y + a P_0) = -spec(A_Y - a P_0), with vectors
+    multiplied by (-1)^j.  The roots are found for all blocks at once by
+    bracketed Newton (`_bracketed_newton`).  `support` lists the fiber
+    coordinates j at which unit eigenvector entries are returned.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.abs(a)[:, None]
+    big = n + 1
+    k = np.arange(1, big)
+    odd = 2.0 * np.cos(math.pi * k / big)
+
+    # even roots below the top one: phi = pole - s/N, pole = (k + 1/2) pi/N
+    # the a = 0 root, with s = arctan(b / (2 sin phi)) in [0, pi/2]; the
+    # residual s - arctan(...) has slope in [1/2, 2]
+    pole = (k + 0.5) * math.pi / big
+
+    def fun(s):
+        phi = pole - s / big
+        sn = np.sin(phi)
+        r = s - np.arctan2(b, 2.0 * sn)
+        dr = 1.0 - 2.0 * b * np.cos(phi) / (big * (4.0 * sn * sn + b * b))
+        return r, dr
+
+    s = np.arctan2(b, 2.0 * np.sin(pole))
+    s = _bracketed_newton(fun, s, np.zeros_like(s),
+                          np.full_like(s, 0.5 * math.pi), 1.0)
+    phi = pole - s / big
+    top = _top_root(b[:, 0], big)
+    sign = np.where(a < 0.0, -1.0, 1.0)[:, None]
+    even = sign * np.concatenate((top[:, None], 2.0 * np.cos(phi)), axis=1)
+    if not len(support):
+        return FiberEigen(odd, even)
+
+    fib = np.asarray(support)
+    absj = np.abs(fib)
+    odd_vec = (np.sign(fib)[:, None]
+               * np.sin((big - absj)[:, None] * (math.pi / big) * k)
+               / math.sqrt(big))
+    # top root: normalised by the direct sum over j = -n..n
+    wtop = _top_vector(top, big)
+    ttop = np.sqrt(2.0 * np.sum(wtop * wtop, axis=1) - wtop[:, 0] ** 2)
+    # other roots: |v|^2 = sin^2(N phi) + n - sin(n phi) cos(N phi)/sin(phi)
+    norm = np.sqrt(np.sin(big * phi) ** 2 + n
+                   - np.sin(n * phi) * np.cos(big * phi) / np.sin(phi))
+    even_vec = np.empty((fib.size,) + even.shape)
+    even_vec[:, :, 0] = wtop[:, absj].T / ttop
+    even_vec[:, :, 1:] = np.sin((big - absj)[:, None, None] * phi) / norm
+    even_vec *= (sign.T ** fib[:, None])[:, :, None]
+    return FiberEigen(odd, even, tuple(int(j) for j in fib), odd_vec,
+                      even_vec)
+
+
+def block_spectrum(eig, counts):
+    """Sorted eigenvalues and weights of a volume's fiber blocks, block b
+    taken counts[b] times (the weights sum to 1)."""
+    nblock = eig.even.shape[0]
+    vals = np.concatenate(
+        (np.broadcast_to(eig.odd, (nblock, eig.odd.size)), eig.even), axis=1)
+    side = vals.shape[1]
+    weights = np.repeat(counts / (np.sum(counts) * side), side)
+    vals = vals.ravel()
+    order = np.argsort(vals)
+    return vals[order], weights[order]
+
+
 class CombFamily(GraphFamily):
     """X_n -| Y_n: base box (periodic by default) with chain fibers [-n,n]."""
 
@@ -220,27 +392,14 @@ class CombFamily(GraphFamily):
         """Exact full spectrum via the fiber-impurity block decomposition.
 
         In the eigenbasis of the base, I (x) A_Y + A_X (x) P_0 splits into
-        tridiagonal blocks A_Y + a*P_0, one per base eigenvalue a.  The
-        blocks are exact and no dense matrix is ever formed, so the dense
-        cap does not apply and `cap` is ignored.
+        tridiagonal blocks A_Y + a*P_0, one per base eigenvalue a; equal
+        values share a block (`fiber_blocks`).  `fiber_eigen` returns the
+        eigenvalues of all blocks from one vectorised secular root search.
+        The blocks are exact and no dense matrix is ever formed, so the
+        dense cap does not apply and `cap` is ignored.
         """
-        side = 2 * n + 1
-        base = self.base_eigenvalues(n)
-        uniq, _, counts = fiber_blocks(base)
-        off = np.ones(side - 1)
-        vals = []
-        weights = []
-        total = base.size * side
-        for a, cnt in zip(uniq, counts):
-            diag = np.zeros(side)
-            diag[n] = a
-            ev = dla.eigh_tridiagonal(diag, off, eigvals_only=True)
-            vals.append(ev)
-            weights.append(np.full(side, cnt / total))
-        vals = np.concatenate(vals)
-        weights = np.concatenate(weights)
-        order = np.argsort(vals)
-        return vals[order], weights[order]
+        uniq, _, counts = fiber_blocks(self.base_eigenvalues(n))
+        return block_spectrum(fiber_eigen(n, uniq), counts)
 
 
 class FiberUnionFamily(GraphFamily):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -116,6 +117,37 @@ def test_dense_cap_is_honoured(capsys):
     assert out == ""
     code, _ = run_cli(capsys, *argv)
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("bec", "--d", "3", "--beta", "-1", "--c", "1"),
+    ("bec", "--d", "3", "--beta", "nan", "--c", "1"),
+    ("bec", "--d", "3", "--beta", "0", "--c", "1"),
+    ("bec", "--d", "3", "--beta", "1", "--c", "-1"),
+    ("bec", "--d", "3", "--beta", "1", "--c", "inf"),
+    ("bec", "--d", "3", "--beta", "1", "--mu-power", "nan"),
+    ("critical", "--beta", "-1", "--gap", "1"),
+    ("critical", "--beta", "nan", "--gap", "1"),
+    ("critical", "--beta", "1", "--gap", "-1"),
+    ("critical", "--beta", "1", "--gap", "0"),
+])
+def test_bec_and_critical_reject_bad_domain(capsys, argv):
+    if argv[0] == "bec":
+        argv += ("--n", "2", "--xi", "0,0,0,0")
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+
+
+def test_threads_flag_overrides_environment(capsys, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "7")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+    code, doc = run_json(capsys, "critical", "--beta", "1", "--gap", "1",
+                         "--threads", "2")
+    assert code == 0
+    assert doc["manifest"]["threads"] == 2
+    assert os.environ["OMP_NUM_THREADS"] == "2"
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
 
 def test_critical(capsys):

@@ -223,3 +223,25 @@ def test_sweep_csv_shape():
     assert lines[0].startswith("n,mu_n,eps_n")
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "2"
+
+
+def test_sweep_rows_solves_each_volume_once(monkeypatch):
+    solved = []
+    engine = cb.fiber_eigen
+
+    def counting(n, a, support=()):
+        solved.append(n)
+        return engine(n, a, support)
+
+    monkeypatch.setattr(cb, "fiber_eigen", counting)
+    cfg = CombRunConfig(d=3, beta=1.0, mu_schedule=("condensate_scaled", 1.0))
+    xi = FockVector({((0, 0, 0), 0): 1.0, ((1, 0, 0), -1): 0.5})
+    rows = sweep_rows(cfg, [2, 3], xi, xi)
+    assert solved == [2, 3]
+    # the shared eigendata gives what each consumer computes on its own
+    for row in rows:
+        n = row[0]
+        assert row[6] == pytest.approx(
+            two_point_finite(cfg, n, xi, xi).total, rel=1e-14)
+        assert row[7] == pytest.approx(
+            density_finite(3, n, 1.0, cfg.mu_of(n)), rel=1e-14)

@@ -92,3 +92,64 @@ def test_comb_base_eigenvalues_periodic():
     base = fam.base_eigenvalues(3)
     want = 2 * np.cos(2 * np.pi * np.arange(7) / 7)
     assert np.allclose(np.sort(base), np.sort(want), atol=1e-12)
+
+
+def _oracle_blocks(n, a, vectors):
+    """Per-block LAPACK eigenpairs of A_Y + a P_0 on the chain [-n, n]."""
+    from scipy.linalg import eigh_tridiagonal
+
+    side = 2 * n + 1
+    diag = np.zeros(side)
+    diag[n] = a
+    if not vectors:
+        return eigh_tridiagonal(diag, np.ones(side - 1), eigvals_only=True), None
+    return eigh_tridiagonal(diag, np.ones(side - 1))
+
+
+FIBER_CASES = (
+    [(1, n, p) for n in (0, 1, 2, 3, 5, 8, 13, 21, 40, 80, 170)
+     for p in (True, False)]
+    + [(2, n, True) for n in (0, 1, 2, 3, 4, 7, 12, 30)]
+    + [(2, n, False) for n in (1, 4)]
+    + [(3, n, True) for n in (0, 1, 2, 4, 7, 10, 13, 16)]
+    + [(4, n, True) for n in range(6)])
+
+
+@pytest.mark.parametrize("d,n,periodic", FIBER_CASES)
+def test_fiber_eigen_matches_per_block_lapack(d, n, periodic):
+    # every distinct block of the volume, plus the edge values a = 0,
+    # a = +-2d and |a|(n+1) = 2 where the top root leaves [-2, 2]
+    uniq, _, _ = families.fiber_blocks(CombFamily(d, periodic)
+                                       .base_eigenvalues(n))
+    edge = np.array([0.0, 2.0 * d, -2.0 * d, 2.0 / (n + 1), -2.0 / (n + 1)])
+    blocks = np.concatenate((uniq, edge))
+    support = tuple(j for j in (-2, -1, 0, 1, 2) if abs(j) <= n)
+    eig = families.fiber_eigen(n, blocks, support)
+    rows = [j + n for j in support]
+    for b, a in enumerate(blocks):
+        ours = np.concatenate((eig.odd, eig.even[b]))
+        want, vecs = _oracle_blocks(n, a, vectors=n <= 30)
+        assert np.max(np.abs(np.sort(ours) - want)) < 1e-13
+        if vecs is None:
+            continue
+        mine = np.concatenate((eig.odd_vec, eig.even_vec[:, b]), axis=1)
+        for col, lam in enumerate(ours):
+            gaps = np.abs(want - lam)
+            i = int(np.argmin(gaps))
+            gaps[i] = np.inf
+            if gaps.min() < 1e-3:
+                continue  # LAPACK's vector is only good to eps/gap
+            ref = vecs[rows, i]
+            flip = -1.0 if ref @ mine[:, col] < 0 else 1.0
+            assert np.max(np.abs(mine[:, col] - flip * ref)) < 1e-12
+
+
+def test_fiber_eigen_iteration_cap_raises(monkeypatch, capsys):
+    from combgas.cli import main
+
+    monkeypatch.setattr(families, "_ROOT_CAP", 1)
+    with pytest.raises(families.FiberSolveError):
+        families.fiber_eigen(4, np.array([0.5, 3.0]))
+    assert main(["spectrum", "--family", "comb", "--param", "d=1",
+                 "--n", "4"]) == 2
+    assert capsys.readouterr().out == ""
