@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate, special
@@ -298,18 +299,38 @@ class TwoPointBreakdown:
     kplus: float
 
 
-def two_point_finite(cfg, n, xi, eta, eig=None):
+class VolumeTerms(NamedTuple):
+    """The scalars of one volume under a run's mu schedule: mu_n,
+    lam_n = ||A|| - mu_n, eps_n, (k_n^0, k_n^+) and the fiber vector
+    z_n = R_{Y_n}(lam_n) delta_0 at j = -n..n."""
+
+    mu: float
+    lam: float
+    eps: float
+    k0: float
+    kplus: float
+    z: np.ndarray
+
+
+def volume_terms(cfg, n):
+    """`VolumeTerms` of volume n; one lattice sum and one fiber vector."""
+    mu = cfg.mu_of(n)
+    lam = lambda_n(cfg.d, mu)
+    eps = eps_n(cfg.d, n, mu)
+    k0, kplus = lattice_coeffs(cfg.d, n, eps)
+    z = np.array([kernel_finite_chain(lam, n, j) for j in range(-n, n + 1)])
+    return VolumeTerms(mu, lam, eps, k0, kplus, z)
+
+
+def two_point_finite(cfg, n, xi, eta, eig=None, terms=None):
     """omega_n(a+(xi) a(eta)) = <eta, (e^{beta H_n} - 1)^{-1} xi>
     through the tensor decomposition of H_n^{-1}.  `eig` is handed on to
-    `block_matrix_element`."""
+    `block_matrix_element`; `terms` passes the volume's `volume_terms`."""
     d, beta = cfg.d, cfg.beta
-    mu = cfg.mu_of(n)
-    if mu >= 0:
-        raise CombError("mu must be negative")
+    if terms is None:
+        terms = volume_terms(cfg, n)
+    mu, lam, eps, k0, kplus, z = terms
     fiber_support(n, xi, eta)  # refuses fibers that leave [-n, n]
-    lam = lambda_n(d, mu)
-    eps = eps_n(d, n, mu)
-    k0, kplus = lattice_coeffs(d, n, eps)
     fib_xi = xi.fibers()
     fib_eta = eta.fibers()
 
@@ -322,7 +343,7 @@ def two_point_finite(cfg, n, xi, eta, eig=None):
 
     # rank-one fiber factor: overlaps with z_n = R_{Y_n}(lam) delta_0
     def overlap(f):
-        return sum(amp * kernel_finite_chain(lam, n, j) for j, amp in f.items())
+        return sum(amp * z[j + n] for j, amp in f.items())
 
     a_eta = {jv: overlap(f) for jv, f in fib_eta.items()}
     a_xi = {jv: overlap(f) for jv, f in fib_xi.items()}
@@ -430,15 +451,14 @@ def two_point_limit(cfg_or_d, beta=None, c=None, xi=None, eta=None,
     }
 
 
-def condensate_coefficient(cfg, n, xi=None, eta=None):
+def condensate_coefficient(cfg, n, xi=None, eta=None, terms=None):
     """k'_n = (2d(d+eps_n) k_n / beta) ||R_{Y_n}(lam_n) delta_0||^2 and the
-    overlaps with the finite-volume PF vector v_n = u_n (x) w_n."""
+    overlaps with the finite-volume PF vector v_n = u_n (x) w_n; `terms`
+    passes the volume's `volume_terms`."""
     d, beta = cfg.d, cfg.beta
-    mu = cfg.mu_of(n)
-    lam = lambda_n(d, mu)
-    eps = eps_n(d, n, mu)
-    k0, kplus = lattice_coeffs(d, n, eps)
-    z = np.array([kernel_finite_chain(lam, n, j) for j in range(-n, n + 1)])
+    if terms is None:
+        terms = volume_terms(cfg, n)
+    _, _, eps, k0, kplus, z = terms
     znorm2 = float(z @ z)
     kprime = 2.0 * d * (d + eps) * (k0 + kplus) * znorm2 / beta
     overlaps = {}
@@ -505,15 +525,17 @@ def pf_projection_term(d, n, mu, xi, eta):
 def sweep_rows(cfg, ns, xi, eta, with_density=True):
     """Rows (n, mu, eps, k0, kplus, kprime, two_point_total, density).
 
-    Each volume's fiber blocks are solved once; the smooth term and the
-    density share that eigendata.
+    Each volume's fiber blocks are solved once, and its lattice sum and
+    fiber vector computed once; the two-point function, the condensate
+    coefficient and the density share them.
     """
     rows = []
     for n in ns:
         uniq, _, counts = fiber_blocks(periodic_base_modes(cfg.d, n)[1])
         eig = fiber_eigen(n, uniq, fiber_support(n, xi, eta))
-        bd = two_point_finite(cfg, n, xi, eta, eig)
-        kprime, _ = condensate_coefficient(cfg, n, xi, eta)
+        terms = volume_terms(cfg, n)
+        bd = two_point_finite(cfg, n, xi, eta, eig, terms)
+        kprime, _ = condensate_coefficient(cfg, n, xi, eta, terms)
         dens = (density_finite(cfg.d, n, cfg.beta, cfg.mu_of(n),
                                block_spectrum(eig, counts))
                 if with_density else float("nan"))

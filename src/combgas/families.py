@@ -32,6 +32,22 @@ def _csr(nvert, weighted_edges):
     return sparse.csr_matrix((data, (rows, cols)), shape=(nvert, nvert))
 
 
+def _levels(rows, top_diag=0.0, head=(), link=1.0):
+    """Symmetrised tridiagonal quotient of levels 0..rows-1: top_diag on
+    level 0, the links in `head` first and `link` after them."""
+    diag = np.zeros(rows)
+    diag[0] = top_diag
+    offdiag = np.full(rows - 1, link)
+    offdiag[:len(head)] = head[:rows - 1]
+    return diag, offdiag
+
+
+def _box_rows(m):
+    """Quotient row of each box-chain vertex: a_i -> 2i, {b_i, c_i} -> 2i+1."""
+    local = np.arange(3 * m + 1)
+    return 2 * (local // 3) + (local % 3 != 0)
+
+
 class GraphFamily:
     """Base class: n -> Lambda_n.  Subclasses fill in the construction."""
 
@@ -53,6 +69,17 @@ class GraphFamily:
         return 0
 
     def index_of(self, n, label):
+        return None
+
+    def quotient(self, n):
+        """Equitable-partition quotient of the volume, or None if there is none.
+
+        A family with one returns (diag, offdiag, orbit): the diagonal and
+        off-diagonal of the symmetrised tridiagonal quotient B,
+        B_ij = sqrt(Q_ij Q_ji), and the quotient row of every vertex.
+        `spectral.quotient_eigenpair` takes the volume's norm and PF vector
+        from it.
+        """
         return None
 
     def spectrum(self, n, cap=4096):
@@ -377,6 +404,15 @@ class CombFamily(GraphFamily):
             idx = idx * side + (c + n)
         return idx * side + (label[-1] + n)
 
+    def quotient(self, n):
+        """Periodic base: rows are the fiber levels |j| = 0..n over the
+        whole (vertex-transitive) base, with the base degree 2d on |j| = 0."""
+        if not self.periodic:
+            return None
+        side = 2 * n + 1
+        diag, offdiag = _levels(n + 1, 2.0 * self.d, (math.sqrt(2.0),))
+        return diag, offdiag, np.abs(np.arange(self.volume(n)) % side - n)
+
     def base_eigenvalues(self, n):
         """Eigenvalues of the base adjacency, one per base mode (flattened)."""
         if self.periodic:
@@ -456,6 +492,12 @@ class NailChainFamily(GraphFamily):
     def anchor_index(self, n):
         return n
 
+    def quotient(self, n):
+        """Rows: the nail, then chain levels |j| = 0..n."""
+        diag, offdiag = _levels(n + 2, head=(1.0, math.sqrt(2.0)))
+        orbit = np.append(1 + np.abs(np.arange(2 * n + 1) - n), 0)
+        return diag, offdiag, orbit
+
 
 class StarFamily(GraphFamily):
     """k half-line strands of length m joined at a center vertex."""
@@ -479,6 +521,12 @@ class StarFamily(GraphFamily):
 
     def folner(self, m):
         return Fraction(self.k, self.volume(m))
+
+    def quotient(self, m):
+        """Rows: the center, then strand levels 1..m."""
+        diag, offdiag = _levels(m + 1, head=(math.sqrt(self.k),))
+        orbit = np.append(0, 1 + np.tile(np.arange(m), self.k))
+        return diag, offdiag, orbit
 
 
 class BoxChainMixin:
@@ -522,6 +570,13 @@ class StarBoxFamily(GraphFamily, BoxChainMixin):
     def folner(self, m):
         return Fraction(self.k, self.volume(m))
 
+    def quotient(self, m):
+        """Rows: the center, then a_0, {b_0, c_0}, a_1, ..., a_m."""
+        diag, offdiag = _levels(2 * m + 2, head=(math.sqrt(self.k),),
+                                link=math.sqrt(2.0))
+        orbit = np.append(0, 1 + np.tile(_box_rows(m), self.k))
+        return diag, offdiag, orbit
+
 
 class PolygonalStarFamily(GraphFamily):
     """p strands whose origins are joined into a polygon."""
@@ -547,6 +602,11 @@ class PolygonalStarFamily(GraphFamily):
     def folner(self, m):
         return Fraction(self.p, self.volume(m))
 
+    def quotient(self, m):
+        """Rows: strand levels 0..m; the polygon adds 2 on level 0."""
+        diag, offdiag = _levels(m + 1, 2.0)
+        return diag, offdiag, np.tile(np.arange(m + 1), self.p)
+
 
 class PolygonalStarBoxFamily(GraphFamily, BoxChainMixin):
     def __init__(self, p):
@@ -569,6 +629,11 @@ class PolygonalStarBoxFamily(GraphFamily, BoxChainMixin):
 
     def folner(self, m):
         return Fraction(self.p, self.volume(m))
+
+    def quotient(self, m):
+        """Rows: a_0, {b_0, c_0}, a_1, ..., a_m; the polygon adds 2 on a_0."""
+        diag, offdiag = _levels(2 * m + 1, 2.0, link=math.sqrt(2.0))
+        return diag, offdiag, np.tile(_box_rows(m), self.p)
 
 
 class HGraphFamily(GraphFamily):
@@ -597,6 +662,17 @@ class HGraphFamily(GraphFamily):
 
     def anchor_index(self, n):
         return n
+
+    def quotient(self, n):
+        """Rows: rail levels |j| = 0..n over both rails; the k-fold link
+        between the origins adds k on level 0."""
+        diag, offdiag = _levels(n + 1, float(self.k), (math.sqrt(2.0),))
+        return diag, offdiag, _rail_levels(n)
+
+
+def _rail_levels(n):
+    """Level |j| of every vertex of two rails [-n, n]."""
+    return np.tile(np.abs(np.arange(-n, n + 1)), 2)
 
 
 class ModifiedLadderFamily(GraphFamily):
@@ -630,6 +706,19 @@ class ModifiedLadderFamily(GraphFamily):
 
     def anchor_index(self, n):
         return n
+
+    def quotient(self, n):
+        """The h_graph rows, with a rung adding k on level 0 and 1 on the
+        levels above nrem.  None when no rung joins the rails (k = 0 and
+        n = nrem): that truncation is disconnected and has no PF vector,
+        which Lanczos reports."""
+        if n < self.nrem:
+            raise FamilyError("truncation must contain the edited rungs")
+        if self.k == 0 and n == self.nrem:
+            return None
+        diag, offdiag = _levels(n + 1, float(self.k), (math.sqrt(2.0),))
+        diag[self.nrem + 1:] = 1.0
+        return diag, offdiag, _rail_levels(n)
 
 
 class LadderFamily(ModifiedLadderFamily):

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import linalg as sla
 from scipy.sparse.csgraph import connected_components
-
-from .resolvent import theta_of
 
 DENSE_CAP = 4096
 
@@ -81,16 +79,42 @@ def top_eigenpair(g, tol=1e-10, anchor=None):
         except sla.ArpackNoConvergence as exc:
             raise SpectralError("eigensolver did not converge: %s" % exc)
         lam, vec = float(vals[0]) - dmax, vecs[:, 0]
+    residual = float(np.linalg.norm(a @ vec - lam * vec) / np.linalg.norm(vec))
+    return SpectralResult(lam, _positive_at_anchor(vec, anchor), residual)
+
+
+def _positive_at_anchor(vec, anchor):
+    """The PF vector made positive and scaled to 1 at the anchor vertex."""
     if vec[anchor] < 0:
         vec = -vec
-    residual = float(np.linalg.norm(a @ vec - lam * vec) / np.linalg.norm(vec))
     if np.min(vec) <= 0:
         # tiny negative entries can appear at round-off level on huge graphs
         if np.min(vec) < -1e-8 * np.max(vec):
             raise SpectralError("PF vector not positive; graph connected?")
         vec = np.maximum(vec, np.finfo(float).tiny)
-    vec = vec / vec[anchor]
-    return SpectralResult(lam, vec, residual)
+    return vec / vec[anchor]
+
+
+def quotient_eigenpair(diag, offdiag, orbit, anchor=0):
+    """Top eigenpair of a volume from its equitable-partition quotient.
+
+    The PF vector is constant on the cells of an equitable partition, so
+    the top eigenvalue is that of the symmetrised quotient B, the
+    tridiagonal matrix with diagonal `diag` and off-diagonal `offdiag`
+    (B_ij = sqrt(Q_ij Q_ji)).  `orbit` maps each vertex to its cell; the
+    unit eigenvector x of B lifts to the unit vector x[orbit]/sqrt(|cell|),
+    whose residual on the full matrix equals |Bx - lam x|.
+    """
+    top = diag.size - 1
+    vals, vecs = eigh_tridiagonal(diag, offdiag, select="i",
+                                  select_range=(top, top))
+    lam, x = float(vals[0]), vecs[:, 0]
+    bx = diag * x
+    bx[1:] += offdiag * x[:-1]
+    bx[:-1] += offdiag * x[1:]
+    residual = float(np.linalg.norm(bx - lam * x))
+    vec = x[orbit] / np.sqrt(np.bincount(orbit)[orbit])
+    return SpectralResult(lam, _positive_at_anchor(vec, anchor), residual)
 
 
 def aitken(seq):
@@ -137,8 +161,10 @@ def extrapolate_power(ns, vals, p=2, terms=2):
 def norm_sequence(family, ns, tol=1e-10, window=None, method="aitken", power=2):
     """Norms ||A_{Lambda_n}|| over ns with an extrapolated limit.
 
-    The sequence must be strictly increasing (up to solver tolerance); a
-    violation means an eigensolver bug and raises.
+    A family with an equitable quotient (`GraphFamily.quotient`) is solved
+    on it by `quotient_eigenpair`; any other goes through Lanczos on the
+    full matrix.  The sequence must be strictly increasing (up to solver
+    tolerance); a violation means an eigensolver bug and raises.
     """
     ns = sorted(ns)
     if len(ns) < 2 or ns[-1] < 2:
@@ -146,8 +172,13 @@ def norm_sequence(family, ns, tol=1e-10, window=None, method="aitken", power=2):
     norms = []
     last_result = None
     for n in ns:
-        mat = family.matrix(n)
-        last_result = top_eigenpair(mat, tol=tol, anchor=family.anchor_index(n))
+        quotient = family.quotient(n)
+        if quotient is None:
+            last_result = top_eigenpair(family.matrix(n), tol=tol,
+                                        anchor=family.anchor_index(n))
+        else:
+            last_result = quotient_eigenpair(*quotient,
+                                             anchor=family.anchor_index(n))
         norms.append(last_result.top_eigenvalue)
     for a, b in zip(norms, norms[1:]):
         if b < a - 10.0 * tol * max(1.0, abs(a)):
@@ -165,23 +196,3 @@ def norm_sequence(family, ns, tol=1e-10, window=None, method="aitken", power=2):
             if idx is not None:
                 pf_pointwise[tuple(lab)] = float(last_result.pf_vector[idx])
     return PFLimitReport(ns, norms, est, unc, pf_pointwise)
-
-
-def pf_generalized_vector_comb(d, j):
-    """Component e^{-|j|theta}/(2 sinh theta) of the comb PF vector.
-
-    cosh(theta) = sqrt(d^2+1); the value depends only on the fiber coordinate.
-    """
-    if d < 1:
-        raise SpectralError("d >= 1 required")
-    lam = 2.0 * math.sqrt(d * d + 1.0)
-    th = theta_of(lam)
-    return math.exp(-abs(j) * th) / (2.0 * math.sinh(th))
-
-
-def spectrum_csv(rows):
-    """CSV export (n, volume, norm, residual) with full precision."""
-    lines = ["n,volume,norm,residual"]
-    for n, vol, norm, res in rows:
-        lines.append("%d,%d,%.17g,%.17g" % (n, vol, norm, res))
-    return "\n".join(lines) + "\n"

@@ -245,3 +245,23 @@ def test_sweep_rows_solves_each_volume_once(monkeypatch):
             two_point_finite(cfg, n, xi, xi).total, rel=1e-14)
         assert row[7] == pytest.approx(
             density_finite(3, n, 1.0, cfg.mu_of(n)), rel=1e-14)
+
+
+def test_sweep_rows_sums_each_lattice_once(monkeypatch):
+    summed = []
+    lattice = cb.lattice_coeffs
+
+    def counting(d, n, eps):
+        summed.append(n)
+        return lattice(d, n, eps)
+
+    monkeypatch.setattr(cb, "lattice_coeffs", counting)
+    cfg = CombRunConfig(d=3, beta=1.0, mu_schedule=("condensate_scaled", 1.0))
+    xi = FockVector.delta((0, 0, 0), 0)
+    rows = sweep_rows(cfg, [4, 6, 8], xi, xi)
+    assert summed == [4, 6, 8]
+    # the shared terms give what each consumer computes on its own
+    for row in rows:
+        n = row[0]
+        assert row[5] == condensate_coefficient(cfg, n, xi, xi)[0]
+        assert row[6] == two_point_finite(cfg, n, xi, xi).total

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from combgas import resolvent as rk
+from combgas.comb_bec import norm_limit
 from combgas.graphs import build_chain
 from combgas.secular import catalog_system
 
@@ -153,3 +154,15 @@ def test_perturbed_resolvent_star_vs_dense():
     got = rk.perturbed_resolvent_apply(sys_fin, lam, v)
     want = np.linalg.solve(lam * np.eye(size + 1) - dense, v)
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+def test_kernel_line_comb_pf_fiber_values():
+    # the comb PF fiber vector R_Z(||A||) delta_0 is e^{-|j| theta}/(2 sinh
+    # theta), cosh(theta) = sqrt(d^2+1): consecutive entries have ratio
+    # e^{-theta}
+    for d in (1, 2, 3):
+        th = math.acosh(norm_limit(d) / 2.0)
+        r = rk.kernel_line(norm_limit(d), 3) / rk.kernel_line(norm_limit(d), 2)
+        assert r == pytest.approx(math.exp(-th), abs=1e-12)
+    assert rk.kernel_line(norm_limit(1), 0) == pytest.approx(
+        0.5 / math.sinh(math.acosh(math.sqrt(2.0))), abs=1e-14)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from combgas import spectral
-from combgas.families import CombFamily, family
+from combgas.families import CombFamily, FamilyError, family
 from combgas.graphs import build_chain, build_cycle, from_edges
 
 
@@ -79,18 +79,6 @@ def test_norm_sequence_window_pf_values():
         math.exp(-th), abs=1e-3)
 
 
-def test_pf_generalized_vector_comb_values():
-    # ratio between consecutive fiber entries is e^{-theta}
-    for d in (1, 2, 3):
-        lam = 2.0 * math.sqrt(d * d + 1.0)
-        th = math.acosh(lam / 2.0)
-        r = (spectral.pf_generalized_vector_comb(d, 3)
-             / spectral.pf_generalized_vector_comb(d, 2))
-        assert r == pytest.approx(math.exp(-th), abs=1e-12)
-    assert spectral.pf_generalized_vector_comb(1, 0) == pytest.approx(
-        0.5 / math.sinh(math.acosh(math.sqrt(2.0))), abs=1e-14)
-
-
 def test_comb_block_spectrum_matches_dense():
     # block eigenvalues carry multiplicity weights; compare weighted moments
     # and the spectral edges against the dense assembly
@@ -113,8 +101,91 @@ def test_bipartite_odd_trace_vanishes():
     assert abs(np.sum(vals ** 5)) < 1e-10
 
 
-def test_spectrum_csv_format():
-    text = spectral.spectrum_csv([(2, 5, 2.1213203435999999, 1e-12)])
-    lines = text.strip().split("\n")
-    assert lines[0] == "n,volume,norm,residual"
-    assert lines[1].startswith("2,5,2.1213203435999")  # 17 significant digits
+
+HOOKED = [
+    ("star", {"k": 3}, (3, 10, 40)),
+    ("star", {"k": 8}, (3, 10, 40)),
+    ("star_box", {"k": 4}, (3, 10, 40)),
+    ("star_box", {"k": 7}, (3, 10, 40)),
+    ("nail_chain", {}, (3, 10, 40)),
+    ("h_graph", {"k": 1}, (3, 10, 40)),
+    ("h_graph", {"k": 3}, (3, 10, 40)),
+    ("polygonal_star", {"p": 3}, (3, 10, 40)),
+    ("polygonal_star", {"p": 6}, (3, 10, 40)),
+    ("polygonal_star_box", {"p": 4}, (3, 10, 40)),
+    ("ladder", {}, (3, 10, 40)),
+    ("modified_ladder", {"k": 0, "nrem": 1}, (2, 3, 10, 40)),
+    ("modified_ladder", {"k": 4, "nrem": 3}, (3, 10, 40)),
+    # the comb volume has (2n+1)^(d+1) vertices: smaller n for Lanczos
+    ("comb", {"d": 1}, (3, 10, 40)),
+    ("comb", {"d": 2}, (3, 10)),
+    ("comb", {"d": 3}, (3, 5)),
+]
+
+
+@pytest.mark.parametrize("name,params,ns", HOOKED,
+                         ids=["-".join([c[0]] + ["%s=%s" % kv for kv in
+                                                 c[1].items()])
+                              for c in HOOKED])
+def test_quotient_eigenpair_matches_full_matrix_lanczos(name, params, ns):
+    fam = family(name, **params)
+    for n in ns:
+        mat = fam.matrix(n)
+        anchor = fam.anchor_index(n)
+        want = spectral.top_eigenpair(mat, tol=1e-13, anchor=anchor)
+        diag, offdiag, orbit = fam.quotient(n)
+        assert orbit.shape == (fam.volume(n),)
+        got = spectral.quotient_eigenpair(diag, offdiag, orbit, anchor=anchor)
+        lam, vec = got.top_eigenvalue, got.pf_vector
+        assert abs(lam - want.top_eigenvalue) < 1e-12, (n, lam)
+        resid = np.linalg.norm(mat @ vec - lam * vec) / np.linalg.norm(vec)
+        assert resid < 1e-12 and got.residual < 1e-12, (n, resid)
+        assert np.all(vec > 0) and vec[anchor] == 1.0
+
+
+def test_modified_ladder_quotient_edge_volumes():
+    fam = family("modified_ladder", k=0, nrem=1)
+    with pytest.raises(FamilyError):
+        fam.quotient(0)
+    # no rung joins the rails: no quotient, and Lanczos refuses the volume
+    assert fam.quotient(1) is None
+    with pytest.raises(spectral.SpectralError):
+        spectral.norm_sequence(fam, [1, 2, 3])
+
+
+def test_norm_sequence_takes_the_quotient_path(monkeypatch):
+    calls = []
+    lanczos = spectral.top_eigenpair
+
+    def counting(mat, tol=1e-10, anchor=None):
+        calls.append("top_eigenpair")
+        return lanczos(mat, tol=tol, anchor=anchor)
+
+    monkeypatch.setattr(spectral, "top_eigenpair", counting)
+    for name, params, ns in HOOKED:
+        fam = family(name, **params)
+        assemble = fam.matrix
+
+        def matrix(n, assemble=assemble):
+            calls.append("matrix")
+            return assemble(n)
+
+        fam.matrix = matrix
+        report = spectral.norm_sequence(fam, ns)
+        assert len(report.norms) == len(ns)
+    assert calls == []
+
+
+def test_free_boundary_comb_norms_use_lanczos(monkeypatch):
+    calls = []
+    lanczos = spectral.top_eigenpair
+
+    def counting(mat, tol=1e-10, anchor=None):
+        calls.append(mat.shape[0])
+        return lanczos(mat, tol=tol, anchor=anchor)
+
+    monkeypatch.setattr(spectral, "top_eigenpair", counting)
+    fam = CombFamily(1, periodic=False)
+    assert fam.quotient(4) is None
+    spectral.norm_sequence(fam, [3, 4, 5])
+    assert calls == [fam.volume(n) for n in (3, 4, 5)]
