@@ -11,6 +11,8 @@ Exit codes: 0 ok, 1 input error, 2 numeric failure, 3 divergence verdict.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import os
@@ -92,6 +94,12 @@ def _emit(args, manifest, result, csv_text=None):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _csv(header, xs, ys):
+    """CSV text of a header and float pairs, each value as %.17g."""
+    rows = ["%.17g,%.17g" % row for row in zip(xs, ys)]
+    return "\n".join([header] + rows) + "\n"
 
 
 def _parse_fock(items, d):
@@ -205,14 +213,16 @@ def cmd_spectrum(args):
     vals, weights = fam.spectrum(n, cap=args.dense_cap)
     vals = np.asarray(vals)
     order = np.argsort(vals)
-    csv_lines = ["eigenvalue,weight"]
-    for i in order:
-        csv_lines.append("%.17g,%.17g" % (vals[i], weights[i]))
-    result = {"family": name, "n": n,
-              "eigenvalues": [float(v) for v in vals[order]],
-              "weights": [float(w) for w in np.asarray(weights)[order]]}
+    vals = vals[order].tolist()
+    weights = np.asarray(weights)[order].tolist()
+    result = csv_text = None
+    if args.format == "csv":
+        csv_text = _csv("eigenvalue,weight", vals, weights)
+    else:
+        result = {"family": name, "n": n, "eigenvalues": vals,
+                  "weights": weights}
     _emit(args, _manifest(args, "spectrum", {"family": args.family, "n": n}),
-          result, "\n".join(csv_lines) + "\n")
+          result, csv_text)
     return EXIT_OK
 
 
@@ -256,16 +266,17 @@ def cmd_ids(args):
     if shift is None:
         shift = float(max(vals))
     measure = thermo.ids_from_spectrum(vals, weights, shift)
-    csv_lines = ["energy,cumulative_mass"]
-    cum = 0.0
-    for h, w in zip(measure.points, measure.weights):
-        cum += w
-        csv_lines.append("%.17g,%.17g" % (h, cum))
-    result = {"family": name, "n": args.n, "shift": shift,
-              "points": [float(p) for p in measure.points],
-              "weights": [float(w) for w in measure.weights]}
+    points = measure.points.tolist()
+    weights = measure.weights.tolist()
+    result = csv_text = None
+    if args.format == "csv":
+        csv_text = _csv("energy,cumulative_mass", points,
+                        itertools.accumulate(weights))
+    else:
+        result = {"family": name, "n": args.n, "shift": shift,
+                  "points": points, "weights": weights}
     _emit(args, _manifest(args, "ids", {"family": args.family, "n": args.n}),
-          result, "\n".join(csv_lines) + "\n")
+          result, csv_text)
     return EXIT_OK
 
 
@@ -385,14 +396,15 @@ def cmd_bec(args):
 def _add_common(p):
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--dense-cap", type=int, default=4096)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("COMBGAS_THREADS", "0")) or None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="BLAS/OpenMP threads (default: $COMBGAS_THREADS)")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--param", action="append", default=[],
                    help="key=value, repeatable")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="combgas",
@@ -488,11 +500,19 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser = build_parser()  # built once per process: parsing leaves it as is
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
+    if args.threads is None:
+        # read at every call, so a cached parser does not freeze it
+        env = os.environ.get("COMBGAS_THREADS", "0")
+        try:
+            args.threads = int(env) or None
+        except ValueError:
+            print("input error: bad COMBGAS_THREADS %r" % env, file=sys.stderr)
+            return EXIT_INPUT
     if args.threads:
         os.environ["OMP_NUM_THREADS"] = str(args.threads)
         os.environ["OPENBLAS_NUM_THREADS"] = str(args.threads)

@@ -7,20 +7,33 @@ A perturbation in block form
 has eigenvalues lam outside sigma(A) u sigma(B) exactly where 1 is an
 eigenvalue of the finite matrix
 
-    S(lam) = (D R_A(lam) + C R_B(lam) C^t R_A(lam)) | span(range C + range D).
+    S(lam) = K(lam) R_A(lam),    K(lam) = D + C R_B(lam) C^t,
 
-The Perron-Frobenius eigenvalue of S is strictly decreasing in lam above the
-base spectra, so the norm of the perturbed operator is found by a monotone
-root search; a missing root means the perturbation adds no eigenvalue above
-the base norm.
+with R_A the base resolvent restricted to the support of C and D.  Above the
+base spectra R_A = L L^t is positive definite, so S is similar to the
+symmetric M(lam) = L^t K L.  By the Birman-Schwinger principle (the inertia
+of lam - A_p through its Schur complement), the number of perturbed
+eigenvalues above lam equals the number of eigenvalues of M(lam) above 1,
+whatever the signs in D.  Where the top eigenvalue of M is positive it
+strictly decreases in lam, because R_A and R_B decrease in the Loewner
+order; so it crosses 1 at most once, at the perturbed norm.
+
+`solve_secular` finds that crossing by one monotone search (Brent's method)
+on the bracket (base spectra, bracket_hi]: no grid, so no root can be
+skipped.  A top eigenvalue below 1 at the bottom of the bracket means the
+perturbation adds no eigenvalue above the base norm; one still at or above 1
+at bracket_hi means the bracket is too small, which raises `SecularError`
+(exit 2 at the CLI).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import resolvent as rk
 
@@ -38,10 +51,9 @@ class SecularSystem:
     d_block: np.ndarray            # symmetric, on support
     c_block: np.ndarray            # support x |B|, 0/1
     b_adj: np.ndarray              # adjacency of the attached graph
-    base_kernel: object            # (lam, i, j) -> R_A entry for support labels
+    base_kernel: object            # lam -> (m, m) matrix of R_A on the support
     base_radius: float
     bracket_hi: float
-    positive: bool = True          # S(lam) entrywise nonnegative
     pf_closed: object = None       # optional closed-form PF of S(lam)
     # optional hooks for applying the full perturbed resolvent:
     base_solve: object = None      # (lam, x) -> R_A x on an ambient base space
@@ -51,7 +63,7 @@ class SecularSystem:
     def b_dim(self):
         return self.b_adj.shape[0]
 
-    @property
+    @cached_property
     def b_norm(self):
         if self.b_dim == 0:
             return 0.0
@@ -63,37 +75,45 @@ class SecularSystem:
         return np.linalg.inv(lam * np.eye(self.b_dim) - self.b_adj)
 
     def kernel_matrix(self, lam):
-        m = len(self.support)
-        out = np.empty((m, m))
-        for i in range(m):
-            for j in range(m):
-                out[i, j] = self.base_kernel(lam, self.support[i],
-                                             self.support[j])
-        return out
+        return np.asarray(self.base_kernel(lam), dtype=float)
 
-    def secular_matrix_on_support(self, lam):
+    def _k_block(self, lam):
+        """K(lam) = D + C R_B(lam) C^t, for lam above the base spectra."""
         lo = max(self.base_radius, self.b_norm)
         if lam <= lo:
             raise SecularError("lam=%g not above base spectra (%g)" % (lam, lo))
-        ra = self.kernel_matrix(lam)
-        dc = self.d_block.copy()
-        if self.b_dim:
-            dc = dc + self.c_block @ self.rb(lam) @ self.c_block.T
-        return dc @ ra
+        if not self.b_dim:
+            return self.d_block
+        return self.d_block + self.c_block @ self.rb(lam) @ self.c_block.T
 
-    def pf_value(self, lam):
-        """Perron-Frobenius eigenvalue of S(lam) (largest real eigenvalue)."""
-        if self.pf_closed is not None:
-            return float(self.pf_closed(lam))
-        s = self.secular_matrix_on_support(lam)
-        ev = np.linalg.eigvals(s)
-        return float(np.max(ev.real))
+    def secular_matrix_on_support(self, lam):
+        return self._k_block(lam) @ self.kernel_matrix(lam)
 
-    def det_value(self, lam):
+    def symmetrised(self, lam):
+        """M(lam) = L^t K L, where R_A = L L^t: symmetric, similar to S."""
+        k = self._k_block(lam)
+        try:
+            low = np.linalg.cholesky(self.kernel_matrix(lam))
+        except np.linalg.LinAlgError:
+            raise SecularError("base kernel not positive definite at lam=%r"
+                               % lam) from None
+        return low.T @ k @ low
+
+    def pf_value(self, lam, count=False):
+        """Top eigenvalue of S(lam).
+
+        With count=True, also the number of eigenvalues of S(lam) above 1:
+        the number of perturbed eigenvalues above lam.  A closed form gives
+        only the top value, which counts once when it exceeds 1.
+        """
         if self.pf_closed is not None:
-            return 1.0 - float(self.pf_closed(lam))
-        s = self.secular_matrix_on_support(lam)
-        return float(np.linalg.det(np.eye(s.shape[0]) - s))
+            top = float(self.pf_closed(lam))
+            above = int(top > 1.0)
+        else:
+            ev = np.linalg.eigvalsh(self.symmetrised(lam))
+            top = float(ev[-1])
+            above = int(np.count_nonzero(ev > 1.0))
+        return (top, above) if count else top
 
 
 @dataclass
@@ -104,7 +124,7 @@ class SecularSolution:
     bracket: tuple
     status: str                    # root_found | no_root_in_bracket
     pf_z: np.ndarray | None = None
-    evaluations: list = field(default_factory=list)
+    evaluations: list = field(default_factory=list)  # (lam, top-1, count)
 
     def to_record(self):
         gap = max(self.lambda0 - self.base_radius, 0.0)
@@ -128,68 +148,41 @@ def _pf_vector(s):
 
 
 def solve_secular(system, bracket_hi=None, tol=1e-10):
-    """Locate the perturbed norm by bisection on the secular equation.
+    """Locate the perturbed norm: where the top eigenvalue of S crosses 1.
 
-    For entrywise-positive S the PF eigenvalue decreases strictly in lam and
-    the root of PF(S(lam)) = 1 is bisected directly; with subtractive edits
-    (mixed-sign S) sign changes of det(I - S(lam)) are scanned instead and
-    the largest root is returned.
+    The crossing is unique, so Brent's method on the whole bracket finds
+    the largest perturbed eigenvalue to within `tol`.  Every evaluation is
+    recorded as (lam, top eigenvalue - 1, eigenvalues of S above 1); the
+    last two points Brent's method keeps bracket the root, with counts
+    >= 1 below it and 0 above it.
     """
     lo = max(system.base_radius, system.b_norm) + 1e-9
     hi = bracket_hi if bracket_hi is not None else system.bracket_hi
     if hi <= lo:
         raise SecularError("invalid bracket (%g, %g]" % (lo, hi))
     evals = []
+    seen = {}
 
-    if system.positive:
-        def f(lam):
-            val = system.pf_value(lam) - 1.0
-            evals.append((lam, val))
-            return val
+    def f(lam):
+        if lam not in seen:
+            top, above = system.pf_value(lam, count=True)
+            seen[lam] = top - 1.0
+            evals.append((lam, top - 1.0, above))
+        return seen[lam]
 
-        if f(lo) < 0.0:
-            return SecularSolution(system.name, lo - 1e-9, system.base_radius,
-                                   (lo, hi), "no_root_in_bracket",
-                                   evaluations=evals)
-        if f(hi) > 0.0:
-            raise SecularError("PF(S) > 1 at bracket_hi=%g; bracket too small" % hi)
-        a, b = lo, hi
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if f(mid) > 0.0:
-                a = mid
-            else:
-                b = mid
-        lam0 = 0.5 * (a + b)
-        pf_z = None
-        if system.pf_closed is None:
-            pf_z = _pf_vector(system.secular_matrix_on_support(lam0))
-        return SecularSolution(system.name, lam0, system.base_radius,
-                               (lo, hi), "root_found", pf_z, evals)
-
-    # mixed-sign D: scan det(I - S) for its largest sign change
-    grid = np.linspace(lo, hi, 400)
-    vals = [system.det_value(x) for x in grid]
-    root = None
-    for i in range(len(grid) - 1, 0, -1):
-        if vals[i - 1] == 0.0 or vals[i - 1] * vals[i] < 0.0:
-            a, b = grid[i - 1], grid[i]
-            fa = vals[i - 1]
-            while b - a > tol:
-                mid = 0.5 * (a + b)
-                fm = system.det_value(mid)
-                if fa * fm <= 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            root = 0.5 * (a + b)
-            break
-    if root is None:
+    if f(lo) < 0.0:
         return SecularSolution(system.name, lo - 1e-9, system.base_radius,
-                               (lo, hi), "no_root_in_bracket")
-    pf_z = _pf_vector(system.secular_matrix_on_support(root))
-    return SecularSolution(system.name, root, system.base_radius, (lo, hi),
-                           "root_found", pf_z)
+                               (lo, hi), "no_root_in_bracket",
+                               evaluations=evals)
+    if f(hi) >= 0.0:
+        raise SecularError("top eigenvalue of S(lam) >= 1 at bracket_hi=%g; "
+                           "bracket too small" % hi)
+    lam0 = brentq(f, lo, hi, xtol=tol)
+    pf_z = None
+    if system.pf_closed is None:
+        pf_z = _pf_vector(system.secular_matrix_on_support(lam0))
+    return SecularSolution(system.name, lam0, system.base_radius, (lo, hi),
+                           "root_found", pf_z, evals)
 
 
 def hidden_spectrum_verdict(solution, base_radius=None, tol=1e-8):
@@ -240,13 +233,32 @@ def catalog_expected(name, **params):
     raise SecularError("no closed form for %r" % (name,))
 
 
-def _ladder_kernel(lam, a, b):
-    # rail-resolved resolvent of the infinite ladder (chain x edge): the
-    # symmetric/antisymmetric rail combinations shift the chain by -+1.
-    (ja, ra), (jb, rb_) = a, b
-    same = 1.0 if ra == rb_ else -1.0
-    return 0.5 * (rk.kernel_line(lam - 1.0, ja - jb)
-                  + same * rk.kernel_line(lam + 1.0, ja - jb))
+def _line_table(lam, dist):
+    """Line-resolvent entries e^{-|j| theta}/(2 sinh theta) at `dist` = |j|."""
+    th = rk.theta_of(lam)
+    return np.exp(-th * dist) / (2.0 * math.sinh(th))
+
+
+def _diagonal_kernel(kernel, m):
+    """R_A on m support vertices, one on each of m disjoint base copies."""
+    eye = np.eye(m)
+    return lambda lam: kernel(lam) * eye
+
+
+def _ladder_kernel(support):
+    """Rail-resolved resolvent of the infinite ladder (chain x edge) on
+    support labels (j, rail): the symmetric/antisymmetric rail combinations
+    shift the chain by -+1."""
+    j = np.array([s[0] for s in support], dtype=float)
+    rail = np.array([s[1] for s in support])
+    dist = np.abs(j[:, None] - j[None, :])
+    half_sign = np.where(rail[:, None] == rail[None, :], 0.5, -0.5)
+
+    def kernel(lam):
+        return (0.5 * _line_table(lam - 1.0, dist)
+                + half_sign * _line_table(lam + 1.0, dist))
+
+    return kernel
 
 
 def catalog_system(name, **params):
@@ -260,7 +272,7 @@ def catalog_system(name, **params):
         c = np.ones((k, 1))
         return SecularSystem(
             "star", support, d, c, np.zeros((1, 1)),
-            lambda lam, i, j: rk.kernel_half_line(lam) if i == j else 0.0,
+            _diagonal_kernel(rk.kernel_half_line, k),
             base_radius=2.0, bracket_hi=float(max(k, 2)) + 0.5)
     if name == "star_box":
         k = params["k"]
@@ -271,7 +283,7 @@ def catalog_system(name, **params):
         c = np.ones((k, 1))
         return SecularSystem(
             "star_box", support, d, c, np.zeros((1, 1)),
-            lambda lam, i, j: rk.kernel_box(lam) if i == j else 0.0,
+            _diagonal_kernel(rk.kernel_box, k),
             base_radius=2.0 * SQRT2, bracket_hi=float(max(k, 4)) + 0.5)
     if name == "polygonal_star":
         p = params.get("p", 5)
@@ -281,7 +293,7 @@ def catalog_system(name, **params):
             d[i, (i + 1) % p] = d[(i + 1) % p, i] = 1.0
         return SecularSystem(
             "polygonal_star", support, d, np.zeros((p, 0)), np.zeros((0, 0)),
-            lambda lam, i, j: rk.kernel_half_line(lam) if i == j else 0.0,
+            _diagonal_kernel(rk.kernel_half_line, p),
             base_radius=2.0, bracket_hi=3.5)
     if name == "polygonal_star_box":
         p = params.get("p", 5)
@@ -291,8 +303,7 @@ def catalog_system(name, **params):
             d[i, (i + 1) % p] = d[(i + 1) % p, i] = 1.0
         return SecularSystem(
             "polygonal_star_box", support, d, np.zeros((p, 0)),
-            np.zeros((0, 0)),
-            lambda lam, i, j: rk.kernel_box(lam) if i == j else 0.0,
+            np.zeros((0, 0)), _diagonal_kernel(rk.kernel_box, p),
             base_radius=2.0 * SQRT2, bracket_hi=4.5)
     if name == "h_graph":
         k = params["k"]
@@ -300,13 +311,12 @@ def catalog_system(name, **params):
         d = np.array([[0.0, float(k)], [float(k), 0.0]])
         return SecularSystem(
             "h_graph", support, d, np.zeros((2, 0)), np.zeros((0, 0)),
-            lambda lam, i, j: rk.kernel_line(lam, 0) if i == j else 0.0,
+            _diagonal_kernel(rk.kernel_line, 2),
             base_radius=2.0, bracket_hi=float(2 + k) + 0.5)
     if name == "nail_chain":
         return SecularSystem(
             "nail_chain", (0,), np.zeros((1, 1)), np.ones((1, 1)),
-            np.zeros((1, 1)),
-            lambda lam, i, j: rk.kernel_line(lam, 0),
+            np.zeros((1, 1)), _diagonal_kernel(rk.kernel_line, 1),
             base_radius=2.0, bracket_hi=3.5)
     if name == "comb":
         d = params["d"]
@@ -314,8 +324,7 @@ def catalog_system(name, **params):
         # eigenvalue of S(lam) in closed form as 2d * <d0, R_Z(lam) d0>.
         return SecularSystem(
             "comb", (0,), np.zeros((1, 1)), np.zeros((1, 0)),
-            np.zeros((0, 0)),
-            lambda lam, i, j: rk.kernel_line(lam, 0),
+            np.zeros((0, 0)), _diagonal_kernel(rk.kernel_line, 1),
             base_radius=2.0, bracket_hi=2.0 * d + 2.5,
             pf_closed=lambda lam: 2.0 * d * rk.kernel_line(lam, 0))
     if name == "modified_ladder":
@@ -330,10 +339,8 @@ def catalog_system(name, **params):
             if w != 0.0:
                 d[ix[(j, 0)], ix[(j, 1)]] = w
                 d[ix[(j, 1)], ix[(j, 0)]] = w
-        positive = (nrem == 0 and k >= 1)
         return SecularSystem(
             "modified_ladder", support, d, np.zeros((m, 0)), np.zeros((0, 0)),
-            lambda lam, a, b: _ladder_kernel(lam, a, b),
-            base_radius=3.0, bracket_hi=float(2 + max(k, 1)) + 0.5,
-            positive=positive)
+            _ladder_kernel(support),
+            base_radius=3.0, bracket_hi=float(2 + max(k, 1)) + 0.5)
     raise SecularError("no catalog system for %r" % (name,))

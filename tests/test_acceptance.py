@@ -186,10 +186,10 @@ def _perturbed_apply_worst_error():
         def base_solve(lam_, x):
             return np.linalg.solve(lam_ * np.eye(size) - base_arr, x)
 
-        def base_kernel(lam_, i, j):
-            rhs = np.zeros(size)
-            rhs[support_ids[j]] = 1.0
-            return base_solve(lam_, rhs)[support_ids[i]]
+        def base_kernel(lam_):
+            rhs = np.zeros((size, len(support_ids)))
+            rhs[support_ids, np.arange(len(support_ids))] = 1.0
+            return base_solve(lam_, rhs)[support_ids]
 
         sys_fin = SecularSystem(
             "finite", tuple(range(len(support_ids))), d_block, c_block,

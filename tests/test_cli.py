@@ -150,6 +150,44 @@ def test_threads_flag_overrides_environment(capsys, monkeypatch):
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
 
+def test_threads_environment_read_on_every_call(capsys, monkeypatch):
+    # the parser is built once per process; the environment default is not
+    monkeypatch.setenv("OMP_NUM_THREADS", "7")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+    argv = ("critical", "--beta", "1", "--gap", "1")
+    for env, want in (("3", 3), ("1", 1), ("0", None)):
+        monkeypatch.setenv("COMBGAS_THREADS", env)
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        assert doc["manifest"]["threads"] == want
+    assert os.environ["OMP_NUM_THREADS"] == "1"
+    monkeypatch.delenv("COMBGAS_THREADS")
+    code, doc = run_json(capsys, *argv)
+    assert doc["manifest"]["threads"] is None
+    monkeypatch.setenv("COMBGAS_THREADS", "many")
+    assert run_cli(capsys, *argv) == (1, "")
+
+
+def test_spectrum_and_ids_csv_rows(capsys):
+    code, out = run_cli(capsys, "ids", "--family", "comb", "--param", "d=1",
+                        "--n", "3", "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("# manifest: ")
+    assert lines[1] == "energy,cumulative_mass"
+    mass = [float(line.split(",")[1]) for line in lines[2:]]
+    assert mass == sorted(mass)
+    assert mass[-1] == pytest.approx(1.0, abs=1e-12)
+    code, doc = run_json(capsys, "spectrum", "--family", "comb", "--param",
+                         "d=1", "--n", "3")
+    code, out = run_cli(capsys, "spectrum", "--family", "comb", "--param",
+                        "d=1", "--n", "3", "--format", "csv")
+    rows = [tuple(map(float, line.split(",")))
+            for line in out.splitlines()[2:]]
+    assert rows == list(zip(doc["result"]["eigenvalues"],
+                            doc["result"]["weights"]))
+
+
 def test_critical(capsys):
     code, doc = run_json(capsys, "critical", "--beta", "1", "--gap",
                          str(2 * math.sqrt(10) - 2))

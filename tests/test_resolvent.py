@@ -139,10 +139,11 @@ def test_perturbed_resolvent_star_vs_dense():
     def base_solve(lam_, x):
         return np.linalg.solve(lam_ * np.eye(size) - a_base.toarray(), x)
 
-    def base_kernel(lam_, i, j):
-        rhs = np.zeros(size)
-        rhs[j * m] = 1.0
-        return base_solve(lam_, rhs)[i * m]
+    def base_kernel(lam_):
+        ids = np.arange(k) * m
+        rhs = np.zeros((size, k))
+        rhs[ids, np.arange(k)] = 1.0
+        return base_solve(lam_, rhs)[ids]
 
     sys_fin = type(sys)(
         "star_fin", tuple(range(k)), np.zeros((k, k)), np.ones((k, 1)),
