@@ -18,6 +18,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 
 EXIT_OK = 0
@@ -80,6 +82,60 @@ def _manifest(args, command, extra=None):
     return man
 
 
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(arr, fmt):
+    """Text of every value of a 1-D float64 array, each distinct value
+    formatted once.
+
+    "json" gives the json module's float text (float.__repr__, with NaN,
+    Infinity and -Infinity); "csv" gives %.17g, made by one % over all the
+    distinct values.  Values are told apart by bit pattern, so -0.0 keeps
+    its sign.
+    """
+    if arr.dtype != np.float64 or arr.ndim != 1:
+        raise TypeError("expected a 1-D float64 array, got %s of shape %s"
+                        % (arr.dtype, arr.shape))
+    keys, inverse = np.unique(arr.view(np.int64), return_inverse=True)
+    values = keys.view(np.float64)
+    if fmt == "csv":
+        text = "%.17g," * values.size % tuple(values.tolist())
+        texts = text.split(",")[:-1]
+    else:
+        texts = list(map(float.__repr__, values.tolist()))
+        if not np.isfinite(values).all():
+            texts = [_JSON_NONFINITE.get(t, t) for t in texts]
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _json(obj, pad=""):
+    """`obj` as json.dumps(obj, sort_keys=True, indent=2, allow_nan=True)
+    writes it at indent `pad`, with 1-D float64 arrays written as lists.
+
+    Containers are laid out here, array entries come from `_float_texts`
+    and every other value from json.dumps.
+    """
+    child = pad + "  "
+    if isinstance(obj, np.ndarray):
+        items, brackets = _float_texts(obj, "json"), "[]"
+    elif isinstance(obj, dict):
+        items, brackets = [], "{}"
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError("JSON keys must be str, not %s"
+                                % type(key).__name__)
+            items.append(json.dumps(key) + ": " + _json(value, child))
+    elif isinstance(obj, (list, tuple)):
+        items, brackets = [_json(value, child) for value in obj], "[]"
+    else:
+        return json.dumps(obj)
+    if not items:
+        return brackets
+    return "%s\n%s%s\n%s%s" % (brackets[0], child, (",\n" + child).join(items),
+                               pad, brackets[1])
+
+
 def _emit(args, manifest, result, csv_text=None):
     if args.format == "csv":
         if csv_text is None:
@@ -87,8 +143,7 @@ def _emit(args, manifest, result, csv_text=None):
         text = "# manifest: %s\n%s" % (
             json.dumps(manifest, sort_keys=True), csv_text)
     else:
-        text = json.dumps({"manifest": manifest, "result": result},
-                          sort_keys=True, indent=2, allow_nan=True) + "\n"
+        text = _json({"manifest": manifest, "result": result}) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -96,10 +151,13 @@ def _emit(args, manifest, result, csv_text=None):
         sys.stdout.write(text)
 
 
-def _csv(header, xs, ys):
-    """CSV text of a header and float pairs, each value as %.17g."""
-    rows = ["%.17g,%.17g" % row for row in zip(xs, ys)]
-    return "\n".join([header] + rows) + "\n"
+def _csv(header, row, xs, ys):
+    """CSV text: the header line, then `row` % (x, y) for every pair of the
+    columns xs and ys, made by one % over all the rows."""
+    cells = [None] * (2 * len(xs))
+    cells[::2] = xs
+    cells[1::2] = ys
+    return header + "\n" + row * len(xs) % tuple(cells)
 
 
 def _parse_fock(items, d):
@@ -205,19 +263,19 @@ def cmd_norm(args):
 
 
 def cmd_spectrum(args):
-    import numpy as np
-
     params = _parse_params(args.param)
     name, fam = _resolve_family(args.family, params)
     n = args.n
     vals, weights = fam.spectrum(n, cap=args.dense_cap)
     vals = np.asarray(vals)
     order = np.argsort(vals)
-    vals = vals[order].tolist()
-    weights = np.asarray(weights)[order].tolist()
+    vals = vals[order]
+    weights = np.asarray(weights)[order]
     result = csv_text = None
     if args.format == "csv":
-        csv_text = _csv("eigenvalue,weight", vals, weights)
+        csv_text = _csv("eigenvalue,weight", "%s,%s\n",
+                        _float_texts(vals, "csv"),
+                        _float_texts(weights, "csv"))
     else:
         result = {"family": name, "n": n, "eigenvalues": vals,
                   "weights": weights}
@@ -266,15 +324,15 @@ def cmd_ids(args):
     if shift is None:
         shift = float(max(vals))
     measure = thermo.ids_from_spectrum(vals, weights, shift)
-    points = measure.points.tolist()
-    weights = measure.weights.tolist()
     result = csv_text = None
     if args.format == "csv":
-        csv_text = _csv("energy,cumulative_mass", points,
-                        itertools.accumulate(weights))
+        # the cumulative mass is strictly increasing: formatted as it comes
+        csv_text = _csv("energy,cumulative_mass", "%s,%.17g\n",
+                        _float_texts(measure.points, "csv"),
+                        itertools.accumulate(measure.weights.tolist()))
     else:
         result = {"family": name, "n": args.n, "shift": shift,
-                  "points": points, "weights": weights}
+                  "points": measure.points, "weights": measure.weights}
     _emit(args, _manifest(args, "ids", {"family": args.family, "n": args.n}),
           result, csv_text)
     return EXIT_OK

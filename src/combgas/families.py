@@ -71,16 +71,22 @@ class GraphFamily:
     def index_of(self, n, label):
         return None
 
-    def quotient(self, n):
+    def quotient_matrix(self, n):
         """Equitable-partition quotient of the volume, or None if there is none.
 
-        A family with one returns (diag, offdiag, orbit): the diagonal and
+        A family with one returns (diag, offdiag): the diagonal and
         off-diagonal of the symmetrised tridiagonal quotient B,
-        B_ij = sqrt(Q_ij Q_ji), and the quotient row of every vertex.
-        `spectral.quotient_eigenpair` takes the volume's norm and PF vector
-        from it.
+        B_ij = sqrt(Q_ij Q_ji).  `spectral.quotient_top` takes the volume's
+        norm from it; such a family also defines `orbit(n)`, the quotient
+        row of every vertex, which is as large as the volume.
         """
         return None
+
+    def quotient(self, n):
+        """(diag, offdiag, orbit) of the volume, or None if it has no
+        quotient; `spectral.quotient_eigenpair` lifts the PF vector with it."""
+        rows = self.quotient_matrix(n)
+        return None if rows is None else (*rows, self.orbit(n))
 
     def spectrum(self, n, cap=4096):
         """Eigenvalues and normalized weights of the volume's adjacency."""
@@ -404,14 +410,15 @@ class CombFamily(GraphFamily):
             idx = idx * side + (c + n)
         return idx * side + (label[-1] + n)
 
-    def quotient(self, n):
+    def quotient_matrix(self, n):
         """Periodic base: rows are the fiber levels |j| = 0..n over the
         whole (vertex-transitive) base, with the base degree 2d on |j| = 0."""
         if not self.periodic:
             return None
-        side = 2 * n + 1
-        diag, offdiag = _levels(n + 1, 2.0 * self.d, (math.sqrt(2.0),))
-        return diag, offdiag, np.abs(np.arange(self.volume(n)) % side - n)
+        return _levels(n + 1, 2.0 * self.d, (math.sqrt(2.0),))
+
+    def orbit(self, n):
+        return np.abs(np.arange(self.volume(n)) % (2 * n + 1) - n)
 
     def base_eigenvalues(self, n):
         """Eigenvalues of the base adjacency, one per base mode (flattened)."""
@@ -492,11 +499,12 @@ class NailChainFamily(GraphFamily):
     def anchor_index(self, n):
         return n
 
-    def quotient(self, n):
+    def quotient_matrix(self, n):
         """Rows: the nail, then chain levels |j| = 0..n."""
-        diag, offdiag = _levels(n + 2, head=(1.0, math.sqrt(2.0)))
-        orbit = np.append(1 + np.abs(np.arange(2 * n + 1) - n), 0)
-        return diag, offdiag, orbit
+        return _levels(n + 2, head=(1.0, math.sqrt(2.0)))
+
+    def orbit(self, n):
+        return np.append(1 + np.abs(np.arange(2 * n + 1) - n), 0)
 
 
 class StarFamily(GraphFamily):
@@ -522,11 +530,12 @@ class StarFamily(GraphFamily):
     def folner(self, m):
         return Fraction(self.k, self.volume(m))
 
-    def quotient(self, m):
+    def quotient_matrix(self, m):
         """Rows: the center, then strand levels 1..m."""
-        diag, offdiag = _levels(m + 1, head=(math.sqrt(self.k),))
-        orbit = np.append(0, 1 + np.tile(np.arange(m), self.k))
-        return diag, offdiag, orbit
+        return _levels(m + 1, head=(math.sqrt(self.k),))
+
+    def orbit(self, m):
+        return np.append(0, 1 + np.tile(np.arange(m), self.k))
 
 
 class BoxChainMixin:
@@ -570,12 +579,13 @@ class StarBoxFamily(GraphFamily, BoxChainMixin):
     def folner(self, m):
         return Fraction(self.k, self.volume(m))
 
-    def quotient(self, m):
+    def quotient_matrix(self, m):
         """Rows: the center, then a_0, {b_0, c_0}, a_1, ..., a_m."""
-        diag, offdiag = _levels(2 * m + 2, head=(math.sqrt(self.k),),
-                                link=math.sqrt(2.0))
-        orbit = np.append(0, 1 + np.tile(_box_rows(m), self.k))
-        return diag, offdiag, orbit
+        return _levels(2 * m + 2, head=(math.sqrt(self.k),),
+                       link=math.sqrt(2.0))
+
+    def orbit(self, m):
+        return np.append(0, 1 + np.tile(_box_rows(m), self.k))
 
 
 class PolygonalStarFamily(GraphFamily):
@@ -602,10 +612,12 @@ class PolygonalStarFamily(GraphFamily):
     def folner(self, m):
         return Fraction(self.p, self.volume(m))
 
-    def quotient(self, m):
+    def quotient_matrix(self, m):
         """Rows: strand levels 0..m; the polygon adds 2 on level 0."""
-        diag, offdiag = _levels(m + 1, 2.0)
-        return diag, offdiag, np.tile(np.arange(m + 1), self.p)
+        return _levels(m + 1, 2.0)
+
+    def orbit(self, m):
+        return np.tile(np.arange(m + 1), self.p)
 
 
 class PolygonalStarBoxFamily(GraphFamily, BoxChainMixin):
@@ -630,10 +642,12 @@ class PolygonalStarBoxFamily(GraphFamily, BoxChainMixin):
     def folner(self, m):
         return Fraction(self.p, self.volume(m))
 
-    def quotient(self, m):
+    def quotient_matrix(self, m):
         """Rows: a_0, {b_0, c_0}, a_1, ..., a_m; the polygon adds 2 on a_0."""
-        diag, offdiag = _levels(2 * m + 1, 2.0, link=math.sqrt(2.0))
-        return diag, offdiag, np.tile(_box_rows(m), self.p)
+        return _levels(2 * m + 1, 2.0, link=math.sqrt(2.0))
+
+    def orbit(self, m):
+        return np.tile(_box_rows(m), self.p)
 
 
 class HGraphFamily(GraphFamily):
@@ -663,11 +677,13 @@ class HGraphFamily(GraphFamily):
     def anchor_index(self, n):
         return n
 
-    def quotient(self, n):
+    def quotient_matrix(self, n):
         """Rows: rail levels |j| = 0..n over both rails; the k-fold link
         between the origins adds k on level 0."""
-        diag, offdiag = _levels(n + 1, float(self.k), (math.sqrt(2.0),))
-        return diag, offdiag, _rail_levels(n)
+        return _levels(n + 1, float(self.k), (math.sqrt(2.0),))
+
+    def orbit(self, n):
+        return _rail_levels(n)
 
 
 def _rail_levels(n):
@@ -707,7 +723,7 @@ class ModifiedLadderFamily(GraphFamily):
     def anchor_index(self, n):
         return n
 
-    def quotient(self, n):
+    def quotient_matrix(self, n):
         """The h_graph rows, with a rung adding k on level 0 and 1 on the
         levels above nrem.  None when no rung joins the rails (k = 0 and
         n = nrem): that truncation is disconnected and has no PF vector,
@@ -718,7 +734,10 @@ class ModifiedLadderFamily(GraphFamily):
             return None
         diag, offdiag = _levels(n + 1, float(self.k), (math.sqrt(2.0),))
         diag[self.nrem + 1:] = 1.0
-        return diag, offdiag, _rail_levels(n)
+        return diag, offdiag
+
+    def orbit(self, n):
+        return _rail_levels(n)
 
 
 class LadderFamily(ModifiedLadderFamily):

@@ -95,15 +95,13 @@ def _positive_at_anchor(vec, anchor):
     return vec / vec[anchor]
 
 
-def quotient_eigenpair(diag, offdiag, orbit, anchor=0):
-    """Top eigenpair of a volume from its equitable-partition quotient.
+def quotient_top(diag, offdiag):
+    """Top eigenvalue, unit eigenvector x and residual |Bx - lam x| of the
+    symmetrised tridiagonal quotient B (diagonal `diag`, off-diagonal
+    `offdiag`, B_ij = sqrt(Q_ij Q_ji)) of an equitable partition.
 
-    The PF vector is constant on the cells of an equitable partition, so
-    the top eigenvalue is that of the symmetrised quotient B, the
-    tridiagonal matrix with diagonal `diag` and off-diagonal `offdiag`
-    (B_ij = sqrt(Q_ij Q_ji)).  `orbit` maps each vertex to its cell; the
-    unit eigenvector x of B lifts to the unit vector x[orbit]/sqrt(|cell|),
-    whose residual on the full matrix equals |Bx - lam x|.
+    The PF vector is constant on the cells of the partition, so the top
+    eigenvalue of B is the volume's norm.
     """
     top = diag.size - 1
     vals, vecs = eigh_tridiagonal(diag, offdiag, select="i",
@@ -112,7 +110,17 @@ def quotient_eigenpair(diag, offdiag, orbit, anchor=0):
     bx = diag * x
     bx[1:] += offdiag * x[:-1]
     bx[:-1] += offdiag * x[1:]
-    residual = float(np.linalg.norm(bx - lam * x))
+    return lam, x, float(np.linalg.norm(bx - lam * x))
+
+
+def quotient_eigenpair(diag, offdiag, orbit, anchor=0):
+    """Top eigenpair of a volume from its equitable-partition quotient.
+
+    `orbit` maps each vertex to its cell; the unit eigenvector x of B
+    (`quotient_top`) lifts to the unit vector x[orbit]/sqrt(|cell|), whose
+    residual on the full matrix equals |Bx - lam x|.
+    """
+    lam, x, residual = quotient_top(diag, offdiag)
     vec = x[orbit] / np.sqrt(np.bincount(orbit)[orbit])
     return SpectralResult(lam, _positive_at_anchor(vec, anchor), residual)
 
@@ -161,10 +169,12 @@ def extrapolate_power(ns, vals, p=2, terms=2):
 def norm_sequence(family, ns, tol=1e-10, window=None, method="aitken", power=2):
     """Norms ||A_{Lambda_n}|| over ns with an extrapolated limit.
 
-    A family with an equitable quotient (`GraphFamily.quotient`) is solved
-    on it by `quotient_eigenpair`; any other goes through Lanczos on the
-    full matrix.  The sequence must be strictly increasing (up to solver
-    tolerance); a violation means an eigensolver bug and raises.
+    A family with an equitable quotient (`GraphFamily.quotient_matrix`)
+    is solved on it by `quotient_top`; any other goes through Lanczos on
+    the full matrix.  The PF vector is lifted onto the vertices only for a
+    `window`, and only for the last volume.  The sequence must be strictly
+    increasing (up to solver tolerance); a violation means an eigensolver
+    bug and raises.
     """
     ns = sorted(ns)
     if len(ns) < 2 or ns[-1] < 2:
@@ -172,14 +182,13 @@ def norm_sequence(family, ns, tol=1e-10, window=None, method="aitken", power=2):
     norms = []
     last_result = None
     for n in ns:
-        quotient = family.quotient(n)
-        if quotient is None:
+        rows = family.quotient_matrix(n)
+        if rows is None:
             last_result = top_eigenpair(family.matrix(n), tol=tol,
                                         anchor=family.anchor_index(n))
+            norms.append(last_result.top_eigenvalue)
         else:
-            last_result = quotient_eigenpair(*quotient,
-                                             anchor=family.anchor_index(n))
-        norms.append(last_result.top_eigenvalue)
+            norms.append(quotient_top(*rows)[0])
     for a, b in zip(norms, norms[1:]):
         if b < a - 10.0 * tol * max(1.0, abs(a)):
             raise SpectralError("norm sequence not increasing: %r" % (norms,))
@@ -191,6 +200,9 @@ def norm_sequence(family, ns, tol=1e-10, window=None, method="aitken", power=2):
     pf_pointwise = {}
     if window is not None:
         nlast = ns[-1]
+        if rows is not None:
+            last_result = quotient_eigenpair(*rows, family.orbit(nlast),
+                                             anchor=family.anchor_index(nlast))
         for lab in window:
             idx = family.index_of(nlast, lab)
             if idx is not None:

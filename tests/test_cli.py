@@ -1,10 +1,14 @@
+import itertools
 import json
 import math
 import os
 
+import numpy as np
 import pytest
 
+from combgas import cli, thermo
 from combgas.cli import main
+from combgas.families import CombFamily, family, fiber_eigen
 
 
 def run_cli(capsys, *argv):
@@ -220,3 +224,110 @@ def test_ids_json_round_trip(capsys):
     pts = doc["result"]["points"]
     assert pts == sorted(pts)
     assert abs(sum(doc["result"]["weights"]) - 1.0) < 1e-12
+
+
+def _ulp_ties(x):
+    return [x, np.nextafter(x, np.inf), x, np.nextafter(x, -np.inf),
+            np.nextafter(np.nextafter(x, np.inf), np.inf)]
+
+
+FLOAT_CASES = {
+    "signed_zero": [-0.0, 0.0, 0.0, -0.0, 1.0, -0.0],
+    "nonfinite": [float("nan"), 1.5, float("inf"), -float("inf"),
+                  float("nan"), -0.0, float("inf")],
+    "empty": [],
+    "one": [0.1],
+    "repeats": [0.1, 2.0, 0.1, 1.0 / 3.0, 0.1, 2.0] * 400,
+    "subnormal": [5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,
+                  2.2250738585072014e-308, 1e-310, 5e-324],
+    "last_ulp": _ulp_ties(1.0 / 3.0) + _ulp_ties(2.0 * math.sqrt(2.0))
+                + _ulp_ties(-1e300),
+}
+
+
+@pytest.mark.parametrize("values", list(FLOAT_CASES.values()),
+                         ids=list(FLOAT_CASES))
+def test_float_texts_match_stdlib(values):
+    arr = np.array(values, dtype=float)
+    assert cli._json(arr) == json.dumps(arr.tolist(), indent=2)
+    assert cli._float_texts(arr, "json") == [json.dumps(x)
+                                             for x in arr.tolist()]
+    assert cli._float_texts(arr, "csv") == ["%.17g" % x for x in arr.tolist()]
+
+
+def test_json_writer_matches_stdlib_layout():
+    doc = {"z": [1, [], {}, (), [None, True, False]], "a": "x\ny \"q\" \u00e9",
+           "m": {"b": -0.0, "a": float("nan"), "c": [float("-inf"), 2]},
+           "e": {"s": "", "t": [{"u": 1e-310}]}, "n": None, "i": 3}
+    want = json.dumps(doc, sort_keys=True, indent=2, allow_nan=True)
+    assert cli._json(doc) == want
+    arrays = {"v": np.array([0.5, -0.0, 0.5]), "w": [np.array([]), 1]}
+    lists = {"v": [0.5, -0.0, 0.5], "w": [[], 1]}
+    assert cli._json(arrays) == json.dumps(lists, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        cli._json(np.arange(3))
+
+
+GOLDEN = [
+    (("--param", "d=1"), "comb", {"d": 1}, 8),
+    (("--param", "d=3"), "comb", {"d": 3}, 3),
+    (("--param", "d=1", "--param", "periodic=false"), "comb",
+     {"d": 1, "periodic": False}, 5),
+    (("--param", "d=2"), "lattice", {"d": 2}, 3),
+]
+
+
+@pytest.mark.parametrize("params,name,kw,n", GOLDEN,
+                         ids=["comb-d1", "comb-d3", "comb-d1-free",
+                              "lattice-d2"])
+def test_spectrum_and_ids_match_stdlib_serialisation(capsys, params, name,
+                                                     kw, n):
+    vals, weights = family(name, **kw).spectrum(n, cap=4096)
+    order = np.argsort(vals)
+    shift = float(max(vals))
+    measure = thermo.ids_from_spectrum(vals, weights, shift)
+    results = {
+        "spectrum": {"family": name, "n": n,
+                     "eigenvalues": vals[order].tolist(),
+                     "weights": weights[order].tolist()},
+        "ids": {"family": name, "n": n, "shift": shift,
+                "points": measure.points.tolist(),
+                "weights": measure.weights.tolist()},
+    }
+    rows = {
+        "spectrum": ["eigenvalue,weight"] + [
+            "%.17g,%.17g" % row for row in zip(vals[order].tolist(),
+                                               weights[order].tolist())],
+        "ids": ["energy,cumulative_mass"] + [
+            "%.17g,%.17g" % row for row in zip(
+                measure.points.tolist(),
+                itertools.accumulate(measure.weights.tolist()))],
+    }
+    for cmd in ("spectrum", "ids"):
+        argv = (cmd, "--family", name) + params + ("--n", str(n))
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        manifest = json.loads(out)["manifest"]
+        assert out == json.dumps(
+            {"manifest": manifest, "result": results[cmd]},
+            sort_keys=True, indent=2, allow_nan=True) + "\n"
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out == "\n".join(
+            ["# manifest: " + json.dumps(manifest, sort_keys=True)]
+            + rows[cmd]) + "\n"
+
+
+def test_norm_comb_large_volume_lifts_no_vector(capsys, monkeypatch):
+    # the orbit of the d=3, n=200 comb has 401^4 entries (193 GiB)
+    def orbit(self, n):
+        raise AssertionError("orbit built for n=%d" % n)
+
+    monkeypatch.setattr(CombFamily, "orbit", orbit)
+    code, doc = run_json(capsys, "norm", "--family", "comb", "--param", "d=3",
+                         "--n-max", "200")
+    assert code == 0
+    seq = doc["result"]["norm_sequence"]
+    assert seq["ns"] == [50, 100, 150, 200]
+    for n, norm in zip(seq["ns"], seq["norms"]):
+        assert abs(norm - fiber_eigen(n, [6.0]).even.max()) < 1e-12
