@@ -5,7 +5,10 @@ the results so identical invocations can be reproduced byte for byte.  JSON
 reports carry the manifest under "manifest"; CSV output prepends it as a
 single '#'-prefixed comment line.
 
-Exit codes: 0 ok, 1 input error, 2 numeric failure, 3 divergence verdict.
+Exit codes: 0 ok, 1 input error (an OSError on --input/--out, a bad
+argument, or a `DomainError` from the modules), 2 numeric failure (a
+`NumericFailure`), 3 divergence verdict.  Any other exception is a bug and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -15,12 +18,11 @@ import functools
 import itertools
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
-from . import __version__
+from . import DomainError, NumericFailure, __version__
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -28,7 +30,7 @@ EXIT_NUMERIC = 2
 EXIT_DIVERGENT = 3
 
 
-class InputError(ValueError):
+class InputError(DomainError):
     pass
 
 
@@ -45,27 +47,26 @@ def _parse_params(items):
     return out
 
 
-def _resolve_family(name, params):
-    from .families import family
+def _family_args(args):
+    """(name, params) of --family and --param, without a "catalog:" prefix.
 
+    The closed-form catalog literature indexes stars by n; a star takes its
+    strand count k as n too.
+    """
+    name = args.family
     if name.startswith("catalog:"):
         name = name[len("catalog:"):]
-    params = dict(params)
-    # the closed-form catalog literature indexes stars by n; accept both
+    params = _parse_params(args.param)
     if "n" in params and name in ("star", "star_box") and "k" not in params:
         params["k"] = params.pop("n")
+    return name, params
+
+
+def _resolve_family(args):
+    from .families import family
+
+    name, params = _family_args(args)
     return name, family(name, **params)
-
-
-def _catalog_secular(name, params):
-    from .secular import catalog_system
-
-    kw = dict(params)
-    if "n" in kw and name in ("star", "star_box") and "k" not in kw:
-        kw["k"] = kw.pop("n")
-    kw.pop("periodic", None)
-    kw.pop("boundary", None)
-    return catalog_system(name, **kw)
 
 
 def _manifest(args, command, extra=None):
@@ -74,7 +75,6 @@ def _manifest(args, command, extra=None):
         "version": __version__,
         "tol": args.tol,
         "dense_cap": args.dense_cap,
-        "threads": args.threads,
         "params": _parse_params(getattr(args, "param", None)),
     }
     if extra:
@@ -165,11 +165,15 @@ def _parse_fock(items, d):
 
     entries = {}
     for item in items or []:
-        amp = 1.0
-        if "@" in item:
-            item, amp_s = item.split("@", 1)
-            amp = float(amp_s)
-        coords = [int(tok) for tok in item.split(",")]
+        item, at, amp = item.partition("@")
+        try:
+            coords = [int(tok) for tok in item.split(",")]
+            amp = float(amp) if at else 1.0
+        except ValueError:
+            raise InputError("bad vector %r (expected integer coordinates "
+                             "[@amplitude])" % (item + at + amp)) from None
+        if not math.isfinite(amp):
+            raise InputError("vector %r needs a finite amplitude" % item)
         if len(coords) != d + 1:
             raise InputError(
                 "vector %r needs %d base coordinates plus a fiber coordinate"
@@ -182,14 +186,19 @@ def _parse_fock(items, d):
 
 
 def _parse_nrange(text):
-    parts = [int(tok) for tok in text.split(":")]
+    """The volumes lo[:hi[:step]], with 0 <= lo <= hi and step >= 1."""
+    try:
+        parts = [int(tok) for tok in text.split(":")]
+    except ValueError:
+        parts = []
     if len(parts) == 1:
-        return [parts[0]]
+        parts *= 2
     if len(parts) == 2:
-        return list(range(parts[0], parts[1] + 1))
-    if len(parts) == 3:
-        return list(range(parts[0], parts[1] + 1, parts[2]))
-    raise InputError("bad n range %r (expected lo:hi[:step])" % text)
+        parts.append(1)
+    if len(parts) != 3 or not 0 <= parts[0] <= parts[1] or parts[2] < 1:
+        raise InputError("bad n range %r (expected lo:hi[:step], "
+                         "0 <= lo <= hi, step >= 1)" % text)
+    return list(range(parts[0], parts[1] + 1, parts[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +209,16 @@ def cmd_build(args):
     from .graphs import build_from_description
 
     if args.input:
-        with open(args.input) as fh:
-            doc = json.load(fh)
+        with open(args.input, "rb") as fh:
+            text = fh.read()
     elif args.inline:
-        doc = json.loads(args.inline)
+        text = args.inline
     else:
         raise InputError("build needs --input or --inline")
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise InputError("bad JSON description: %s" % exc) from None
     g, _blocks = build_from_description(doc)
     man = _manifest(args, "build", {"input": args.input or "inline"})
     _emit(args, man, json.loads(g.to_json()))
@@ -229,13 +242,14 @@ def cmd_catalog(args):
 
 
 def cmd_norm(args):
-    from .secular import SecularError
+    from .families import family
+    from .secular import SecularError, catalog_system
 
-    params = _parse_params(args.param)
-    name, fam = _resolve_family(args.family, params)
+    name, params = _family_args(args)
+    fam = family(name, **params)
     result = {"family": name}
     try:
-        system = _catalog_secular(name, params)
+        system = catalog_system(name, **params)
     except SecularError:  # no secular system: exhaustion only
         system = None
     if system is not None:
@@ -263,8 +277,7 @@ def cmd_norm(args):
 
 
 def cmd_spectrum(args):
-    params = _parse_params(args.param)
-    name, fam = _resolve_family(args.family, params)
+    name, fam = _resolve_family(args)
     n = args.n
     vals, weights = fam.spectrum(n, cap=args.dense_cap)
     vals = np.asarray(vals)
@@ -285,28 +298,20 @@ def cmd_spectrum(args):
 
 
 def cmd_secular(args):
-    from .secular import solve_secular
+    from .secular import catalog_system, solve_secular
 
-    params = _parse_params(args.param)
-    name = args.family
-    if name.startswith("catalog:"):
-        name = name[len("catalog:"):]
-    system = _catalog_secular(name, params)
-    sol = solve_secular(system, tol=args.tol)
+    name, params = _family_args(args)
+    sol = solve_secular(catalog_system(name, **params), tol=args.tol)
     _emit(args, _manifest(args, "secular", {"family": args.family}),
           sol.to_record())
     return EXIT_OK
 
 
 def cmd_hidden(args):
-    from .secular import hidden_spectrum_verdict, solve_secular
+    from .secular import catalog_system, hidden_spectrum_verdict, solve_secular
 
-    params = _parse_params(args.param)
-    name = args.family
-    if name.startswith("catalog:"):
-        name = name[len("catalog:"):]
-    system = _catalog_secular(name, params)
-    sol = solve_secular(system, tol=args.tol)
+    name, params = _family_args(args)
+    sol = solve_secular(catalog_system(name, **params), tol=args.tol)
     verdict, gap = hidden_spectrum_verdict(sol)
     result = dict(sol.to_record())
     result.update({"verdict": verdict, "gap": gap})
@@ -314,15 +319,19 @@ def cmd_hidden(args):
     return EXIT_OK
 
 
+def _volume_spectrum(args):
+    """(family name, eigenvalues, weights, shift) of volume --n of --family;
+    the shift defaults to the top eigenvalue."""
+    name, fam = _resolve_family(args)
+    vals, weights = fam.spectrum(args.n, cap=args.dense_cap)
+    shift = float(vals.max()) if args.shift is None else args.shift
+    return name, vals, weights, shift
+
+
 def cmd_ids(args):
     from . import thermo
 
-    params = _parse_params(args.param)
-    name, fam = _resolve_family(args.family, params)
-    vals, weights = fam.spectrum(args.n, cap=args.dense_cap)
-    shift = args.shift
-    if shift is None:
-        shift = float(max(vals))
+    name, vals, weights, shift = _volume_spectrum(args)
     measure = thermo.ids_from_spectrum(vals, weights, shift)
     result = csv_text = None
     if args.format == "csv":
@@ -338,26 +347,10 @@ def cmd_ids(args):
     return EXIT_OK
 
 
-def _check_positive(name, value):
-    if not (math.isfinite(value) and value > 0):
-        raise InputError("--%s must be finite and positive, got %r"
-                         % (name, value))
-
-
-def _check_finite(name, value):
-    if not math.isfinite(value):
-        raise InputError("--%s must be finite, got %r" % (name, value))
-
-
 def cmd_density(args):
     from . import thermo
 
-    _check_positive("beta", args.beta)
-    _check_finite("mu", args.mu)
-    params = _parse_params(args.param)
-    name, fam = _resolve_family(args.family, params)
-    vals, weights = fam.spectrum(args.n, cap=args.dense_cap)
-    shift = args.shift if args.shift is not None else float(max(vals))
+    name, vals, weights, shift = _volume_spectrum(args)
     rho = thermo.finite_volume_density(vals, weights, shift, args.beta,
                                        args.mu)
     result = {"family": name, "n": args.n, "beta": args.beta, "mu": args.mu,
@@ -369,8 +362,6 @@ def cmd_density(args):
 def cmd_critical(args):
     from . import thermo
 
-    _check_positive("beta", args.beta)
-    _check_positive("gap", args.gap)
     rho_c = thermo.critical_density_shifted(args.beta, args.gap)
     result = {"beta": args.beta, "norm_gap": args.gap,
               "critical_density": rho_c}
@@ -381,12 +372,7 @@ def cmd_critical(args):
 def cmd_mu_solve(args):
     from . import thermo
 
-    _check_positive("beta", args.beta)
-    _check_finite("rho", args.rho)
-    params = _parse_params(args.param)
-    name, fam = _resolve_family(args.family, params)
-    vals, weights = fam.spectrum(args.n, cap=args.dense_cap)
-    shift = args.shift if args.shift is not None else float(max(vals))
+    name, vals, weights, shift = _volume_spectrum(args)
     mu = thermo.solve_mu(vals, weights, shift, args.beta, args.rho,
                          tol=args.tol)
     result = {"family": name, "n": args.n, "beta": args.beta, "rho": args.rho,
@@ -398,9 +384,8 @@ def cmd_mu_solve(args):
 def cmd_transience(args):
     from . import thermo
 
-    params = _parse_params(args.param)
-    d = int(params.get("d", getattr(args, "d", None) or 0))
-    if d < 1:
+    d = _parse_params(args.param).get("d")
+    if type(d) is not int or d < 1:
         raise InputError("transience needs --param d=<positive integer>")
     verdict, value, seq = thermo.transience(d)
     result = {"d": d, "verdict": verdict, "green_value": value,
@@ -413,12 +398,9 @@ def cmd_bec(args):
     from . import comb_bec as cb
 
     d = args.d
-    _check_positive("beta", args.beta)
     if args.c is not None:
-        _check_positive("c", args.c)
         schedule = ("condensate_scaled", args.c)
     elif args.mu_power is not None:
-        _check_finite("mu-power", args.mu_power)
         schedule = ("power", args.mu_power)
     else:
         raise InputError("bec needs --c or --mu-power")
@@ -451,11 +433,28 @@ def cmd_bec(args):
 # ---------------------------------------------------------------------------
 
 
+def _number(kind, valid, what):
+    """An argparse type: `kind` of the text, refused unless `valid`."""
+    def parse(text):
+        value = kind(text)
+        if not valid(value):
+            raise argparse.ArgumentTypeError("must be %s, got %r"
+                                             % (what, text))
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
+_finite = _number(float, math.isfinite, "finite")
+_positive = _number(float, lambda v: math.isfinite(v) and v > 0,
+                    "finite and positive")
+_positive_int = _number(int, lambda v: v >= 1, ">= 1")
+
+
 def _add_common(p):
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive, default=1e-10)
     p.add_argument("--dense-cap", type=int, default=4096)
-    p.add_argument("--threads", type=int, default=None,
-                   help="BLAS/OpenMP threads (default: $COMBGAS_THREADS)")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--param", action="append", default=[],
@@ -483,13 +482,13 @@ def build_parser():
     p = sub.add_parser("norm", help="graph norm via secular equation and/or "
                                     "exhaustion")
     p.add_argument("--family", required=True)
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--n-max", type=_positive_int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("spectrum", help="finite-volume spectrum with weights")
     p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
@@ -505,32 +504,32 @@ def build_parser():
 
     p = sub.add_parser("ids", help="integrated density of states")
     p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--shift", type=float, default=None)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--shift", type=_finite, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_ids)
 
     p = sub.add_parser("density", help="finite-volume Bose density")
     p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--shift", type=float, default=None)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--beta", type=_positive, required=True)
+    p.add_argument("--mu", type=_finite, required=True)
+    p.add_argument("--shift", type=_finite, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("critical", help="critical density of a shifted chain")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--gap", type=float, required=True)
+    p.add_argument("--beta", type=_positive, required=True)
+    p.add_argument("--gap", type=_positive, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_critical)
 
     p = sub.add_parser("mu-solve", help="chemical potential at fixed density")
     p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--shift", type=float, default=None)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--beta", type=_positive, required=True)
+    p.add_argument("--rho", type=_finite, required=True)
+    p.add_argument("--shift", type=_finite, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_mu_solve)
 
@@ -539,11 +538,11 @@ def build_parser():
     p.set_defaults(func=cmd_transience)
 
     p = sub.add_parser("bec", help="comb condensation sweep and limit")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--c", type=float, default=None,
+    p.add_argument("--d", type=_positive_int, required=True)
+    p.add_argument("--beta", type=_positive, required=True)
+    p.add_argument("--c", type=_positive, default=None,
                    help="condensate scaling mu_n = -1/(c (2n+1)^d)")
-    p.add_argument("--mu-power", type=float, default=None,
+    p.add_argument("--mu-power", type=_finite, default=None,
                    help="schedule mu_n = -n^(-p)")
     p.add_argument("--n", required=True, help="lo:hi[:step]")
     p.add_argument("--xi", action="append", default=[],
@@ -563,29 +562,12 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
-    if args.threads is None:
-        # read at every call, so a cached parser does not freeze it
-        env = os.environ.get("COMBGAS_THREADS", "0")
-        try:
-            args.threads = int(env) or None
-        except ValueError:
-            print("input error: bad COMBGAS_THREADS %r" % env, file=sys.stderr)
-            return EXIT_INPUT
-    if args.threads:
-        os.environ["OMP_NUM_THREADS"] = str(args.threads)
-        os.environ["OPENBLAS_NUM_THREADS"] = str(args.threads)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (DomainError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except Exception as exc:  # numeric/domain failures from the modules
-        from .families import FamilyError
-        from .graphs import GraphBuildError
-
-        if isinstance(exc, (FamilyError, GraphBuildError, KeyError)):
-            print("input error: %s" % exc, file=sys.stderr)
-            return EXIT_INPUT
+    except NumericFailure as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
 

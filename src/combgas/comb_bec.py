@@ -21,14 +21,14 @@ from typing import NamedTuple
 import numpy as np
 from scipy import integrate, special
 
-from . import thermo
+from . import DomainError, thermo
 from .families import (CombFamily, block_spectrum, fiber_blocks, fiber_eigen,
                        periodic_base_modes)
 from .resolvent import (finite_chain_resolvent_entry, kernel_finite_chain,
                         kernel_line, theta_of)
 
 
-class CombError(ValueError):
+class CombError(DomainError):
     pass
 
 
@@ -163,22 +163,12 @@ class FockVector:
             out.setdefault(jvec, {})[j] = amp
         return out
 
-    def support_radius(self):
-        r = 0
-        for (jvec, j) in self.entries:
-            r = max(r, abs(j), *(abs(c) for c in jvec) if jvec else (0,))
-        return r
-
-    def norm(self):
-        return math.sqrt(sum(abs(a) ** 2 for a in self.entries.values()))
-
 
 @dataclass
 class CombRunConfig:
     d: int
     beta: float
     mu_schedule: object = ("condensate_scaled", 1.0)
-    n_range: tuple = (2, 8)
 
     def mu_of(self, n):
         kind = self.mu_schedule[0]
@@ -193,6 +183,8 @@ class CombRunConfig:
             return -1.0 / (c * (2 * n + 1) ** self.d)
         if kind == "power":
             # mu_n = -n^{-p}
+            if n < 1:
+                raise CombError("the power schedule needs n >= 1, got %r" % n)
             p = float(self.mu_schedule[1])
             return -float(n) ** (-p)
         raise CombError("unknown mu schedule %r" % (self.mu_schedule,))
@@ -363,19 +355,17 @@ def two_point_finite(cfg, n, xi, eta, eig=None, terms=None):
                              total, n, mu, eps, k0, kplus)
 
 
-def pf_overlap(d, fv, normalized=True):
+def pf_overlap(d, fv):
     """Overlap <v, fv> with the generalized PF vector v = u (x) w.
 
     u is constant 1 on the backbone; w is R_Z(||A||) delta_0, normalized to
-    a unit fiber vector by default (||w_tilde||^2 = sqrt(d^2+1)/(4 d^3)).
+    a unit fiber vector (||w_tilde||^2 = sqrt(d^2+1)/(4 d^3)).
     """
     lam = norm_limit(d)
     acc = 0.0
     for (jvec, j), amp in fv.entries.items():
         acc += kernel_line(lam, j) * amp
-    if normalized:
-        acc /= math.sqrt(math.sqrt(d * d + 1.0) / (4.0 * d ** 3))
-    return acc
+    return acc / math.sqrt(math.sqrt(d * d + 1.0) / (4.0 * d ** 3))
 
 
 def two_point_limit(cfg_or_d, beta=None, c=None, xi=None, eta=None,
@@ -484,14 +474,12 @@ def density_finite(d, n, beta, mu, spectrum=None):
     return thermo.finite_volume_density(vals, w, norm_limit(d), beta, mu)
 
 
-def density_limit(cfg, ns=None):
+def density_limit(cfg, ns):
     """Extrapolated per-site density under the condensate scaling.
 
     The finite-size error is boundary-driven (~ 1/(2n+1)), so the limit is a
     power-law fit in the inverse side length.
     """
-    if ns is None:
-        ns = list(range(cfg.n_range[0], cfg.n_range[1] + 1))
     vals = [density_finite(cfg.d, n, cfg.beta, cfg.mu_of(n)) for n in ns]
     sides = np.asarray([2 * n + 1 for n in ns], dtype=float)
     from .spectral import extrapolate_power
@@ -522,7 +510,7 @@ def pf_projection_term(d, n, mu, xi, eta):
     return overlap(eta) * overlap(xi) / gap
 
 
-def sweep_rows(cfg, ns, xi, eta, with_density=True):
+def sweep_rows(cfg, ns, xi, eta):
     """Rows (n, mu, eps, k0, kplus, kprime, two_point_total, density).
 
     Each volume's fiber blocks are solved once, and its lattice sum and
@@ -536,9 +524,8 @@ def sweep_rows(cfg, ns, xi, eta, with_density=True):
         terms = volume_terms(cfg, n)
         bd = two_point_finite(cfg, n, xi, eta, eig, terms)
         kprime, _ = condensate_coefficient(cfg, n, xi, eta, terms)
-        dens = (density_finite(cfg.d, n, cfg.beta, cfg.mu_of(n),
-                               block_spectrum(eig, counts))
-                if with_density else float("nan"))
+        dens = density_finite(cfg.d, n, cfg.beta, cfg.mu_of(n),
+                              block_spectrum(eig, counts))
         rows.append((n, bd.mu, bd.eps, bd.k0, bd.kplus, kprime, bd.total,
                      dens))
     return rows

@@ -16,10 +16,10 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from . import graphs
+from . import DomainError, NumericFailure, graphs
 
 
-class FamilyError(ValueError):
+class FamilyError(DomainError):
     pass
 
 
@@ -81,12 +81,6 @@ class GraphFamily:
         row of every vertex, which is as large as the volume.
         """
         return None
-
-    def quotient(self, n):
-        """(diag, offdiag, orbit) of the volume, or None if it has no
-        quotient; `spectral.quotient_eigenpair` lifts the PF vector with it."""
-        rows = self.quotient_matrix(n)
-        return None if rows is None else (*rows, self.orbit(n))
 
     def spectrum(self, n, cap=4096):
         """Eigenvalues and normalized weights of the volume's adjacency."""
@@ -186,7 +180,7 @@ def fiber_blocks(base):
                      return_counts=True)
 
 
-class FiberSolveError(ArithmeticError):
+class FiberSolveError(NumericFailure):
     """A fiber-block root search hit its iteration cap."""
 
 
@@ -766,9 +760,21 @@ _CATALOG = {
 
 
 def family(name, **params):
+    """The family `name`.  d, k, p and nrem must be integers, d >= 1; each
+    constructor refuses the other values outside its domain."""
     if name not in _CATALOG:
         raise FamilyError("unknown family %r" % (name,))
-    return _CATALOG[name](params)
+    for key in ("d", "k", "p", "nrem"):
+        if key in params and type(params[key]) is not int:
+            raise FamilyError("%s must be an integer, got %r"
+                              % (key, params[key]))
+    if params.get("d", 1) < 1 and name in ("comb", "lattice", "fiber_union"):
+        raise FamilyError("%s needs d >= 1, got %r" % (name, params["d"]))
+    try:
+        return _CATALOG[name](params)
+    except KeyError as exc:  # a required parameter of the _CATALOG entry
+        raise FamilyError("%s needs the parameter %s"
+                          % (name, exc.args[0])) from None
 
 
 def catalog_names():

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
 
+from . import DomainError
+
 MAX_DEGREE = 64
 
 
-class GraphBuildError(ValueError):
+class GraphBuildError(DomainError):
     pass
 
 
@@ -47,17 +48,16 @@ class Graph:
         return sum(len(a) for a in self.adjacency) // 2
 
     def id_of(self, label):
-        return self._index[tuple(label)]
+        try:
+            return self._index[tuple(label)]
+        except KeyError:
+            raise GraphBuildError("no vertex %r" % (tuple(label),)) from None
 
     def has_vertex(self, label):
         return tuple(label) in self._index
 
     def degree(self, v):
         return len(self.adjacency[v])
-
-    @property
-    def max_degree(self):
-        return max((len(a) for a in self.adjacency), default=0)
 
     def has_edge(self, u, v):
         return v in self.adjacency[u]
@@ -68,23 +68,6 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def is_connected(self):
-        n = self.vertex_count
-        if n == 0:
-            return True
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in self.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-        return count == n
-
     def adjacency_matrix(self):
         n = self.vertex_count
         rows, cols = [], []
@@ -94,25 +77,11 @@ class Graph:
         data = np.ones(len(rows))
         return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
 
-    def laplacian_matrix(self):
-        a = self.adjacency_matrix()
-        deg = np.asarray([self.degree(v) for v in range(self.vertex_count)],
-                         dtype=float)
-        return sparse.diags(deg).tocsr() - a
-
     def to_json(self):
         return json.dumps({
             "labels": [list(l) for l in self.labels],
             "edges": [[u, v] for u, v in self.edges()],
         })
-
-    def to_edge_list(self):
-        """Plain text export: `u v` per edge line, then a label table."""
-        lines = ["%d %d" % (u, v) for u, v in self.edges()]
-        lines.append("# labels")
-        for i, lab in enumerate(self.labels):
-            lines.append("# %d %s" % (i, ",".join(str(c) for c in lab)))
-        return "\n".join(lines) + "\n"
 
 
 def from_edges(labels, edge_labels, max_degree=MAX_DEGREE):
@@ -125,7 +94,11 @@ def from_edges(labels, edge_labels, max_degree=MAX_DEGREE):
         index[lab] = i
     adj = [set() for _ in labels]
     for a, b in edge_labels:
-        u, v = index[tuple(a)], index[tuple(b)]
+        try:
+            u, v = index[tuple(a)], index[tuple(b)]
+        except KeyError as exc:
+            raise GraphBuildError("edge endpoint %r is not a vertex"
+                                  % (exc.args[0],)) from None
         if u == v:
             raise GraphBuildError("self-loop at %r" % (a,))
         adj[u].add(v)
@@ -139,9 +112,13 @@ def from_edges(labels, edge_labels, max_degree=MAX_DEGREE):
 
 def graph_from_json(text):
     doc = json.loads(text)
-    labels = [tuple(l) for l in doc["labels"]]
-    edges = [(labels[u], labels[v]) for u, v in doc["edges"]]
-    return from_edges(labels, edges)
+    labels = [_label(lab) for lab in _list(_field(doc, "labels"))]
+    edges = [_list(edge, 2) for edge in _list(_field(doc, "edges"))]
+    if not all(type(i) is int and 0 <= i < len(labels)
+               for edge in edges for i in edge):
+        raise GraphBuildError("edges must join vertex ids 0..%d"
+                              % (len(labels) - 1))
+    return from_edges(labels, [(labels[u], labels[v]) for u, v in edges])
 
 
 def build_lattice_box(d, n, boundary="free"):
@@ -311,38 +288,47 @@ def _induced(labels, edge_labels):
     return from_edges(labels, edges)
 
 
-def symdiff_density(x, y, window):
-    """Exact |(EX symdiff EY) ∩ E(window)| / |window| as a Fraction.
-
-    Edges are counted when both endpoints lie in the window; x and y must
-    agree on the window's vertex labels.
-    """
-    window = {tuple(w) for w in window}
-    for w in window:
-        if not x.has_vertex(w) or not y.has_vertex(w):
-            raise GraphBuildError("window vertex %r missing" % (w,))
-
-    def window_edges(g):
-        out = set()
-        for u, v in g.edges():
-            lu, lv = g.labels[u], g.labels[v]
-            if lu in window and lv in window:
-                out.add(tuple(sorted((lu, lv))))
-        return out
-
-    diff = window_edges(x) ^ window_edges(y)
-    return Fraction(len(diff), len(window))
-
-
 # ---------------------------------------------------------------------------
 # JSON graph description interface
 
 
+def _field(doc, key, *default):
+    """doc[key] of a description object; without a default, key is required."""
+    if not isinstance(doc, dict):
+        raise GraphBuildError("expected a JSON object, got %s" % json.dumps(doc))
+    if key not in doc and not default:
+        raise GraphBuildError("missing %r in %s" % (key, json.dumps(doc)))
+    return doc.get(key, *default)
+
+
+def _list(value, size=None):
+    """A JSON list, of `size` entries when given."""
+    if not isinstance(value, list) or size not in (None, len(value)):
+        raise GraphBuildError("expected a list%s, got %s" % (
+            "" if size is None else " of %d" % size, json.dumps(value)))
+    return value
+
+
+def _label(value):
+    if not all(type(c) is int for c in _list(value)):
+        raise GraphBuildError("a vertex label is a list of integers, got %s"
+                              % json.dumps(value))
+    return tuple(value)
+
+
+def _size(params, key):
+    value = _field(params, key)
+    if type(value) is not int or value < 0:
+        raise GraphBuildError("%s must be a non-negative integer, got %s"
+                              % (key, json.dumps(value)))
+    return value
+
+
 _BUILDERS = {
     "lattice_box": lambda p: build_lattice_box(
-        p["d"], p["n"], p.get("boundary", "free")),
-    "chain": lambda p: build_chain(p["n"]),
-    "cycle": lambda p: build_cycle(p["m"]),
+        _size(p, "d"), _size(p, "n"), _field(p, "boundary", "free")),
+    "chain": lambda p: build_chain(_size(p, "n")),
+    "cycle": lambda p: build_cycle(_size(p, "m")),
 }
 
 
@@ -350,29 +336,30 @@ def build_from_description(doc):
     """Build a graph from a JSON description {builder, params, perturbation}."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    name = doc.get("builder")
+    name = _field(doc, "builder", None)
     if name == "comb":
-        params = doc.get("params", {})
-        base = build_from_description(params["base"])[0]
-        fiber = build_from_description(params["fiber"])[0]
-        g = comb_product(base, fiber, tuple(params["root"]))
+        params = _field(doc, "params")
+        base = build_from_description(_field(params, "base"))[0]
+        fiber = build_from_description(_field(params, "fiber"))[0]
+        g = comb_product(base, fiber, _label(_field(params, "root")))
     elif name in _BUILDERS:
-        g = _BUILDERS[name](doc.get("params", {}))
+        g = _BUILDERS[name](_field(doc, "params", {}))
     else:
         raise GraphBuildError("unknown builder %r" % (name,))
     blocks = None
-    records = doc.get("perturbation", [])
+    records = _list(_field(doc, "perturbation", []))
     if records:
         removed, added, attached = [], [], []
         for rec in records:
-            op = rec.get("op")
-            if op == "add_edge":
-                added.append((tuple(rec["u"]), tuple(rec["v"])))
-            elif op == "remove_edge":
-                removed.append((tuple(rec["u"]), tuple(rec["v"])))
+            op = _field(rec, "op", None)
+            if op in ("add_edge", "remove_edge"):
+                edges = added if op == "add_edge" else removed
+                edges.append((_label(_field(rec, "u")),
+                              _label(_field(rec, "v"))))
             elif op == "attach":
-                bg = graph_from_json(json.dumps(rec["graph"]))
-                links = [(tuple(a), tuple(b)) for a, b in rec["links"]]
+                bg = graph_from_json(json.dumps(_field(rec, "graph")))
+                links = [(_label(a), _label(b)) for a, b in
+                         (_list(ab, 2) for ab in _list(_field(rec, "links")))]
                 attached.append((bg, links))
             else:
                 raise GraphBuildError("unknown perturbation op %r" % (op,))

@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as sla
+
+from . import DomainError, NumericFailure
 
 
-class ResolventDomainError(ValueError):
+class ResolventDomainError(DomainError):
     pass
 
 
@@ -95,54 +95,6 @@ def finite_chain_resolvent_matrix(lam, n):
     return out
 
 
-def transfer_matrix(lam):
-    """2x2 step matrix of the chain finite-difference system; det = 1."""
-    return np.array([[-1.0, lam], [-lam, lam * lam - 1.0]])
-
-
-def transfer_step(lam, state):
-    x, y = state
-    return (-x + lam * y, -lam * x + (lam * lam - 1.0) * y)
-
-
-def transfer_eigen(lam):
-    """Eigenvalues mu+- (product 1) and eigenvectors (2, lam +- sqrt(lam^2-4))."""
-    s = math.sqrt(lam * lam - 4.0)
-    mu_plus = (lam * lam - 2.0 + lam * s) / 2.0
-    mu_minus = (lam * lam - 2.0 - lam * s) / 2.0
-    v_plus = np.array([2.0, lam + s])
-    v_minus = np.array([2.0, lam - s])
-    return (mu_plus, mu_minus), (v_plus, v_minus)
-
-
-def resolvent_solve(g, lam, rhs, tol=1e-10, top=None, margin=1e-8):
-    """Solve (lam*I - A) x = rhs on a finite graph by conjugate gradients.
-
-    Requires lam above the spectrum by `margin`; pass `top` to skip the
-    eigenvalue estimate.  Residual is verified against tol*||rhs||.
-    """
-    a = g if sparse.issparse(g) else g.adjacency_matrix()
-    nvert = a.shape[0]
-    rhs = np.asarray(rhs, dtype=float)
-    if not np.any(rhs):
-        return np.zeros(nvert)
-    if top is None:
-        if nvert <= 2:
-            top = float(np.max(np.linalg.eigvalsh(a.toarray()))) if nvert else 0.0
-        else:
-            top = float(sla.eigsh(a, k=1, which="LA", v0=np.ones(nvert),
-                                  return_eigenvectors=False)[0])
-    if lam <= top + margin:
-        raise ResolventDomainError(
-            "lam=%g not above spectrum top %g + margin" % (lam, top))
-    m = (sparse.identity(nvert) * lam - a).tocsr()
-    x, info = sla.cg(m, rhs, rtol=min(tol, 1e-12), atol=0.0, maxiter=20 * nvert)
-    res = np.linalg.norm(m @ x - rhs)
-    if info != 0 or res > tol * np.linalg.norm(rhs):
-        raise ResolventDomainError("cg failed: info=%d residual=%g" % (info, res))
-    return x
-
-
 def perturbed_resolvent_apply(system, lam, v, base_solve=None):
     """Apply R_{A_p}(lam) to v = (x on base, y on attached) in block form.
 
@@ -168,7 +120,7 @@ def perturbed_resolvent_apply(system, lam, v, base_solve=None):
     s_mat = system.secular_matrix_on_support(lam)
     eye = np.eye(len(sup))
     if np.linalg.cond(eye - s_mat) > 1e12:
-        raise ResolventDomainError(
+        raise NumericFailure(
             "I - S(lam) numerically singular; lam too close to the perturbed norm")
     z_sup = np.linalg.solve(eye - s_mat, rhs_sup)
     z = np.zeros_like(x)

