@@ -101,7 +101,7 @@ class ChainFamily(GraphFamily):
         return graphs.build_chain(n)
 
     def matrix(self, n):
-        return self.graph(n).adjacency_matrix()
+        return LatticeFamily(1).matrix(n)
 
     def folner(self, n):
         return Fraction(2, 2 * n + 1)
@@ -114,10 +114,7 @@ class ChainFamily(GraphFamily):
         return j + n if abs(j) <= n else None
 
     def spectrum(self, n, cap=None):
-        size = 2 * n + 1
-        k = np.arange(1, size + 1)
-        vals = 2.0 * np.cos(np.pi * k / (size + 1))
-        return np.sort(vals), np.full(size, 1.0 / size)
+        return LatticeFamily(1).spectrum(n)
 
 
 class LatticeFamily(GraphFamily):
@@ -133,7 +130,25 @@ class LatticeFamily(GraphFamily):
         return graphs.build_lattice_box(self.d, n, self.boundary)
 
     def matrix(self, n):
-        return self.graph(n).adjacency_matrix()
+        """Kronecker sum of d copies of the path [-n, n] (free boundary) or
+        of the cycle Z_{2n+1} (periodic), in the vertex order of `graph`."""
+        side = 2 * n + 1
+        one = sparse.diags(np.ones(side - 1), 1, shape=(side, side))
+        if self.boundary == "periodic" and side > 1:
+            one = one + sparse.csr_matrix(([1.0], ([side - 1], [0])),
+                                          shape=(side, side))
+        one = (one + one.T).tocsr()
+        total = one
+        for _ in range(self.d - 1):
+            total = sparse.kronsum(one, total, format="csr")
+        return total
+
+    def spectrum(self, n, cap=None):
+        """Closed-form box eigenvalues (`box_eigenvalues`) with uniform
+        weights; no matrix is formed, so `cap` is ignored."""
+        vals = np.sort(box_eigenvalues(self.d, n,
+                                       self.boundary == "periodic"))
+        return vals, np.full(vals.size, 1.0 / vals.size)
 
     def folner(self, n):
         if self.boundary == "periodic":
@@ -167,6 +182,22 @@ def periodic_base_modes(d, n):
         theta_axes.append(theta1.reshape(shape))
         base = base + 2.0 * np.cos(theta_axes[ax])
     return theta_axes, base
+
+
+def box_eigenvalues(d, n, periodic):
+    """Eigenvalues of the box [-n, n]^d, one per vertex (row-major order):
+    sums of d cycle eigenvalues 2cos(2 pi k/(2n+1)), k = -n..n (periodic),
+    or of d path eigenvalues 2cos(pi k/(2n+2)), k = 1..2n+1 (free)."""
+    if periodic:
+        if n == 0:
+            return np.zeros(1)  # one vertex, no edges
+        return periodic_base_modes(d, n)[1].ravel()
+    side = 2 * n + 1
+    one = 2.0 * np.cos(np.pi * np.arange(1, side + 1) / (side + 1))
+    total = one
+    for _ in range(d - 1):
+        total = np.add.outer(total, one).ravel()
+    return total
 
 
 def fiber_blocks(base):
@@ -299,12 +330,16 @@ def fiber_eigen(n, a, support=()):
 
     # even roots below the top one: phi = pole - s/N, pole = (k + 1/2) pi/N
     # the a = 0 root, with s = arctan(b / (2 sin phi)) in [0, pi/2]; the
-    # residual s - arctan(...) has slope in [1/2, 2]
+    # residual s - arctan(...) has slope in [1/2, 2].  sin(phi) is taken at
+    # the smaller of phi and pi - phi = mirror + s/N: near pi, np.sin(phi)
+    # is off by ulp(pi), and that noise in the residual stalls Newton.
     pole = (k + 0.5) * math.pi / big
+    mirror = (big - k - 0.5) * math.pi / big
 
     def fun(s):
-        phi = pole - s / big
-        sn = np.sin(phi)
+        t = s / big
+        phi = pole - t
+        sn = np.sin(np.minimum(phi, mirror + t))
         r = s - np.arctan2(b, 2.0 * sn)
         dr = 1.0 - 2.0 * b * np.cos(phi) / (big * (4.0 * sn * sn + b * b))
         return r, dr
@@ -364,7 +399,7 @@ class CombFamily(GraphFamily):
 
     def base_matrix(self, n):
         fam = LatticeFamily(self.d, "periodic" if self.periodic else "free")
-        return fam.graph(n).adjacency_matrix()
+        return fam.matrix(n)
 
     def matrix(self, n):
         size = 2 * n + 1
@@ -416,14 +451,7 @@ class CombFamily(GraphFamily):
 
     def base_eigenvalues(self, n):
         """Eigenvalues of the base adjacency, one per base mode (flattened)."""
-        if self.periodic:
-            return periodic_base_modes(self.d, n)[1].ravel()
-        side = 2 * n + 1
-        one = 2.0 * np.cos(np.pi * np.arange(1, side + 1) / (side + 1))
-        total = one
-        for _ in range(self.d - 1):
-            total = np.add.outer(total, one).ravel()
-        return total
+        return box_eigenvalues(self.d, n, self.periodic)
 
     def spectrum(self, n, cap=None):
         """Exact full spectrum via the fiber-impurity block decomposition.
@@ -760,14 +788,21 @@ _CATALOG = {
 
 
 def family(name, **params):
-    """The family `name`.  d, k, p and nrem must be integers, d >= 1; each
-    constructor refuses the other values outside its domain."""
+    """The family `name`.  d, k, p and nrem must be integers, d >= 1,
+    periodic a boolean and boundary "free" or "periodic"; each constructor
+    refuses the other values outside its domain."""
     if name not in _CATALOG:
         raise FamilyError("unknown family %r" % (name,))
     for key in ("d", "k", "p", "nrem"):
         if key in params and type(params[key]) is not int:
             raise FamilyError("%s must be an integer, got %r"
                               % (key, params[key]))
+    if type(params.get("periodic", True)) is not bool:
+        raise FamilyError("periodic must be true or false, got %r"
+                          % (params["periodic"],))
+    if params.get("boundary", "free") not in ("free", "periodic"):
+        raise FamilyError("boundary must be free or periodic, got %r"
+                          % (params["boundary"],))
     if params.get("d", 1) < 1 and name in ("comb", "lattice", "fiber_union"):
         raise FamilyError("%s needs d >= 1, got %r" % (name, params["d"]))
     try:

@@ -118,12 +118,28 @@ def test_density_and_mu_solve_reject_bad_domain(capsys, cmd, flag, beta,
 
 
 def test_dense_cap_is_honoured(capsys):
-    argv = ("spectrum", "--family", "lattice", "--param", "d=2", "--n", "3")
+    argv = ("spectrum", "--family", "catalog:star", "--param", "k=3",
+            "--n", "4")
     code, out = run_cli(capsys, *argv, "--dense-cap", "10")
     assert code == 1
     assert out == ""
     code, _ = run_cli(capsys, *argv)
     assert code == 0
+    # the lattice spectrum is closed form: the cap does not apply
+    code, _ = run_cli(capsys, "spectrum", "--family", "lattice", "--param",
+                      "d=2", "--n", "3", "--dense-cap", "10")
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--family", "comb", "--param", "d=1", "--n", "159"),
+    ("ids", "--family", "comb", "--param", "d=1", "--param",
+     "periodic=false", "--n", "195"),
+])
+def test_comb_volumes_with_blocks_near_pi_solve(capsys, argv):
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["result"]["n"] == int(argv[-1])
 
 
 @pytest.mark.parametrize("argv", [
@@ -200,6 +216,22 @@ EXIT_CODES = [
      "input error: bad JSON description"),
     (("critical", "--beta", "1", "--gap", "1", "--out", "{tmp}"), 1,
      "input error: [Errno 21]"),
+    (("spectrum",) + COMB_N + ("--param", 'periodic="x"'), 1,
+     "input error: periodic must be true or false"),
+    (("spectrum",) + COMB_N + ("--param", "periodic=0"), 1,
+     "input error: periodic must be true or false"),
+    (("spectrum", "--family", "lattice", "--param", "d=1", "--param",
+      'boundary="torus"', "--n", "1"), 1,
+     "input error: boundary must be free or periodic"),
+    (("density",) + COMB_N + ("--param", 'periodic="x"', "--beta", "1",
+                              "--mu", "-3"), 1,
+     "input error: periodic must be true or false"),
+    (("density",) + COMB_N + ("--param", "periodic=0", "--beta", "1",
+                              "--mu", "-3"), 1,
+     "input error: periodic must be true or false"),
+    (("density", "--family", "lattice", "--param", "d=1", "--param",
+      'boundary="torus"', "--n", "1", "--beta", "1", "--mu", "-3"), 1,
+     "input error: boundary must be free or periodic"),
 ]
 
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from combgas import families
-from combgas.families import CombFamily, FiberUnionFamily, family
+from combgas import families, graphs
+from combgas.families import (CombFamily, FiberUnionFamily, LatticeFamily,
+                              family)
 from combgas.spectral import top_eigenpair
 
 
@@ -94,6 +95,27 @@ def test_comb_base_eigenvalues_periodic():
     assert np.allclose(np.sort(base), np.sort(want), atol=1e-12)
 
 
+BOX_CASES = [(d, n, boundary) for d in (1, 2, 3) for n in range(5)
+             for boundary in ("free", "periodic")]
+
+
+@pytest.mark.parametrize("d,n,boundary", BOX_CASES)
+def test_lattice_spectrum_is_the_closed_form(d, n, boundary):
+    fam = LatticeFamily(d, boundary)
+    vals, w = fam.spectrum(n)
+    dense = np.linalg.eigvalsh(fam.matrix(n).toarray())
+    assert np.max(np.abs(vals - dense)) < 1e-12
+    assert np.all(w == w[0]) and w.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("d,n,boundary", BOX_CASES)
+def test_lattice_matrix_is_the_graph_adjacency(d, n, boundary):
+    kron = LatticeFamily(d, boundary).matrix(n)
+    built = graphs.build_lattice_box(d, n, boundary).adjacency_matrix()
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(kron, attr), getattr(built, attr))
+
+
 def _oracle_blocks(n, a, vectors):
     """Per-block LAPACK eigenpairs of A_Y + a P_0 on the chain [-n, n]."""
     from scipy.linalg import eigh_tridiagonal
@@ -142,6 +164,21 @@ def test_fiber_eigen_matches_per_block_lapack(d, n, periodic):
             ref = vecs[rows, i]
             flip = -1.0 if ref @ mine[:, col] < 0 else 1.0
             assert np.max(np.abs(mine[:, col] - flip * ref)) < 1e-12
+
+
+# blocks with a small |a| whose even roots sit near phi = pi, where
+# np.sin(phi) is off by ulp(pi): (n, a) of the d=1 volumes n=159 periodic
+# and n=195 free, and an unrounded value of the n=320 periodic base
+NEAR_PI_BLOCKS = [(159, 0.029543684), (195, -0.0480809693),
+                  (320, -0.034305881591597275)]
+
+
+@pytest.mark.parametrize("n,a", NEAR_PI_BLOCKS)
+def test_fiber_eigen_converges_near_pi(n, a):
+    eig = families.fiber_eigen(n, [a])
+    want, _ = _oracle_blocks(n, a, vectors=False)
+    ours = np.sort(np.concatenate((eig.odd, eig.even[0])))
+    assert np.max(np.abs(ours - want)) < 1e-13
 
 
 def test_fiber_eigen_iteration_cap_raises(monkeypatch, capsys):
