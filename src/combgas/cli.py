@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -113,10 +114,23 @@ def _json(obj, pad=""):
     """`obj` as json.dumps(obj, sort_keys=True, indent=2, allow_nan=True)
     writes it at indent `pad`, with 1-D float64 arrays written as lists.
 
-    Containers are laid out here, array entries come from `_float_texts`
-    and every other value from json.dumps.
+    Containers are laid out here, array entries come from `_float_texts`,
+    and scalars are written as the json encoder writes them: strings by
+    its ASCII escaper, floats by float.__repr__ with NaN and Infinity, ints
+    by int.__repr__.
     """
     child = pad + "  "
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _JSON_NONFINITE.get(text, text)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, np.ndarray):
         items, brackets = _float_texts(obj, "json"), "[]"
     elif isinstance(obj, dict):
@@ -125,11 +139,13 @@ def _json(obj, pad=""):
             if not isinstance(key, str):
                 raise TypeError("JSON keys must be str, not %s"
                                 % type(key).__name__)
-            items.append(json.dumps(key) + ": " + _json(value, child))
+            items.append(encode_basestring_ascii(key) + ": "
+                         + _json(value, child))
     elif isinstance(obj, (list, tuple)):
         items, brackets = [_json(value, child) for value in obj], "[]"
     else:
-        return json.dumps(obj)
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(obj).__name__)
     if not items:
         return brackets
     return "%s\n%s%s\n%s%s" % (brackets[0], child, (",\n" + child).join(items),

@@ -8,8 +8,9 @@ the chain [-n,n].  Everything routes through the tensor decomposition
 
 with lam_n = ||A|| - mu_n, so no computation ever assembles the full
 (2n+1)^(d+1) operator for large volumes; the backbone factor Phi_n reduces to
-d-dimensional lattice sums (k_n^0, k_n^+, Q_n) and the fiber factors to
-closed-form chain kernels.
+the finite torus Green function G_n(Delta; eps), summed over the orbits of
+the base modes under sign flips and axis permutations (`CombVolume`), and
+the fiber factors to closed-form chain kernels.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import numpy as np
 from scipy import integrate, special
 
 from . import DomainError, thermo
-from .families import (CombFamily, block_spectrum, fiber_blocks, fiber_eigen,
-                       periodic_base_modes)
+from .families import CombFamily, CombVolume, fiber_eigen
 from .resolvent import (finite_chain_resolvent_entry, kernel_finite_chain,
                         kernel_line, theta_of)
 
@@ -70,69 +70,48 @@ def comb_norm_finite(d, n, tol=1e-14):
 # lattice sums over the discrete torus
 
 
-def _torus_gap(theta_axes):
-    """sum_i (1 - cos theta_i), summed term by term: no cancellation near 0."""
-    return sum(1.0 - np.cos(t) for t in theta_axes)
+def torus_green(vol, eps, delta):
+    """G_n^+(Delta; eps), the finite torus Green function
+
+        G_n(Delta; eps) = (2n+1)^{-d} sum_theta cos(Delta . theta)
+                          / (eps + sum_i (1 - cos theta_i))
+
+    without its zero mode 1/((2n+1)^d eps), summed over the orbits of the
+    periodic `CombVolume` vol."""
+    weights = 1.0 / (eps + vol.gap[1:])
+    return float(vol.phase(delta)[1:] @ weights) / vol.modes
 
 
-def lattice_coeffs(d, n, eps):
-    """(k_n^0, k_n^+): zero mode 1/((2n+1)^d eps) and the rest of the sum
-    of 1/(eps + sum_i (1-cos theta_i)) over the discrete torus."""
+def lattice_coeffs(d, n, eps, vol=None):
+    """(k_n^0, k_n^+) = (1/((2n+1)^d eps), G_n^+(0; eps)): the zero mode of
+    G_n(0; eps) and the rest (`torus_green`); `vol` passes the volume's
+    periodic `CombVolume`."""
     if eps <= 0:
         raise CombError("eps must be positive")
-    vol = (2 * n + 1) ** d
-    theta_axes, _ = periodic_base_modes(d, n)
-    flat = _torus_gap(theta_axes).ravel()
-    k0 = 1.0 / (vol * eps)
-    mask = flat > 1e-12
-    kplus = float(np.sum(1.0 / (eps + flat[mask]))) / vol
-    return k0, kplus
-
-
-def q_entry(d, n, eps, delta):
-    """Q_n(Delta): exact lattice sum of the normalized-numerator kernel."""
-    if eps <= 0:
-        raise CombError("eps must be positive")
-    delta = tuple(delta)
-    if len(delta) != d:
-        raise CombError("delta must have %d components" % d)
-    side = 2 * n + 1
-    vol = side ** d
-    theta_axes, base = periodic_base_modes(d, n)
-    phase = np.zeros([side] * d)
-    for ax in range(d):
-        phase = phase + delta[ax] * theta_axes[ax]
-    num = (0.5 * base / d) * np.cos(phase) - 1.0
-    return float(np.sum(num / (eps + _torus_gap(theta_axes)))) / vol
+    if vol is None:
+        vol = CombVolume(d, n, True)
+    return 1.0 / (vol.modes * eps), torus_green(vol, eps, (0,) * d)
 
 
 def q_limit(d, delta, tol=1e-10):
-    """Q(Delta) on the continuous torus via the Bessel-transform quadrature.
+    """Q(Delta) = G(Delta) - G(0) - delta_{Delta,0}/d on the continuous torus.
 
-    1/(eps + s) -> int e^{-st} dt turns each angle average into a scaled
-    modified Bessel factor; the two divergent pieces cancel inside one
-    absolutely convergent t-integral (the numerator vanishes at theta = 0).
+    1/s = int e^{-st} dt turns each angle average into a scaled modified
+    Bessel factor, so G(Delta) - G(0) = int_0^inf (prod_i ive(|Delta_i|, t)
+    - ive(0, t)^d) dt, absolutely convergent in every d.  Q(0) = -1/d.
     """
-    delta = tuple(delta)
+    delta = tuple(abs(t) for t in delta)
     if len(delta) != d:
         raise CombError("delta must have %d components" % d)
+    if not any(delta):
+        return -1.0 / d
     if d == 1:
-        # cos(t)cos(Dt) - 1 = -[ (1-cos((D+1)t)) + (1-cos((D-1)t)) ]/2 and
-        # the Fejer integral of (1-cos(mt))/(1-cos t) equals |m|.
-        m = delta[0]
-        return -0.5 * (abs(m + 1) + abs(m - 1))
+        # the Fejer integral of (1 - cos(mt))/(1 - cos t) is |m|
+        return -float(delta[0])
 
     def integrand(t):
-        base = [special.ive(abs(m), t) for m in delta]
-        prod_all = float(np.prod(base))
-        acc = 0.0
-        for ax in range(d):
-            fac = 0.5 * (special.ive(abs(delta[ax] - 1), t)
-                         + special.ive(abs(delta[ax] + 1), t))
-            rest = prod_all / base[ax] if base[ax] != 0.0 else float(
-                np.prod([b for i, b in enumerate(base) if i != ax]))
-            acc += fac * rest
-        return acc / d - special.ive(0, t) ** d
+        return (math.prod(special.ive(m, t) for m in delta)
+                - special.ive(0, t) ** d)
 
     import warnings
 
@@ -219,25 +198,23 @@ def fiber_support(n, *vectors):
     return support
 
 
-def block_matrix_element(d, n, func, xi, eta, eig=None):
+def block_matrix_element(d, n, func, xi, eta, eig=None, vol=None):
     """Exact <eta, func(A_{Lambda_n}) xi> via base-Fourier fiber blocks.
 
     In the base eigenbasis the comb adjacency splits into chain-plus-impurity
-    blocks A_Y + a_p P_0, one per distinct base eigenvalue
-    (`families.fiber_blocks` over `families.periodic_base_modes`); matrix
-    elements reduce to lattice sums of per-block fiber elements.  The
-    secular engine `families.fiber_eigen` gives every block eigenvalue and
-    the eigenvector entries on the fibers of xi and eta in one pass; `eig`
-    passes eigendata it already computed for this volume, with a support
-    covering those fibers.  `func` acts elementwise on an array of block
-    eigenvalues.
+    blocks A_Y + a P_0, one per orbit of base modes (`families.CombVolume`,
+    passed as `vol` when the caller has it); matrix elements reduce to
+    orbit phase sums of per-block fiber elements.  The secular engine
+    `families.fiber_eigen` gives every block eigenvalue and the eigenvector
+    entries on the fibers of xi and eta in one pass; `eig` passes eigendata
+    it already computed for this volume, with a support covering those
+    fibers.  `func` acts elementwise on an array of block eigenvalues.
     """
-    side = 2 * n + 1
-    theta_axes, base = periodic_base_modes(d, n)
-    uniq, uinv, _ = fiber_blocks(base)
+    if vol is None:
+        vol = CombVolume(d, n, True)
     support = fiber_support(n, xi, eta)
     if eig is None:
-        eig = fiber_eigen(n, uniq, support)
+        eig = fiber_eigen(n, vol.a, support)
     row = {j: i for i, j in enumerate(eig.support)}
 
     def project(fv):
@@ -255,22 +232,14 @@ def block_matrix_element(d, n, func, xi, eta, eig=None):
     fw = func(np.concatenate((eig.odd, eig.even.ravel())))
     f_odd, f_even = fw[:n], fw[n:].reshape(eig.even.shape)
     total = 0.0
-    vol = side ** d
     for jv_e, (odd_e, even_e) in proj_eta.items():
         for jv_x, (odd_x, even_x) in proj_xi.items():
             # the odd sector is the same in every block
             elem = (np.sum(even_e * f_even * even_x, axis=1)
                     + float(np.sum(odd_e * f_odd * odd_x)))
-            grid_elem = elem[uinv]
             delta = tuple(e - x for e, x in zip(jv_e, jv_x))
-            if any(delta):
-                phase = np.zeros([side] * d)
-                for ax in range(d):
-                    phase = phase + delta[ax] * theta_axes[ax]
-                total += float(np.sum(np.cos(phase).ravel() * grid_elem)) / vol
-            else:
-                total += float(np.sum(grid_elem)) / vol
-    return total
+            total += float(vol.phase(delta) @ elem)
+    return total / vol.modes
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +261,9 @@ class TwoPointBreakdown:
 
 
 class VolumeTerms(NamedTuple):
-    """The scalars of one volume under a run's mu schedule: mu_n,
-    lam_n = ||A|| - mu_n, eps_n, (k_n^0, k_n^+) and the fiber vector
-    z_n = R_{Y_n}(lam_n) delta_0 at j = -n..n."""
+    """One volume under a run's mu schedule: mu_n, lam_n = ||A|| - mu_n,
+    eps_n, (k_n^0, k_n^+), the fiber vector z_n = R_{Y_n}(lam_n) delta_0 at
+    j = -n..n and the base box as a periodic `CombVolume`."""
 
     mu: float
     lam: float
@@ -302,16 +271,22 @@ class VolumeTerms(NamedTuple):
     k0: float
     kplus: float
     z: np.ndarray
+    vol: CombVolume
 
 
 def volume_terms(cfg, n):
-    """`VolumeTerms` of volume n; one lattice sum and one fiber vector."""
+    """`VolumeTerms` of volume n: one `CombVolume`, one lattice sum and one
+    fiber vector.  Refuses n = 0, where the base torus is one vertex and
+    the decomposition would give it 2d self-loops."""
     mu = cfg.mu_of(n)
+    if n < 1:
+        raise CombError("comb volumes need n >= 1, got %r" % n)
     lam = lambda_n(cfg.d, mu)
     eps = eps_n(cfg.d, n, mu)
-    k0, kplus = lattice_coeffs(cfg.d, n, eps)
+    vol = CombVolume(cfg.d, n, True)
+    k0, kplus = lattice_coeffs(cfg.d, n, eps, vol)
     z = np.array([kernel_finite_chain(lam, n, j) for j in range(-n, n + 1)])
-    return VolumeTerms(mu, lam, eps, k0, kplus, z)
+    return VolumeTerms(mu, lam, eps, k0, kplus, z, vol)
 
 
 def two_point_finite(cfg, n, xi, eta, eig=None, terms=None):
@@ -321,7 +296,7 @@ def two_point_finite(cfg, n, xi, eta, eig=None, terms=None):
     d, beta = cfg.d, cfg.beta
     if terms is None:
         terms = volume_terms(cfg, n)
-    mu, lam, eps, k0, kplus, z = terms
+    mu, lam, eps, k0, kplus, z, vol = terms
     fiber_support(n, xi, eta)  # refuses fibers that leave [-n, n]
     fib_xi = xi.fibers()
     fib_eta = eta.fibers()
@@ -339,17 +314,23 @@ def two_point_finite(cfg, n, xi, eta, eig=None, terms=None):
 
     a_eta = {jv: overlap(f) for jv, f in fib_eta.items()}
     a_xi = {jv: overlap(f) for jv, f in fib_xi.items()}
+    # k_n^+ + Q_n(Delta) = ((d+eps)/d) G_n(Delta) - delta_{Delta,0}/d - k_n^0
+    # with the zero mode of G_n summed in closed form: no 1/eps cancels
     pref = 2.0 * d * (d + eps)
+    side = 2 * n + 1
     qpart = 0.0
     for jv_e, ae in a_eta.items():
         for jv_x, ax in a_xi.items():
             delta = tuple(e - x for e, x in zip(jv_e, jv_x))
-            qpart += (kplus + q_entry(d, n, eps, delta)) * ae * ax
+            kq = (1.0 / vol.modes + (d + eps) * torus_green(vol, eps, delta)
+                  - (not any(t % side for t in delta))) / d
+            qpart += kq * ae * ax
     qpart *= pref
     cond = pref * k0 * sum(a_eta.values()) * sum(a_xi.values())
 
     sm = block_matrix_element(
-        d, n, lambda a: bounded_correction(beta * (lam - a)), xi, eta, eig)
+        d, n, lambda a: bounded_correction(beta * (lam - a)), xi, eta, eig,
+        vol)
     total = sm + (line + qpart + cond) / beta
     return TwoPointBreakdown(sm, line / beta, qpart / beta, cond / beta,
                              total, n, mu, eps, k0, kplus)
@@ -448,7 +429,7 @@ def condensate_coefficient(cfg, n, xi=None, eta=None, terms=None):
     d, beta = cfg.d, cfg.beta
     if terms is None:
         terms = volume_terms(cfg, n)
-    _, _, eps, k0, kplus, z = terms
+    eps, k0, kplus, z = terms.eps, terms.k0, terms.kplus, terms.z
     znorm2 = float(z @ z)
     kprime = 2.0 * d * (d + eps) * (k0 + kplus) * znorm2 / beta
     overlaps = {}
@@ -466,12 +447,23 @@ def condensate_coefficient(cfg, n, xi=None, eta=None, terms=None):
 # densities
 
 
-def density_finite(d, n, beta, mu, spectrum=None):
-    """Per-site density on Lambda_n via the exact block spectrum; `spectrum`
-    passes the (eigenvalues, weights) of `CombFamily(d).spectrum(n)` when the
-    caller already has them."""
-    vals, w = CombFamily(d).spectrum(n) if spectrum is None else spectrum
+def density_finite(d, n, beta, mu):
+    """Per-site density on Lambda_n via the exact block spectrum."""
+    vals, w = CombFamily(d).spectrum(n)
     return thermo.finite_volume_density(vals, w, norm_limit(d), beta, mu)
+
+
+def block_density(vol, eig, beta, mu):
+    """Per-site density on Lambda_n straight from the fiber blocks of `vol`:
+    each block's even eigenvalues weigh mult/((2n+1)^d (2n+1)), the odd
+    sector, the same in every block, 1/(2n+1); no spectrum is sorted."""
+    side = eig.odd.size + eig.even.shape[1]
+    vals = np.concatenate((eig.odd, eig.even.ravel()))
+    weights = np.concatenate((
+        np.full(eig.odd.size, 1.0 / side),
+        np.repeat(vol.mult / (vol.modes * side), eig.even.shape[1])))
+    return thermo.finite_volume_density(vals, weights, norm_limit(vol.d),
+                                        beta, mu)
 
 
 def density_limit(cfg, ns):
@@ -513,19 +505,18 @@ def pf_projection_term(d, n, mu, xi, eta):
 def sweep_rows(cfg, ns, xi, eta):
     """Rows (n, mu, eps, k0, kplus, kprime, two_point_total, density).
 
-    Each volume's fiber blocks are solved once, and its lattice sum and
-    fiber vector computed once; the two-point function, the condensate
-    coefficient and the density share them.
+    Each volume's base orbits (one `CombVolume`), lattice sum and fiber
+    vector are computed once and its fiber blocks solved once; the
+    two-point function, the condensate coefficient and the density share
+    them.
     """
     rows = []
     for n in ns:
-        uniq, _, counts = fiber_blocks(periodic_base_modes(cfg.d, n)[1])
-        eig = fiber_eigen(n, uniq, fiber_support(n, xi, eta))
         terms = volume_terms(cfg, n)
+        eig = fiber_eigen(n, terms.vol.a, fiber_support(n, xi, eta))
         bd = two_point_finite(cfg, n, xi, eta, eig, terms)
         kprime, _ = condensate_coefficient(cfg, n, xi, eta, terms)
-        dens = density_finite(cfg.d, n, cfg.beta, cfg.mu_of(n),
-                              block_spectrum(eig, counts))
+        dens = block_density(terms.vol, eig, cfg.beta, terms.mu)
         rows.append((n, bd.mu, bd.eps, bd.k0, bd.kplus, kprime, bd.total,
                      dens))
     return rows

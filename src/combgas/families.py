@@ -9,6 +9,7 @@ exhaustion cross-checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -165,50 +166,104 @@ class LatticeFamily(GraphFamily):
         return idx
 
 
-def periodic_base_modes(d, n):
-    """Fourier modes of the periodic base box (Z_{2n+1})^d.
-
-    Returns the angle axes theta_i = 2 pi k/(2n+1), k = -n..n, each shaped
-    to broadcast along its own axis, and the base eigenvalue
-    2 sum_i cos theta_i of every mode on the full (2n+1)^d grid.
-    """
-    side = 2 * n + 1
-    theta1 = 2.0 * np.pi * np.arange(-n, n + 1) / side
-    theta_axes = []
-    base = np.zeros([side] * d)
-    for ax in range(d):
-        shape = [1] * d
-        shape[ax] = side
-        theta_axes.append(theta1.reshape(shape))
-        base = base + 2.0 * np.cos(theta_axes[ax])
-    return theta_axes, base
-
-
 def box_eigenvalues(d, n, periodic):
     """Eigenvalues of the box [-n, n]^d, one per vertex (row-major order):
     sums of d cycle eigenvalues 2cos(2 pi k/(2n+1)), k = -n..n (periodic),
     or of d path eigenvalues 2cos(pi k/(2n+2)), k = 1..2n+1 (free)."""
+    side = 2 * n + 1
     if periodic:
         if n == 0:
             return np.zeros(1)  # one vertex, no edges
-        return periodic_base_modes(d, n)[1].ravel()
-    side = 2 * n + 1
-    one = 2.0 * np.cos(np.pi * np.arange(1, side + 1) / (side + 1))
+        one = 2.0 * np.cos(2.0 * np.pi * np.arange(-n, n + 1) / side)
+    else:
+        one = 2.0 * np.cos(np.pi * np.arange(1, side + 1) / (side + 1))
     total = one
     for _ in range(d - 1):
         total = np.add.outer(total, one).ravel()
     return total
 
 
-def fiber_blocks(base):
-    """Group base eigenvalues into fiber blocks A_Y + a*P_0.
+class CombVolume:
+    """The base box of a comb volume, its Fourier modes taken by orbits.
 
-    Modes whose eigenvalues agree to 1e-10 share one block.  Returns the
-    distinct block values a (ascending), the block of each mode (flattened
-    order) and the number of modes per block.
+    Periodic base (Z_{2n+1})^d: the modes k in {-n..n}^d, at angles
+    theta k with theta = 2 pi/(2n+1), fall into orbits of the sign flips and
+    axis permutations, with representatives 0 <= k_1 <= ... <= k_d <= n;
+    the zero mode is orbit 0.  Free base [-n, n]^d: the modes k in
+    {1..2n+1}^d fall into orbits of the axis permutations, with
+    representatives 1 <= k_1 <= ... <= k_d <= 2n+1.
+
+    reps (O, d): the representatives, in lexicographic order.
+    mult (O,): the number of modes in each orbit, (distinct permutations)
+    times 2^(number of nonzero k_i) on the periodic base; they sum to
+    modes = (2n+1)^d.
+    a (O,): the base eigenvalue of each orbit, 2 sum_i cos(theta k_i)
+    (periodic; 0 at n = 0, where the box is one vertex with no edges) or
+    sum_i 2cos(pi k_i/(2n+2)) (free).  Each orbit is its own fiber block.
+    gap (O,), periodic only: sum_i (1 - cos(theta k_i)), each term taken as
+    2 sin^2(theta k_i/2), so there is no cancellation near 0.
     """
-    return np.unique(np.round(np.ravel(base), 10), return_inverse=True,
-                     return_counts=True)
+
+    def __init__(self, d, n, periodic):
+        self.d, self.n = d, n
+        side = 2 * n + 1
+        self.modes = side ** d
+        lo, hi = (0, n) if periodic else (1, side)
+        self.reps = np.fromiter(
+            itertools.chain.from_iterable(
+                itertools.combinations_with_replacement(range(lo, hi + 1), d)),
+            dtype=np.intp).reshape(-1, d)
+        # distinct permutations entry by entry: the first j+1 entries have
+        # (j+1)!/prod(c!) of them, c the counts of their values, and entry j
+        # is the ties-th copy of its value; exact, with no d! to overflow
+        self.mult = np.ones(len(self.reps), dtype=np.int64)
+        ties = self.mult.copy()
+        for j in range(1, d):
+            same = self.reps[:, j] == self.reps[:, j - 1]
+            ties = np.where(same, ties + 1, 1)
+            self.mult = self.mult * (j + 1) // ties
+        if periodic:
+            self.mult <<= np.count_nonzero(self.reps, axis=1)
+            self.theta = 2.0 * math.pi / side
+            t = np.arange(n + 1)
+            one = 2.0 * np.cos(self.theta * t) if n else np.zeros(1)
+            self.gap = self._sum_axes(2.0 * np.sin(0.5 * self.theta * t) ** 2)
+            self._phases = {}
+        else:
+            one = 2.0 * np.cos(np.pi * np.arange(side + 1) / (side + 1))
+        self.a = self._sum_axes(one)
+
+    def _sum_axes(self, table):
+        """sum_i table[k_i] over each representative, in the order i = 1..d."""
+        total = table[self.reps[:, 0]]
+        for j in range(1, self.d):
+            total = total + table[self.reps[:, j]]
+        return total
+
+    def phase(self, delta):
+        """sum_x cos(theta x . delta) over the modes x of each orbit
+        (periodic base), as an (O,) array; memoised by the sorted |delta|.
+
+        The sign flips turn the orbit sum into mult/d! times the permanent
+        of C_ij = cos(theta delta_i k_j).  A row with delta_i = 0 is all
+        ones, so the sum is mult times the mean of prod_i C_{i, tau(i)} over
+        the injective maps tau of the nonzero rows into the d columns.
+        """
+        key = tuple(sorted(abs(int(t)) for t in delta if t))
+        if key not in self._phases:
+            t = np.arange(self.n + 1)
+            tables = {m: np.cos(self.theta * (m * t % (2 * self.n + 1)))
+                      for m in set(key)}
+            cols = {(m, j): tables[m][self.reps[:, j]]
+                    for m in tables for j in range(self.d)}
+            total = np.zeros(len(self.reps))
+            for tau in itertools.permutations(range(self.d), len(key)):
+                term = 1.0
+                for m, j in zip(key, tau):
+                    term = term * cols[m, j]
+                total += term
+            self._phases[key] = self.mult * total / math.perm(self.d, len(key))
+        return self._phases[key]
 
 
 class FiberSolveError(NumericFailure):
@@ -449,22 +504,18 @@ class CombFamily(GraphFamily):
     def orbit(self, n):
         return np.abs(np.arange(self.volume(n)) % (2 * n + 1) - n)
 
-    def base_eigenvalues(self, n):
-        """Eigenvalues of the base adjacency, one per base mode (flattened)."""
-        return box_eigenvalues(self.d, n, self.periodic)
-
     def spectrum(self, n, cap=None):
         """Exact full spectrum via the fiber-impurity block decomposition.
 
         In the eigenbasis of the base, I (x) A_Y + A_X (x) P_0 splits into
-        tridiagonal blocks A_Y + a*P_0, one per base eigenvalue a; equal
-        values share a block (`fiber_blocks`).  `fiber_eigen` returns the
+        tridiagonal blocks A_Y + a*P_0, one per orbit of base modes
+        (`CombVolume`), taken mult times.  `fiber_eigen` returns the
         eigenvalues of all blocks from one vectorised secular root search.
         The blocks are exact and no dense matrix is ever formed, so the
         dense cap does not apply and `cap` is ignored.
         """
-        uniq, _, counts = fiber_blocks(self.base_eigenvalues(n))
-        return block_spectrum(fiber_eigen(n, uniq), counts)
+        vol = CombVolume(self.d, n, self.periodic)
+        return block_spectrum(fiber_eigen(n, vol.a), vol.mult)
 
 
 class FiberUnionFamily(GraphFamily):

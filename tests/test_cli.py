@@ -232,6 +232,10 @@ EXIT_CODES = [
     (("density", "--family", "lattice", "--param", "d=1", "--param",
       'boundary="torus"', "--n", "1", "--beta", "1", "--mu", "-3"), 1,
      "input error: boundary must be free or periodic"),
+    (("bec", "--d", "1", "--beta", "1", "--c", "1", "--n", "0", "--xi",
+      "0,0"), 1, "input error: comb volumes need n >= 1"),
+    (BEC[:-1] + ("0:2", "--xi", "0,0,0,0"), 1,
+     "input error: comb volumes need n >= 1"),
 ]
 
 
@@ -381,6 +385,19 @@ def test_json_writer_matches_stdlib_layout():
            "e": {"s": "", "t": [{"u": 1e-310}]}, "n": None, "i": 3}
     want = json.dumps(doc, sort_keys=True, indent=2, allow_nan=True)
     assert cli._json(doc) == want
+    scalars = {"\u00e9\u4e2d\U0001f600": ["\x00\x1f\x7f", "\\/\t\r\b\f",
+                                         "\ud800", "caf\u00e9 \u2028"],
+               "b": [True, False, None], "big": [2 ** 70, -2 ** 64, 0, -1],
+               "zeros": [0.0, -0.0, 5e-324, 1e16, 1.5e300, float("inf")],
+               "\n": {"\u00ff": -0.0}}
+    assert cli._json(scalars) == json.dumps(scalars, sort_keys=True,
+                                            indent=2, allow_nan=True)
+    for value in (True, False, None, -0.0, 0.0, 2 ** 100, "\u00e9\n",
+                  float("nan"), float("-inf"), np.float64(0.1)):
+        assert cli._json(value) == json.dumps(value)
+    for value in (np.int64(3), np.bool_(True), object(), {1: 2}):
+        with pytest.raises(TypeError):
+            cli._json(value)
     arrays = {"v": np.array([0.5, -0.0, 0.5]), "w": [np.array([]), 1]}
     lists = {"v": [0.5, -0.0, 0.5], "w": [[], 1]}
     assert cli._json(arrays) == json.dumps(lists, sort_keys=True, indent=2)

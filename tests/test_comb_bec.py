@@ -9,10 +9,10 @@ from combgas.comb_bec import (CombRunConfig, FockVector, block_matrix_element,
                               condensate_coefficient, density_finite,
                               density_limit, eps_n, fixed_density_mu,
                               lattice_coeffs, norm_limit, pf_overlap,
-                              pf_projection_term, q_entry, q_limit,
-                              sweep_csv, sweep_rows, two_point_finite,
+                              pf_projection_term, q_limit, sweep_csv,
+                              sweep_rows, torus_green, two_point_finite,
                               two_point_limit)
-from combgas.families import CombFamily
+from combgas.families import CombFamily, CombVolume
 
 
 def full_vector(d, n, fv):
@@ -78,11 +78,67 @@ def test_q_limit_diagonal_value():
         assert q_limit(d, (0,) * d) == pytest.approx(-1.0 / d, abs=1e-8)
 
 
+def q_finite(d, n, eps, delta):
+    """Q_n(Delta) from k_n^+ + Q_n(Delta) = 1/(d (2n+1)^d)
+    + ((d+eps)/d) G_n^+(Delta; eps) - delta_{Delta,0}/d, the delta taken
+    on the torus (Delta = 0 mod 2n+1)."""
+    vol = CombVolume(d, n, True)
+    _, kplus = lattice_coeffs(d, n, eps, vol)
+    zero = not any(t % (2 * n + 1) for t in delta)
+    return ((1.0 / vol.modes + (d + eps) * torus_green(vol, eps, delta)
+             - zero) / d - kplus)
+
+
+def grid_q(d, n, eps, delta):
+    """Q_n(Delta) summed over the full (2n+1)^d torus grid:
+    (2n+1)^-d sum_theta ((base/2d) cos(Delta . theta) - 1)/(eps + gap)."""
+    theta = 2 * np.pi * np.arange(-n, n + 1) / (2 * n + 1)
+    grid = np.stack(np.meshgrid(*[theta] * d, indexing="ij"))
+    base = 2 * np.cos(grid).sum(axis=0)
+    gap = (1 - np.cos(grid)).sum(axis=0)
+    phase = np.tensordot(np.asarray(delta, dtype=float), grid, axes=1)
+    num = base / (2 * d) * np.cos(phase) - 1.0
+    return float(np.sum(num / (eps + gap))) / (2 * n + 1) ** d
+
+
 def test_q_entry_converges_to_q_limit():
-    assert q_entry(1, 400, 1e-8, (0,)) == pytest.approx(q_limit(1, (0,)),
-                                                        abs=5e-3)
-    assert q_entry(3, 30, 1e-6, (1, 0, 0)) == pytest.approx(
+    assert q_finite(1, 400, 1e-8, (0,)) == pytest.approx(q_limit(1, (0,)),
+                                                         abs=5e-3)
+    assert q_finite(3, 30, 1e-6, (1, 0, 0)) == pytest.approx(
         q_limit(3, (1, 0, 0)), abs=1e-4)
+
+
+@pytest.mark.parametrize("d,n,eps", [(3, 4, 1e-2), (3, 8, 1e-4), (4, 3, 0.3),
+                                     (1, 10, 0.05), (2, 6, 0.02)])
+def test_torus_green_identity_matches_grid_sum(d, n, eps):
+    # k0 and kplus split the grid sum of 1/(eps + gap) at the zero mode, and
+    # the Green kernel identity gives the grid's Q_n(Delta)
+    theta = 2 * np.pi * np.arange(-n, n + 1) / (2 * n + 1)
+    gap = sum(np.meshgrid(*[1 - np.cos(theta)] * d, indexing="ij"))
+    k0, kplus = lattice_coeffs(d, n, eps)
+    total = float(np.sum(1.0 / (eps + gap))) / (2 * n + 1) ** d
+    assert k0 == pytest.approx(1.0 / ((2 * n + 1) ** d * eps), rel=1e-15)
+    assert k0 + kplus == pytest.approx(total, rel=1e-13)
+    offsets = [(0,) * d, (1,) + (0,) * (d - 1), (-2,) + (0,) * (d - 1),
+               tuple(range(-1, d - 1)), (2 * n + 1,) + (0,) * (d - 1)]
+    if d > 1:
+        offsets += [(1, 1) + (0,) * (d - 2), (3, -3) + (1,) * (d - 2)]
+    for delta in offsets:
+        want = grid_q(d, n, eps, delta)
+        assert q_finite(d, n, eps, delta) == pytest.approx(
+            want, rel=1e-12, abs=1e-14), delta
+
+
+def test_q_limit_is_one_bessel_product():
+    # Q(Delta) = G(Delta) - G(0) for Delta != 0, and Q(e_1) = -1/d from the
+    # lattice equation sum_i (G(0) - G(e_i)) = 1
+    for d in (3, 4):
+        assert q_limit(d, (1,) + (0,) * (d - 1)) == pytest.approx(
+            -1.0 / d, abs=1e-12)
+        assert q_limit(d, (0,) * d) == -1.0 / d
+        assert q_limit(d, (2, -1) + (1,) * (d - 2)) == pytest.approx(
+            q_limit(d, (1,) * (d - 2) + (1, 2)), rel=1e-13)
+    assert q_limit(1, (-3,)) == -3.0
 
 
 def test_bounded_correction_series_and_value():
@@ -247,19 +303,35 @@ def test_sweep_rows_solves_each_volume_once(monkeypatch):
             density_finite(3, n, 1.0, cfg.mu_of(n)), rel=1e-14)
 
 
+@pytest.mark.parametrize("d,n,schedule", [
+    (1, 3, ("condensate_scaled", 1.0)), (1, 6, ("power", 1.0)),
+    (2, 2, ("condensate_scaled", 0.5)), (2, 3, ("power", 1.5)),
+    (3, 2, ("condensate_scaled", 0.5)), (3, 1, ("power", 1.0))])
+def test_sweep_rows_match_dense_eigh(d, n, schedule):
+    cfg = CombRunConfig(d=d, beta=0.7, mu_schedule=schedule)
+    xi = FockVector({((0,) * d, 0): 1.0, ((1,) + (0,) * (d - 1), -1): 0.5})
+    eta = FockVector({((0,) * d, 1): 1.0, ((0,) * (d - 1) + (-1,), 0): -0.25})
+    row = sweep_rows(cfg, [n], xi, eta)[0]
+    mu = cfg.mu_of(n)
+    lams = np.linalg.eigvalsh(CombFamily(d).matrix(n).toarray())
+    density = float(np.mean(1.0 / np.expm1(0.7 * (norm_limit(d) - mu - lams))))
+    assert row[6] == pytest.approx(dense_two_point(d, n, 0.7, mu, xi, eta),
+                                   rel=1e-12)
+    assert row[7] == pytest.approx(density, rel=1e-12)
+
+
 def test_sweep_rows_sums_each_lattice_once(monkeypatch):
-    summed = []
-    lattice = cb.lattice_coeffs
+    built = []
 
-    def counting(d, n, eps):
-        summed.append(n)
-        return lattice(d, n, eps)
+    def counting(d, n, periodic):
+        built.append(n)
+        return CombVolume(d, n, periodic)
 
-    monkeypatch.setattr(cb, "lattice_coeffs", counting)
+    monkeypatch.setattr(cb, "CombVolume", counting)
     cfg = CombRunConfig(d=3, beta=1.0, mu_schedule=("condensate_scaled", 1.0))
     xi = FockVector.delta((0, 0, 0), 0)
     rows = sweep_rows(cfg, [4, 6, 8], xi, xi)
-    assert summed == [4, 6, 8]
+    assert built == [4, 6, 8]
     # the shared terms give what each consumer computes on its own
     for row in rows:
         n = row[0]

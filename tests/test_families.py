@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from combgas import families, graphs
-from combgas.families import (CombFamily, FiberUnionFamily, LatticeFamily,
-                              family)
+from combgas.families import (CombFamily, CombVolume, FiberUnionFamily,
+                              LatticeFamily, box_eigenvalues, family)
 from combgas.spectral import top_eigenpair
 
 
@@ -89,10 +89,59 @@ def test_modified_ladder_matrix_weights():
 
 
 def test_comb_base_eigenvalues_periodic():
-    fam = CombFamily(1)
-    base = fam.base_eigenvalues(3)
+    base = box_eigenvalues(1, 3, True)
     want = 2 * np.cos(2 * np.pi * np.arange(7) / 7)
     assert np.allclose(np.sort(base), np.sort(want), atol=1e-12)
+    vol = CombVolume(1, 3, True)
+    assert np.allclose(np.sort(np.repeat(vol.a, vol.mult)), np.sort(want),
+                       atol=1e-12)
+
+
+VOLUME_CASES = [(d, n, p) for d in (1, 2, 3, 4) for n in range(1, 7)
+                for p in (True, False)]
+
+
+@pytest.mark.parametrize("d,n,periodic", VOLUME_CASES)
+def test_comb_volume_orbits_match_the_grid(d, n, periodic):
+    vol = CombVolume(d, n, periodic)
+    side = 2 * n + 1
+    assert vol.mult.sum() == side ** d
+    values = n + 1 if periodic else side  # of each k_i
+    assert len(vol.a) == math.comb(values + d - 1, d)
+    # the (a, mult) multiset is the box spectrum, one value per vertex
+    ours = np.sort(np.repeat(vol.a, vol.mult))
+    assert np.max(np.abs(ours - np.sort(box_eigenvalues(d, n, periodic)))) \
+        < 1e-13
+    if not periodic:
+        return
+    # every grid mode x in its orbit (sorted |x|), its phase cos(theta x.D)
+    grid = np.stack(np.meshgrid(*[np.arange(-n, n + 1)] * d, indexing="ij"),
+                    axis=-1).reshape(-1, d)
+    orbit = {tuple(rep): i for i, rep in enumerate(vol.reps)}
+    index = np.array([orbit[tuple(np.sort(np.abs(x)))] for x in grid])
+    theta = 2 * np.pi / side
+    assert np.array_equal(np.bincount(index, minlength=len(vol.a)), vol.mult)
+    assert np.allclose(vol.a[index], 2 * np.cos(theta * grid).sum(1),
+                       rtol=0, atol=1e-13)
+    assert np.allclose(vol.gap[index], (1 - np.cos(theta * grid)).sum(1),
+                       rtol=1e-13, atol=1e-15)
+    offsets = [(0,) * d, (1,) + (0,) * (d - 1), (-1,) * d, (2,) * d,
+               tuple(range(-2, d - 2)), (-3,) + (1,) * (d - 1),
+               (side + 1,) + (-2,) * (d - 1)]
+    for delta in offsets:
+        want = np.bincount(index, np.cos(theta * (grid @ np.array(delta))),
+                           minlength=len(vol.a))
+        assert np.max(np.abs(vol.phase(delta) - want)) < 1e-13 * vol.mult.max()
+
+
+def test_comb_volume_one_site_torus():
+    # n = 0: one base vertex with no edges, as box_eigenvalues and matrix(0)
+    for d in (1, 3):
+        vol = CombVolume(d, 0, True)
+        assert vol.a.tolist() == [0.0] and vol.mult.tolist() == [1]
+        assert box_eigenvalues(d, 0, True).tolist() == [0.0]
+        vals, _ = CombFamily(d).spectrum(0)
+        assert vals.size == 1 and abs(vals[0]) < 1e-15
 
 
 BOX_CASES = [(d, n, boundary) for d in (1, 2, 3) for n in range(5)
@@ -139,12 +188,11 @@ FIBER_CASES = (
 
 @pytest.mark.parametrize("d,n,periodic", FIBER_CASES)
 def test_fiber_eigen_matches_per_block_lapack(d, n, periodic):
-    # every distinct block of the volume, plus the edge values a = 0,
-    # a = +-2d and |a|(n+1) = 2 where the top root leaves [-2, 2]
-    uniq, _, _ = families.fiber_blocks(CombFamily(d, periodic)
-                                       .base_eigenvalues(n))
+    # the unrounded block of every orbit of the volume, plus the edge values
+    # a = 0, a = +-2d and |a|(n+1) = 2 where the top root leaves [-2, 2]
+    orbits = CombVolume(d, n, periodic).a
     edge = np.array([0.0, 2.0 * d, -2.0 * d, 2.0 / (n + 1), -2.0 / (n + 1)])
-    blocks = np.concatenate((uniq, edge))
+    blocks = np.concatenate((orbits, edge))
     support = tuple(j for j in (-2, -1, 0, 1, 2) if abs(j) <= n)
     eig = families.fiber_eigen(n, blocks, support)
     rows = [j + n for j in support]
@@ -179,6 +227,24 @@ def test_fiber_eigen_converges_near_pi(n, a):
     want, _ = _oracle_blocks(n, a, vectors=False)
     ours = np.sort(np.concatenate((eig.odd, eig.even[0])))
     assert np.max(np.abs(ours - want)) < 1e-13
+
+
+def test_fiber_eigen_top_root_at_an_unrounded_block():
+    # the orbit (0, 19, 20) of the d=3 n=40 base: rounding its block value to
+    # 1e-10, as the blocks were once grouped, moves it by 5.0e-11
+    mpmath = pytest.importorskip("mpmath")
+    vol = CombVolume(3, 40, True)
+    a = float(vol.a[np.flatnonzero((vol.reps == (0, 19, 20)).all(1))[0]])
+    assert abs(a - round(a, 10)) > 4.9e-11
+    mpmath.mp.dps = 40
+    # top even root lam = 2cosh(theta), a tanh(N theta) = 2 sinh(theta)
+    theta = mpmath.findroot(
+        lambda t: mpmath.mpf(a) * mpmath.tanh(41 * t) - 2 * mpmath.sinh(t),
+        mpmath.acosh(mpmath.sqrt(a * a + 4) / 2))
+    want = 2 * mpmath.cosh(theta)
+    top = families.fiber_eigen(40, [a, round(a, 10)]).even[:, 0]
+    assert abs(top[0] - want) < 4e-15
+    assert abs(top[1] - want) > 1e-11
 
 
 def test_fiber_eigen_iteration_cap_raises(monkeypatch, capsys):
