@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import DomainError, thermo
 from .families import CombFamily, CombVolume, fiber_eigen
@@ -93,12 +93,15 @@ def lattice_coeffs(d, n, eps, vol=None):
     return 1.0 / (vol.modes * eps), torus_green(vol, eps, (0,) * d)
 
 
-def q_limit(d, delta, tol=1e-10):
+def q_limit(d, delta):
     """Q(Delta) = G(Delta) - G(0) - delta_{Delta,0}/d on the continuous torus.
 
     1/s = int e^{-st} dt turns each angle average into a scaled modified
     Bessel factor, so G(Delta) - G(0) = int_0^inf (prod_i ive(|Delta_i|, t)
-    - ive(0, t)^d) dt, absolutely convergent in every d.  Q(0) = -1/d.
+    - ive(0, t)^d) dt, absolutely convergent in every d: one
+    `thermo.log_trapezoid` integral.  ive is NaN from t ~ 1.07e9 on, so the
+    nodes stop below 2^30, and the rule sums the nodes beyond by the
+    integrand's leading decay -(|Delta|^2/2) (2 pi t)^{-d/2}/t.  Q(0) = -1/d.
     """
     delta = tuple(abs(t) for t in delta)
     if len(delta) != d:
@@ -110,15 +113,12 @@ def q_limit(d, delta, tol=1e-10):
         return -float(delta[0])
 
     def integrand(t):
-        return (math.prod(special.ive(m, t) for m in delta)
-                - special.ive(0, t) ** d)
+        i0 = special.i0e(t)
+        return math.prod(special.ive(m, t) if m else i0
+                         for m in delta) - i0 ** d
 
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(integrand, 0.0, np.inf, limit=600,
-                                  epsabs=tol * 1e-2, epsrel=tol * 1e-2)
+    val, _ = thermo.log_trapezoid(integrand, 30.0 * math.log(2.0),
+                                  decay=d / 2.0)
     return float(val)
 
 

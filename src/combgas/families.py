@@ -79,7 +79,9 @@ class GraphFamily:
         off-diagonal of the symmetrised tridiagonal quotient B,
         B_ij = sqrt(Q_ij Q_ji).  `spectral.quotient_top` takes the volume's
         norm from it; such a family also defines `orbit(n)`, the quotient
-        row of every vertex, which is as large as the volume.
+        row of every vertex, which is as large as the volume.  A lattice box
+        returns d times the quotient of its 1-D factor instead, with the same
+        top eigenvalue and no `orbit`.
         """
         return None
 
@@ -117,6 +119,12 @@ class ChainFamily(GraphFamily):
     def spectrum(self, n, cap=None):
         return LatticeFamily(1).spectrum(n)
 
+    def quotient_matrix(self, n):
+        return LatticeFamily(1).quotient_matrix(n)
+
+    def orbit(self, n):
+        return np.abs(np.arange(2 * n + 1) - n)
+
 
 class LatticeFamily(GraphFamily):
     def __init__(self, d, boundary="free"):
@@ -150,6 +158,16 @@ class LatticeFamily(GraphFamily):
         vals = np.sort(box_eigenvalues(self.d, n,
                                        self.boundary == "periodic"))
         return vals, np.full(vals.size, 1.0 / vals.size)
+
+    def quotient_matrix(self, n):
+        """d times the reflection quotient (levels |j| = 0..n) of the 1-D
+        factor: the path [-n, n], or the cycle Z_{2n+1}, whose level n is
+        joined to itself.  The box is the Kronecker sum of d factors, so its
+        norm is d times theirs: 2d cos(pi/(2n+2)) (free) or 2d (periodic)."""
+        diag, offdiag = _levels(n + 1, head=(math.sqrt(2.0),))
+        if self.boundary == "periodic" and n > 0:
+            diag[-1] = 1.0
+        return self.d * diag, self.d * offdiag
 
     def folner(self, n):
         if self.boundary == "periodic":

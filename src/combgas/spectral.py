@@ -170,12 +170,12 @@ def extrapolate_power(ns, vals, p=2, terms=2):
 def norm_sequence(family, ns, tol=1e-10, window=None):
     """Norms ||A_{Lambda_n}|| over ns with an extrapolated limit.
 
-    A family with an equitable quotient (`GraphFamily.quotient_matrix`)
+    A family with a tridiagonal quotient (`GraphFamily.quotient_matrix`)
     is solved on it by `quotient_top`; any other goes through Lanczos on
-    the full matrix.  The PF vector is lifted onto the vertices only for a
-    `window`, and only for the last volume.  The sequence must be strictly
-    increasing (up to solver tolerance); a violation means an eigensolver
-    bug and raises.
+    the full matrix.  The PF vector is lifted onto the vertices only for
+    the labels of a `window` inside the last volume.  The sequence must be
+    strictly increasing (up to solver tolerance); a violation means an
+    eigensolver bug and raises.
     """
     ns = sorted(ns)
     if len(ns) < 2 or ns[-1] < 2:
@@ -198,11 +198,11 @@ def norm_sequence(family, ns, tol=1e-10, window=None):
     pf_pointwise = {}
     if window is not None:
         nlast = ns[-1]
-        if rows is not None:
+        where = {tuple(lab): family.index_of(nlast, lab) for lab in window}
+        where = {lab: idx for lab, idx in where.items() if idx is not None}
+        if where and rows is not None:
             last_result = quotient_eigenpair(*rows, family.orbit(nlast),
                                              anchor=family.anchor_index(nlast))
-        for lab in window:
-            idx = family.index_of(nlast, lab)
-            if idx is not None:
-                pf_pointwise[tuple(lab)] = float(last_result.pf_vector[idx])
+        for lab, idx in where.items():
+            pf_pointwise[lab] = float(last_result.pf_vector[idx])
     return PFLimitReport(ns, norms, est, unc, pf_pointwise)

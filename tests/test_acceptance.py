@@ -145,11 +145,13 @@ def test_criterion_06_kernel_identities():
             dense = np.linalg.inv(lam * np.eye(size) - a)
             mat = finite_chain_resolvent_matrix(lam, n)
             worst_chain = max(worst_chain, float(np.max(np.abs(mat - dense))))
-    worst_q = max(abs(cb.q_limit(d, (0,) * d) + 1.0 / d) for d in (1, 2, 3))
+    # Q(0) = Q(e_1) = -1/d, the second from the lattice equation
+    worst_q = max(abs(cb.q_limit(d, delta + (0,) * (d - 1)) + 1.0 / d)
+                  for d in (1, 2, 3, 4) for delta in ((0,), (1,)))
     worst_pert = _perturbed_apply_worst_error()
-    ok = worst_chain < 1e-10 and worst_q < 1e-8 and worst_pert < 1e-9
+    ok = worst_chain < 1e-10 and worst_q < 1e-14 and worst_pert < 1e-9
     report(6, ok,
-           "chain kernel %.1e, Q(0) %.1e, perturbed resolvent %.1e"
+           "chain kernel %.1e, Q(0) and Q(e_1) %.1e, perturbed resolvent %.1e"
            % (worst_chain, worst_q, worst_pert))
 
 

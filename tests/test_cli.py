@@ -1,8 +1,11 @@
 import itertools
 import json
 import math
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +342,24 @@ def test_bec_divergence_verdict(capsys):
                          "--limit")
     assert code == 3
     assert doc["result"]["limit"]["verdict"] == "divergent"
+
+
+def test_bec_and_transience_leave_scipy_integrate_unimported():
+    # the Green integrals use no adaptive quadrature, so a fresh process
+    # never pays for importing it
+    script = (
+        "import sys\n"
+        "from combgas.cli import main\n"
+        "for argv in (['bec', '--d', '3', '--beta', '1', '--c', '1',\n"
+        "              '--n', '2:4:2', '--xi', '0,0,0,0', '--limit'],\n"
+        "             ['transience', '--param', 'd=3']):\n"
+        "    assert main(argv + ['--out', '/dev/null']) == 0, argv\n"
+        "print([m for m in sys.modules if m.startswith('scipy.integrate')])\n")
+    src = str(Path(combgas.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_ids_json_round_trip(capsys):

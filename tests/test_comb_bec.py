@@ -132,13 +132,29 @@ def test_torus_green_identity_matches_grid_sum(d, n, eps):
 def test_q_limit_is_one_bessel_product():
     # Q(Delta) = G(Delta) - G(0) for Delta != 0, and Q(e_1) = -1/d from the
     # lattice equation sum_i (G(0) - G(e_i)) = 1
-    for d in (3, 4):
+    for d in (2, 3, 4):
         assert q_limit(d, (1,) + (0,) * (d - 1)) == pytest.approx(
-            -1.0 / d, abs=1e-12)
+            -1.0 / d, abs=1e-14)
         assert q_limit(d, (0,) * d) == -1.0 / d
         assert q_limit(d, (2, -1) + (1,) * (d - 2)) == pytest.approx(
             q_limit(d, (1,) * (d - 2) + (1, 2)), rel=1e-13)
     assert q_limit(1, (-3,)) == -3.0
+
+
+def test_q_limit_exact_values():
+    # d=2: Q(Delta) = -a(Delta)/2 with the potential kernel of the square
+    # lattice, a(1,1) = 4/pi, a(2,0) = 4 - 8/pi, a(2,1) = 8/pi - 1 (Spitzer)
+    for delta, want in (((1, 1), -2 / math.pi), ((2, 0), 4 / math.pi - 2),
+                        ((2, -1), 0.5 - 4 / math.pi)):
+        assert q_limit(2, delta) == pytest.approx(want, abs=1e-14)
+    # d=3, far offsets whose integrand still matters at t = 2^30; reference
+    # values from mpmath (30 digits), quad over t with breakpoints at the
+    # decades 10^-1..10^12 of
+    # exp(-3t) * (prod_i besseli(Delta_i, t) - besseli(0, t)^3)
+    assert q_limit(3, (8, 0, 0)) == pytest.approx(
+        -0.48548592495045353997, abs=1e-14)
+    assert q_limit(3, (5, 3, 2)) == pytest.approx(
+        -0.47969036419641052639, abs=1e-14)
 
 
 def test_bounded_correction_series_and_value():

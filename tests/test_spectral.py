@@ -177,6 +177,39 @@ def test_norm_sequence_takes_the_quotient_path(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("name,params", [
+    ("chain", {}), ("lattice", {"d": 1}), ("lattice", {"d": 3}),
+    ("lattice", {"d": 2, "boundary": "periodic"}),
+    ("lattice", {"d": 4, "boundary": "periodic"})])
+def test_lattice_norms_are_the_closed_form(monkeypatch, name, params):
+    def lanczos(*args, **kwargs):
+        raise AssertionError("Lanczos called")
+
+    monkeypatch.setattr(spectral, "top_eigenpair", lanczos)
+    fam = family(name, **params)
+    d = params.get("d", 1)
+    periodic = params.get("boundary") == "periodic"
+    ns = [1, 2, 3, 7, 24, 100, 2000]
+    report = spectral.norm_sequence(fam, ns)
+    for n, norm in zip(ns, report.norms):
+        want = 2 * d * (1.0 if periodic else math.cos(math.pi / (2 * n + 2)))
+        assert norm == pytest.approx(want, rel=1e-15, abs=0), n
+    for n in (1, 2):  # the box's own top eigenvalue, on small boxes
+        mat = fam.matrix(n).toarray()
+        top = np.linalg.eigvalsh(mat)[-1]
+        assert spectral.quotient_top(*fam.quotient_matrix(n))[0] == (
+            pytest.approx(top, abs=1e-12))
+
+
+def test_chain_window_lifts_the_reflection_quotient():
+    report = spectral.norm_sequence(family("chain"), [4, 8],
+                                    window=[(0,), (3,), (-3,), (9,)])
+    psi = np.sin(np.pi * np.arange(1, 18) / 18)  # the path's PF vector
+    assert sorted(report.pf_pointwise) == [(-3,), (0,), (3,)]
+    for (j,), value in report.pf_pointwise.items():
+        assert value == pytest.approx(psi[j + 8] / psi[8], rel=1e-12)
+
+
 def test_free_boundary_comb_norms_use_lanczos(monkeypatch):
     calls = []
     lanczos = spectral.top_eigenpair

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
-from combgas import thermo
+from combgas import NumericFailure, thermo
+from combgas import comb_bec as cb
 from combgas.families import ChainFamily, CombFamily, family
 
 
@@ -77,20 +79,87 @@ def test_solve_mu_round_trip():
     assert back == pytest.approx(rho, rel=1e-8)
 
 
+WATSON = (math.sqrt(6.0) / (32.0 * math.pi ** 3) * math.gamma(1 / 24)
+          * math.gamma(5 / 24) * math.gamma(7 / 24) * math.gamma(11 / 24))
+EPS = 10.0 ** -np.arange(1, 9)  # the regularizers of `transience`
+
+
 def test_green_lattice_values():
     assert thermo.green_lattice(1) == math.inf
     assert thermo.green_lattice(2) == math.inf
-    assert thermo.green_lattice(3) == pytest.approx(0.5054620197173225,
-                                                    abs=1e-10)
+    # Watson's simple-cubic integral (1939) is 3 G(0)
+    assert thermo.green_lattice(3) == pytest.approx(WATSON / 3, abs=1e-13)
 
 
 def test_green_lattice_eps_limits():
-    # d=1 closed form 1/sqrt(eps(eps+2))
-    assert thermo.green_lattice_eps(1, 0.5) == pytest.approx(
-        1 / math.sqrt(0.5 * 2.5), abs=1e-12)
-    # d=3 regularized value approaches the unregularized one
+    # d=1 closed form 1/sqrt(eps(eps+2)), on every regularizer of the rule
+    for eps in [1e30, 100.0, 2.0, 0.5, *EPS]:
+        assert thermo.green_lattice_eps(1, eps) == pytest.approx(
+            1 / math.sqrt(eps * (eps + 2)), rel=1e-13)
+    # d=3 regularized value approaches the unregularized one like sqrt(eps)
     assert thermo.green_lattice_eps(3, 1e-8) == pytest.approx(
         thermo.green_lattice(3), abs=1e-4)
+    with pytest.raises(thermo.ThermoError):
+        thermo.green_lattice_eps(3, [1e-3, 0.0])
+
+
+# G_eps(0) at d=3, eps = 1e-7 and 1e-8, from mpmath (30 digits):
+#   mp.quad(lambda t: mp.exp(-eps*t) * (mp.exp(-t)*mp.besseli(0, t))**3,
+#           [0] + [mp.mpf(10)**k for k in range(-1, 13)] + [mp.inf])
+CUBIC_GREEN_EPS = {7: 0.50539083859910032847, 8: 0.50543951132291200552}
+
+
+def mp_square_green_eps(eps):
+    """The d=2 G_eps(0) in closed form: 2 K(k)/(pi (2+eps)), k = 2/(2+eps),
+    K the complete elliptic integral of the first kind."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a = 2 + mpmath.mpf(eps)
+        return float(2 / (mpmath.pi * a) * mpmath.ellipk((2 / a) ** 2))
+
+
+def test_transience_sequences_at_small_eps():
+    _, _, seq1 = thermo.transience(1)
+    for got, eps in zip(seq1, EPS):
+        assert got == pytest.approx(1 / math.sqrt(eps * (eps + 2)),
+                                    rel=1e-13)
+    _, _, seq2 = thermo.transience(2)
+    _, _, seq3 = thermo.transience(3)
+    for k in (7, 8):
+        eps = 10.0 ** -k
+        assert seq2[k - 1] == pytest.approx(mp_square_green_eps(eps),
+                                            rel=1e-12)
+        assert seq3[k - 1] == pytest.approx(CUBIC_GREEN_EPS[k], rel=1e-12)
+
+
+def test_rule_estimates_on_the_lattice_integrals(monkeypatch):
+    rule = thermo.log_trapezoid
+    seen = []
+
+    def recording(*args, **kwargs):
+        value, estimate = rule(*args, **kwargs)
+        seen.append((value, estimate))
+        return value, estimate
+
+    monkeypatch.setattr(thermo, "log_trapezoid", recording)
+    for d in range(1, 6):
+        thermo.transience(d)
+    for delta in [(1, 0, 0), (1, 0, 0, 0), (2, -1, 1), (1, 1, 2),
+                  (2, -1, 1, 1), (1, 1, 1, 2), (8, 0, 0), (5, 3, 2),
+                  (1, 1), (2, 1), (2, 0)]:
+        cb.q_limit(len(delta), delta)
+    assert len(seen) == 5 + 3 + 11  # transience d >= 3 adds G(0)
+    for value, estimate in seen:
+        assert np.all(np.isfinite(estimate))
+        assert np.all(estimate < 1e-13 * np.abs(value))
+
+
+def test_rule_refuses_what_it_cannot_resolve():
+    # a jump at t = 1 and the NaN of ive past t ~ 1.07e9
+    with pytest.raises(NumericFailure):
+        thermo.log_trapezoid(lambda t: np.where(t < 1.0, 1.0, 0.0), 5.0)
+    with pytest.raises(NumericFailure):
+        thermo.log_trapezoid(lambda t: special.ive(1, t) ** 3, 25.0)
 
 
 def test_transience_verdicts():
@@ -99,6 +168,6 @@ def test_transience_verdicts():
         assert verdict == want
         assert len(seq) >= 4
         if want == "transient":
-            assert value == pytest.approx(0.5054620197173225, abs=1e-8)
+            assert value == pytest.approx(WATSON / 3, abs=1e-13)
         else:
             assert value is None
