@@ -307,6 +307,20 @@ class FiberEigen(NamedTuple):
 
 _ROOT_TOL = 1e-14
 _ROOT_CAP = 100
+# Halley stop for the even roots below the top one (`_even_roots`).  On the
+# iterate range x = sin(phi) >= sin(pi/(2N)) >= 1/N, and D >= 4bx and
+# D >= 4x^2, so for N >= 2: r' >= 1 - 1/(2Nx) >= 1/2,
+# |r''| <= 1/(2N^2) + 1/(Nx)^2 <= 9/8 and
+# |r'''| <= 7/(2N^3 x) + 5/(Nx)^3 <= 6.  A Halley step maps an error e to
+# (r''^2/(4r'^2) - r'''/(6r')) e^3, at most 81/64 + 2 < 4 times e^3, so a
+# last step below _HALLEY_STOP leaves an error below
+# 4 _HALLEY_STOP^3 = _ROOT_TOL.  The start is within 6.5e-3 for b <= 12
+# (3e-3 from N = 3), so the first pass leaves at most 4 (6.5e-3)^3 = 1.1e-6
+# and the second stops.
+_HALLEY_STOP = (_ROOT_TOL / 4.0) ** (1.0 / 3.0)
+# Blocks solved together: _CHUNK / N rows keep each (rows, n) temporary of
+# the root passes near 128 kB, in cache.
+_CHUNK = 1 << 14
 
 
 def _bracketed_newton(fun, x, lo, hi, scale):
@@ -328,18 +342,22 @@ def _bracketed_newton(fun, x, lo, hi, scale):
         x = new
         if done.all():
             return x
-    raise FiberSolveError("fiber-block root search did not converge in %d "
-                          "iterations" % _ROOT_CAP)
+    raise _cap_error()
 
 
-def _top_root(b, big):
-    """Top even eigenvalue of A_Y + b*P_0, b >= 0, N = big = n+1.
+def _cap_error():
+    return FiberSolveError("fiber-block root search did not converge in %d "
+                           "iterations" % _ROOT_CAP)
+
+
+def _top_root(b, big, start):
+    """Top even eigenvalue of A_Y + b*P_0, b >= 0, N = big = n+1, polished
+    from `start` by bracketed Newton.
 
     It solves F(lam) = b with F = 1/<d0, (lam - A_Y)^{-1} d0> on the even
     sector: F = 2 sin(phi) cot(N phi) at lam = 2cos(phi), which is real for
-    imaginary phi (lam = 2cosh(theta)) too.  F is increasing and concave
-    above the top a = 0 pole 2cos(pi/(2N)), so its tangent at lam = 2 gives
-    a lower bound for the root, and F >= sqrt(lam^2 - 4) an upper bound.
+    imaginary phi (lam = 2cosh(theta)) too.  F increases above the top
+    a = 0 pole 2cos(pi/(2N)), and F >= sqrt(lam^2 - 4) bounds the root.
     """
     pole = 2.0 * math.cos(0.5 * math.pi / big)
     slope0 = (1.0 + 2.0 * big * big) / (3.0 * big)  # F'(2)
@@ -355,17 +373,15 @@ def _top_root(b, big):
 
     lo = np.full(b.shape, pole)
     hi = np.sqrt(b * b + 4.0) + 1e-9
-    # start from the bound on the root's side of lam = 2 (F(2) = 2/N)
-    x = np.where(b * big > 2.0, hi, np.maximum(lo, 2.0 + (b - 2.0 / big) / slope0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _bracketed_newton(fun, x, lo, hi, hi)
+        return _bracketed_newton(fun, np.clip(start, lo, hi), lo, hi, hi)
 
 
-def _top_vector(lam, big):
-    """Unnormalised top even eigenvector at |j| = 0..n, columns of a
-    (B, n+1) array: sin((N-|j|)phi)/phi below lam = 2, overflow-free
+def _top_vector(lam, big, fiber):
+    """Unnormalised top even eigenvector at |j| = fiber, columns of a
+    (B, len(fiber)) array: sin((N-|j|)phi)/phi below lam = 2, overflow-free
     e^{-N theta} sinh((N-|j|)theta)/theta above it, N - |j| at lam = 2."""
-    fiber = np.arange(big)
+    fiber = np.asarray(fiber)
     m = big - fiber
     t = 0.5 * lam[:, None]
     phi = np.arccos(np.minimum(t, 1.0))
@@ -374,6 +390,99 @@ def _top_vector(lam, big):
     safe = np.where(theta > 0.0, theta, 1.0)
     hyp = -np.exp(-fiber * theta) * np.expm1(-2.0 * m * theta) / (2.0 * safe)
     return np.where(t < 1.0, trig, np.where(theta > 0.0, hyp, m))
+
+
+def _top_entries(lam, big, fiber):
+    """Unit top even eigenvector entries at |j| = fiber, (B, len(fiber)).
+
+    The vector is G(., 0) = (lam - A_Y)^{-1} d0, whose norm squared is
+    F'/F^2 with F(lam) = b, so its unit entry at 0 is 1/sqrt(F'(lam)), with
+    F' = coth(N theta) coth(theta) - N csch^2(N theta) at lam = 2cosh(theta)
+    (theta = i phi below lam = 2).  The other entries are the chain Green
+    ratios G(j, 0)/G(0, 0).  The two terms of F' cancel as lam -> 2, so
+    blocks with N^2 |lam - 2| < 1 take the norm from the direct sum.
+    """
+    w = _top_vector(lam, big, np.concatenate(([0], fiber)))
+    unit0 = np.empty_like(lam)
+    near = big * big * np.abs(lam - 2.0) < 1.0
+    theta = np.arccosh(0.5 * lam[~near] + 0j)
+    x = big * theta
+    slope = (1.0 / (np.tanh(x) * np.tanh(theta))
+             - 4.0 * big * np.exp(-2.0 * x) / np.expm1(-2.0 * x) ** 2).real
+    unit0[~near] = 1.0 / np.sqrt(slope)
+    if near.any():
+        full = _top_vector(lam[near], big, np.arange(big))
+        unit0[near] = full[:, 0] / np.sqrt(2.0 * np.sum(full * full, axis=1)
+                                           - full[:, 0] ** 2)
+    return w[:, 1:] / w[:, :1] * unit0[:, None]
+
+
+def _even_roots(b, big):
+    """sin(phi) and cos(phi) of the even roots below the top one, for the
+    blocks b (rows, 1), b >= 0, N = big; columns k = 1..n.
+
+    phi = pole - s/N with pole = (k + 1/2) pi/N the a = 0 root, and s in
+    [0, pi/2] solves r(s) = s - arctan(b / (2 sin phi)) = 0, where r
+    increases: r' = 1 - 2b cos(phi)/(N D), D = 4 sin^2(phi) + b^2.  One
+    Halley step from s = 0, where phi = pole and only per-column sin/cos
+    are needed, starts it; at most two Halley passes, each one sin/cos over
+    the (rows, n) array, finish it (see _HALLEY_STOP), and the last move
+    reaches sin/cos by its Taylor terms.  sin(phi) is taken at the smaller
+    of phi and pi - phi = mirror + s/N: near pi, np.sin(phi) is off by
+    ulp(pi), and that noise in r stalls the iteration.
+    """
+    k = np.arange(1, big)
+    pole = (k + 0.5) * math.pi / big
+    mirror = (big - k - 0.5) * math.pi / big
+    bb = b * b
+    b2n = 2.0 * b / big
+
+    def halley(s, sn, cs):
+        # r' = 1 - q cos(phi) and r'' = -(q/N) sin(phi) (1 + 8cos^2(phi)/D)
+        # with q = 2b/(N D); the iterate stays in [0, pi/2], where r has
+        # its one root
+        dd = 4.0 * sn * sn + bb
+        q = b2n / dd
+        r = s - np.arctan2(b, 2.0 * sn)
+        dr = 1.0 - q * cs
+        ddr = (q / -big) * sn * (1.0 + 8.0 * cs * cs / dd)
+        return np.clip(s - r / (dr - 0.5 * r * ddr / dr), 0.0, 0.5 * math.pi)
+
+    s = halley(0.0, np.sin(np.minimum(pole, mirror)), np.cos(pole))
+    for _ in range(_ROOT_CAP):
+        t = s / big
+        sn = np.sin(np.minimum(pole - t, mirror + t))
+        cs = np.cos(pole - t)
+        new = halley(s, sn, cs)
+        move = new - s
+        s = new
+        if np.all(np.abs(move) <= _HALLEY_STOP):
+            # phi moves by h = -move/N; the h^3/6 term is below ulp
+            h = move / -big
+            keep = 1.0 - 0.5 * h * h
+            return keep * sn + h * cs, keep * cs - h * sn
+    raise _cap_error()
+
+
+def _even_entries(sn, cs, b, big, fiber):
+    """Unit entries at |j| = fiber of the even vectors of the roots
+    `_even_roots` found, (len(fiber), rows, n).
+
+    sin((N-|j|) phi) = (-1)^k cos(s + |j| phi) with cos s = 2 sin(phi)/sqrt(D)
+    and cos(s + phi)/cos(s) = cos(phi) - b/2 at the root, and its norm
+    squared is N r'(s); w_m = 2cos(phi) w_{m-1} - w_{m-2} gives the rest.
+    """
+    out = np.empty((len(fiber),) + sn.shape)
+    w0 = 2.0 * sn / np.sqrt(big * (4.0 * sn * sn + b * b) - 2.0 * b * cs)
+    w0[:, ::2] *= -1.0
+    wm = wprev = w0
+    for m in range(max(fiber, default=-1) + 1):
+        if m == 1:
+            wm = w0 * (cs - 0.5 * b)
+        elif m > 1:
+            wm, wprev = 2.0 * cs * wm - wprev, wm
+        out[fiber == m] = wm
+    return out
 
 
 def fiber_eigen(n, a, support=()):
@@ -390,57 +499,45 @@ def fiber_eigen(n, a, support=()):
       that leaves [-2, 2] once a N > 2 (then lam = 2cosh(theta) with
       a tanh(N theta) = 2 sinh(theta)).  Vectors are sin((N-|j|) phi).
 
+    The roots below the top one start from a third-order step off the
+    a = 0 roots and take at most two Halley passes (`_even_roots`).  The even
+    block's trace is |a|, so the top root starts at |a| minus their sum and
+    Newton on F(lam) = |a| polishes it (`_top_root`).  Vectors need no
+    further root search or trig pass: the norms are the residual's slope
+    (`_even_entries`) and, for the top root, F'(lam) (`_top_entries`).
+
     A negative a uses spec(A_Y + a P_0) = -spec(A_Y - a P_0), with vectors
-    multiplied by (-1)^j.  The roots are found for all blocks at once by
-    bracketed Newton (`_bracketed_newton`).  `support` lists the fiber
+    multiplied by (-1)^j.  Blocks are solved _CHUNK / N at a time, so the
+    passes run on arrays that stay in cache.  `support` lists the fiber
     coordinates j at which unit eigenvector entries are returned.
     """
     a = np.asarray(a, dtype=float)
-    b = np.abs(a)[:, None]
+    b = np.abs(a)
     big = n + 1
     k = np.arange(1, big)
     odd = 2.0 * np.cos(math.pi * k / big)
-
-    # even roots below the top one: phi = pole - s/N, pole = (k + 1/2) pi/N
-    # the a = 0 root, with s = arctan(b / (2 sin phi)) in [0, pi/2]; the
-    # residual s - arctan(...) has slope in [1/2, 2].  sin(phi) is taken at
-    # the smaller of phi and pi - phi = mirror + s/N: near pi, np.sin(phi)
-    # is off by ulp(pi), and that noise in the residual stalls Newton.
-    pole = (k + 0.5) * math.pi / big
-    mirror = (big - k - 0.5) * math.pi / big
-
-    def fun(s):
-        t = s / big
-        phi = pole - t
-        sn = np.sin(np.minimum(phi, mirror + t))
-        r = s - np.arctan2(b, 2.0 * sn)
-        dr = 1.0 - 2.0 * b * np.cos(phi) / (big * (4.0 * sn * sn + b * b))
-        return r, dr
-
-    s = np.arctan2(b, 2.0 * np.sin(pole))
-    s = _bracketed_newton(fun, s, np.zeros_like(s),
-                          np.full_like(s, 0.5 * math.pi), 1.0)
-    phi = pole - s / big
-    top = _top_root(b[:, 0], big)
+    fib = np.asarray(support, dtype=int)
+    absj = np.abs(fib)
+    even = np.empty((a.size, big))
+    even_vec = np.empty((fib.size,) + even.shape)
+    rows = max(1, _CHUNK // big)
+    for lo in range(0, a.size, rows):
+        blk = slice(lo, lo + rows)
+        sn, cs = _even_roots(b[blk, None], big)
+        even[blk, 0] = _top_root(b[blk], big, b[blk] - 2.0 * cs.sum(axis=1))
+        even[blk, 1:] = 2.0 * cs
+        if fib.size:
+            even_vec[:, blk, 0] = _top_entries(even[blk, 0], big, absj).T
+            even_vec[:, blk, 1:] = _even_entries(sn, cs, b[blk, None], big,
+                                                 absj)
     sign = np.where(a < 0.0, -1.0, 1.0)[:, None]
-    even = sign * np.concatenate((top[:, None], 2.0 * np.cos(phi)), axis=1)
-    if not len(support):
+    even *= sign
+    if not fib.size:
         return FiberEigen(odd, even)
 
-    fib = np.asarray(support)
-    absj = np.abs(fib)
     odd_vec = (np.sign(fib)[:, None]
                * np.sin((big - absj)[:, None] * (math.pi / big) * k)
                / math.sqrt(big))
-    # top root: normalised by the direct sum over j = -n..n
-    wtop = _top_vector(top, big)
-    ttop = np.sqrt(2.0 * np.sum(wtop * wtop, axis=1) - wtop[:, 0] ** 2)
-    # other roots: |v|^2 = sin^2(N phi) + n - sin(n phi) cos(N phi)/sin(phi)
-    norm = np.sqrt(np.sin(big * phi) ** 2 + n
-                   - np.sin(n * phi) * np.cos(big * phi) / np.sin(phi))
-    even_vec = np.empty((fib.size,) + even.shape)
-    even_vec[:, :, 0] = wtop[:, absj].T / ttop
-    even_vec[:, :, 1:] = np.sin((big - absj)[:, None, None] * phi) / norm
     even_vec *= (sign.T ** fib[:, None])[:, :, None]
     return FiberEigen(odd, even, tuple(int(j) for j in fib), odd_vec,
                       even_vec)

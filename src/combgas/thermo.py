@@ -8,7 +8,6 @@ spectrum sits at h = 0 in the infinite-volume limit.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,7 +145,12 @@ def bose_density_arcsine(beta, mu, shift=2.0):
     """Bose density for the chain measure dN(a) = da/(pi sqrt(4-a^2)).
 
     With h = shift - a the substitution a = 2 cos(phi) gives
-    (1/pi) * integral_0^pi dphi / (e^{beta(shift - 2cos(phi) - mu)} - 1).
+    (1/pi) * integral_0^pi dphi / (e^{beta h} - 1), and
+    h = gap + 4 sin^2(phi/2) with gap = shift - 2 - mu, which does not
+    cancel as gap -> 0.  The integrand falls from its peak at phi = 0 over
+    a width sqrt(gap), so `quad` gets breakpoints at sqrt(gap)/10,
+    sqrt(gap) and 10 sqrt(gap) below pi.  An error estimate above
+    max(1e-13, 1e-12 * value) raises NumericFailure.
     """
     if beta <= 0:
         raise ThermoError("beta must be positive")
@@ -159,13 +163,15 @@ def bose_density_arcsine(beta, mu, shift=2.0):
     from scipy import integrate
 
     def integrand(phi):
-        return _bose_factor(beta * (shift - 2.0 * math.cos(phi) - mu))
+        return _bose_factor(beta * (gap + 4.0 * math.sin(0.5 * phi) ** 2))
 
-    # round-off warnings from near-converged tails are expected and harmless
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(integrand, 0.0, math.pi, limit=400,
-                                epsabs=1e-13, epsrel=1e-12)
+    root = math.sqrt(gap)
+    points = [p for p in (0.1 * root, root, 10.0 * root) if p < math.pi]
+    val, err = integrate.quad(integrand, 0.0, math.pi, points=points,
+                              limit=400, epsabs=1e-13, epsrel=1e-12)
+    if not err <= max(1e-13, 1e-12 * val):
+        raise NumericFailure("arcsine Bose integral did not converge: value "
+                             "%r, error estimate %r" % (val, err))
     return val / math.pi
 
 

@@ -186,32 +186,40 @@ FIBER_CASES = (
     + [(4, n, True) for n in range(6)])
 
 
+def _assert_vectors_match(eig, b, n, want, vecs):
+    # unit entries on eig.support of block b against LAPACK's, up to sign
+    rows = [j + n for j in eig.support]
+    ours = np.concatenate((eig.odd, eig.even[b]))
+    mine = np.concatenate((eig.odd_vec, eig.even_vec[:, b]), axis=1)
+    for col, lam in enumerate(ours):
+        gaps = np.abs(want - lam)
+        i = int(np.argmin(gaps))
+        gaps[i] = np.inf
+        if gaps.min() < 1e-3:
+            continue  # LAPACK's vector is only good to eps/gap
+        ref = vecs[rows, i]
+        flip = -1.0 if ref @ mine[:, col] < 0 else 1.0
+        assert np.max(np.abs(mine[:, col] - flip * ref)) < 1e-12
+
+
 @pytest.mark.parametrize("d,n,periodic", FIBER_CASES)
 def test_fiber_eigen_matches_per_block_lapack(d, n, periodic):
     # the unrounded block of every orbit of the volume, plus the edge values
-    # a = 0, a = +-2d and |a|(n+1) = 2 where the top root leaves [-2, 2]
+    # a = 0, a = +-2d and |a|(n+1) = 2 where the top root leaves [-2, 2];
+    # vectors of every block up to n = 30, of every tenth orbit and the edge
+    # values beyond
     orbits = CombVolume(d, n, periodic).a
     edge = np.array([0.0, 2.0 * d, -2.0 * d, 2.0 / (n + 1), -2.0 / (n + 1)])
     blocks = np.concatenate((orbits, edge))
     support = tuple(j for j in (-2, -1, 0, 1, 2) if abs(j) <= n)
     eig = families.fiber_eigen(n, blocks, support)
-    rows = [j + n for j in support]
     for b, a in enumerate(blocks):
         ours = np.concatenate((eig.odd, eig.even[b]))
-        want, vecs = _oracle_blocks(n, a, vectors=n <= 30)
+        vectors = n <= 30 or b % 10 == 0 or b >= orbits.size
+        want, vecs = _oracle_blocks(n, a, vectors)
         assert np.max(np.abs(np.sort(ours) - want)) < 1e-13
-        if vecs is None:
-            continue
-        mine = np.concatenate((eig.odd_vec, eig.even_vec[:, b]), axis=1)
-        for col, lam in enumerate(ours):
-            gaps = np.abs(want - lam)
-            i = int(np.argmin(gaps))
-            gaps[i] = np.inf
-            if gaps.min() < 1e-3:
-                continue  # LAPACK's vector is only good to eps/gap
-            ref = vecs[rows, i]
-            flip = -1.0 if ref @ mine[:, col] < 0 else 1.0
-            assert np.max(np.abs(mine[:, col] - flip * ref)) < 1e-12
+        if vectors:
+            _assert_vectors_match(eig, b, n, want, vecs)
 
 
 # blocks with a small |a| whose even roots sit near phi = pi, where
@@ -223,10 +231,24 @@ NEAR_PI_BLOCKS = [(159, 0.029543684), (195, -0.0480809693),
 
 @pytest.mark.parametrize("n,a", NEAR_PI_BLOCKS)
 def test_fiber_eigen_converges_near_pi(n, a):
-    eig = families.fiber_eigen(n, [a])
-    want, _ = _oracle_blocks(n, a, vectors=False)
+    eig = families.fiber_eigen(n, [a], (-2, -1, 0, 1, 2))
+    want, vecs = _oracle_blocks(n, a, vectors=True)
     ours = np.sort(np.concatenate((eig.odd, eig.even[0])))
     assert np.max(np.abs(ours - want)) < 1e-13
+    _assert_vectors_match(eig, 0, n, want, vecs)
+
+
+def test_fiber_eigen_root_budget(monkeypatch):
+    # two Halley passes for the roots below the top one and two Newton steps
+    # for the top one, a pass to spare: a solver that needs more passes on
+    # these blocks fails here rather than slowing down unseen
+    monkeypatch.setattr(families, "_ROOT_CAP", 3)
+    for d, n, periodic in FIBER_CASES:
+        edge = [0.0, 2.0 * d, -2.0 * d, 2.0 / (n + 1), -2.0 / (n + 1)]
+        blocks = np.concatenate((CombVolume(d, n, periodic).a, edge))
+        families.fiber_eigen(n, blocks, tuple(range(min(n, 2) + 1)))
+    for n, a in NEAR_PI_BLOCKS:
+        families.fiber_eigen(n, [a], (0,))
 
 
 def test_fiber_eigen_top_root_at_an_unrounded_block():
@@ -245,6 +267,31 @@ def test_fiber_eigen_top_root_at_an_unrounded_block():
     top = families.fiber_eigen(40, [a, round(a, 10)]).even[:, 0]
     assert abs(top[0] - want) < 4e-15
     assert abs(top[1] - want) > 1e-11
+
+
+@pytest.mark.parametrize("n", [1, 8, 170])
+def test_fiber_eigen_top_vector_norm_near_the_band_edge(n):
+    # blocks with a N near 2, where the top root crosses lam = 2 and the two
+    # terms of F'(lam) cancel: the unit entry at 0 against a 40-digit direct
+    # sum of sin^2 or sinh^2((N-|j|) ...) at the computed root
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    big = n + 1
+    blocks = 2.0 / big * (1.0 + np.array([-0.9, -0.3, -0.03, 0.0, 0.03, 0.3,
+                                          0.9, 3.0, 30.0]))
+    eig = families.fiber_eigen(n, blocks, (0,))
+    for b, lam in enumerate(eig.even[:, 0]):
+        half = mpmath.mpf(lam) / 2
+        levels = range(1, big + 1)
+        if half > 1:
+            w = [mpmath.sinh(m * mpmath.acosh(half)) for m in levels]
+        elif half < 1:
+            w = [mpmath.sin(m * mpmath.acos(half)) for m in levels]
+        else:
+            w = [mpmath.mpf(m) for m in levels]
+        want = w[-1] / mpmath.sqrt(2 * mpmath.fsum(x * x for x in w)
+                                   - w[-1] ** 2)
+        assert abs(eig.even_vec[0, b, 0] - want) < 2e-15 * want
 
 
 def test_fiber_eigen_iteration_cap_raises(monkeypatch, capsys):

@@ -63,6 +63,22 @@ def test_bose_density_arcsine_vs_discrete():
     assert closed == pytest.approx(disc, abs=1e-3)
 
 
+@pytest.mark.parametrize("gap", [1e-2, 1e-6, 1e-10])
+def test_bose_density_arcsine_near_the_band_edge(gap):
+    # 40-digit quadrature of
+    # (1/pi) int_0^pi dphi / (e^{gap + 4 sin^2(phi/2)} - 1),
+    # broken where the integrand's width sqrt(gap) sets the scale
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    g = mpmath.mpf(gap)
+    root = mpmath.sqrt(g)
+    want = mpmath.quad(
+        lambda p: 1 / mpmath.expm1(g + 4 * mpmath.sin(p / 2) ** 2),
+        [0, root / 10, root, 10 * root, mpmath.pi]) / mpmath.pi
+    got = thermo.bose_density_arcsine(1.0, -gap)
+    assert abs(got - want) < 1e-13 * want
+
+
 def test_critical_density_shifted_monotone():
     v1 = thermo.critical_density_shifted(1.0, 0.5)
     v2 = thermo.critical_density_shifted(1.0, 1.5)
