@@ -295,11 +295,7 @@ def cmd_norm(args):
 def cmd_spectrum(args):
     name, fam = _resolve_family(args)
     n = args.n
-    vals, weights = fam.spectrum(n, cap=args.dense_cap)
-    vals = np.asarray(vals)
-    order = np.argsort(vals)
-    vals = vals[order]
-    weights = np.asarray(weights)[order]
+    vals, weights = fam.spectrum(n, cap=args.dense_cap)  # ascending
     result = csv_text = None
     if args.format == "csv":
         csv_text = _csv("eigenvalue,weight", "%s,%s\n",
@@ -425,7 +421,6 @@ def cmd_bec(args):
     eta = _parse_fock(args.eta or args.xi, d)
     ns = _parse_nrange(args.n)
     rows = cb.sweep_rows(cfg, ns, xi, eta)
-    csv_text = cb.sweep_csv(rows)
     sweep = [dict(zip(("n", "mu_n", "eps_n", "k0_n", "kplus_n", "kprime_n",
                        "two_point_total", "density_n"), r)) for r in rows]
     result = {"d": d, "beta": args.beta, "mu_schedule": list(schedule),
@@ -441,6 +436,7 @@ def cmd_bec(args):
             code = EXIT_DIVERGENT
         else:
             result["limit"] = cb.two_point_limit(cfg, xi=xi, eta=eta)
+    csv_text = cb.sweep_csv(rows) if args.format == "csv" else None
     _emit(args, _manifest(args, "bec", {"d": d, "n": args.n}), result,
           csv_text)
     return code

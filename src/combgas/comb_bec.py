@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special
 
 from . import DomainError, thermo
-from .families import CombFamily, CombVolume, fiber_eigen
+from .families import CombFamily, CombVolume, block_measure, fiber_eigen
 from .resolvent import (finite_chain_resolvent_entry, kernel_finite_chain,
                         kernel_line, theta_of)
 
@@ -454,14 +454,9 @@ def density_finite(d, n, beta, mu):
 
 
 def block_density(vol, eig, beta, mu):
-    """Per-site density on Lambda_n straight from the fiber blocks of `vol`:
-    each block's even eigenvalues weigh mult/((2n+1)^d (2n+1)), the odd
-    sector, the same in every block, 1/(2n+1); no spectrum is sorted."""
-    side = eig.odd.size + eig.even.shape[1]
-    vals = np.concatenate((eig.odd, eig.even.ravel()))
-    weights = np.concatenate((
-        np.full(eig.odd.size, 1.0 / side),
-        np.repeat(vol.mult / (vol.modes * side), eig.even.shape[1])))
+    """Per-site density on Lambda_n straight from the fiber blocks of `vol`,
+    their unsorted `block_measure`."""
+    vals, weights = block_measure(eig, vol.mult)
     return thermo.finite_volume_density(vals, weights, norm_limit(vol.d),
                                         beta, mu)
 

@@ -543,17 +543,18 @@ def fiber_eigen(n, a, support=()):
                       even_vec)
 
 
-def block_spectrum(eig, counts):
-    """Sorted eigenvalues and weights of a volume's fiber blocks, block b
-    taken counts[b] times (the weights sum to 1)."""
-    nblock = eig.even.shape[0]
-    vals = np.concatenate(
-        (np.broadcast_to(eig.odd, (nblock, eig.odd.size)), eig.even), axis=1)
-    side = vals.shape[1]
-    weights = np.repeat(counts / (np.sum(counts) * side), side)
-    vals = vals.ravel()
-    order = np.argsort(vals)
-    return vals[order], weights[order]
+def block_measure(eig, counts):
+    """Unsorted (values, weights) of the per-site measure of a volume's fiber
+    blocks, block b taken counts[b] times.  The odd sector is the same in
+    every block, so its n roots come once, each weighing 1/(2n+1); block b's
+    n+1 even roots each weigh counts[b]/(sum(counts) (2n+1)).  The weights
+    sum to 1."""
+    side = eig.odd.size + eig.even.shape[1]
+    vals = np.concatenate((eig.odd, eig.even.ravel()))
+    weights = np.concatenate((
+        np.full(eig.odd.size, 1.0 / side),
+        np.repeat(counts / (np.sum(counts) * side), eig.even.shape[1])))
+    return vals, weights
 
 
 class CombFamily(GraphFamily):
@@ -620,17 +621,23 @@ class CombFamily(GraphFamily):
         return np.abs(np.arange(self.volume(n)) % (2 * n + 1) - n)
 
     def spectrum(self, n, cap=None):
-        """Exact full spectrum via the fiber-impurity block decomposition.
+        """Exact per-site spectral measure via the fiber-impurity blocks.
 
         In the eigenbasis of the base, I (x) A_Y + A_X (x) P_0 splits into
         tridiagonal blocks A_Y + a*P_0, one per orbit of base modes
         (`CombVolume`), taken mult times.  `fiber_eigen` returns the
         eigenvalues of all blocks from one vectorised secular root search.
-        The blocks are exact and no dense matrix is ever formed, so the
-        dense cap does not apply and `cap` is ignored.
+        The result is their `block_measure` sorted once, ascending: B(n+1)+n
+        rows for B blocks, the n odd roots 2cos(pi k/(n+1)), shared by every
+        block, once at weight 1/(2n+1), and each block's n+1 even roots once
+        at weight mult/((2n+1)^d (2n+1)).  The blocks are exact and no dense
+        matrix is ever formed, so the dense cap does not apply and `cap` is
+        ignored.
         """
         vol = CombVolume(self.d, n, self.periodic)
-        return block_spectrum(fiber_eigen(n, vol.a), vol.mult)
+        vals, weights = block_measure(fiber_eigen(n, vol.a), vol.mult)
+        order = np.argsort(vals)
+        return vals[order], weights[order]
 
 
 class FiberUnionFamily(GraphFamily):

@@ -25,31 +25,18 @@ class ThermoError(DomainError):
 
 @dataclass
 class StepMeasure:
-    """Right-continuous empirical measure: jump `weights[i]` at `points[i]`."""
+    """Right-continuous empirical measure: jump `weights[i]` at `points[i]`,
+    the points ascending."""
 
     points: np.ndarray
     weights: np.ndarray
 
-    @classmethod
-    def from_values(cls, values, weights=None):
-        values = np.asarray(values, dtype=float)
-        if weights is None:
-            weights = np.full(values.size, 1.0 / max(values.size, 1))
-        weights = np.asarray(weights, dtype=float)
-        order = np.argsort(values)
-        return cls(values[order], weights[order])
-
-    @property
-    def total_mass(self):
-        return float(self.weights.sum())
-
-    def mass_below(self, lam):
-        """N(lam) = total weight at points <= lam (right-continuous)."""
-        return float(self.weights[self.points <= lam].sum())
-
 
 def ids_from_spectrum(vals, weights, shift):
-    return StepMeasure.from_values(shift - np.asarray(vals), weights)
+    """The IDS of H = shift - A from an ascending adjacency spectrum: the
+    energies are its values reversed, so no sort is needed."""
+    return StepMeasure((shift - np.asarray(vals))[::-1],
+                       np.asarray(weights)[::-1])
 
 
 def trace_functional(family, phi, ns):
@@ -113,32 +100,6 @@ def _bose_factor(x):
     if x > 700:
         return 0.0
     return 1.0 / math.expm1(x)
-
-
-def bose_density(measure, beta, mu):
-    """rho(beta, mu) = integral of dN(h) / (e^{beta(h-mu)} - 1).
-
-    `measure` is a StepMeasure of H or the string "chain_arcsine" for the
-    closed-form measure of the infinite chain with shift 2 (see
-    `bose_density_arcsine` for other shifts).  Returns +inf (a value, not an
-    exception) when the h -> bottom divergence is non-integrable.
-    """
-    if beta <= 0:
-        raise ThermoError("beta must be positive")
-    if mu > 0:
-        raise ThermoError("mu must be <= 0")
-    if isinstance(measure, str):
-        if measure != "chain_arcsine":
-            raise ThermoError("unknown closed-form measure %r" % (measure,))
-        return bose_density_arcsine(beta, mu, shift=2.0)
-    hs = measure.points
-    gap = float(hs.min()) - mu
-    if gap < 0:
-        raise ThermoError("mu above the spectral bottom")
-    if gap == 0.0:
-        return INF
-    vals = np.array([_bose_factor(beta * (h - mu)) for h in hs])
-    return float(np.sum(measure.weights * vals))
 
 
 def bose_density_arcsine(beta, mu, shift=2.0):

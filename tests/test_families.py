@@ -303,3 +303,53 @@ def test_fiber_eigen_iteration_cap_raises(monkeypatch, capsys):
     assert main(["spectrum", "--family", "comb", "--param", "d=1",
                  "--n", "4"]) == 2
     assert capsys.readouterr().out == ""
+
+
+ATOM_CASES = [(1, 3, True), (1, 6, True), (2, 3, True), (1, 4, False),
+              (2, 2, False)]
+
+
+@pytest.mark.parametrize("d,n,periodic", ATOM_CASES)
+def test_comb_spectrum_is_the_dense_measure_atom_by_atom(d, n, periodic):
+    # every cluster of the dense spectrum (values within 1e-10) carries the
+    # summed weight of the block rows that fall in it
+    fam = CombFamily(d, periodic)
+    vals, w = fam.spectrum(n)
+    dense = np.linalg.eigvalsh(fam.matrix(n).toarray())
+    starts = np.flatnonzero(np.diff(dense, prepend=-np.inf) > 1e-10)
+    lo, hi = dense[starts], np.append(dense[starts[1:] - 1], dense[-1])
+    cluster = np.searchsorted(lo - 1e-10, vals, side="right") - 1
+    assert np.all(cluster >= 0) and np.all(vals <= hi[cluster] + 1e-10)
+    counts = np.diff(np.append(starts, dense.size))
+    mass = np.bincount(cluster, w, minlength=starts.size)
+    assert np.max(np.abs(mass - counts / dense.size)) < 1e-13
+    # the odd sector once, at 1/(2n+1); each orbit block's even roots once
+    side = 2 * n + 1
+    blocks = CombVolume(d, n, periodic).a.size
+    assert vals.size == blocks * (n + 1) + n
+    odd = np.sort(2 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)))
+    assert np.max(np.abs(vals[w == 1.0 / side] - odd)) < 1e-13
+
+
+ASCENDING_CASES = (
+    [("lattice", {"d": d, "boundary": b}) for d in (1, 2, 3)
+     for b in ("free", "periodic")]
+    + [("chain", {}), ("fiber_union", {"d": 2}), ("comb", {"d": 2}),
+       ("comb", {"d": 1, "periodic": False}), ("nail_chain", {}),
+       ("star", {"k": 3}), ("star_box", {"k": 4}), ("polygonal_star", {}),
+       ("polygonal_star_box", {}), ("h_graph", {"k": 1}), ("ladder", {}),
+       ("modified_ladder", {"k": 2})])
+
+
+@pytest.mark.parametrize("name,params", ASCENDING_CASES,
+                         ids=["%s-%s" % (name, "-".join(map(str, p.values())))
+                              for name, p in ASCENDING_CASES])
+def test_spectrum_and_ids_are_ascending(name, params):
+    # the CLI writes both as they come, with no sort of its own
+    from combgas import thermo
+
+    vals, w = family(name, **params).spectrum(4)
+    assert np.all(np.diff(vals) >= 0) and vals.size == w.size
+    measure = thermo.ids_from_spectrum(vals, w, float(vals[-1]))
+    assert np.all(np.diff(measure.points) >= 0)
+    assert np.array_equal(measure.points, np.sort(vals[-1] - vals))

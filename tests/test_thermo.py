@@ -9,19 +9,12 @@ from combgas import comb_bec as cb
 from combgas.families import ChainFamily, CombFamily, family
 
 
-def test_step_measure_mass_below():
-    m = thermo.StepMeasure.from_values([0.5, 0.1, 0.9])
-    assert m.mass_below(0.0) == 0.0
-    assert m.mass_below(0.1) == pytest.approx(1 / 3)
-    assert m.mass_below(2.0) == pytest.approx(1.0)
-    assert m.total_mass == pytest.approx(1.0)
-
-
 def test_ids_finite_chain_continuous_at_zero():
     measure = thermo.ids_from_spectrum(*ChainFamily().spectrum(60), 2.0)
+    points, weights = measure.points, measure.weights
     # arcsine-type measure: no atom at the bottom
-    assert measure.mass_below(0.0) < 0.02
-    assert measure.mass_below(4.0) == pytest.approx(1.0)
+    assert weights[points <= 0.0].sum() < 0.02
+    assert weights[points <= 4.0].sum() == pytest.approx(1.0)
 
 
 def test_trace_functional_chain_moments():
@@ -49,9 +42,11 @@ def test_hidden_gap_consistency_with_secular():
 
 
 def test_bose_density_zero_gap_is_infinite():
-    assert thermo.bose_density("chain_arcsine", beta=1.0, mu=0.0) == math.inf
-    m = thermo.StepMeasure.from_values([0.0, 1.0, 2.0])
-    assert thermo.bose_density(m, beta=1.0, mu=0.0) == math.inf
+    assert thermo.bose_density_arcsine(1.0, 0.0, shift=2.0) == math.inf
+    # a finite volume has an atom at its bottom: mu there is refused
+    with pytest.raises(thermo.ThermoError):
+        thermo.finite_volume_density([2.0, 1.0, 0.0], np.full(3, 1 / 3), 2.0,
+                                     1.0, 0.0)
 
 
 def test_bose_density_arcsine_vs_discrete():
