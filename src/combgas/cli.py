@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -23,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import DomainError, NumericFailure, __version__
+from . import DomainError, NumericFailure, __version__, floattext
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -83,41 +82,14 @@ def _manifest(args, command, extra=None):
     return man
 
 
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_texts(arr, fmt):
-    """Text of every value of a 1-D float64 array, each distinct value
-    formatted once.
-
-    "json" gives the json module's float text (float.__repr__, with NaN,
-    Infinity and -Infinity); "csv" gives %.17g, made by one % over all the
-    distinct values.  Values are told apart by bit pattern, so -0.0 keeps
-    its sign.
-    """
-    if arr.dtype != np.float64 or arr.ndim != 1:
-        raise TypeError("expected a 1-D float64 array, got %s of shape %s"
-                        % (arr.dtype, arr.shape))
-    keys, inverse = np.unique(arr.view(np.int64), return_inverse=True)
-    values = keys.view(np.float64)
-    if fmt == "csv":
-        text = "%.17g," * values.size % tuple(values.tolist())
-        texts = text.split(",")[:-1]
-    else:
-        texts = list(map(float.__repr__, values.tolist()))
-        if not np.isfinite(values).all():
-            texts = [_JSON_NONFINITE.get(t, t) for t in texts]
-    return np.array(texts, dtype=object)[inverse].tolist()
-
-
 def _json(obj, pad=""):
     """`obj` as json.dumps(obj, sort_keys=True, indent=2, allow_nan=True)
     writes it at indent `pad`, with 1-D float64 arrays written as lists.
 
-    Containers are laid out here, array entries come from `_float_texts`,
-    and scalars are written as the json encoder writes them: strings by
-    its ASCII escaper, floats by float.__repr__ with NaN and Infinity, ints
-    by int.__repr__.
+    Containers are laid out here, array entries come from
+    `floattext.join`, and scalars are written as the json encoder writes
+    them: strings by its ASCII escaper, floats by float.__repr__ with NaN
+    and Infinity, ints by int.__repr__.
     """
     child = pad + "  "
     if isinstance(obj, str):
@@ -127,13 +99,16 @@ def _json(obj, pad=""):
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        text = float.__repr__(obj)
-        return _JSON_NONFINITE.get(text, text)
+        return floattext.one(obj, "json")
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, np.ndarray):
-        items, brackets = _float_texts(obj, "json"), "[]"
-    elif isinstance(obj, dict):
+        end = ",\n" + child
+        text = floattext.join([obj], "json", end=end)
+        if not text:
+            return "[]"
+        return "[\n%s%s\n%s]" % (child, text[:-len(end)], pad)
+    if isinstance(obj, dict):
         items, brackets = [], "{}"
         for key, value in sorted(obj.items()):
             if not isinstance(key, str):
@@ -165,15 +140,6 @@ def _emit(args, manifest, result, csv_text=None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _csv(header, row, xs, ys):
-    """CSV text: the header line, then `row` % (x, y) for every pair of the
-    columns xs and ys, made by one % over all the rows."""
-    cells = [None] * (2 * len(xs))
-    cells[::2] = xs
-    cells[1::2] = ys
-    return header + "\n" + row * len(xs) % tuple(cells)
 
 
 def _parse_fock(items, d):
@@ -298,9 +264,8 @@ def cmd_spectrum(args):
     vals, weights = fam.spectrum(n, cap=args.dense_cap)  # ascending
     result = csv_text = None
     if args.format == "csv":
-        csv_text = _csv("eigenvalue,weight", "%s,%s\n",
-                        _float_texts(vals, "csv"),
-                        _float_texts(weights, "csv"))
+        csv_text = "eigenvalue,weight\n" + floattext.join([vals, weights],
+                                                          "csv")
     else:
         result = {"family": name, "n": n, "eigenvalues": vals,
                   "weights": weights}
@@ -347,10 +312,9 @@ def cmd_ids(args):
     measure = thermo.ids_from_spectrum(vals, weights, shift)
     result = csv_text = None
     if args.format == "csv":
-        # the cumulative mass is strictly increasing: formatted as it comes
-        csv_text = _csv("energy,cumulative_mass", "%s,%.17g\n",
-                        _float_texts(measure.points, "csv"),
-                        itertools.accumulate(measure.weights.tolist()))
+        # np.cumsum adds in order: the bits of itertools.accumulate
+        csv_text = "energy,cumulative_mass\n" + floattext.join(
+            [measure.points, np.cumsum(measure.weights)], "csv")
     else:
         result = {"family": name, "n": args.n, "shift": shift,
                   "points": measure.points, "weights": measure.weights}

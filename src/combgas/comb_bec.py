@@ -422,25 +422,14 @@ def two_point_limit(cfg_or_d, beta=None, c=None, xi=None, eta=None,
     }
 
 
-def condensate_coefficient(cfg, n, xi=None, eta=None, terms=None):
-    """k'_n = (2d(d+eps_n) k_n / beta) ||R_{Y_n}(lam_n) delta_0||^2 and the
-    overlaps with the finite-volume PF vector v_n = u_n (x) w_n; `terms`
+def condensate_coefficient(cfg, n, terms=None):
+    """k'_n = (2d(d+eps_n) k_n / beta) ||R_{Y_n}(lam_n) delta_0||^2; `terms`
     passes the volume's `volume_terms`."""
     d, beta = cfg.d, cfg.beta
     if terms is None:
         terms = volume_terms(cfg, n)
     eps, k0, kplus, z = terms.eps, terms.k0, terms.kplus, terms.z
-    znorm2 = float(z @ z)
-    kprime = 2.0 * d * (d + eps) * (k0 + kplus) * znorm2 / beta
-    overlaps = {}
-    for name, fv in (("xi", xi), ("eta", eta)):
-        if fv is None:
-            continue
-        acc = 0.0
-        for (jvec, j), amp in fv.entries.items():
-            acc += z[j + n] * amp
-        overlaps[name] = acc / math.sqrt(znorm2)
-    return kprime, overlaps
+    return 2.0 * d * (d + eps) * (k0 + kplus) * float(z @ z) / beta
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +499,7 @@ def sweep_rows(cfg, ns, xi, eta):
         terms = volume_terms(cfg, n)
         eig = fiber_eigen(n, terms.vol.a, fiber_support(n, xi, eta))
         bd = two_point_finite(cfg, n, xi, eta, eig, terms)
-        kprime, _ = condensate_coefficient(cfg, n, xi, eta, terms)
+        kprime = condensate_coefficient(cfg, n, terms)
         dens = block_density(terms.vol, eig, cfg.beta, terms.mu)
         rows.append((n, bd.mu, bd.eps, bd.k0, bd.kplus, kprime, bd.total,
                      dens))

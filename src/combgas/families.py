@@ -77,7 +77,7 @@ class GraphFamily:
 
         A family with one returns (diag, offdiag): the diagonal and
         off-diagonal of the symmetrised tridiagonal quotient B,
-        B_ij = sqrt(Q_ij Q_ji).  `spectral.quotient_top` takes the volume's
+        B_ij = sqrt(Q_ij Q_ji).  `spectral.norm_sequence` takes the volume's
         norm from it; such a family also defines `orbit(n)`, the quotient
         row of every vertex, which is as large as the volume.  A lattice box
         returns d times the quotient of its 1-D factor instead, with the same

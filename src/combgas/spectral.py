@@ -99,7 +99,8 @@ def _positive_at_anchor(vec, anchor):
 def quotient_top(diag, offdiag):
     """Top eigenvalue, unit eigenvector x and residual |Bx - lam x| of the
     symmetrised tridiagonal quotient B (diagonal `diag`, off-diagonal
-    `offdiag`, B_ij = sqrt(Q_ij Q_ji)) of an equitable partition.
+    `offdiag`, B_ij = sqrt(Q_ij Q_ji)) of an equitable partition, for
+    `quotient_eigenpair`.
 
     The PF vector is constant on the cells of the partition, so the top
     eigenvalue of B is the volume's norm.
@@ -171,11 +172,11 @@ def norm_sequence(family, ns, tol=1e-10, window=None):
     """Norms ||A_{Lambda_n}|| over ns with an extrapolated limit.
 
     A family with a tridiagonal quotient (`GraphFamily.quotient_matrix`)
-    is solved on it by `quotient_top`; any other goes through Lanczos on
-    the full matrix.  The PF vector is lifted onto the vertices only for
-    the labels of a `window` inside the last volume.  The sequence must be
-    strictly increasing (up to solver tolerance); a violation means an
-    eigensolver bug and raises.
+    takes the quotient's top eigenvalue, which is the volume's norm, with
+    no eigenvector; any other goes through Lanczos on the full matrix.  The
+    PF vector is lifted onto the vertices only for the labels of a `window`
+    inside the last volume.  The sequence must be strictly increasing (up
+    to solver tolerance); a violation means an eigensolver bug and raises.
     """
     ns = sorted(ns)
     if len(ns) < 2 or ns[-1] < 2:
@@ -189,7 +190,10 @@ def norm_sequence(family, ns, tol=1e-10, window=None):
                                         anchor=family.anchor_index(n))
             norms.append(last_result.top_eigenvalue)
         else:
-            norms.append(quotient_top(*rows)[0])
+            top = rows[0].size - 1
+            norms.append(float(eigh_tridiagonal(
+                *rows, eigvals_only=True, select="i",
+                select_range=(top, top))[0]))
     for a, b in zip(norms, norms[1:]):
         if b < a - 10.0 * tol * max(1.0, abs(a)):
             raise NumericFailure("norm sequence not increasing: %r" % (norms,))

@@ -310,7 +310,7 @@ def test_criterion_09_low_dimensional_failure():
     kprimes = []
     for n in ns:
         totals.append(cb.two_point_finite(cfg, n, xi, xi).total)
-        kprimes.append(cb.condensate_coefficient(cfg, n)[0])
+        kprimes.append(cb.condensate_coefficient(cfg, n))
     monotone = all(a < b for a, b in zip(totals, totals[1:]))
     exceeded = totals[-1] > 10.0 * totals[0]
     growth = float(np.polyfit(np.log(ns[2:]), np.log(kprimes[2:]), 1)[0])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import combgas
-from combgas import DomainError, NumericFailure, cli, thermo
+from combgas import DomainError, NumericFailure, cli, floattext, thermo
 from combgas.cli import main
 from combgas.families import CombFamily, family, fiber_eigen
 
@@ -395,9 +395,10 @@ FLOAT_CASES = {
 def test_float_texts_match_stdlib(values):
     arr = np.array(values, dtype=float)
     assert cli._json(arr) == json.dumps(arr.tolist(), indent=2)
-    assert cli._float_texts(arr, "json") == [json.dumps(x)
-                                             for x in arr.tolist()]
-    assert cli._float_texts(arr, "csv") == ["%.17g" % x for x in arr.tolist()]
+    assert floattext.join([arr], "json") == "".join(
+        json.dumps(x) + "\n" for x in arr.tolist())
+    assert floattext.join([arr], "csv") == "".join(
+        "%.17g\n" % x for x in arr.tolist())
 
 
 def test_json_writer_matches_stdlib_layout():
@@ -432,12 +433,15 @@ GOLDEN = [
     (("--param", "d=1", "--param", "periodic=false"), "comb",
      {"d": 1, "periodic": False}, 5),
     (("--param", "d=2"), "lattice", {"d": 2}, 3),
+    # 16,489 rows over several chunks, six of them near 1e-16, which the
+    # writer formats one at a time
+    (("--param", "d=3"), "comb", {"d": 3}, 16),
 ]
 
 
 @pytest.mark.parametrize("params,name,kw,n", GOLDEN,
                          ids=["comb-d1", "comb-d3", "comb-d1-free",
-                              "lattice-d2"])
+                              "lattice-d2", "comb-d3-n16"])
 def test_spectrum_and_ids_match_stdlib_serialisation(capsys, params, name,
                                                      kw, n):
     vals, weights = family(name, **kw).spectrum(n, cap=4096)

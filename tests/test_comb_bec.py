@@ -253,12 +253,9 @@ def test_two_point_limit_linear_in_c():
 
 def test_condensate_coefficient_divergence_d1():
     cfg = CombRunConfig(d=1, beta=1.0, mu_schedule=("power", 1.0))
-    xi = FockVector.delta((0,), 0)
     ks = []
     for n in (10, 40, 160):
-        kprime, overlaps = condensate_coefficient(cfg, n, xi, xi)
-        ks.append(kprime)
-        assert 0 < overlaps["xi"] <= 1.0
+        ks.append(condensate_coefficient(cfg, n))
     assert ks[0] < ks[1] < ks[2]
     # k'_n ~ sqrt(n): quadrupling n doubles the coefficient
     assert ks[2] / ks[1] == pytest.approx(2.0, rel=0.15)
@@ -351,5 +348,5 @@ def test_sweep_rows_sums_each_lattice_once(monkeypatch):
     # the shared terms give what each consumer computes on its own
     for row in rows:
         n = row[0]
-        assert row[5] == condensate_coefficient(cfg, n, xi, xi)[0]
+        assert row[5] == condensate_coefficient(cfg, n)
         assert row[6] == two_point_finite(cfg, n, xi, xi).total
