@@ -49,23 +49,6 @@ def eps_n(d, n, mu):
     return math.sqrt(lam * lam - 4.0) / (2.0 * math.tanh((n + 1) * tau)) - d
 
 
-def comb_norm_finite(d, n, tol=1e-14):
-    """||A_{Lambda_n}|| from 2d * <d0, R_{Y_n}(t) d0> = 1 by bisection."""
-    lo, hi = 2.0 + 1e-13, norm_limit(d)
-
-    def f(t):
-        return 2.0 * d * kernel_finite_chain(t, n, 0) - 1.0
-
-    a, b = lo, hi
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if f(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
 # ---------------------------------------------------------------------------
 # lattice sums over the discrete torus
 
@@ -470,8 +453,15 @@ def fixed_density_mu(d, n, beta, rho):
 
 
 def pf_projection_term(d, n, mu, xi, eta):
-    """<eta, H_n^{-1} P_{v_n} xi> with v_n the finite-volume PF eigenvector."""
-    lam0 = comb_norm_finite(d, n)
+    """<eta, H_n^{-1} P_{v_n} xi> with v_n the finite-volume PF eigenvector.
+
+    Its eigenvalue lam0 = ||A_{Lambda_n}|| is the top of the periodic comb's
+    fiber-level quotient (`spectral.quotient_norm`), the root of
+    2d <d0, R_{Y_n}(lam0) d0> = 1, and its fiber profile the chain kernel
+    <j, R_{Y_n}(lam0) d0>."""
+    from .spectral import quotient_norm
+
+    lam0 = quotient_norm(*CombFamily(d).quotient_matrix(n))
     z = np.array([kernel_finite_chain(lam0, n, j) for j in range(-n, n + 1)])
     znorm2 = float(z @ z)
     vol = (2 * n + 1) ** d

@@ -43,12 +43,6 @@ def _levels(rows, top_diag=0.0, head=(), link=1.0):
     return diag, offdiag
 
 
-def _box_rows(m):
-    """Quotient row of each box-chain vertex: a_i -> 2i, {b_i, c_i} -> 2i+1."""
-    local = np.arange(3 * m + 1)
-    return 2 * (local // 3) + (local % 3 != 0)
-
-
 class GraphFamily:
     """Base class: n -> Lambda_n.  Subclasses fill in the construction."""
 
@@ -69,19 +63,16 @@ class GraphFamily:
     def anchor_index(self, n):
         return 0
 
-    def index_of(self, n, label):
-        return None
-
     def quotient_matrix(self, n):
         """Equitable-partition quotient of the volume, or None if there is none.
 
         A family with one returns (diag, offdiag): the diagonal and
         off-diagonal of the symmetrised tridiagonal quotient B,
-        B_ij = sqrt(Q_ij Q_ji).  `spectral.norm_sequence` takes the volume's
-        norm from it; such a family also defines `orbit(n)`, the quotient
-        row of every vertex, which is as large as the volume.  A lattice box
-        returns d times the quotient of its 1-D factor instead, with the same
-        top eigenvalue and no `orbit`.
+        B_ij = sqrt(Q_ij Q_ji), whose top eigenvalue is the volume's norm
+        (`spectral.quotient_norm`).  Each is a few head rows followed by a
+        constant tail that reaches the last row.  A free lattice box returns
+        d times the quotient of its 1-D factor instead, with the same top
+        eigenvalue.
         """
         return None
 
@@ -112,18 +103,11 @@ class ChainFamily(GraphFamily):
     def anchor_index(self, n):
         return n  # label (0,)
 
-    def index_of(self, n, label):
-        j = label[0]
-        return j + n if abs(j) <= n else None
-
     def spectrum(self, n, cap=None):
         return LatticeFamily(1).spectrum(n)
 
     def quotient_matrix(self, n):
         return LatticeFamily(1).quotient_matrix(n)
-
-    def orbit(self, n):
-        return np.abs(np.arange(2 * n + 1) - n)
 
 
 class LatticeFamily(GraphFamily):
@@ -160,13 +144,15 @@ class LatticeFamily(GraphFamily):
         return vals, np.full(vals.size, 1.0 / vals.size)
 
     def quotient_matrix(self, n):
-        """d times the reflection quotient (levels |j| = 0..n) of the 1-D
-        factor: the path [-n, n], or the cycle Z_{2n+1}, whose level n is
-        joined to itself.  The box is the Kronecker sum of d factors, so its
-        norm is d times theirs: 2d cos(pi/(2n+2)) (free) or 2d (periodic)."""
+        """Free boundary: d times the reflection quotient (levels
+        |j| = 0..n) of the path [-n, n]; the box is the Kronecker sum of d
+        paths, so its norm is d times theirs, 2d cos(pi/(2n+2)).  Periodic
+        boundary: the torus is vertex-transitive, so the one cell of all
+        its vertices is an equitable partition, with quotient [2d] (n >= 1;
+        [0] for the one vertex of n = 0)."""
+        if self.boundary == "periodic":
+            return np.array([2.0 * self.d if n else 0.0]), np.empty(0)
         diag, offdiag = _levels(n + 1, head=(math.sqrt(2.0),))
-        if self.boundary == "periodic" and n > 0:
-            diag[-1] = 1.0
         return self.d * diag, self.d * offdiag
 
     def folner(self, n):
@@ -617,9 +603,6 @@ class CombFamily(GraphFamily):
             return None
         return _levels(n + 1, 2.0 * self.d, (math.sqrt(2.0),))
 
-    def orbit(self, n):
-        return np.abs(np.arange(self.volume(n)) % (2 * n + 1) - n)
-
     def spectrum(self, n, cap=None):
         """Exact per-site spectral measure via the fiber-impurity blocks.
 
@@ -698,9 +681,6 @@ class NailChainFamily(GraphFamily):
         """Rows: the nail, then chain levels |j| = 0..n."""
         return _levels(n + 2, head=(1.0, math.sqrt(2.0)))
 
-    def orbit(self, n):
-        return np.append(1 + np.abs(np.arange(2 * n + 1) - n), 0)
-
 
 class StarFamily(GraphFamily):
     """k half-line strands of length m joined at a center vertex."""
@@ -728,9 +708,6 @@ class StarFamily(GraphFamily):
     def quotient_matrix(self, m):
         """Rows: the center, then strand levels 1..m."""
         return _levels(m + 1, head=(math.sqrt(self.k),))
-
-    def orbit(self, m):
-        return np.append(0, 1 + np.tile(np.arange(m), self.k))
 
 
 class BoxChainMixin:
@@ -779,9 +756,6 @@ class StarBoxFamily(GraphFamily, BoxChainMixin):
         return _levels(2 * m + 2, head=(math.sqrt(self.k),),
                        link=math.sqrt(2.0))
 
-    def orbit(self, m):
-        return np.append(0, 1 + np.tile(_box_rows(m), self.k))
-
 
 class PolygonalStarFamily(GraphFamily):
     """p strands whose origins are joined into a polygon."""
@@ -811,9 +785,6 @@ class PolygonalStarFamily(GraphFamily):
         """Rows: strand levels 0..m; the polygon adds 2 on level 0."""
         return _levels(m + 1, 2.0)
 
-    def orbit(self, m):
-        return np.tile(np.arange(m + 1), self.p)
-
 
 class PolygonalStarBoxFamily(GraphFamily, BoxChainMixin):
     def __init__(self, p):
@@ -840,9 +811,6 @@ class PolygonalStarBoxFamily(GraphFamily, BoxChainMixin):
     def quotient_matrix(self, m):
         """Rows: a_0, {b_0, c_0}, a_1, ..., a_m; the polygon adds 2 on a_0."""
         return _levels(2 * m + 1, 2.0, link=math.sqrt(2.0))
-
-    def orbit(self, m):
-        return np.tile(_box_rows(m), self.p)
 
 
 class HGraphFamily(GraphFamily):
@@ -876,14 +844,6 @@ class HGraphFamily(GraphFamily):
         """Rows: rail levels |j| = 0..n over both rails; the k-fold link
         between the origins adds k on level 0."""
         return _levels(n + 1, float(self.k), (math.sqrt(2.0),))
-
-    def orbit(self, n):
-        return _rail_levels(n)
-
-
-def _rail_levels(n):
-    """Level |j| of every vertex of two rails [-n, n]."""
-    return np.tile(np.abs(np.arange(-n, n + 1)), 2)
 
 
 class ModifiedLadderFamily(GraphFamily):
@@ -930,9 +890,6 @@ class ModifiedLadderFamily(GraphFamily):
         diag, offdiag = _levels(n + 1, float(self.k), (math.sqrt(2.0),))
         diag[self.nrem + 1:] = 1.0
         return diag, offdiag
-
-    def orbit(self, n):
-        return _rail_levels(n)
 
 
 class LadderFamily(ModifiedLadderFamily):

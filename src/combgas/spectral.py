@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import linalg as sla
 from scipy.sparse.csgraph import connected_components
 
@@ -32,7 +32,6 @@ class PFLimitReport:
     norms: list
     extrapolated_norm: float
     uncertainty: float
-    pf_pointwise: dict
 
 
 def _as_matrix(g):
@@ -96,35 +95,295 @@ def _positive_at_anchor(vec, anchor):
     return vec / vec[anchor]
 
 
-def quotient_top(diag, offdiag):
-    """Top eigenvalue, unit eigenvector x and residual |Bx - lam x| of the
-    symmetrised tridiagonal quotient B (diagonal `diag`, off-diagonal
-    `offdiag`, B_ij = sqrt(Q_ij Q_ji)) of an equitable partition, for
-    `quotient_eigenpair`.
+# Once convergence is quadratic, a Newton step s after a Newton step s0
+# leaves an error of about s^3/s0^2.  The search stops when s, or that
+# error after a step s0 below _QUADRATIC times the scale, is below
+# _ROOT_TOL times the scale |lam| + |c + 2l| + l, or when bisection can no
+# longer split the bracket.  A zero pivot is replaced by _PIVMIN, so that
+# the Sturm count is that of lam + 0: the number of eigenvalues above lam.
+_ROOT_TOL = 1e-15
+_QUADRATIC = 1e-3
+_PIVMIN = 1e-100
+_ROOT_CAP = 100
 
-    The PF vector is constant on the cells of the partition, so the top
-    eigenvalue of B is the volume's norm.
+
+class _HeadTail:
+    """A symmetric tridiagonal quotient split into head rows 0..t-1 and its
+    longest constant tail, rows t..R-1: L rows of diagonal c and links l.
+    d (rows 0..t, d_t = c) and w (w_i = l_i^2 for the links l_0..l_(t-1),
+    the last one joining row t) are lists."""
+
+    def __init__(self, diag, offdiag):
+        self.c = c = float(diag[-1])
+        self.link = link = float(offdiag[-1])
+        mismatch = ((diag[:-1] != c) | (offdiag != link)).nonzero()[0]
+        self.t = t = int(mismatch[-1]) + 1 if mismatch.size else 0
+        self.size = diag.size - t
+        self.d = diag[:t].tolist() + [c]
+        self.links = offdiag[:t].tolist()
+        self.w = [x * x for x in self.links]
+        self.scale = abs(c + 2.0 * link) + link
+
+    def count(self, lam, tail):
+        """The Sturm count: the number of eigenvalues above lam, i.e. of
+        negative bottom-up pivots p_i = lam - d_i - w_i/p_(i+1), from the
+        tail's pivot p_t = tail > 0."""
+        d, w = self.d, self.w
+        p, count = tail, 0
+        for i in range(self.t - 1, -1, -1):
+            p = lam - d[i] - w[i] / p or _PIVMIN
+            count += p < 0.0
+        return count
+
+    def self_energy(self, lam):
+        """The head's self-energy S = w_(t-1)/q_(t-1) at row t, and dS/dlam,
+        from the top-down pivots q_i = lam - d_i - w_(i-1)/q_(i-1)."""
+        d, w = self.d, self.w
+        q, dq = lam - d[0], 1.0
+        for i in range(1, self.t):
+            q = q or _PIVMIN
+            x = w[i - 1] / q
+            q, dq = lam - d[i] - x, 1.0 + x * dq / q
+        q = q or _PIVMIN
+        s = w[-1] / q
+        return s, -s * dq / q
+
+    def twisted(self, lam, tail, slope):
+        """The Sturm count at lam (`count`; the tail's pivot p_t = tail has
+        the lam-derivative slope), and the twisted pivot
+        p_k + q_k - (lam - d_k) = 1/G_kk(lam) of smallest modulus over the
+        rows k = 0..t, with its lam-derivative."""
+        t, d, w = self.t, self.d, self.w
+        p, dp = [tail] * (t + 1), [slope] * (t + 1)
+        count = 0
+        for i in range(t - 1, -1, -1):
+            x = w[i] / tail
+            slope = 1.0 + x * slope / tail
+            tail = lam - d[i] - x or _PIVMIN
+            count += tail < 0.0
+            p[i] = tail
+            dp[i] = slope
+        best, size = tail, abs(tail)  # k = 0, where q_0 = lam - d_0
+        q, dq = lam - d[0], 1.0
+        for k in range(1, t + 1):
+            q = q or _PIVMIN
+            x = w[k - 1] / q
+            dq = 1.0 + x * dq / q
+            q = lam - d[k] - x
+            twisted = p[k] - x
+            if abs(twisted) < size:
+                best, size, slope = twisted, abs(twisted), dp[k] + dq - 1.0
+        return count, best, slope
+
+    def bound_state(self, lam, rows):
+        """The largest bound-state estimate over the head rows k in `rows`,
+        and its row (-inf and -1 if none): row k on a half-infinite chain
+        with the diagonal d' and link l' of the row below it (the tail's c
+        and l for k = t-1), the rows above it frozen into their self-energy
+        S_k at lam, binds at lam = d' + l'(z + 1/z) with z > 1 the root of
+        l'^2 z^2 + l'(d' - d_k - S_k) z + l'^2 - w_k = 0."""
+        d, w, links = self.d, self.w, self.links + [self.link]
+        best, row, s = -math.inf, -1, 0.0
+        for k in range(max(rows) + 1):
+            if k:
+                s = w[k - 1] / (lam - d[k - 1] - s or _PIVMIN)
+            if k not in rows:
+                continue
+            below = links[k + 1]
+            b = (d[k + 1] - d[k] - s) / below
+            disc = b * b - 4.0 * (1.0 - w[k] / (below * below))
+            z = 0.5 * (math.sqrt(disc) - b) if disc > 0.0 else 0.0
+            if z > 1.0 and d[k + 1] + below * (z + 1.0 / z) > best:
+                best, row = d[k + 1] + below * (z + 1.0 / z), k
+        return best, row
+
+    def gershgorin(self):
+        """An upper bound of the top eigenvalue: the largest row sum."""
+        d, links = self.d, self.links
+        bound, before = self.c + 2.0 * self.link, 0.0
+        for i in range(self.t):
+            row = d[i] + before + links[i]
+            if row > bound:
+                bound = row
+            before = links[i]
+        return max(bound, self.c + before + self.link)
+
+
+def _converged(count, step, last, lam, scale):
+    """Whether the Newton step `step` from lam, after the Newton step `last`
+    (0 after a bisection), ends the search: its error is below
+    _ROOT_TOL (|lam| + scale), and it reaches the top eigenvalue: no
+    eigenvalue lies above lam (Sturm count 0), or just one and the step
+    does not go down."""
+    size, scale = abs(step), abs(lam) + scale
+    tol = _ROOT_TOL * scale
+    return count <= (step >= 0.0) and (
+        size <= tol
+        or abs(last) <= _QUADRATIC * scale and size ** 3 <= tol * last * last)
+
+
+def quotient_norm(diag, offdiag):
+    """Top eigenvalue of a symmetric tridiagonal quotient B (diagonal `diag`,
+    positive off-diagonal `offdiag`) made of a few head rows and a constant
+    tail: the norm of the volume whose equitable partition it is.
+
+    The tail is the longest run of rows t..R-1 with diagonal c and links l,
+    L = R - t of them; every catalogue family's quotient has t <= nrem + 2.
+    Its Green function at its first row, at lam = c + 2l x, is
+    g = sin(L phi)/(l sin((L+1) phi)) for x = cos(phi) and
+    sinh(L theta)/(l sinh((L+1) theta)) for x = cosh(theta), so the tail
+    enters the bottom-up pivots as p_t = 1/g in closed form and the head
+    adds t scalar steps (`_HeadTail`).  By Sylvester's law of inertia,
+    lam lies above the top root iff every pivot is positive.  That Sturm
+    test keeps a bracket around the root, from the tail's own top
+    c + 2l cos(pi/(L+1)) (interlacing) to the Gershgorin bound, and a
+    Newton step that leaves the bracket is replaced by bisection, so the
+    search can neither skip the top root nor leave it.  The band edge
+    c + 2l splits the search.  Where a head row's bound-state estimate lies
+    above it, Newton in lam on a twisted pivot starts there
+    (`_twisted_root`); the Sturm test at the edge runs only if that finds no
+    eigenvalue above the edge, and picks Newton in lam above it or on the
+    tail's phase below it (`_phase_root`).  A root within a Newton step
+    _ROOT_TOL * scale of the edge is that step.
     """
-    top = diag.size - 1
-    vals, vecs = eigh_tridiagonal(diag, offdiag, select="i",
-                                  select_range=(top, top))
-    lam, x = float(vals[0]), vecs[:, 0]
-    bx = diag * x
-    bx[1:] += offdiag * x[:-1]
-    bx[:-1] += offdiag * x[1:]
-    return lam, x, float(np.linalg.norm(bx - lam * x))
+    if diag.size == 1:
+        return float(diag[0])
+    q = _HeadTail(diag, offdiag)
+    c, link, size = q.c, q.link, q.size
+    if q.t == 0:  # a path
+        return c + 2.0 * link * math.cos(math.pi / (size + 1))
+    edge = c + 2.0 * link
+    start = _bound_state_start(q)
+    if start > edge:  # most likely a root above the edge
+        root = _twisted_root(q, start, False)
+        if root is not None:
+            return root
+    # 1/g and its lam-derivative at the edge, where theta = phi = 0
+    count, r, dr = q.twisted(edge, link * (size + 1) / size,
+                             (size + 1) * (2 * size + 1) / (6.0 * size))
+    if dr and _converged(count, -r / dr, 0.0, edge, q.scale):
+        return edge - r / dr
+    if count:
+        return _twisted_root(q, start if start > edge else q.gershgorin(),
+                             True)
+    return _phase_root(q)
 
 
-def quotient_eigenpair(diag, offdiag, orbit, anchor=0):
-    """Top eigenpair of a volume from its equitable-partition quotient.
+def _no_convergence():
+    return NumericFailure("quotient norm: no convergence in %d steps"
+                          % _ROOT_CAP)
 
-    `orbit` maps each vertex to its cell; the unit eigenvector x of B
-    (`quotient_top`) lifts to the unit vector x[orbit]/sqrt(|cell|), whose
-    residual on the full matrix equals |Bx - lam x|.
+
+def _phase_root(q):
+    """The top root below the band edge, lam = c + 2l cos(phi) with phi in
+    (0, pi/(L+1)).
+
+    Eliminating the tail's eigenvector sin((L - j) phi) leaves
+    l sin((L+1) phi) = S sin(L phi), S the head's self-energy at row t,
+    i.e. the phase G = L phi - alpha vanishes, with
+    alpha = atan2(l sin phi, S - l cos phi) in (0, pi).  G has no pole.
+    Where S > l cos phi (alpha < pi/2) G is nearly odd in phi, with a
+    spurious zero at phi = 0, so Newton runs in phi^2 on G/phi there, and
+    in phi on G elsewhere.
     """
-    lam, x, residual = quotient_top(diag, offdiag)
-    vec = x[orbit] / np.sqrt(np.bincount(orbit)[orbit])
-    return SpectralResult(lam, _positive_at_anchor(vec, anchor), residual)
+    c, link, size = q.c, q.link, q.size
+    lo, hi = 0.0, math.pi / (size + 1)  # phi of the root lies in (lo, hi)
+    phi, last = 0.5 * hi, 0.0
+    for _ in range(_ROOT_CAP):
+        sn, cs = math.sin(phi), math.cos(phi)
+        lam = c + 2.0 * link * cs
+        count = q.count(lam, link * math.sin((size + 1) * phi)
+                        / math.sin(size * phi))
+        if count:
+            hi = phi
+        else:
+            lo = phi
+        s, ds = q.self_energy(lam)
+        x, y = s - link * cs, link * sn
+        dx = link * sn * (1.0 - 2.0 * ds)  # d/dphi, with dlam = -2l sin phi
+        alpha = math.atan2(y, x)
+        dalpha = (x * link * cs - y * dx) / (x * x + y * y)
+        phase = size * phi - alpha
+        # in s = phi^2 where x > 0: s' = s (1 - 2G/(alpha - phi alpha'))
+        slope = alpha - phi * dalpha if x > 0.0 else size - dalpha
+        if not slope:
+            new = -1.0  # bisect
+        elif x > 0.0:
+            ratio = 1.0 - 2.0 * phase / slope
+            new = phi * math.sqrt(ratio) if ratio > 0.0 else -1.0
+        else:
+            new = phi - phase / slope
+        step = 4.0 * link * math.sin(0.5 * (phi + new)) * math.sin(
+            0.5 * (phi - new))  # lam(new) - lam
+        if _converged(count, step, last, lam, q.scale):
+            return c + 2.0 * link * math.cos(min(max(new, lo), hi))
+        if count <= 1 and lo < new < hi:
+            phi, last = new, step
+        else:
+            phi, last = 0.5 * (lo + hi), 0.0
+            if not lo < phi < hi:
+                return c + 2.0 * link * math.cos(lo)
+    raise _no_convergence()
+
+
+def _bound_state_start(q):
+    """The start of the search above the band edge: the head rows' largest
+    bound-state estimate (`_HeadTail.bound_state`) at the Gershgorin bound,
+    that row's estimate taken once more at it for a longer head, at most
+    the bound; -inf if no row binds.  For a one-row head it is the root of
+    the infinite-tail equation 1/g = l z, exact for L -> oo, and an upper
+    bound."""
+    hi = q.gershgorin()
+    guess, row = q.bound_state(hi, range(q.t))
+    if row >= 0 and q.t > 1:
+        guess = q.bound_state(min(guess, hi), (row,))[0]
+    return min(guess, hi)
+
+
+def _twisted_root(q, lam, confirmed):
+    """The top root above the band edge, in (c + 2l, Gershgorin], searched
+    from lam, or None if `confirmed` is false and the search finds no
+    eigenvalue above the edge before it would leave it: the caller then
+    runs the Sturm test at the edge.
+
+    Newton on the twisted pivot 1/G_kk(lam) at the row k <= t where it is
+    smallest, i.e. where the top eigenvector is largest, so that the other
+    poles of G_kk lie far from the root.  At lam = c + l(z + 1/z) the tail
+    pivot is 1/g = l z (1 - z^-2(L+1))/(1 - z^-2L).
+    """
+    c, link, size = q.c, q.link, q.size
+    lo, hi = c + 2.0 * link, q.gershgorin()  # the root lies in (lo, hi]
+    odd, last = 2 * size + 1, 0.0
+    for _ in range(_ROOT_CAP):
+        u = math.acosh(max(0.5 * (lam - c) / link, 1.0))
+        z = math.exp(u)
+        e = math.expm1(-2.0 * size * u)
+        tail = (link * z * math.expm1(-2.0 * (size + 1) * u) / e if u
+                else link * (size + 1) / size)
+        # d(1/g)/dlam = (z (1 - z^-2(2L+1))/(z - 1/z) - (2L+1) z^-2L)
+        # /(1 - z^-2L)^2 cancels near z = 1, where it is (L+1)(2L+1)/(6L)
+        if (odd * u) ** 2 < 1e-8:
+            slope = (size + 1) * odd / (6.0 * size)
+        else:
+            slope = (-z * math.expm1(-2.0 * odd * u) / (z - 1.0 / z)
+                     - odd * (1.0 + e)) / (e * e)
+        count, r, dr = q.twisted(lam, tail, slope)
+        if count:
+            lo, confirmed = lam, True
+        else:
+            hi = lam
+        step = -r / dr if dr else math.inf  # bisect
+        if _converged(count, step, last, lam, q.scale):
+            return min(max(lam + step, lo), hi)
+        if count <= 1 and lo < lam + step < hi:
+            lam, last = lam + step, step
+        elif not confirmed:
+            return None
+        else:
+            lam, last = 0.5 * (lo + hi), 0.0
+            if not lo < lam < hi:
+                return hi
+    raise _no_convergence()
 
 
 def aitken(seq):
@@ -168,45 +427,30 @@ def extrapolate_power(ns, vals, p=2, terms=2):
     return float(coef[0]), max(resid, 1e-15)
 
 
-def norm_sequence(family, ns, tol=1e-10, window=None):
+def norm_sequence(family, ns, tol=1e-10):
     """Norms ||A_{Lambda_n}|| over ns with an extrapolated limit.
 
     A family with a tridiagonal quotient (`GraphFamily.quotient_matrix`)
-    takes the quotient's top eigenvalue, which is the volume's norm, with
-    no eigenvector; any other goes through Lanczos on the full matrix.  The
-    PF vector is lifted onto the vertices only for the labels of a `window`
-    inside the last volume.  The sequence must be strictly increasing (up
-    to solver tolerance); a violation means an eigensolver bug and raises.
+    takes the quotient's top eigenvalue (`quotient_norm`), which is the
+    volume's norm; any other goes through Lanczos on the full matrix.  The
+    sequence must be strictly increasing (up to solver tolerance); a
+    violation means an eigensolver bug and raises.
     """
     ns = sorted(ns)
     if len(ns) < 2 or ns[-1] < 2:
         raise SpectralError("need at least two volumes with n_max >= 2")
     norms = []
-    last_result = None
     for n in ns:
         rows = family.quotient_matrix(n)
         if rows is None:
-            last_result = top_eigenpair(family.matrix(n), tol=tol,
-                                        anchor=family.anchor_index(n))
-            norms.append(last_result.top_eigenvalue)
+            norms.append(top_eigenpair(family.matrix(n), tol=tol,
+                                       anchor=family.anchor_index(n))
+                         .top_eigenvalue)
         else:
-            top = rows[0].size - 1
-            norms.append(float(eigh_tridiagonal(
-                *rows, eigvals_only=True, select="i",
-                select_range=(top, top))[0]))
+            norms.append(quotient_norm(*rows))
     for a, b in zip(norms, norms[1:]):
         if b < a - 10.0 * tol * max(1.0, abs(a)):
             raise NumericFailure("norm sequence not increasing: %r" % (norms,))
     est, unc = extrapolate(norms)
     est = max(est, norms[-1])
-    pf_pointwise = {}
-    if window is not None:
-        nlast = ns[-1]
-        where = {tuple(lab): family.index_of(nlast, lab) for lab in window}
-        where = {lab: idx for lab, idx in where.items() if idx is not None}
-        if where and rows is not None:
-            last_result = quotient_eigenpair(*rows, family.orbit(nlast),
-                                             anchor=family.anchor_index(nlast))
-        for lab, idx in where.items():
-            pf_pointwise[lab] = float(last_result.pf_vector[idx])
-    return PFLimitReport(ns, norms, est, unc, pf_pointwise)
+    return PFLimitReport(ns, norms, est, unc)

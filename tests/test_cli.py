@@ -481,11 +481,13 @@ def test_spectrum_and_ids_match_stdlib_serialisation(capsys, params, name,
 
 
 def test_norm_comb_large_volume_lifts_no_vector(capsys, monkeypatch):
-    # the orbit of the d=3, n=200 comb has 401^4 entries (193 GiB)
-    def orbit(self, n):
-        raise AssertionError("orbit built for n=%d" % n)
+    # the d=3, n=200 comb has 401^4 vertices: its norms come from the
+    # (n+1)-row quotient, with nothing built or lifted on the volume
+    def matrix(self, n):
+        raise AssertionError("matrix built for n=%d" % n)
 
-    monkeypatch.setattr(CombFamily, "orbit", orbit)
+    monkeypatch.setattr(CombFamily, "matrix", matrix)
+    assert not hasattr(CombFamily, "orbit")
     code, doc = run_json(capsys, "norm", "--family", "comb", "--param", "d=3",
                          "--n-max", "200")
     assert code == 0

@@ -5,8 +5,8 @@ import pytest
 
 from combgas import comb_bec as cb
 from combgas.comb_bec import (CombRunConfig, FockVector, block_matrix_element,
-                              bounded_correction, comb_norm_finite,
-                              condensate_coefficient, density_finite,
+                              bounded_correction, condensate_coefficient,
+                              density_finite,
                               density_limit, eps_n, fixed_density_mu,
                               lattice_coeffs, norm_limit, pf_overlap,
                               pf_projection_term, q_limit, sweep_csv,
@@ -43,15 +43,16 @@ def test_eps_n_matches_center_kernel():
         assert eps > 0
 
 
-def test_comb_norm_finite_combnorm_identity():
-    # the finite-volume norm satisfies 2d <d0, R_{Y_n}(norm) d0> = 1
+def test_comb_quotient_norm_combnorm_identity():
+    # the finite-volume norm, the top of the periodic comb's fiber-level
+    # quotient, satisfies 2d <d0, R_{Y_n}(norm) d0> = 1
     from combgas.resolvent import kernel_finite_chain
-    from combgas.spectral import top_eigenpair
+    from combgas.spectral import quotient_norm, top_eigenpair
 
     for d, n in ((1, 8), (2, 4)):
-        lam0 = comb_norm_finite(d, n)
+        lam0 = quotient_norm(*CombFamily(d).quotient_matrix(n))
         assert 2 * d * kernel_finite_chain(lam0, n, 0) == pytest.approx(
-            1.0, abs=1e-8)
+            1.0, abs=1e-12)
         top = top_eigenpair(CombFamily(d).matrix(n)).top_eigenvalue
         assert lam0 == pytest.approx(top, abs=1e-8)
 

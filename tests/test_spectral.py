@@ -66,19 +66,6 @@ def test_norm_sequence_comb_d1():
                                                      abs=1e-6)
 
 
-def test_norm_sequence_window_pf_values():
-    fam = family("comb", d=1)
-    report = spectral.norm_sequence(fam, [10, 14, 18],
-                                    window=[(0, 0), (0, 1), (0, 2)])
-    # anchor-normalized PF vector decays along the fiber like the
-    # generalized eigenvector e^{-|j| theta}
-    th = math.acosh(math.sqrt(2.0))
-    v0 = report.pf_pointwise[(0, 0)]
-    assert v0 == pytest.approx(1.0, abs=1e-12)
-    assert report.pf_pointwise[(0, 1)] / v0 == pytest.approx(
-        math.exp(-th), abs=1e-3)
-
-
 def test_comb_block_spectrum_matches_dense():
     # block eigenvalues carry multiplicity weights; compare weighted moments
     # and the spectral edges against the dense assembly
@@ -123,25 +110,20 @@ HOOKED = [
 ]
 
 
-@pytest.mark.parametrize("name,params,ns", HOOKED,
-                         ids=["-".join([c[0]] + ["%s=%s" % kv for kv in
-                                                 c[1].items()])
-                              for c in HOOKED])
+HOOKED_IDS = ["-".join([c[0]] + ["%s=%s" % kv for kv in c[1].items()])
+              for c in HOOKED]
+
+
+@pytest.mark.parametrize("name,params,ns", HOOKED, ids=HOOKED_IDS)
 def test_quotient_eigenpair_matches_full_matrix_lanczos(name, params, ns):
+    # the quotient's top eigenvalue is the volume's norm: Lanczos on the
+    # full sparse matrix, an oracle that knows nothing of the quotient
     fam = family(name, **params)
     for n in ns:
-        mat = fam.matrix(n)
-        anchor = fam.anchor_index(n)
-        want = spectral.top_eigenpair(mat, tol=1e-13, anchor=anchor)
-        diag, offdiag = fam.quotient_matrix(n)
-        orbit = fam.orbit(n)
-        assert orbit.shape == (fam.volume(n),)
-        got = spectral.quotient_eigenpair(diag, offdiag, orbit, anchor=anchor)
-        lam, vec = got.top_eigenvalue, got.pf_vector
+        want = spectral.top_eigenpair(fam.matrix(n), tol=1e-13,
+                                      anchor=fam.anchor_index(n))
+        lam = spectral.quotient_norm(*fam.quotient_matrix(n))
         assert abs(lam - want.top_eigenvalue) < 1e-12, (n, lam)
-        resid = np.linalg.norm(mat @ vec - lam * vec) / np.linalg.norm(vec)
-        assert resid < 1e-12 and got.residual < 1e-12, (n, resid)
-        assert np.all(vec > 0) and vec[anchor] == 1.0
 
 
 def test_modified_ladder_quotient_edge_volumes():
@@ -197,17 +179,8 @@ def test_lattice_norms_are_the_closed_form(monkeypatch, name, params):
     for n in (1, 2):  # the box's own top eigenvalue, on small boxes
         mat = fam.matrix(n).toarray()
         top = np.linalg.eigvalsh(mat)[-1]
-        assert spectral.quotient_top(*fam.quotient_matrix(n))[0] == (
+        assert spectral.quotient_norm(*fam.quotient_matrix(n)) == (
             pytest.approx(top, abs=1e-12))
-
-
-def test_chain_window_lifts_the_reflection_quotient():
-    report = spectral.norm_sequence(family("chain"), [4, 8],
-                                    window=[(0,), (3,), (-3,), (9,)])
-    psi = np.sin(np.pi * np.arange(1, 18) / 18)  # the path's PF vector
-    assert sorted(report.pf_pointwise) == [(-3,), (0,), (3,)]
-    for (j,), value in report.pf_pointwise.items():
-        assert value == pytest.approx(psi[j + 8] / psi[8], rel=1e-12)
 
 
 def test_free_boundary_comb_norms_use_lanczos(monkeypatch):
@@ -223,3 +196,139 @@ def test_free_boundary_comb_norms_use_lanczos(monkeypatch):
     assert fam.quotient_matrix(4) is None
     spectral.norm_sequence(fam, [3, 4, 5])
     assert calls == [fam.volume(n) for n in (3, 4, 5)]
+
+
+def _lapack_top(diag, offdiag):
+    from scipy.linalg import eigh_tridiagonal
+
+    top = diag.size - 1
+    return float(eigh_tridiagonal(diag, offdiag, eigvals_only=True,
+                                  select="i", select_range=(top, top))[0])
+
+
+def _assert_quotient_top(diag, offdiag):
+    """quotient_norm against LAPACK's bisection, and against a dense
+    eigvalsh of the quotient when it has at most 400 rows."""
+    got = spectral.quotient_norm(diag, offdiag)
+    assert got == pytest.approx(_lapack_top(diag, offdiag), rel=1e-13, abs=0)
+    if diag.size <= 400:
+        dense = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+        assert got == pytest.approx(np.linalg.eigvalsh(dense)[-1], rel=1e-13,
+                                    abs=0)
+    return got
+
+
+@pytest.mark.parametrize("name,params", [c[:2] for c in HOOKED],
+                         ids=HOOKED_IDS)
+def test_quotient_norm_matches_lapack_and_dense(name, params):
+    fam = family(name, **params)
+    nrem = params.get("nrem", 0)
+    for n in sorted({2, 3, nrem, 10, 40, 400, 2000}):
+        rows = fam.quotient_matrix(n) if n >= nrem else None
+        if rows is not None:  # not the disconnected k = 0 ladder at nrem
+            _assert_quotient_top(*rows)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, 100, 400, 4001])
+def test_quotient_norm_of_a_pure_path(rows):
+    # no head: the top 0.5 + 3 cos(pi/(R+1)) lies inside the band
+    top = _assert_quotient_top(np.full(rows, 0.5), np.full(rows - 1, 1.5))
+    assert top == pytest.approx(0.5 + 3.0 * math.cos(math.pi / (rows + 1)),
+                                rel=1e-15)
+    assert top < 3.5
+
+
+def _count_pivot_passes(monkeypatch):
+    passes = []
+    for name in ("count", "twisted"):
+        method = getattr(spectral._HeadTail, name)
+
+        def counting(self, *args, method=method):
+            passes.append(name)
+            return method(self, *args)
+
+        monkeypatch.setattr(spectral._HeadTail, name, counting)
+    return passes
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6])
+@pytest.mark.parametrize("rows", [3, 10, 100, 400, 499, 500, 501, 502, 510,
+                                  600, 2000, 4000, 100000])
+def test_quotient_norm_near_threshold_head(monkeypatch, rows, eps):
+    # a head link sqrt(2)(1 + eps) on the unit path: the half-infinite
+    # quotient has a bound state above the band edge 2, a finite one only
+    # from (1 + eps)^2 > R/(R-1), i.e. R >= 501 at eps = 1e-3.  The top
+    # crosses the edge within 6e-9 of it; the bracket neither skips it nor
+    # stalls there.
+    passes = _count_pivot_passes(monkeypatch)
+    diag, offdiag = np.zeros(rows), np.ones(rows - 1)
+    offdiag[0] = math.sqrt(2.0) * (1.0 + eps)
+    top = _assert_quotient_top(diag, offdiag)
+    if eps == 1e-3:
+        assert (top > 2.0) == (rows >= 501)
+    assert len(passes) <= 10
+
+
+@pytest.mark.parametrize("rows", [2, 3, 10, 100, 1000])
+def test_quotient_norm_weak_head_stays_in_the_band(rows):
+    # a diagonal 0.3 < 1 on the first row binds nothing: the top lies
+    # inside the band, below the edge 2
+    diag = np.zeros(rows)
+    diag[0] = 0.3
+    assert _assert_quotient_top(diag, np.ones(rows - 1)) < 2.0
+
+
+QUOTIENT_CATALOG = [
+    ("chain", {}), ("lattice", {"d": 1}), ("lattice", {"d": 3}),
+    ("lattice", {"d": 2, "boundary": "periodic"}),
+    ("lattice", {"d": 4, "boundary": "periodic"}),
+    ("comb", {"d": 1}), ("comb", {"d": 3}),
+    ("comb", {"d": 2, "periodic": False}), ("fiber_union", {"d": 2}),
+    ("nail_chain", {}), ("star", {"k": 3}), ("star", {"k": 9}),
+    ("star_box", {"k": 4}), ("star_box", {"k": 6}),
+    ("polygonal_star", {"p": 3}), ("polygonal_star_box", {"p": 5}),
+    ("h_graph", {"k": 1}), ("h_graph", {"k": 2}), ("ladder", {}),
+    ("modified_ladder", {"k": 0, "nrem": 0}),
+    ("modified_ladder", {"k": 1, "nrem": 0}),
+    ("modified_ladder", {"k": 0, "nrem": 2}),
+    ("modified_ladder", {"k": 3, "nrem": 3}),
+    ("modified_ladder", {"k": 2, "nrem": 5}),
+]
+
+
+def test_every_catalogue_quotient_is_a_short_head_and_a_constant_tail():
+    # quotient_norm runs its pivot recursion over the head rows only: a
+    # quotient whose last rows differ (a periodic lattice with a foot on
+    # its last level) would put every row in the head
+    from combgas.families import catalog_names
+
+    assert {name for name, _ in QUOTIENT_CATALOG} == set(catalog_names())
+    for name, params in QUOTIENT_CATALOG:
+        fam = family(name, **params)
+        nrem = params.get("nrem", 0)
+        for n in sorted({nrem, nrem + 1, 5, 50, 2000}):
+            rows = fam.quotient_matrix(n)
+            if rows is None:
+                continue
+            diag, offdiag = rows
+            tail = diag.size - 1  # the first row of the longest constant tail
+            while tail and diag[tail - 1] == diag[-1] and (
+                    offdiag[tail - 1] == offdiag[-1]):
+                tail -= 1
+            assert tail <= nrem + 2, (name, params, n, tail)
+
+
+def test_norm_sequence_makes_no_lapack_eigensolve(monkeypatch):
+    import scipy.linalg
+
+    def refused(*args, **kwargs):
+        raise AssertionError("eigh_tridiagonal called")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refused)
+    assert not hasattr(spectral, "eigh_tridiagonal")
+    for name, params in QUOTIENT_CATALOG:
+        fam = family(name, **params)
+        if fam.quotient_matrix(5) is not None:
+            nrem = params.get("nrem", 0)
+            report = spectral.norm_sequence(fam, [nrem + 2, nrem + 40, 2000])
+            assert len(report.norms) == 3
