@@ -74,7 +74,6 @@ def _manifest(args, command, extra=None):
         "command": command,
         "version": __version__,
         "tol": args.tol,
-        "dense_cap": args.dense_cap,
         "params": _parse_params(getattr(args, "param", None)),
     }
     if extra:
@@ -261,7 +260,7 @@ def cmd_norm(args):
 def cmd_spectrum(args):
     name, fam = _resolve_family(args)
     n = args.n
-    vals, weights = fam.spectrum(n, cap=args.dense_cap)  # ascending
+    vals, weights = fam.spectrum(n)  # ascending
     result = csv_text = None
     if args.format == "csv":
         csv_text = "eigenvalue,weight\n" + floattext.join([vals, weights],
@@ -300,7 +299,7 @@ def _volume_spectrum(args):
     """(family name, eigenvalues, weights, shift) of volume --n of --family;
     the shift defaults to the top eigenvalue."""
     name, fam = _resolve_family(args)
-    vals, weights = fam.spectrum(args.n, cap=args.dense_cap)
+    vals, weights = fam.spectrum(args.n)
     shift = float(vals.max()) if args.shift is None else args.shift
     return name, vals, weights, shift
 
@@ -430,7 +429,6 @@ _positive_int = _number(int, lambda v: v >= 1, ">= 1")
 
 def _add_common(p):
     p.add_argument("--tol", type=_positive, default=1e-10)
-    p.add_argument("--dense-cap", type=int, default=4096)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--param", action="append", default=[],

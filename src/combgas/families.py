@@ -2,7 +2,8 @@
 
 A family provides sparse adjacency matrices (weighted where the construction
 uses multiple parallel links), optional Graph objects, exact Folner ratios,
-and anchors for PF normalization.  The catalog families mirror the perturbed
+and the symmetric tridiagonal blocks its symmetry splits a volume into, from
+which its spectrum and norm come.  The catalog families mirror the perturbed
 infinite graphs whose norms have closed forms; their truncations are used for
 exhaustion cross-checks.
 """
@@ -35,11 +36,12 @@ def _csr(nvert, weighted_edges):
 
 def _levels(rows, top_diag=0.0, head=(), link=1.0):
     """Symmetrised tridiagonal quotient of levels 0..rows-1: top_diag on
-    level 0, the links in `head` first and `link` after them."""
+    level 0, the links in `head` first and `link` after them.  No rows
+    (rows = 0) is an empty block."""
     diag = np.zeros(rows)
-    diag[0] = top_diag
-    offdiag = np.full(rows - 1, link)
-    offdiag[:len(head)] = head[:rows - 1]
+    diag[:1] = top_diag
+    offdiag = np.full(max(rows - 1, 0), link)
+    offdiag[:len(head)] = head[:offdiag.size]
     return diag, offdiag
 
 
@@ -60,28 +62,38 @@ class GraphFamily:
     def folner(self, n):
         raise FamilyError("%s has no Folner formula" % self.name)
 
-    def anchor_index(self, n):
-        return 0
+    def blocks(self, n):
+        """The volume's adjacency split by its symmetry into symmetric
+        tridiagonal blocks, yielded as (diag, offdiag, count), each taken
+        count times; rows times counts add up to the volume.  The first is
+        the equitable-partition quotient (`quotient_matrix`), and the norm
+        builds no other.
+        """
+        raise NotImplementedError
 
     def quotient_matrix(self, n):
-        """Equitable-partition quotient of the volume, or None if there is none.
-
-        A family with one returns (diag, offdiag): the diagonal and
-        off-diagonal of the symmetrised tridiagonal quotient B,
-        B_ij = sqrt(Q_ij Q_ji), whose top eigenvalue is the volume's norm
-        (`spectral.quotient_norm`).  Each is a few head rows followed by a
-        constant tail that reaches the last row.  A free lattice box returns
-        d times the quotient of its 1-D factor instead, with the same top
-        eigenvalue.
+        """(diag, offdiag) of the symmetrised tridiagonal quotient B,
+        B_ij = sqrt(Q_ij Q_ji), of an equitable partition of the volume,
+        whose top eigenvalue is the volume's norm
+        (`spectral.quotient_norm`): the first of `blocks`.  Each is a few
+        head rows followed by a constant tail that reaches the last row.  A
+        free lattice box returns d times the quotient of its 1-D factor
+        instead, with the same top eigenvalue.
         """
-        return None
+        diag, offdiag, _ = next(self.blocks(n))
+        return diag, offdiag
 
-    def spectrum(self, n, cap=4096):
-        """Eigenvalues and normalized weights of the volume's adjacency."""
-        m = self.matrix(n)
-        if m.shape[0] > cap:
-            raise FamilyError("dense cap exceeded for %s at n=%d" % (self.name, n))
-        vals = np.linalg.eigvalsh(m.toarray())
+    def spectrum(self, n):
+        """Eigenvalues of the volume's adjacency, ascending, one per vertex
+        at weight 1/volume: each of `blocks` solved once
+        (`eigvalsh_tridiagonal`; a block of at most one row is its own
+        diagonal) and repeated count times."""
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        vals = np.sort(np.concatenate([
+            np.repeat(diag if diag.size < 2
+                      else eigvalsh_tridiagonal(diag, offdiag), count)
+            for diag, offdiag, count in self.blocks(n)]))
         return vals, np.full(vals.size, 1.0 / vals.size)
 
 
@@ -100,10 +112,7 @@ class ChainFamily(GraphFamily):
     def folner(self, n):
         return Fraction(2, 2 * n + 1)
 
-    def anchor_index(self, n):
-        return n  # label (0,)
-
-    def spectrum(self, n, cap=None):
+    def spectrum(self, n):
         return LatticeFamily(1).spectrum(n)
 
     def quotient_matrix(self, n):
@@ -136,9 +145,9 @@ class LatticeFamily(GraphFamily):
             total = sparse.kronsum(one, total, format="csr")
         return total
 
-    def spectrum(self, n, cap=None):
+    def spectrum(self, n):
         """Closed-form box eigenvalues (`box_eigenvalues`) with uniform
-        weights; no matrix is formed, so `cap` is ignored."""
+        weights; no matrix is formed."""
         vals = np.sort(box_eigenvalues(self.d, n,
                                        self.boundary == "periodic"))
         return vals, np.full(vals.size, 1.0 / vals.size)
@@ -161,13 +170,6 @@ class LatticeFamily(GraphFamily):
         side = 2 * n + 1
         inner = max(2 * n - 1, 0)
         return Fraction(side ** self.d - inner ** self.d, side ** self.d)
-
-    def anchor_index(self, n):
-        side = 2 * n + 1
-        idx = 0
-        for _ in range(self.d):
-            idx = idx * side + n
-        return idx
 
 
 def box_eigenvalues(d, n, periodic):
@@ -580,13 +582,6 @@ class CombFamily(GraphFamily):
         inner = max(2 * n - 1, 0)
         return Fraction(fiber_ends + side ** self.d - inner ** self.d, vol)
 
-    def anchor_index(self, n):
-        side = 2 * n + 1
-        base_idx = 0
-        for _ in range(self.d):
-            base_idx = base_idx * side + n
-        return base_idx * side + n
-
     def index_of(self, n, label):
         side = 2 * n + 1
         if any(abs(c) > n for c in label):
@@ -597,13 +592,22 @@ class CombFamily(GraphFamily):
         return idx * side + (label[-1] + n)
 
     def quotient_matrix(self, n):
-        """Periodic base: rows are the fiber levels |j| = 0..n over the
-        whole (vertex-transitive) base, with the base degree 2d on |j| = 0."""
-        if not self.periodic:
-            return None
-        return _levels(n + 1, 2.0 * self.d, (math.sqrt(2.0),))
+        """The top fiber block A_Y + a P_0 (`spectrum`), a the base box's
+        top eigenvalue, on its even levels |j| = 0..n: 2d on the periodic
+        base, 2d cos(pi/(2n+2)) on the free base, 0 at n = 0 (one vertex).
+        The top even root grows with a and lies above every odd root, so
+        this block's top is the volume's norm.  On the periodic base it is
+        also the quotient of the fiber levels over the whole
+        (vertex-transitive) base."""
+        if not n:
+            top = 0.0
+        elif self.periodic:
+            top = 2.0 * self.d
+        else:
+            top = 2.0 * self.d * math.cos(math.pi / (2 * n + 2))
+        return _levels(n + 1, top, (math.sqrt(2.0),))
 
-    def spectrum(self, n, cap=None):
+    def spectrum(self, n):
         """Exact per-site spectral measure via the fiber-impurity blocks.
 
         In the eigenbasis of the base, I (x) A_Y + A_X (x) P_0 splits into
@@ -613,9 +617,8 @@ class CombFamily(GraphFamily):
         The result is their `block_measure` sorted once, ascending: B(n+1)+n
         rows for B blocks, the n odd roots 2cos(pi k/(n+1)), shared by every
         block, once at weight 1/(2n+1), and each block's n+1 even roots once
-        at weight mult/((2n+1)^d (2n+1)).  The blocks are exact and no dense
-        matrix is ever formed, so the dense cap does not apply and `cap` is
-        ignored.
+        at weight mult/((2n+1)^d (2n+1)).  The blocks are exact and no
+        matrix is ever formed.
         """
         vol = CombVolume(self.d, n, self.periodic)
         vals, weights = block_measure(fiber_eigen(n, vol.a), vol.mult)
@@ -643,9 +646,14 @@ class FiberUnionFamily(GraphFamily):
         side = 2 * n + 1
         return Fraction(2 * side ** self.d, side ** (self.d + 1))
 
-    def spectrum(self, n, cap=None):
+    def spectrum(self, n):
         vals, w = ChainFamily().spectrum(n)
         return vals, w  # per-site measure identical to a single chain
+
+    def quotient_matrix(self, n):
+        """The chain's quotient: the volume is disjoint copies of the
+        chain, so its norm is the chain's."""
+        return ChainFamily().quotient_matrix(n)
 
 
 # ---------------------------------------------------------------------------
@@ -674,12 +682,11 @@ class NailChainFamily(GraphFamily):
     def folner(self, n):
         return Fraction(2, 2 * n + 2)
 
-    def anchor_index(self, n):
-        return n
-
-    def quotient_matrix(self, n):
-        """Rows: the nail, then chain levels |j| = 0..n."""
-        return _levels(n + 2, head=(1.0, math.sqrt(2.0)))
+    def blocks(self, n):
+        """The reflection j -> -j: the quotient (rows: the nail, then chain
+        levels |j| = 0..n), and the odd levels |j| = 1..n."""
+        yield (*_levels(n + 2, head=(1.0, math.sqrt(2.0))), 1)
+        yield (*_levels(n), 1)
 
 
 class StarFamily(GraphFamily):
@@ -705,9 +712,11 @@ class StarFamily(GraphFamily):
     def folner(self, m):
         return Fraction(self.k, self.volume(m))
 
-    def quotient_matrix(self, m):
-        """Rows: the center, then strand levels 1..m."""
-        return _levels(m + 1, head=(math.sqrt(self.k),))
+    def blocks(self, m):
+        """Strand permutations: the quotient (rows: the center, then strand
+        levels 1..m), and the strand levels with no center k - 1 times."""
+        yield (*_levels(m + 1, head=(math.sqrt(self.k),)), 1)
+        yield (*_levels(m), self.k - 1)
 
 
 class BoxChainMixin:
@@ -751,10 +760,25 @@ class StarBoxFamily(GraphFamily, BoxChainMixin):
     def folner(self, m):
         return Fraction(self.k, self.volume(m))
 
-    def quotient_matrix(self, m):
-        """Rows: the center, then a_0, {b_0, c_0}, a_1, ..., a_m."""
-        return _levels(2 * m + 2, head=(math.sqrt(self.k),),
-                       link=math.sqrt(2.0))
+    def blocks(self, m):
+        """Strand permutations and the b/c swap of each box: the quotient
+        (rows: the center, then a_0, {b_0, c_0}, a_1, ..., a_m), the level
+        chain with no center k - 1 times, and b_i - c_i, eigenvalue 0, k m
+        times."""
+        root2 = math.sqrt(2.0)
+        yield (*_levels(2 * m + 2, head=(math.sqrt(self.k),), link=root2), 1)
+        yield (*_levels(2 * m + 1, link=root2), self.k - 1)
+        yield (*_levels(1), self.k * m)
+
+
+def _polygon_blocks(p, rows, link=1.0):
+    """Blocks of p strands of `rows` levels whose level-0 vertices form a
+    p-gon: each rotation q = 0..p-1 adds 2cos(2 pi q/p) on level 0, and
+    q = 0 is the quotient."""
+    for q in range(p):
+        diag, offdiag = _levels(rows, 2.0 * math.cos(2.0 * math.pi * q / p),
+                                link=link)
+        yield diag, offdiag, 1
 
 
 class PolygonalStarFamily(GraphFamily):
@@ -781,9 +805,9 @@ class PolygonalStarFamily(GraphFamily):
     def folner(self, m):
         return Fraction(self.p, self.volume(m))
 
-    def quotient_matrix(self, m):
-        """Rows: strand levels 0..m; the polygon adds 2 on level 0."""
-        return _levels(m + 1, 2.0)
+    def blocks(self, m):
+        """`_polygon_blocks` of the strand levels 0..m."""
+        yield from _polygon_blocks(self.p, m + 1)
 
 
 class PolygonalStarBoxFamily(GraphFamily, BoxChainMixin):
@@ -808,9 +832,27 @@ class PolygonalStarBoxFamily(GraphFamily, BoxChainMixin):
     def folner(self, m):
         return Fraction(self.p, self.volume(m))
 
-    def quotient_matrix(self, m):
-        """Rows: a_0, {b_0, c_0}, a_1, ..., a_m; the polygon adds 2 on a_0."""
-        return _levels(2 * m + 1, 2.0, link=math.sqrt(2.0))
+    def blocks(self, m):
+        """`_polygon_blocks` of the levels a_0, {b_0, c_0}, a_1, ..., a_m,
+        and from the b/c swap of each box b_i - c_i, eigenvalue 0, p m
+        times."""
+        yield from _polygon_blocks(self.p, 2 * m + 1, math.sqrt(2.0))
+        yield (*_levels(1), self.p * m)
+
+
+def _rail_blocks(n, k, nrem):
+    """Blocks of two rails [-n, n] joined by a k-fold rung at j = 0 and unit
+    rungs at |j| > nrem.  The rail swap turns the rungs into +- their
+    weights on the diagonal of one chain, and the reflection j -> -j splits
+    each sign into the even levels |j| = 0..n (sqrt(2) on the first link)
+    and the odd levels |j| = 1..n.  The + even block is the quotient."""
+    for sign in (1.0, -1.0):
+        diag, offdiag = _levels(n + 1, sign * k, (math.sqrt(2.0),))
+        diag[nrem + 1:] = sign
+        yield diag, offdiag, 1
+        diag, offdiag = _levels(n)
+        diag[nrem:] = sign
+        yield diag, offdiag, 1
 
 
 class HGraphFamily(GraphFamily):
@@ -837,13 +879,10 @@ class HGraphFamily(GraphFamily):
     def folner(self, n):
         return Fraction(4, self.volume(n))
 
-    def anchor_index(self, n):
-        return n
-
-    def quotient_matrix(self, n):
-        """Rows: rail levels |j| = 0..n over both rails; the k-fold link
-        between the origins adds k on level 0."""
-        return _levels(n + 1, float(self.k), (math.sqrt(2.0),))
+    def blocks(self, n):
+        """`_rail_blocks` with the k-fold link between the origins as the
+        only rung."""
+        yield from _rail_blocks(n, self.k, n)
 
 
 class ModifiedLadderFamily(GraphFamily):
@@ -875,21 +914,10 @@ class ModifiedLadderFamily(GraphFamily):
                 edges.append((j + n, size + j + n, 1.0))
         return _csr(2 * size, edges)
 
-    def anchor_index(self, n):
-        return n
-
-    def quotient_matrix(self, n):
-        """The h_graph rows, with a rung adding k on level 0 and 1 on the
-        levels above nrem.  None when no rung joins the rails (k = 0 and
-        n = nrem): that truncation is disconnected and has no PF vector,
-        which Lanczos reports."""
+    def blocks(self, n):
         if n < self.nrem:
             raise FamilyError("truncation must contain the edited rungs")
-        if self.k == 0 and n == self.nrem:
-            return None
-        diag, offdiag = _levels(n + 1, float(self.k), (math.sqrt(2.0),))
-        diag[self.nrem + 1:] = 1.0
-        return diag, offdiag
+        yield from _rail_blocks(n, self.k, self.nrem)
 
 
 class LadderFamily(ModifiedLadderFamily):

@@ -1,4 +1,4 @@
-"""Finite-volume spectra, Perron-Frobenius eigenpairs, and norm sequences."""
+"""Truncation norms from tridiagonal quotients, and their extrapolation."""
 
 from __future__ import annotations
 
@@ -6,24 +6,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as sla
-from scipy.sparse.csgraph import connected_components
 
 from . import DomainError, NumericFailure
-
-DENSE_CAP = 4096
 
 
 class SpectralError(DomainError):
     pass
-
-
-@dataclass
-class SpectralResult:
-    top_eigenvalue: float
-    pf_vector: np.ndarray  # positive, normalized to 1 at the anchor vertex
-    residual: float
 
 
 @dataclass
@@ -32,67 +20,6 @@ class PFLimitReport:
     norms: list
     extrapolated_norm: float
     uncertainty: float
-
-
-def _as_matrix(g):
-    return g if sparse.issparse(g) else g.adjacency_matrix()
-
-
-def dense_spectrum(g, cap=DENSE_CAP):
-    """All adjacency eigenvalues, ascending; refuses above the dense cap."""
-    a = _as_matrix(g)
-    if a.shape[0] > cap:
-        raise SpectralError("dense cap exceeded: %d > %d" % (a.shape[0], cap))
-    if a.shape[0] == 0:
-        return np.array([])
-    return np.linalg.eigvalsh(a.toarray())
-
-
-def top_eigenpair(g, tol=1e-10, anchor=None):
-    """Largest adjacency eigenvalue with its positive PF eigenvector.
-
-    Lanczos (ARPACK) on A + d_max*I with a deterministic all-ones start; the
-    diagonal shift keeps bipartite +-lambda pairs separated at the top.
-    """
-    a = _as_matrix(g)
-    nvert = a.shape[0]
-    if nvert == 0:
-        raise SpectralError("empty graph")
-    ncomp, _ = connected_components(a, directed=False)
-    if ncomp > 1:
-        raise SpectralError("graph is disconnected; PF eigenpair undefined")
-    if anchor is None:
-        anchor = 0
-        if hasattr(g, "labels"):
-            zeros = [i for i, lab in enumerate(g.labels) if not any(lab)]
-            if zeros:
-                anchor = zeros[0]
-    dmax = float(a.sum(axis=1).max())
-    if nvert <= 8:
-        vals, vecs = np.linalg.eigh(a.toarray())
-        lam, vec = float(vals[-1]), vecs[:, -1]
-    else:
-        shifted = (a + sparse.identity(nvert) * dmax).tocsr()
-        try:
-            vals, vecs = sla.eigsh(shifted, k=1, which="LA",
-                                   v0=np.ones(nvert), tol=tol, maxiter=100000)
-        except sla.ArpackNoConvergence as exc:
-            raise NumericFailure("eigensolver did not converge: %s" % exc)
-        lam, vec = float(vals[0]) - dmax, vecs[:, 0]
-    residual = float(np.linalg.norm(a @ vec - lam * vec) / np.linalg.norm(vec))
-    return SpectralResult(lam, _positive_at_anchor(vec, anchor), residual)
-
-
-def _positive_at_anchor(vec, anchor):
-    """The PF vector made positive and scaled to 1 at the anchor vertex."""
-    if vec[anchor] < 0:
-        vec = -vec
-    if np.min(vec) <= 0:
-        # tiny negative entries can appear at round-off level on huge graphs
-        if np.min(vec) < -1e-8 * np.max(vec):
-            raise NumericFailure("PF vector not positive; graph connected?")
-        vec = np.maximum(vec, np.finfo(float).tiny)
-    return vec / vec[anchor]
 
 
 # Once convergence is quadratic, a Newton step s after a Newton step s0
@@ -430,24 +357,15 @@ def extrapolate_power(ns, vals, p=2, terms=2):
 def norm_sequence(family, ns, tol=1e-10):
     """Norms ||A_{Lambda_n}|| over ns with an extrapolated limit.
 
-    A family with a tridiagonal quotient (`GraphFamily.quotient_matrix`)
-    takes the quotient's top eigenvalue (`quotient_norm`), which is the
-    volume's norm; any other goes through Lanczos on the full matrix.  The
-    sequence must be strictly increasing (up to solver tolerance); a
-    violation means an eigensolver bug and raises.
+    Each norm is the top eigenvalue of the family's tridiagonal quotient
+    (`GraphFamily.quotient_matrix`, `quotient_norm`).  The sequence must be
+    strictly increasing (up to tol); a violation means a solver bug and
+    raises.
     """
     ns = sorted(ns)
     if len(ns) < 2 or ns[-1] < 2:
         raise SpectralError("need at least two volumes with n_max >= 2")
-    norms = []
-    for n in ns:
-        rows = family.quotient_matrix(n)
-        if rows is None:
-            norms.append(top_eigenpair(family.matrix(n), tol=tol,
-                                       anchor=family.anchor_index(n))
-                         .top_eigenvalue)
-        else:
-            norms.append(quotient_norm(*rows))
+    norms = [quotient_norm(*family.quotient_matrix(n)) for n in ns]
     for a, b in zip(norms, norms[1:]):
         if b < a - 10.0 * tol * max(1.0, abs(a)):
             raise NumericFailure("norm sequence not increasing: %r" % (norms,))

@@ -13,7 +13,7 @@ from combgas.resolvent import (finite_chain_resolvent_matrix,
                                kernel_finite_chain, kernel_line)
 from combgas.secular import (catalog_expected, catalog_system,
                              hidden_spectrum_verdict, solve_secular)
-from combgas.spectral import extrapolate_power, norm_sequence, top_eigenpair
+from combgas.spectral import extrapolate_power, norm_sequence
 
 
 def report(num, ok, detail):

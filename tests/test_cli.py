@@ -120,18 +120,31 @@ def test_density_and_mu_solve_reject_bad_domain(capsys, cmd, flag, beta,
     assert out == ""
 
 
-def test_dense_cap_is_honoured(capsys):
-    argv = ("spectrum", "--family", "catalog:star", "--param", "k=3",
-            "--n", "4")
+def test_catalogue_spectrum_has_no_size_cap(capsys):
+    # every catalogue spectrum comes from tridiagonal blocks: a 4,506-vertex
+    # star_box is written whole, and --dense-cap is an unknown argument
+    argv = ("spectrum", "--family", "catalog:star_box", "--param", "k=5",
+            "--n", "300")
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    vals = doc["result"]["eigenvalues"]
+    assert len(vals) == 1 + 5 * (3 * 300 + 1) and vals == sorted(vals)
+    assert "dense_cap" not in doc["manifest"]
     code, out = run_cli(capsys, *argv, "--dense-cap", "10")
     assert code == 1
     assert out == ""
-    code, _ = run_cli(capsys, *argv)
+
+
+def test_norm_of_fiber_union_is_the_chain_norm(capsys):
+    # disjoint chains: the volume's norm is the chain's, 2cos(pi/(2n+2)),
+    # although it has no positive Perron-Frobenius vector
+    code, doc = run_json(capsys, "norm", "--family", "fiber_union",
+                         "--param", "d=1")
     assert code == 0
-    # the lattice spectrum is closed form: the cap does not apply
-    code, _ = run_cli(capsys, "spectrum", "--family", "lattice", "--param",
-                      "d=2", "--n", "3", "--dense-cap", "10")
-    assert code == 0
+    seq = doc["result"]["norm_sequence"]
+    assert seq["norms"] == [
+        pytest.approx(2 * math.cos(math.pi / (2 * n + 2)), rel=1e-15)
+        for n in seq["ns"]]
 
 
 @pytest.mark.parametrize("argv", [
@@ -345,16 +358,24 @@ def test_bec_divergence_verdict(capsys):
 
 
 def test_bec_and_transience_leave_scipy_integrate_unimported():
-    # the Green integrals use no adaptive quadrature, so a fresh process
-    # never pays for importing it
+    # the Green integrals use no adaptive quadrature, and spectra and norms
+    # no sparse eigensolver or graph search, so a fresh process never pays
+    # for importing them
     script = (
         "import sys\n"
         "from combgas.cli import main\n"
         "for argv in (['bec', '--d', '3', '--beta', '1', '--c', '1',\n"
         "              '--n', '2:4:2', '--xi', '0,0,0,0', '--limit'],\n"
-        "             ['transience', '--param', 'd=3']):\n"
+        "             ['transience', '--param', 'd=3'],\n"
+        "             ['spectrum', '--family', 'catalog:star_box',\n"
+        "              '--param', 'k=5', '--n', '20'],\n"
+        "             ['ids', '--family', 'catalog:h_graph', '--param',\n"
+        "              'k=2', '--n', '30'],\n"
+        "             ['density', '--family', 'lattice', '--param', 'd=2',\n"
+        "              '--n', '5', '--beta', '1', '--mu', '-0.1']):\n"
         "    assert main(argv + ['--out', '/dev/null']) == 0, argv\n"
-        "print([m for m in sys.modules if m.startswith('scipy.integrate')])\n")
+        "print([m for m in sys.modules if m.startswith(('scipy.integrate',\n"
+        "       'scipy.sparse.linalg', 'scipy.sparse.csgraph'))])\n")
     src = str(Path(combgas.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
@@ -444,7 +465,7 @@ GOLDEN = [
                               "lattice-d2", "comb-d3-n16"])
 def test_spectrum_and_ids_match_stdlib_serialisation(capsys, params, name,
                                                      kw, n):
-    vals, weights = family(name, **kw).spectrum(n, cap=4096)
+    vals, weights = family(name, **kw).spectrum(n)
     order = np.argsort(vals)
     shift = float(max(vals))
     measure = thermo.ids_from_spectrum(vals, weights, shift)

@@ -7,7 +7,6 @@ import pytest
 from combgas import families, graphs
 from combgas.families import (CombFamily, CombVolume, FiberUnionFamily,
                               LatticeFamily, box_eigenvalues, family)
-from combgas.spectral import top_eigenpair
 
 
 def test_catalog_names_complete():
@@ -25,6 +24,31 @@ def test_chain_closed_form_spectrum():
     vals, w = fam.spectrum(5)
     dense = np.linalg.eigvalsh(fam.matrix(5).toarray())
     assert np.allclose(np.sort(vals), dense, atol=1e-12)
+
+
+BLOCK_CASES = [
+    ("star", {"k": 3}), ("star", {"k": 6}), ("star_box", {"k": 4}),
+    ("star_box", {"k": 5}), ("polygonal_star", {"p": 3}),
+    ("polygonal_star", {"p": 6}), ("polygonal_star_box", {}),
+    ("nail_chain", {}), ("h_graph", {"k": 1}), ("h_graph", {"k": 3}),
+    ("ladder", {}), ("modified_ladder", {"k": 3, "nrem": 2}),
+    ("modified_ladder", {"k": 0, "nrem": 1}),
+    ("modified_ladder", {"k": 2, "nrem": 0})]
+
+
+@pytest.mark.parametrize("name,params", BLOCK_CASES,
+                         ids=["%s-%s" % (name, "-".join(map(str, p.values())))
+                              for name, p in BLOCK_CASES])
+def test_block_spectrum_is_the_dense_spectrum(name, params):
+    # the blocks' eigenvalues, counts included, are the volume's: one row
+    # per vertex, each within 1e-12 of a dense eigvalsh of matrix(n)
+    fam = family(name, **params)
+    for n in (2, 3, 5, 9, 17):
+        vals, w = fam.spectrum(n)
+        dense = np.linalg.eigvalsh(fam.matrix(n).toarray())
+        assert vals.size == dense.size == fam.volume(n)
+        assert np.max(np.abs(vals - dense)) < 1e-12, n
+        assert np.all(w == 1.0 / dense.size)
 
 
 def test_folner_ratios():
@@ -62,7 +86,7 @@ def test_comb_anchor_and_index():
     fam = CombFamily(2)
     n = 3
     idx = fam.index_of(n, (0, 0, 0))
-    assert idx == fam.anchor_index(n)
+    assert idx == (3 * 7 + 3) * 7 + 3  # the centre of the 7 x 7 x 7 box
     assert fam.index_of(n, (4, 0, 0)) is None
 
 
@@ -75,9 +99,9 @@ def test_fiber_union_is_comb_without_backbone():
     assert (diff != 0).sum() == 2 * (2 * 4 + 1)
 
 
-def test_truncation_norms_monotone():
+def test_truncation_norms_monotone(lanczos_top):
     fam = family("nail_chain")
-    tops = [top_eigenpair(fam.matrix(n)).top_eigenvalue for n in (5, 10, 20)]
+    tops = [lanczos_top(fam.matrix(n)) for n in (5, 10, 20)]
     assert tops[0] < tops[1] < tops[2] < math.sqrt(2 + math.sqrt(5))
 
 

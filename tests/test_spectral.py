@@ -5,45 +5,6 @@ import pytest
 
 from combgas import spectral
 from combgas.families import CombFamily, FamilyError, family
-from combgas.graphs import build_chain, build_cycle, from_edges
-
-
-def test_dense_spectrum_chain_closed_form():
-    g = build_chain(5)  # path on 11 vertices
-    vals = spectral.dense_spectrum(g)
-    want = np.sort(2 * np.cos(np.pi * np.arange(1, 12) / 12.0))
-    assert np.allclose(vals, want, atol=1e-12)
-
-
-def test_dense_cap_refused():
-    fam = CombFamily(1)
-    with pytest.raises(spectral.SpectralError):
-        spectral.dense_spectrum(fam.matrix(40), cap=100)
-
-
-def test_top_eigenpair_cycle():
-    g = build_cycle(9)
-    res = spectral.top_eigenpair(g)
-    assert res.top_eigenvalue == pytest.approx(2.0, abs=1e-9)
-    assert res.residual < 1e-8
-    assert np.all(res.pf_vector > 0)
-    # PF vector of a vertex-transitive graph is constant (anchor-normalized)
-    assert np.allclose(res.pf_vector, 1.0, atol=1e-6)
-
-
-def test_top_eigenpair_disconnected_refused():
-    g = from_edges([(0,), (1,), (2,), (3,)], [((0,), (1,)), ((2,), (3,))])
-    with pytest.raises(spectral.SpectralError):
-        spectral.top_eigenpair(g)
-
-
-def test_pf_vector_reconstruction_residual():
-    fam = family("comb", d=1)
-    mat = fam.matrix(30)
-    res = spectral.top_eigenpair(mat, anchor=fam.anchor_index(30))
-    err = np.linalg.norm(mat @ res.pf_vector
-                         - res.top_eigenvalue * res.pf_vector)
-    assert err / np.linalg.norm(res.pf_vector) < 1e-6
 
 
 def test_aitken_accelerates_geometric():
@@ -82,10 +43,12 @@ def test_comb_block_spectrum_matches_dense():
 
 
 def test_bipartite_odd_trace_vanishes():
-    g = build_chain(6)
-    vals = spectral.dense_spectrum(g)
-    assert abs(np.sum(vals ** 3)) < 1e-10
-    assert abs(np.sum(vals ** 5)) < 1e-10
+    # trees are bipartite: their block spectra are symmetric about 0
+    for name, params in (("chain", {}), ("star", {"k": 3}),
+                         ("nail_chain", {})):
+        vals, _ = family(name, **params).spectrum(6)
+        assert abs(np.sum(vals ** 3)) < 1e-10
+        assert abs(np.sum(vals ** 5)) < 1e-10
 
 
 
@@ -103,10 +66,12 @@ HOOKED = [
     ("ladder", {}, (3, 10, 40)),
     ("modified_ladder", {"k": 0, "nrem": 1}, (2, 3, 10, 40)),
     ("modified_ladder", {"k": 4, "nrem": 3}, (3, 10, 40)),
-    # the comb volume has (2n+1)^(d+1) vertices: smaller n for Lanczos
-    ("comb", {"d": 1}, (3, 10, 40)),
+    # the comb volume has (2n+1)^(d+1) vertices: smaller n for Lanczos;
+    # n = 0 is one vertex with no edges, of norm 0
+    ("comb", {"d": 1}, (0, 3, 10, 40)),
     ("comb", {"d": 2}, (3, 10)),
-    ("comb", {"d": 3}, (3, 5)),
+    ("comb", {"d": 3}, (0, 3, 5)),
+    ("fiber_union", {"d": 1}, (2, 3, 10)),
 ]
 
 
@@ -115,36 +80,31 @@ HOOKED_IDS = ["-".join([c[0]] + ["%s=%s" % kv for kv in c[1].items()])
 
 
 @pytest.mark.parametrize("name,params,ns", HOOKED, ids=HOOKED_IDS)
-def test_quotient_eigenpair_matches_full_matrix_lanczos(name, params, ns):
+def test_quotient_eigenpair_matches_full_matrix_lanczos(lanczos_top, name,
+                                                        params, ns):
     # the quotient's top eigenvalue is the volume's norm: Lanczos on the
     # full sparse matrix, an oracle that knows nothing of the quotient
     fam = family(name, **params)
     for n in ns:
-        want = spectral.top_eigenpair(fam.matrix(n), tol=1e-13,
-                                      anchor=fam.anchor_index(n))
+        want = lanczos_top(fam.matrix(n))
         lam = spectral.quotient_norm(*fam.quotient_matrix(n))
-        assert abs(lam - want.top_eigenvalue) < 1e-12, (n, lam)
+        assert abs(lam - want) < 1e-12, (n, lam)
 
 
 def test_modified_ladder_quotient_edge_volumes():
-    fam = family("modified_ladder", k=0, nrem=1)
-    with pytest.raises(FamilyError):
-        fam.quotient_matrix(0)
-    # no rung joins the rails: no quotient, and Lanczos refuses the volume
-    assert fam.quotient_matrix(1) is None
-    with pytest.raises(spectral.SpectralError):
-        spectral.norm_sequence(fam, [1, 2, 3])
+    for nrem in (1, 4):
+        fam = family("modified_ladder", k=0, nrem=nrem)
+        with pytest.raises(FamilyError):
+            fam.quotient_matrix(nrem - 1)
+        # n = nrem: no rung joins the rails, two disjoint chains with the
+        # chain's norm
+        norm = spectral.norm_sequence(fam, [nrem, nrem + 2]).norms[0]
+        assert norm == pytest.approx(2 * math.cos(math.pi / (2 * nrem + 2)),
+                                     rel=1e-15)
 
 
-def test_norm_sequence_takes_the_quotient_path(monkeypatch):
+def test_norm_sequence_takes_the_quotient_path():
     calls = []
-    lanczos = spectral.top_eigenpair
-
-    def counting(mat, tol=1e-10, anchor=None):
-        calls.append("top_eigenpair")
-        return lanczos(mat, tol=tol, anchor=anchor)
-
-    monkeypatch.setattr(spectral, "top_eigenpair", counting)
     for name, params, ns in HOOKED:
         fam = family(name, **params)
         assemble = fam.matrix
@@ -163,11 +123,7 @@ def test_norm_sequence_takes_the_quotient_path(monkeypatch):
     ("chain", {}), ("lattice", {"d": 1}), ("lattice", {"d": 3}),
     ("lattice", {"d": 2, "boundary": "periodic"}),
     ("lattice", {"d": 4, "boundary": "periodic"})])
-def test_lattice_norms_are_the_closed_form(monkeypatch, name, params):
-    def lanczos(*args, **kwargs):
-        raise AssertionError("Lanczos called")
-
-    monkeypatch.setattr(spectral, "top_eigenpair", lanczos)
+def test_lattice_norms_are_the_closed_form(name, params):
     fam = family(name, **params)
     d = params.get("d", 1)
     periodic = params.get("boundary") == "periodic"
@@ -183,19 +139,17 @@ def test_lattice_norms_are_the_closed_form(monkeypatch, name, params):
             pytest.approx(top, abs=1e-12))
 
 
-def test_free_boundary_comb_norms_use_lanczos(monkeypatch):
-    calls = []
-    lanczos = spectral.top_eigenpair
-
-    def counting(mat, tol=1e-10, anchor=None):
-        calls.append(mat.shape[0])
-        return lanczos(mat, tol=tol, anchor=anchor)
-
-    monkeypatch.setattr(spectral, "top_eigenpair", counting)
-    fam = CombFamily(1, periodic=False)
-    assert fam.quotient_matrix(4) is None
-    spectral.norm_sequence(fam, [3, 4, 5])
-    assert calls == [fam.volume(n) for n in (3, 4, 5)]
+def test_free_boundary_comb_quotient_matches_lanczos(lanczos_top):
+    # the top fiber block, over the free base's top mode 2d cos(pi/(2n+2)),
+    # against Lanczos on the volume; n = 0 is one vertex with no edges
+    for d, ns in ((1, (1, 3, 6, 10)), (2, (1, 3, 6, 10)), (3, (1, 3, 6))):
+        fam = CombFamily(d, periodic=False)
+        assert fam.quotient_matrix(0)[0].tolist() == [0.0]
+        report = spectral.norm_sequence(fam, ns)
+        for n, norm in zip(ns, report.norms):
+            top = fam.quotient_matrix(n)[0][0]
+            assert top == 2 * d * math.cos(math.pi / (2 * n + 2))
+            assert abs(norm - lanczos_top(fam.matrix(n))) < 1e-12, (d, n)
 
 
 def _lapack_top(diag, offdiag):
@@ -224,9 +178,8 @@ def test_quotient_norm_matches_lapack_and_dense(name, params):
     fam = family(name, **params)
     nrem = params.get("nrem", 0)
     for n in sorted({2, 3, nrem, 10, 40, 400, 2000}):
-        rows = fam.quotient_matrix(n) if n >= nrem else None
-        if rows is not None:  # not the disconnected k = 0 ladder at nrem
-            _assert_quotient_top(*rows)
+        if n >= nrem:
+            _assert_quotient_top(*fam.quotient_matrix(n))
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 7, 100, 400, 4001])
@@ -307,10 +260,7 @@ def test_every_catalogue_quotient_is_a_short_head_and_a_constant_tail():
         fam = family(name, **params)
         nrem = params.get("nrem", 0)
         for n in sorted({nrem, nrem + 1, 5, 50, 2000}):
-            rows = fam.quotient_matrix(n)
-            if rows is None:
-                continue
-            diag, offdiag = rows
+            diag, offdiag = fam.quotient_matrix(n)
             tail = diag.size - 1  # the first row of the longest constant tail
             while tail and diag[tail - 1] == diag[-1] and (
                     offdiag[tail - 1] == offdiag[-1]):
@@ -327,8 +277,7 @@ def test_norm_sequence_makes_no_lapack_eigensolve(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refused)
     assert not hasattr(spectral, "eigh_tridiagonal")
     for name, params in QUOTIENT_CATALOG:
-        fam = family(name, **params)
-        if fam.quotient_matrix(5) is not None:
-            nrem = params.get("nrem", 0)
-            report = spectral.norm_sequence(fam, [nrem + 2, nrem + 40, 2000])
-            assert len(report.norms) == 3
+        nrem = params.get("nrem", 0)
+        report = spectral.norm_sequence(family(name, **params),
+                                        [nrem + 2, nrem + 40, 2000])
+        assert len(report.norms) == 3
