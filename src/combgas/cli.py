@@ -200,9 +200,9 @@ def cmd_build(args):
         doc = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
         raise InputError("bad JSON description: %s" % exc) from None
-    g, _blocks = build_from_description(doc)
+    g = build_from_description(doc)
     man = _manifest(args, "build", {"input": args.input or "inline"})
-    _emit(args, man, json.loads(g.to_json()))
+    _emit(args, man, g.to_doc())
     return EXIT_OK
 
 

@@ -134,8 +134,6 @@ class CombRunConfig:
 
     def mu_of(self, n):
         kind = self.mu_schedule[0]
-        if kind == "explicit":
-            return float(self.mu_schedule[1][n])
         if kind == "condensate_scaled":
             # mu_n = -1/(c (2n+1)^d): the ground state holds about
             # -1/(beta mu_n) = c (2n+1)^d / beta particles, so c/beta is its
@@ -319,21 +317,7 @@ def two_point_finite(cfg, n, xi, eta, eig=None, terms=None):
                              total, n, mu, eps, k0, kplus)
 
 
-def pf_overlap(d, fv):
-    """Overlap <v, fv> with the generalized PF vector v = u (x) w.
-
-    u is constant 1 on the backbone; w is R_Z(||A||) delta_0, normalized to
-    a unit fiber vector (||w_tilde||^2 = sqrt(d^2+1)/(4 d^3)).
-    """
-    lam = norm_limit(d)
-    acc = 0.0
-    for (jvec, j), amp in fv.entries.items():
-        acc += kernel_line(lam, j) * amp
-    return acc / math.sqrt(math.sqrt(d * d + 1.0) / (4.0 * d ** 3))
-
-
-def two_point_limit(cfg_or_d, beta=None, c=None, xi=None, eta=None,
-                    smooth_n=None):
+def two_point_limit(cfg, xi, eta, smooth_n=None):
     """Infinite-volume two-point function under the condensate scaling.
 
     The condensate term is (c/beta) <eta, v> <v, xi> with the generalized PF
@@ -343,14 +327,10 @@ def two_point_limit(cfg_or_d, beta=None, c=None, xi=None, eta=None,
     Only meaningful in the transient regime d >= 3; for d <= 2 the finite
     volume values diverge and this refuses with a divergence verdict.
     """
-    if isinstance(cfg_or_d, CombRunConfig):
-        cfg = cfg_or_d
-        d, beta = cfg.d, cfg.beta
-        if cfg.mu_schedule[0] != "condensate_scaled":
-            raise CombError("limit defined for the condensate scaling")
-        c = float(cfg.mu_schedule[1])
-    else:
-        d = cfg_or_d
+    d, beta = cfg.d, cfg.beta
+    if cfg.mu_schedule[0] != "condensate_scaled":
+        raise CombError("limit defined for the condensate scaling")
+    c = float(cfg.mu_schedule[1])
     if d <= 2:
         raise CombError(
             "divergent: no locally normal limit state for d <= 2")

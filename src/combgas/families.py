@@ -1,11 +1,11 @@
 """Exhaustion families: a rule n -> finite volume, with metadata.
 
 A family provides sparse adjacency matrices (weighted where the construction
-uses multiple parallel links), optional Graph objects, exact Folner ratios,
-and the symmetric tridiagonal blocks its symmetry splits a volume into, from
-which its spectrum and norm come.  The catalog families mirror the perturbed
-infinite graphs whose norms have closed forms; their truncations are used for
-exhaustion cross-checks.
+uses multiple parallel links), exact Folner ratios, and the symmetric
+tridiagonal blocks its symmetry splits a volume into, from which its spectrum
+and norm come.  The catalog families mirror the perturbed infinite graphs
+whose norms have closed forms; their truncations are used for exhaustion
+cross-checks.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from . import DomainError, NumericFailure, graphs
+from . import DomainError, NumericFailure
 
 
 class FamilyError(DomainError):
@@ -55,9 +55,6 @@ class GraphFamily:
 
     def matrix(self, n):
         raise NotImplementedError
-
-    def graph(self, n):
-        raise FamilyError("%s has no simple-graph form" % self.name)
 
     def folner(self, n):
         raise FamilyError("%s has no Folner formula" % self.name)
@@ -97,28 +94,6 @@ class GraphFamily:
         return vals, np.full(vals.size, 1.0 / vals.size)
 
 
-class ChainFamily(GraphFamily):
-    name = "chain"
-
-    def volume(self, n):
-        return 2 * n + 1
-
-    def graph(self, n):
-        return graphs.build_chain(n)
-
-    def matrix(self, n):
-        return LatticeFamily(1).matrix(n)
-
-    def folner(self, n):
-        return Fraction(2, 2 * n + 1)
-
-    def spectrum(self, n):
-        return LatticeFamily(1).spectrum(n)
-
-    def quotient_matrix(self, n):
-        return LatticeFamily(1).quotient_matrix(n)
-
-
 class LatticeFamily(GraphFamily):
     def __init__(self, d, boundary="free"):
         self.d = d
@@ -128,12 +103,10 @@ class LatticeFamily(GraphFamily):
     def volume(self, n):
         return (2 * n + 1) ** self.d
 
-    def graph(self, n):
-        return graphs.build_lattice_box(self.d, n, self.boundary)
-
     def matrix(self, n):
         """Kronecker sum of d copies of the path [-n, n] (free boundary) or
-        of the cycle Z_{2n+1} (periodic), in the vertex order of `graph`."""
+        of the cycle Z_{2n+1} (periodic), vertices (j_1, ..., j_d) in
+        row-major order."""
         side = 2 * n + 1
         one = sparse.diags(np.ones(side - 1), 1, shape=(side, side))
         if self.boundary == "periodic" and side > 1:
@@ -556,22 +529,14 @@ class CombFamily(GraphFamily):
     def volume(self, n):
         return (2 * n + 1) ** (self.d + 1)
 
-    def base_matrix(self, n):
-        fam = LatticeFamily(self.d, "periodic" if self.periodic else "free")
-        return fam.matrix(n)
-
     def matrix(self, n):
         size = 2 * n + 1
-        ax = self.base_matrix(n)
-        ay = ChainFamily().matrix(n)
+        ax = LatticeFamily(self.d,
+                           "periodic" if self.periodic else "free").matrix(n)
+        ay = LatticeFamily(1).matrix(n)
         p0 = sparse.csr_matrix(([1.0], ([n], [n])), shape=(size, size))
         eye = sparse.identity(size ** self.d, format="csr")
         return (sparse.kron(eye, ay) + sparse.kron(ax, p0)).tocsr()
-
-    def graph(self, n):
-        base = graphs.build_lattice_box(
-            self.d, n, "periodic" if self.periodic else "free")
-        return graphs.comb_product(base, graphs.build_chain(n), (0,))
 
     def folner(self, n):
         side = 2 * n + 1
@@ -640,20 +605,19 @@ class FiberUnionFamily(GraphFamily):
     def matrix(self, n):
         size = 2 * n + 1
         eye = sparse.identity(size ** self.d, format="csr")
-        return sparse.kron(eye, ChainFamily().matrix(n)).tocsr()
+        return sparse.kron(eye, LatticeFamily(1).matrix(n)).tocsr()
 
     def folner(self, n):
         side = 2 * n + 1
         return Fraction(2 * side ** self.d, side ** (self.d + 1))
 
     def spectrum(self, n):
-        vals, w = ChainFamily().spectrum(n)
-        return vals, w  # per-site measure identical to a single chain
+        return LatticeFamily(1).spectrum(n)  # the chain's per-site measure
 
     def quotient_matrix(self, n):
         """The chain's quotient: the volume is disjoint copies of the
         chain, so its norm is the chain's."""
-        return ChainFamily().quotient_matrix(n)
+        return LatticeFamily(1).quotient_matrix(n)
 
 
 # ---------------------------------------------------------------------------
@@ -665,13 +629,6 @@ class NailChainFamily(GraphFamily):
 
     def volume(self, n):
         return 2 * n + 2
-
-    def graph(self, n):
-        g = graphs.build_chain(n)
-        nail = graphs.from_edges([(0, 1)], [])
-        g2, _ = graphs.apply_perturbation(
-            g, graphs.Perturbation(attached=(((nail, (((0, 1), (0,)),))),)))
-        return g2
 
     def matrix(self, n):
         size = 2 * n + 2  # chain ids 0..2n, nail id 2n+1
@@ -774,11 +731,12 @@ class StarBoxFamily(GraphFamily, BoxChainMixin):
 def _polygon_blocks(p, rows, link=1.0):
     """Blocks of p strands of `rows` levels whose level-0 vertices form a
     p-gon: each rotation q = 0..p-1 adds 2cos(2 pi q/p) on level 0, and
-    q = 0 is the quotient."""
-    for q in range(p):
+    q = 0 is the quotient.  Rotations q and p - q give the same block, so
+    q runs over 0..p/2, counted twice for 0 < 2q < p."""
+    for q in range(p // 2 + 1):
         diag, offdiag = _levels(rows, 2.0 * math.cos(2.0 * math.pi * q / p),
                                 link=link)
-        yield diag, offdiag, 1
+        yield diag, offdiag, 2 if 0 < 2 * q < p else 1
 
 
 class PolygonalStarFamily(GraphFamily):
@@ -939,7 +897,7 @@ _CATALOG = {
     "ladder": lambda p: LadderFamily(),
     "modified_ladder": lambda p: ModifiedLadderFamily(p["k"], p.get("nrem", 0)),
     "comb": lambda p: CombFamily(p["d"], p.get("periodic", True)),
-    "chain": lambda p: ChainFamily(),
+    "chain": lambda p: LatticeFamily(1),
     "lattice": lambda p: LatticeFamily(p["d"], p.get("boundary", "free")),
     "fiber_union": lambda p: FiberUnionFamily(p["d"]),
 }

@@ -43,10 +43,6 @@ class Graph:
     def vertex_count(self):
         return len(self.labels)
 
-    @property
-    def edge_count(self):
-        return sum(len(a) for a in self.adjacency) // 2
-
     def id_of(self, label):
         try:
             return self._index[tuple(label)]
@@ -55,12 +51,6 @@ class Graph:
 
     def has_vertex(self, label):
         return tuple(label) in self._index
-
-    def degree(self, v):
-        return len(self.adjacency[v])
-
-    def has_edge(self, u, v):
-        return v in self.adjacency[u]
 
     def edges(self):
         for u, nbrs in enumerate(self.adjacency):
@@ -77,11 +67,13 @@ class Graph:
         data = np.ones(len(rows))
         return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
 
-    def to_json(self):
-        return json.dumps({
+    def to_doc(self):
+        """The JSON-ready description {labels, edges} that `graph_from_doc`
+        reads back."""
+        return {
             "labels": [list(l) for l in self.labels],
             "edges": [[u, v] for u, v in self.edges()],
-        })
+        }
 
 
 def from_edges(labels, edge_labels, max_degree=MAX_DEGREE):
@@ -110,8 +102,9 @@ def from_edges(labels, edge_labels, max_degree=MAX_DEGREE):
     return Graph(labels, tuple(tuple(sorted(n)) for n in adj))
 
 
-def graph_from_json(text):
-    doc = json.loads(text)
+def graph_from_doc(doc):
+    """A Graph from a parsed {labels, edges} description (`Graph.to_doc`),
+    edges given as pairs of vertex ids."""
     labels = [_label(lab) for lab in _list(_field(doc, "labels"))]
     edges = [_list(edge, 2) for edge in _list(_field(doc, "edges"))]
     if not all(type(i) is int and 0 <= i < len(labels)
@@ -202,40 +195,14 @@ class Perturbation:
             raise GraphBuildError("added and removed edge sets must be disjoint")
 
 
-@dataclass(frozen=True)
-class PerturbationBlocks:
-    """The (D, C, B) data of a perturbed adjacency in block form.
-
-    support: base labels spanning the ranges of D and C;
-    d_block: symmetric matrix on support with +-1 entries for edge edits;
-    c_block: 0/1 matrix, rows = support, columns = vertices of b_graph.
-    """
-
-    support: tuple
-    d_block: np.ndarray
-    c_block: np.ndarray
-    b_graph: Graph
-
-
 def apply_perturbation(g, p):
-    """Apply edge edits and attachments; return (new graph, blocks)."""
+    """Apply edge edits and attachments; return the new graph."""
     edges = {tuple(sorted(e)) for e in g.edges()}
-    support = []
-    support_ix = {}
-
-    def sup(label):
-        if label not in support_ix:
-            support_ix[label] = len(support)
-            support.append(label)
-        return support_ix[label]
-
-    d_entries = []
     for a, b in p.removed_edges:
-        u, v = g.id_of(a), g.id_of(b)
-        if tuple(sorted((u, v))) not in edges:
+        e = tuple(sorted((g.id_of(a), g.id_of(b))))
+        if e not in edges:
             raise GraphBuildError("edge to remove not present: %r-%r" % (a, b))
-        edges.discard(tuple(sorted((u, v))))
-        d_entries.append((sup(tuple(a)), sup(tuple(b)), -1.0))
+        edges.discard(e)
     for a, b in p.added_edges:
         u, v = g.id_of(a), g.id_of(b)
         if tuple(sorted((u, v))) in edges:
@@ -243,18 +210,15 @@ def apply_perturbation(g, p):
         if u == v:
             raise GraphBuildError("self-loop at %r" % (a,))
         edges.add(tuple(sorted((u, v))))
-        d_entries.append((sup(tuple(a)), sup(tuple(b)), 1.0))
 
     new_labels = list(g.labels)
+    taken = set(new_labels)
     new_edges = [(g.labels[u], g.labels[v]) for u, v in edges]
-    b_labels = []
-    c_entries = []
     for bg, links in p.attached:
-        offset = len(b_labels)
         for lab in bg.labels:
-            if lab in g._index or lab in set(b_labels):
+            if lab in taken:
                 raise GraphBuildError("attached label %r clashes" % (lab,))
-            b_labels.append(lab)
+            taken.add(lab)
             new_labels.append(lab)
         for u, v in bg.edges():
             new_edges.append((bg.labels[u], bg.labels[v]))
@@ -264,28 +228,8 @@ def apply_perturbation(g, p):
                 raise GraphBuildError("dangling attachment vertex %r" % (alab,))
             if not g.has_vertex(blab):
                 raise GraphBuildError("unknown base vertex %r" % (blab,))
-            c_entries.append((sup(blab), offset + bg.id_of(alab)))
             new_edges.append((alab, blab))
-
-    m = len(support)
-    d_block = np.zeros((m, m))
-    for i, j, val in d_entries:
-        d_block[i, j] += val
-        d_block[j, i] += val
-    c_block = np.zeros((m, len(b_labels)))
-    for i, j in c_entries:
-        c_block[i, j] = 1.0
-    b_graph = from_edges(b_labels, []) if not p.attached else _induced(
-        b_labels, new_edges)
-    blocks = PerturbationBlocks(tuple(support), d_block, c_block, b_graph)
-    return from_edges(new_labels, new_edges), blocks
-
-
-def _induced(labels, edge_labels):
-    labset = set(labels)
-    edges = [(a, b) for a, b in edge_labels
-             if tuple(a) in labset and tuple(b) in labset]
-    return from_edges(labels, edges)
+    return from_edges(new_labels, new_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -333,20 +277,18 @@ _BUILDERS = {
 
 
 def build_from_description(doc):
-    """Build a graph from a JSON description {builder, params, perturbation}."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+    """Build a graph from a parsed JSON description {builder, params,
+    perturbation}."""
     name = _field(doc, "builder", None)
     if name == "comb":
         params = _field(doc, "params")
-        base = build_from_description(_field(params, "base"))[0]
-        fiber = build_from_description(_field(params, "fiber"))[0]
+        base = build_from_description(_field(params, "base"))
+        fiber = build_from_description(_field(params, "fiber"))
         g = comb_product(base, fiber, _label(_field(params, "root")))
     elif name in _BUILDERS:
         g = _BUILDERS[name](_field(doc, "params", {}))
     else:
         raise GraphBuildError("unknown builder %r" % (name,))
-    blocks = None
     records = _list(_field(doc, "perturbation", []))
     if records:
         removed, added, attached = [], [], []
@@ -357,12 +299,12 @@ def build_from_description(doc):
                 edges.append((_label(_field(rec, "u")),
                               _label(_field(rec, "v"))))
             elif op == "attach":
-                bg = graph_from_json(json.dumps(_field(rec, "graph")))
+                bg = graph_from_doc(_field(rec, "graph"))
                 links = [(_label(a), _label(b)) for a, b in
                          (_list(ab, 2) for ab in _list(_field(rec, "links")))]
                 attached.append((bg, links))
             else:
                 raise GraphBuildError("unknown perturbation op %r" % (op,))
-        g, blocks = apply_perturbation(g, Perturbation(
+        g = apply_perturbation(g, Perturbation(
             tuple(removed), tuple(added), tuple(attached)))
-    return g, blocks
+    return g

@@ -95,7 +95,7 @@ def finite_chain_resolvent_matrix(lam, n):
     return out
 
 
-def perturbed_resolvent_apply(system, lam, v, base_solve=None):
+def perturbed_resolvent_apply(system, lam, v):
     """Apply R_{A_p}(lam) to v = (x on base, y on attached) in block form.
 
     `system` carries (D, C, B) on a finite support together with a base
@@ -108,8 +108,7 @@ def perturbed_resolvent_apply(system, lam, v, base_solve=None):
     nb = system.b_dim
     v = np.asarray(v, dtype=float)
     x, y = v[: v.size - nb], v[v.size - nb:]
-    if base_solve is None:
-        base_solve = system.base_solve
+    base_solve = system.base_solve
     rb = system.rb(lam)
     sup = np.asarray(system.support_indices, dtype=int)
     rax = base_solve(lam, x)

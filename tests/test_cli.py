@@ -67,6 +67,25 @@ def test_build_inline_and_bad_input(capsys):
     assert code == 1
 
 
+def test_build_perturbed_chain_edges(capsys):
+    doc = {"builder": "chain", "params": {"n": 3}, "perturbation": [
+        {"op": "add_edge", "u": [-1], "v": [1]},
+        {"op": "remove_edge", "u": [1], "v": [2]},
+        {"op": "attach", "graph": {"labels": [[100], [101]],
+                                   "edges": [[0, 1]]},
+         "links": [[[100], [0]]]}]}
+    code, out = run_json(capsys, "build", "--inline", json.dumps(doc))
+    assert code == 0
+    labels = [lab for (lab,) in out["result"]["labels"]]
+    assert labels == [-3, -2, -1, 0, 1, 2, 3, 100, 101]
+    edges = {frozenset((labels[u], labels[v]))
+             for u, v in out["result"]["edges"]}
+    assert len(edges) == len(out["result"]["edges"])
+    assert edges == {frozenset(e) for e in (
+        (-3, -2), (-2, -1), (-1, 0), (0, 1), (2, 3), (-1, 1), (0, 100),
+        (100, 101))}
+
+
 def test_unknown_family_exit_code(capsys):
     code, _ = run_cli(capsys, "norm", "--family", "catalog:bogus")
     assert code == 1
@@ -252,6 +271,10 @@ EXIT_CODES = [
       "0,0"), 1, "input error: comb volumes need n >= 1"),
     (BEC[:-1] + ("0:2", "--xi", "0,0,0,0"), 1,
      "input error: comb volumes need n >= 1"),
+    (("build", "--inline", '{"builder": "chain", "params": {"n": 1}, '
+      '"perturbation": [{"op": "attach", "graph": {"labels": [[7], [8]], '
+      '"edges": [[0, 2]]}, "links": []}]}'), 1,
+     "input error: edges must join vertex ids 0..1"),
 ]
 
 
@@ -358,9 +381,9 @@ def test_bec_divergence_verdict(capsys):
 
 
 def test_bec_and_transience_leave_scipy_integrate_unimported():
-    # the Green integrals use no adaptive quadrature, and spectra and norms
-    # no sparse eigensolver or graph search, so a fresh process never pays
-    # for importing them
+    # the Green integrals use no adaptive quadrature, spectra and norms no
+    # sparse eigensolver or graph search, and only `build` makes a Graph, so
+    # a fresh process never pays for importing them
     script = (
         "import sys\n"
         "from combgas.cli import main\n"
@@ -375,7 +398,8 @@ def test_bec_and_transience_leave_scipy_integrate_unimported():
         "              '--n', '5', '--beta', '1', '--mu', '-0.1']):\n"
         "    assert main(argv + ['--out', '/dev/null']) == 0, argv\n"
         "print([m for m in sys.modules if m.startswith(('scipy.integrate',\n"
-        "       'scipy.sparse.linalg', 'scipy.sparse.csgraph'))])\n")
+        "       'scipy.sparse.linalg', 'scipy.sparse.csgraph',\n"
+        "       'combgas.graphs'))])\n")
     src = str(Path(combgas.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,

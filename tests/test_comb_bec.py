@@ -8,7 +8,7 @@ from combgas.comb_bec import (CombRunConfig, FockVector, block_matrix_element,
                               bounded_correction, condensate_coefficient,
                               density_finite,
                               density_limit, eps_n, fixed_density_mu,
-                              lattice_coeffs, norm_limit, pf_overlap,
+                              lattice_coeffs, norm_limit,
                               pf_projection_term, q_limit, sweep_csv,
                               sweep_rows, torus_green, two_point_finite,
                               two_point_limit)
@@ -199,7 +199,8 @@ def test_block_matrix_element_exact():
 @pytest.mark.parametrize("d,n,mu,beta", [(1, 3, -0.2, 1.0), (2, 2, -0.33, 0.7)])
 def test_two_point_decomposition_identity(d, n, mu, beta):
     # tensor-decomposition total equals the dense evaluation to 1e-8
-    cfg = CombRunConfig(d=d, beta=beta, mu_schedule=("explicit", {n: mu}))
+    cfg = CombRunConfig(d=d, beta=beta, mu_schedule=(
+        "condensate_scaled", -1.0 / (mu * (2 * n + 1) ** d)))
     xi = FockVector.delta((0,) * d, 0)
     eta = FockVector.delta((1,) + (0,) * (d - 1), min(2, n))
     bd = two_point_finite(cfg, n, xi, eta)
@@ -210,25 +211,14 @@ def test_two_point_decomposition_identity(d, n, mu, beta):
 
 
 def test_two_point_breakdown_diagonal():
-    cfg = CombRunConfig(d=1, beta=1.0, mu_schedule=("explicit", {3: -0.2}))
+    cfg = CombRunConfig(d=1, beta=1.0,
+                        mu_schedule=("condensate_scaled", 1.0 / (0.2 * 7)))
     xi = FockVector.delta((0,), 0)
     bd = two_point_finite(cfg, 3, xi, xi)
     want = dense_two_point(1, 3, 1.0, -0.2, xi, xi)
     assert bd.total == pytest.approx(want, abs=1e-10)
     assert bd.line_term > 0
     assert bd.condensate_term > 0
-
-
-def test_pf_overlap_normalization():
-    d = 3
-    wnorm2 = math.sqrt(d * d + 1.0) / (4.0 * d ** 3)
-    xi = FockVector.delta((0, 0, 0), 0)
-    from combgas.resolvent import kernel_line
-    want = kernel_line(norm_limit(d), 0) / math.sqrt(wnorm2)
-    assert pf_overlap(d, xi) == pytest.approx(want, rel=1e-12)
-    # normalized overlap squared for the origin vector: d/sqrt(d^2+1)
-    assert pf_overlap(d, xi) ** 2 == pytest.approx(d / math.sqrt(d * d + 1),
-                                                   rel=1e-12)
 
 
 def test_two_point_limit_refuses_low_dimension():

@@ -6,11 +6,11 @@ from scipy import special
 
 from combgas import NumericFailure, thermo
 from combgas import comb_bec as cb
-from combgas.families import ChainFamily, CombFamily, family
+from combgas.families import CombFamily, LatticeFamily, family
 
 
 def test_ids_finite_chain_continuous_at_zero():
-    measure = thermo.ids_from_spectrum(*ChainFamily().spectrum(60), 2.0)
+    measure = thermo.ids_from_spectrum(*LatticeFamily(1).spectrum(60), 2.0)
     points, weights = measure.points, measure.weights
     # arcsine-type measure: no atom at the bottom
     assert weights[points <= 0.0].sum() < 0.02
