@@ -81,49 +81,71 @@ def _manifest(args, command, extra=None):
     return man
 
 
-def _json(obj, pad=""):
+def _json(obj, end=""):
     """`obj` as json.dumps(obj, sort_keys=True, indent=2, allow_nan=True)
-    writes it at indent `pad`, with 1-D float64 arrays written as lists.
+    writes it, then `end`, with 1-D float64 arrays written as lists.
 
     Containers are laid out here, array entries come from
     `floattext.join`, and scalars are written as the json encoder writes
     them: strings by its ASCII escaper, floats by float.__repr__ with NaN
-    and Infinity, ints by int.__repr__.
+    and Infinity, ints by int.__repr__.  The pieces go to one list, joined
+    once.
     """
-    child = pad + "  "
+    out = []
+    _json_pieces(obj, "", out)
+    out.append(end)
+    return "".join(out)
+
+
+def _json_pieces(obj, pad, out):
+    """Append the pieces of `obj` at indent `pad` to the list `out`."""
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return floattext.one(obj, "json")
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, np.ndarray):
-        end = ",\n" + child
-        text = floattext.join([obj], "json", end=end)
-        if not text:
-            return "[]"
-        return "[\n%s%s\n%s]" % (child, text[:-len(end)], pad)
-    if isinstance(obj, dict):
-        items, brackets = [], "{}"
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, float):
+        out.append(floattext.one(obj, "json"))
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, np.ndarray):
+        child = pad + "  "
+        # every entry but the last ends in the separator: no text is cut
+        head = floattext.join([obj[:-1]], "json", end=",\n" + child)
+        if obj.size:
+            out += ["[\n" + child, head, floattext.one(float(obj[-1]), "json"),
+                    "\n" + pad + "]"]
+        else:
+            out.append("[]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        child = pad + "  "
+        sep = "{\n" + child
         for key, value in sorted(obj.items()):
             if not isinstance(key, str):
                 raise TypeError("JSON keys must be str, not %s"
                                 % type(key).__name__)
-            items.append(encode_basestring_ascii(key) + ": "
-                         + _json(value, child))
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_pieces(value, child, out)
+            sep = ",\n" + child
+        out.append("\n" + pad + "}")
     elif isinstance(obj, (list, tuple)):
-        items, brackets = [_json(value, child) for value in obj], "[]"
+        if not obj:
+            out.append("[]")
+            return
+        child = pad + "  "
+        sep = "[\n" + child
+        for value in obj:
+            out.append(sep)
+            _json_pieces(value, child, out)
+            sep = ",\n" + child
+        out.append("\n" + pad + "]")
     else:
         raise TypeError("Object of type %s is not JSON serializable"
                         % type(obj).__name__)
-    if not items:
-        return brackets
-    return "%s\n%s%s\n%s%s" % (brackets[0], child, (",\n" + child).join(items),
-                               pad, brackets[1])
 
 
 def _emit(args, manifest, result, csv_text=None):
@@ -133,7 +155,7 @@ def _emit(args, manifest, result, csv_text=None):
         text = "# manifest: %s\n%s" % (
             json.dumps(manifest, sort_keys=True), csv_text)
     else:
-        text = _json({"manifest": manifest, "result": result}) + "\n"
+        text = _json({"manifest": manifest, "result": result}, "\n")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

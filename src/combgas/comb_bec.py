@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from . import DomainError, thermo
 from .families import CombFamily, CombVolume, block_measure, fiber_eigen
@@ -94,6 +93,8 @@ def q_limit(d, delta):
     if d == 1:
         # the Fejer integral of (1 - cos(mt))/(1 - cos t) is |m|
         return -float(delta[0])
+
+    from scipy import special
 
     def integrand(t):
         i0 = special.i0e(t)

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from . import DomainError, NumericFailure
 
@@ -26,6 +25,8 @@ class FamilyError(DomainError):
 
 
 def _csr(nvert, weighted_edges):
+    from scipy import sparse
+
     rows, cols, data = [], [], []
     for u, v, w in weighted_edges:
         rows += [u, v]
@@ -107,6 +108,8 @@ class LatticeFamily(GraphFamily):
         """Kronecker sum of d copies of the path [-n, n] (free boundary) or
         of the cycle Z_{2n+1} (periodic), vertices (j_1, ..., j_d) in
         row-major order."""
+        from scipy import sparse
+
         side = 2 * n + 1
         one = sparse.diags(np.ones(side - 1), 1, shape=(side, side))
         if self.boundary == "periodic" and side > 1:
@@ -530,6 +533,8 @@ class CombFamily(GraphFamily):
         return (2 * n + 1) ** (self.d + 1)
 
     def matrix(self, n):
+        from scipy import sparse
+
         size = 2 * n + 1
         ax = LatticeFamily(self.d,
                            "periodic" if self.periodic else "free").matrix(n)
@@ -603,6 +608,8 @@ class FiberUnionFamily(GraphFamily):
         return (2 * n + 1) ** (self.d + 1)
 
     def matrix(self, n):
+        from scipy import sparse
+
         size = 2 * n + 1
         eye = sparse.identity(size ** self.d, format="csr")
         return sparse.kron(eye, LatticeFamily(1).matrix(n)).tocsr()
@@ -803,11 +810,17 @@ def _rail_blocks(n, k, nrem):
     rungs at |j| > nrem.  The rail swap turns the rungs into +- their
     weights on the diagonal of one chain, and the reflection j -> -j splits
     each sign into the even levels |j| = 0..n (sqrt(2) on the first link)
-    and the odd levels |j| = 1..n.  The + even block is the quotient."""
+    and the odd levels |j| = 1..n.  The + even block is the quotient.
+    With nrem >= n no rung reaches an odd level, and the two odd blocks are
+    one zero-diagonal path, taken twice."""
     for sign in (1.0, -1.0):
         diag, offdiag = _levels(n + 1, sign * k, (math.sqrt(2.0),))
         diag[nrem + 1:] = sign
         yield diag, offdiag, 1
+    if nrem >= n:
+        yield (*_levels(n), 2)
+        return
+    for sign in (1.0, -1.0):
         diag, offdiag = _levels(n)
         diag[nrem:] = sign
         yield diag, offdiag, 1

@@ -192,7 +192,7 @@ def one(value, fmt):
 def _texts(values, fmt, tail):
     """Text rows (len(values), _WIDTH + len(tail)) of a 1-D float64 array:
     each text NUL-padded to _WIDTH, then the bytes `tail`.  Fastest when
-    sorted by bit pattern, as `np.unique` of its int64 view gives them."""
+    sorted by bit pattern, as `join` gives them."""
     out = np.empty((values.size, _WIDTH + len(tail)), dtype=np.uint8)
     out[:, _WIDTH:] = np.frombuffer(tail, dtype=np.uint8)
     a = np.abs(values)
@@ -222,18 +222,25 @@ def join(columns, fmt, end="\n"):
     joined by ",", every row followed by `end`.
 
     Each distinct value of a column is written once (`_texts`), with the
-    separator after it.  The rows are gathered from those texts, 4096 at a
-    time, and one pass over each block drops the NUL padding.
+    separator after it: the column's bit patterns are sorted, each that
+    differs from its predecessor is kept, and `searchsorted` finds every
+    row's text among them (cheaper than `np.unique`'s argsort when a
+    column has few values).  The rows are gathered from those texts, 4096
+    at a time, and one pass over each block drops the NUL padding.
     """
     columns = [_column(col) for col in columns]
     texts, inverses = [], []
     for i, col in enumerate(columns):
         if col.size != columns[0].size:
             raise ValueError("columns differ in length")
-        keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        bits = col.view(np.int64)
+        keys = np.sort(bits)
+        new = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        keys = keys[new]
         tail = ("," if i + 1 < len(columns) else end).encode("ascii")
         texts.append(_texts(keys.view(np.float64), fmt, tail))
-        inverses.append(inverse)
+        inverses.append(np.searchsorted(keys, bits))
     blocks = []
     for start in range(0, columns[0].size, _CHUNK):
         rows = np.concatenate([text[inverse[start:start + _CHUNK]]

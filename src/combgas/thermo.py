@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import DomainError, NumericFailure
 from .spectral import extrapolate
@@ -147,48 +146,63 @@ def critical_density_shifted(beta, norm_gap):
     return bose_density_arcsine(beta, -norm_gap, shift=2.0)
 
 
+def _occupations(x):
+    """Bose occupations 1/(e^x - 1) of the array x > 0; 0 where x >= 700,
+    whose occupation is below 1e-304."""
+    out = np.zeros_like(x)
+    small = x < 700
+    out[small] = 1.0 / np.expm1(x[small])
+    return out
+
+
 def finite_volume_density(vals, weights, shift, beta, mu):
     """Per-site Bose density from an adjacency spectrum: H = shift - A."""
     h = shift - np.asarray(vals, dtype=float)
     gap = float(h.min()) - mu
     if gap <= 0:
         raise ThermoError("mu not below the finite-volume bottom")
-    x = beta * (h - mu)
-    out = np.zeros_like(x)
-    small = x < 700
-    out[small] = 1.0 / np.expm1(x[small])
-    return float(np.sum(np.asarray(weights) * out))
+    return float(np.sum(np.asarray(weights) * _occupations(beta * (h - mu))))
 
 
-def solve_mu(vals, weights, shift, beta, rho, tol=1e-12, max_steps=200):
+def solve_mu(vals, weights, shift, beta, rho, tol=1e-12, max_steps=50):
     """Chemical potential with prescribed finite-volume density rho.
 
-    Bisection on the strictly increasing map mu -> rho(beta, mu) over
-    [h_min - 50/beta, h_min - tiny], where h_min is the finite-volume bottom.
+    With h_min the finite-volume bottom, g = h - h_min the level gaps and
+    t = h_min - mu, Newton's method solves phi(t) = log rho(t) - log rho
+    = 0, where rho(t) = sum w n with occupations n = 1/(e^(beta(g+t)) - 1)
+    and rho'(t) = -beta sum w n (n + 1).  Each term is log-convex in t, so
+    phi is convex and strictly decreasing: Newton started where phi >= 0
+    rises monotonically to the root and never overshoots.  It starts at
+    t_0 = log1p(w_0/rho)/beta, where the bottom level (weight w_0) alone
+    holds rho, and stops once a step is below tol * t.  Every rho from
+    about 1e-300 to 1e300 solves; a density sum that leaves the double
+    range, or reaching max_steps, raises NumericFailure.
     """
-    if rho <= 0:
-        raise ThermoError("rho must be positive")
-    h_min = float((shift - np.asarray(vals)).min())
-    lo = h_min - 50.0 / beta
-    hi = h_min - 1e-14
-    f_lo = finite_volume_density(vals, weights, shift, beta, lo) - rho
-    if f_lo > 0:
-        raise ThermoError("rho below reachable range at this beta")
-    a, b = lo, hi
+    if not 0 < rho < INF:
+        raise ThermoError("rho must be positive and finite")
+    if not beta > 0:
+        raise ThermoError("beta must be positive")
+    h = shift - np.asarray(vals, dtype=float)
+    bottom = int(np.argmin(h))
+    h_min = float(h[bottom])
+    gaps = h - h_min
+    weights = np.asarray(weights, dtype=float)
+    t = math.log1p(weights[bottom] / rho) / beta
     for _ in range(max_steps):
-        mid = 0.5 * (a + b)
-        try:
-            fm = finite_volume_density(vals, weights, shift, beta, mid) - rho
-        except ThermoError:
-            b = mid
-            continue
-        if fm < 0:
-            a = mid
-        else:
-            b = mid
-        if b - a < tol * max(1.0, abs(a)):
-            break
-    return 0.5 * (a + b)
+        n = _occupations(beta * (gaps + t))
+        rho_t = float(np.sum(weights * n))
+        if not 0 < rho_t < INF:
+            raise NumericFailure("density %r at mu = %r leaves the double "
+                                 "range" % (rho_t, h_min - t))
+        # -t rho'(t) = sum w n beta t (n + 1), which stays finite where
+        # rho'(t) overflows (n above 1e154)
+        slope = float(np.sum(weights * n * (beta * t * (n + 1.0))))
+        step = t * (math.log(rho_t) - math.log(rho)) * rho_t / slope
+        t += step
+        if abs(step) <= tol * t:
+            return h_min - t
+    raise NumericFailure("mu search took more than %d Newton steps"
+                         % max_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +260,8 @@ def green_lattice(d):
     """
     if d < 3:
         return INF
+    from scipy import special
+
     val, _ = log_trapezoid(lambda t: special.i0e(t) ** d, 90.0 / (d - 2))
     return float(val)
 
@@ -261,6 +277,8 @@ def green_lattice_eps(d, eps):
     eps = np.asarray(eps, dtype=float)
     if not np.all(eps > 0):
         raise ThermoError("eps must be positive")
+    from scipy import special
+
     val, _ = log_trapezoid(
         lambda t: np.exp(-eps[..., None] * t) * special.i0e(t) ** d,
         math.log(45.0 / eps.min()))

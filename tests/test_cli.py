@@ -109,18 +109,28 @@ def test_spectrum_csv_determinism(capsys, tmp_path):
     assert "eigenvalue,weight" in out1
 
 
-def test_density_and_mu_solve_round_trip(capsys):
+def _mu_solve_round_trip(capsys, rho):
+    """mu-solve at rho, then density at that mu: rho back to 1e-12."""
     code, doc = run_json(capsys, "mu-solve", "--family", "comb",
                          "--param", "d=1", "--n", "8", "--beta", "1",
-                         "--rho", "0.25")
+                         "--rho", rho)
     assert code == 0
     mu = doc["result"]["mu"]
     code, doc2 = run_json(capsys, "density", "--family", "comb",
                           "--param", "d=1", "--n", "8", "--beta", "1",
-                          "--mu", str(mu), "--shift",
-                          str(doc["result"]["shift"]))
+                          "--mu", repr(mu), "--shift",
+                          repr(doc["result"]["shift"]))
     assert code == 0
-    assert doc2["result"]["density"] == pytest.approx(0.25, rel=1e-6)
+    assert doc2["result"]["density"] == pytest.approx(float(rho), rel=1e-12)
+
+
+def test_density_and_mu_solve_round_trip(capsys):
+    _mu_solve_round_trip(capsys, "0.25")
+
+
+def test_mu_solve_reaches_a_tiny_density(capsys):
+    # every rho > 0 solves: mu lies 55.6/beta below the bottom here
+    _mu_solve_round_trip(capsys, "1e-25")
 
 
 @pytest.mark.parametrize("cmd,flag,beta,value", [
@@ -400,6 +410,29 @@ def test_bec_and_transience_leave_scipy_integrate_unimported():
         "print([m for m in sys.modules if m.startswith(('scipy.integrate',\n"
         "       'scipy.sparse.linalg', 'scipy.sparse.csgraph',\n"
         "       'combgas.graphs'))])\n")
+    src = str(Path(combgas.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
+
+
+def test_comb_and_lattice_commands_import_no_scipy():
+    # comb and lattice spectra are closed form or fiber blocks, their
+    # densities and mu numpy sums, and a bec sweep without --limit needs no
+    # Bessel integral: scipy is imported only where it is called
+    script = (
+        "import sys\n"
+        "from combgas.cli import main\n"
+        "for fam, d in (('comb', 1), ('comb', 3), ('lattice', 2)):\n"
+        "    base = ['--family', fam, '--param', 'd=%d' % d, '--n', '3']\n"
+        "    for argv in (['spectrum'], ['ids', '--format', 'csv'],\n"
+        "                 ['density', '--beta', '1', '--mu', '-0.1'],\n"
+        "                 ['mu-solve', '--beta', '2', '--rho', '0.5']):\n"
+        "        assert main(argv + base + ['--out', '/dev/null']) == 0\n"
+        "assert main(['bec', '--d', '3', '--beta', '1', '--c', '1', '--n',\n"
+        "             '2:4:2', '--xi', '0,0,0,0', '--out', '/dev/null']) == 0\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
     src = str(Path(combgas.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,

@@ -90,6 +90,60 @@ def test_solve_mu_round_trip():
     assert back == pytest.approx(rho, rel=1e-8)
 
 
+MU_CASES = [
+    ("comb", {"d": 1}, 10, 1.0, 0.5, None),
+    ("comb", {"d": 2}, 4, 0.5, 2.0, None),
+    # above the critical density: mu = -4.2e-5 sits against the bottom
+    ("comb", {"d": 3}, 3, 1.0, 10.0, None),
+    ("comb", {"d": 3}, 3, 2.0, 0.3, cb.norm_limit(3)),
+    ("lattice", {"d": 2}, 5, 2.0, 0.25, None),
+    ("lattice", {"d": 3}, 3, 1.0, 5.0, None),
+]
+
+
+@pytest.mark.parametrize("name,params,n,beta,rho,shift", MU_CASES,
+                         ids=["comb-d1", "comb-d2", "comb-d3-condensed",
+                              "comb-d3-limit-shift", "lattice-d2",
+                              "lattice-d3"])
+def test_solve_mu_matches_a_40_digit_root(monkeypatch, name, params, n, beta,
+                                          rho, shift):
+    # Newton at the CLI's tolerance is right to full relative accuracy, in
+    # at most 12 density sums, each one pass of the occupation helper
+    mpmath = pytest.importorskip("mpmath")
+    vals, w = family(name, **params).spectrum(n)
+    shift = float(vals.max()) if shift is None else shift
+    passes = []
+    occupations = thermo._occupations
+    monkeypatch.setattr(thermo, "_occupations",
+                        lambda x: passes.append(x.size) or occupations(x))
+    mu = thermo.solve_mu(vals, w, shift, beta, rho, tol=1e-10)
+    assert 1 <= len(passes) <= 12
+    with mpmath.workdps(40):
+        levels = [(mpmath.mpf(shift) - mpmath.mpf(v), mpmath.mpf(wi))
+                  for v, wi in zip(vals.tolist(), w.tolist())]
+
+        def excess(m):
+            return mpmath.fsum(wi / mpmath.expm1(beta * (h - m))
+                               for h, wi in levels) - rho
+
+        root = mpmath.findroot(excess, (mu, mu * (1 + 1e-9)))
+        assert abs(mu - root) <= 1e-13 * abs(root)
+    if rho == 10.0:
+        assert abs(mu) < 1e-4
+
+
+def test_solve_mu_refusals():
+    vals, w = CombFamily(1).spectrum(8)
+    shift = float(vals.max())
+    with pytest.raises(NumericFailure):
+        thermo.solve_mu(vals, w, shift, 1.0, 0.25, max_steps=1)
+    for rho in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(thermo.ThermoError):
+            thermo.solve_mu(vals, w, shift, 1.0, rho)
+    with pytest.raises(thermo.ThermoError):
+        thermo.solve_mu(vals, w, shift, 0.0, 0.25)
+
+
 WATSON = (math.sqrt(6.0) / (32.0 * math.pi ** 3) * math.gamma(1 / 24)
           * math.gamma(5 / 24) * math.gamma(7 / 24) * math.gamma(11 / 24))
 EPS = 10.0 ** -np.arange(1, 9)  # the regularizers of `transience`
