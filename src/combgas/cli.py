@@ -73,9 +73,10 @@ def _manifest(args, command, extra=None):
     man = {
         "command": command,
         "version": __version__,
-        "tol": args.tol,
         "params": _parse_params(getattr(args, "param", None)),
     }
+    if "tol" in vars(args):  # only the commands that read it take --tol
+        man["tol"] = args.tol
     if extra:
         man.update(extra)
     return man
@@ -230,14 +231,14 @@ def cmd_build(args):
 
 def cmd_catalog(args):
     from .families import catalog_names
-    from .secular import SecularError, catalog_expected
+    from .secular import catalog_expected
 
     rows = []
     for name in catalog_names():
         row = {"name": name}
         try:
             row["norm_example"] = catalog_expected(name, k=3, d=1)
-        except SecularError:  # no closed form, or k = 3 out of range
+        except DomainError:  # no closed form, or k = 3 out of range
             pass
         rows.append(row)
     _emit(args, _manifest(args, "catalog"), rows)
@@ -449,8 +450,9 @@ _positive = _number(float, lambda v: math.isfinite(v) and v > 0,
 _positive_int = _number(int, lambda v: v >= 1, ">= 1")
 
 
-def _add_common(p):
-    p.add_argument("--tol", type=_positive, default=1e-10)
+def _add_common(p, tol=False):
+    if tol:
+        p.add_argument("--tol", type=_positive, default=1e-10)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--param", action="append", default=[],
@@ -479,7 +481,7 @@ def build_parser():
                                     "exhaustion")
     p.add_argument("--family", required=True)
     p.add_argument("--n-max", type=_positive_int, default=None)
-    _add_common(p)
+    _add_common(p, tol=True)
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("spectrum", help="finite-volume spectrum with weights")
@@ -490,12 +492,12 @@ def build_parser():
 
     p = sub.add_parser("secular", help="solve the secular equation")
     p.add_argument("--family", required=True)
-    _add_common(p)
+    _add_common(p, tol=True)
     p.set_defaults(func=cmd_secular)
 
     p = sub.add_parser("hidden", help="hidden-spectrum verdict and gap")
     p.add_argument("--family", required=True)
-    _add_common(p)
+    _add_common(p, tol=True)
     p.set_defaults(func=cmd_hidden)
 
     p = sub.add_parser("ids", help="integrated density of states")
@@ -526,7 +528,7 @@ def build_parser():
     p.add_argument("--beta", type=_positive, required=True)
     p.add_argument("--rho", type=_finite, required=True)
     p.add_argument("--shift", type=_finite, default=None)
-    _add_common(p)
+    _add_common(p, tol=True)
     p.set_defaults(func=cmd_mu_solve)
 
     p = sub.add_parser("transience", help="random-walk transience verdict")

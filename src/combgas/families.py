@@ -83,15 +83,23 @@ class GraphFamily:
 
     def spectrum(self, n):
         """Eigenvalues of the volume's adjacency, ascending, one per vertex
-        at weight 1/volume: each of `blocks` solved once
-        (`eigvalsh_tridiagonal`; a block of at most one row is its own
-        diagonal) and repeated count times."""
+        at weight 1/volume: each of `blocks` solved once and repeated count
+        times.  A block of at most one row is its own diagonal, a path of L
+        rows with constant diagonal c and links l has c + 2l cos(pi k/(L+1)),
+        k = 1..L, and any other block takes `eigvalsh_tridiagonal`."""
         from scipy.linalg import eigvalsh_tridiagonal
 
-        vals = np.sort(np.concatenate([
-            np.repeat(diag if diag.size < 2
-                      else eigvalsh_tridiagonal(diag, offdiag), count)
-            for diag, offdiag, count in self.blocks(n)]))
+        parts = []
+        for diag, offdiag, count in self.blocks(n):
+            if diag.size < 2:
+                vals = diag
+            elif (diag == diag[0]).all() and (offdiag == offdiag[0]).all():
+                k = np.arange(1, diag.size + 1) / (diag.size + 1)
+                vals = diag[0] + 2.0 * offdiag[0] * np.cos(np.pi * k)
+            else:
+                vals = eigvalsh_tridiagonal(diag, offdiag)
+            parts.append(np.repeat(vals, count))
+        vals = np.sort(np.concatenate(parts))
         return vals, np.full(vals.size, 1.0 / vals.size)
 
 

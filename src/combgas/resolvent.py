@@ -2,8 +2,9 @@
 
 All kernels are entries of (lam*I - A)^{-1} for lam above the spectral radius,
 written in the hyperbolic parametrization 2*cosh(theta) = lam.  The finite
-chain [-n,n] admits a fully closed form, which the infinite-line and
-half-line kernels are limits of.
+chain [-n,n] admits a fully closed form, which the infinite-line kernel is a
+limit of; the half-infinite chain with any constant diagonal and link has
+its whole Green matrix in closed form (`half_line_green`).
 """
 
 from __future__ import annotations
@@ -27,26 +28,37 @@ def theta_of(lam):
     return math.log(half + math.sqrt(half * half - 1.0))
 
 
-def kernel_half_line(lam):
-    """<delta_0, R(lam) delta_0> at the endpoint of the half-infinite chain."""
-    if lam <= 2.0:
-        raise ResolventDomainError("half-line kernel needs lam > 2")
-    return 2.0 / (lam + math.sqrt(lam * lam - 4.0))
-
-
 def kernel_line(lam, j=0):
     """<delta_j, R(lam) delta_0> on the two-sided infinite chain."""
-    if lam <= 2.0:
-        raise ResolventDomainError("line kernel needs lam > 2")
     th = theta_of(lam)
     return math.exp(-abs(j) * th) / (2.0 * math.sinh(th))
 
 
-def kernel_box(lam):
-    """End-corner diagonal kernel of the half-infinite chain of squares."""
-    if lam <= 2.0 * math.sqrt(2.0):
-        raise ResolventDomainError("box kernel needs lam > 2*sqrt(2)")
-    return 2.0 / (lam + math.sqrt(lam * lam - 8.0))
+def half_line_green(rows, diag=0.0, link=1.0):
+    """lam -> <delta_i, R(lam) delta_j>, i, j in `rows`, on the
+    half-infinite chain 0, 1, ... of diagonal `diag` and links `link`.
+
+    At lam = diag + link (z + 1/z), z = e^u > 1, the entry is
+    (z^-|i-j| - z^-(i+j+2)) / (link (z - 1/z)), taken in expm1 form with
+    sinh(u/2)^2 = (lam - diag - 2 link)/(4 link): no cancellation near the
+    band edge.  Entry (0, 0) is 1/(link z): 2/(lam + sqrt(lam^2 - 4)) on
+    the half-line and, at link sqrt 2, 2/(lam + sqrt(lam^2 - 8)) at the end
+    corner of the chain of squares.
+    """
+    rows = np.asarray(rows, dtype=float)
+    near = 2.0 * (np.minimum.outer(rows, rows) + 1.0)
+    far = np.abs(np.subtract.outer(rows, rows))
+    edge = diag + 2.0 * link
+
+    def green(lam):
+        if lam <= edge:
+            raise ResolventDomainError("half-line Green matrix needs lam > "
+                                       "%r, got %r" % (edge, lam))
+        u = 2.0 * math.asinh(math.sqrt((lam - edge) / (4.0 * link)))
+        return (np.exp(far * -u) * np.expm1(near * -u)
+                * (-0.5 / (link * math.sinh(u))))
+
+    return green
 
 
 def kernel_finite_chain(lam, n, j):

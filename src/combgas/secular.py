@@ -37,7 +37,8 @@ from scipy.optimize import brentq
 
 from . import DomainError, NumericFailure
 from . import resolvent as rk
-from .families import family
+from .families import FamilyError, family
+from .spectral import _HeadTail
 
 
 class SecularError(DomainError):
@@ -56,7 +57,6 @@ class SecularSystem:
     base_kernel: object            # lam -> (m, m) matrix of R_A on the support
     base_radius: float
     bracket_hi: float
-    pf_closed: object = None       # optional closed-form PF of S(lam)
     # optional hooks for applying the full perturbed resolvent:
     base_solve: object = None      # (lam, x) -> R_A x on an ambient base space
     support_indices: tuple = ()    # ids of support labels in that base space
@@ -67,13 +67,10 @@ class SecularSystem:
 
     @cached_property
     def b_norm(self):
-        if self.b_dim == 0:
-            return 0.0
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.b_adj))))
+        return float(np.max(np.abs(np.linalg.eigvalsh(self.b_adj)),
+                            initial=0.0))
 
     def rb(self, lam):
-        if self.b_dim == 0:
-            return np.zeros((0, 0))
         return np.linalg.inv(lam * np.eye(self.b_dim) - self.b_adj)
 
     def kernel_matrix(self, lam):
@@ -105,17 +102,11 @@ class SecularSystem:
         """Top eigenvalue of S(lam).
 
         With count=True, also the number of eigenvalues of S(lam) above 1:
-        the number of perturbed eigenvalues above lam.  A closed form gives
-        only the top value, which counts once when it exceeds 1.
+        the number of perturbed eigenvalues above lam.
         """
-        if self.pf_closed is not None:
-            top = float(self.pf_closed(lam))
-            above = int(top > 1.0)
-        else:
-            ev = np.linalg.eigvalsh(self.symmetrised(lam))
-            top = float(ev[-1])
-            above = int(np.count_nonzero(ev > 1.0))
-        return (top, above) if count else top
+        ev = np.linalg.eigvalsh(self.symmetrised(lam))
+        top = float(ev[-1])
+        return (top, int(np.count_nonzero(ev > 1.0))) if count else top
 
 
 @dataclass
@@ -123,7 +114,6 @@ class SecularSolution:
     name: str
     lambda0: float
     base_radius: float
-    bracket: tuple
     status: str                    # root_found | no_root_in_bracket
     pf_z: np.ndarray | None = None
     evaluations: list = field(default_factory=list)  # (lam, top-1, count)
@@ -149,7 +139,7 @@ def _pf_vector(s):
     return v / np.max(np.abs(v))
 
 
-def solve_secular(system, bracket_hi=None, tol=1e-10):
+def solve_secular(system, tol=1e-10):
     """Locate the perturbed norm: where the top eigenvalue of S crosses 1.
 
     The crossing is unique, so Brent's method on the whole bracket finds
@@ -159,7 +149,7 @@ def solve_secular(system, bracket_hi=None, tol=1e-10):
     >= 1 below it and 0 above it.
     """
     lo = max(system.base_radius, system.b_norm) + 1e-9
-    hi = bracket_hi if bracket_hi is not None else system.bracket_hi
+    hi = system.bracket_hi
     if hi <= lo:
         raise NumericFailure("invalid bracket (%g, %g]" % (lo, hi))
     evals = []
@@ -174,17 +164,14 @@ def solve_secular(system, bracket_hi=None, tol=1e-10):
 
     if f(lo) < 0.0:
         return SecularSolution(system.name, lo - 1e-9, system.base_radius,
-                               (lo, hi), "no_root_in_bracket",
-                               evaluations=evals)
+                               "no_root_in_bracket", evaluations=evals)
     if f(hi) >= 0.0:
         raise NumericFailure("top eigenvalue of S(lam) >= 1 at bracket_hi=%g; "
                              "bracket too small" % hi)
     lam0 = brentq(f, lo, hi, xtol=tol)
-    pf_z = None
-    if system.pf_closed is None:
-        pf_z = _pf_vector(system.secular_matrix_on_support(lam0))
-    return SecularSolution(system.name, lam0, system.base_radius, (lo, hi),
-                           "root_found", pf_z, evals)
+    return SecularSolution(system.name, lam0, system.base_radius, "root_found",
+                           _pf_vector(system.secular_matrix_on_support(lam0)),
+                           evals)
 
 
 def hidden_spectrum_verdict(solution, tol=1e-8):
@@ -199,151 +186,76 @@ def hidden_spectrum_verdict(solution, tol=1e-8):
 # closed-form catalog
 
 
-SQRT2 = math.sqrt(2.0)
+_CLOSED_FORMS = {
+    "nail_chain": lambda p: math.sqrt(2.0 + math.sqrt(5.0)),
+    "star": lambda p: p["k"] / math.sqrt(p["k"] - 1.0),
+    "star_box": lambda p: p["k"] / math.sqrt(p["k"] - 2.0),
+    "polygonal_star": lambda p: 2.5,
+    "polygonal_star_box": lambda p: 3.0,
+    "h_graph": lambda p: math.sqrt(p["k"] ** 2 + 4.0),
+    "comb": lambda p: 2.0 * math.sqrt(p["d"] ** 2 + 1.0),
+    "ladder": lambda p: 3.0,
+}
 
 
 def catalog_expected(name, **params):
-    """Closed-form norms of the perturbed graphs in the regression catalog."""
-    if name == "nail_chain":
-        return math.sqrt(2.0 + math.sqrt(5.0))
-    if name == "star":
-        k = params["k"]
-        if k < 3:
-            raise SecularError("star catalog needs k >= 3")
-        return k / math.sqrt(k - 1.0)
-    if name == "star_box":
-        k = params["k"]
-        if k < 4:
-            raise SecularError("star-box catalog needs k >= 4")
-        return k / math.sqrt(k - 2.0)
-    if name == "polygonal_star":
-        return 2.5
-    if name == "polygonal_star_box":
-        return 3.0
-    if name == "h_graph":
-        k = params["k"]
-        if k < 1:
-            raise SecularError("h-graph needs k >= 1")
-        return math.sqrt(k * k + 4.0)
-    if name == "comb":
-        d = params["d"]
-        if d < 1:
-            raise SecularError("comb needs d >= 1")
-        return 2.0 * math.sqrt(d * d + 1.0)
-    if name == "ladder":
-        return 3.0
-    raise SecularError("no closed form for %r" % (name,))
+    """Closed-form norm of a catalogue entry's infinite graph, on the
+    parameter domain of its truncations: `family` refuses the others."""
+    family(name, **params)
+    if name not in _CLOSED_FORMS:
+        raise SecularError("no closed form for %r" % (name,))
+    return _CLOSED_FORMS[name](params)
 
 
-def _line_table(lam, dist):
-    """Line-resolvent entries e^{-|j| theta}/(2 sinh theta) at `dist` = |j|."""
-    th = rk.theta_of(lam)
-    return np.exp(-th * dist) / (2.0 * math.sinh(th))
+# The catalogue entries whose quotient is a constant chain plus a finite
+# perturbation; the other families have no secular system.
+_SECULAR_NAMES = ("comb", "h_graph", "modified_ladder", "nail_chain",
+                  "polygonal_star", "polygonal_star_box", "star", "star_box")
 
 
-def _diagonal_kernel(kernel, m):
-    """R_A on m support vertices, one on each of m disjoint base copies."""
-    eye = np.eye(m)
-    return lambda lam: kernel(lam) * eye
-
-
-def _ladder_kernel(support):
-    """Rail-resolved resolvent of the infinite ladder (chain x edge) on
-    support labels (j, rail): the symmetric/antisymmetric rail combinations
-    shift the chain by -+1."""
-    j = np.array([s[0] for s in support], dtype=float)
-    rail = np.array([s[1] for s in support])
-    dist = np.abs(j[:, None] - j[None, :])
-    half_sign = np.where(rail[:, None] == rail[None, :], 0.5, -0.5)
-
-    def kernel(lam):
-        return (0.5 * _line_table(lam - 1.0, dist)
-                + half_sign * _line_table(lam + 1.0, dist))
-
-    return kernel
+def _infinite_quotient(fam):
+    """The head/tail split (`spectral._HeadTail`) of the family's quotient
+    as n -> oo: the split at the first volume n = 2^j whose constant tail
+    has at least two rows and whose head the volume 2n repeats."""
+    last = None
+    for j in range(1, 21):
+        try:
+            q = _HeadTail(*fam.quotient_matrix(2 ** j))
+        except FamilyError:  # a volume too small for the family's edits
+            continue
+        if (last is not None and last.size >= 2
+                and (q.d, q.links, q.link) == (last.d, last.links, last.link)):
+            return last
+        last = q
+    raise NumericFailure("%s: the quotient's head grows up to n = 2^20"
+                         % fam.name)
 
 
 def catalog_system(name, **params):
-    """SecularSystem for a catalog entry on its infinite base graph.
+    """SecularSystem for a catalogue entry on its infinite graph, read off
+    its family's quotient (`_infinite_quotient`): a head and a constant
+    tail, diagonal c and links l.
 
-    The parameters have the domain of the entry's truncations: `family`
-    refuses the same values (FamilyError) that its constructor does.
+    The base A is the half-infinite chain of diagonal c and links l on the
+    quotient's rows (`resolvent.half_line_green`), of norm c + 2l; D is the
+    head minus the base on the rows it touches, the support, in row order;
+    there is no attached graph.  The bracket ends just above the quotient's
+    Gershgorin bound.  `family` refuses the parameters (FamilyError) that
+    the entry's truncations refuse.  The comb's `periodic` picks the base
+    box of its truncations only: the infinite comb reads the periodic one.
     """
-    family(name, **params)
-    if name == "star":
-        k = params["k"]
-        support = tuple(range(k))  # the k strand origins
-        d = np.zeros((k, k))
-        c = np.ones((k, 1))
-        return SecularSystem(
-            "star", support, d, c, np.zeros((1, 1)),
-            _diagonal_kernel(rk.kernel_half_line, k),
-            base_radius=2.0, bracket_hi=float(max(k, 2)) + 0.5)
-    if name == "star_box":
-        k = params["k"]
-        support = tuple(range(k))
-        d = np.zeros((k, k))
-        c = np.ones((k, 1))
-        return SecularSystem(
-            "star_box", support, d, c, np.zeros((1, 1)),
-            _diagonal_kernel(rk.kernel_box, k),
-            base_radius=2.0 * SQRT2, bracket_hi=float(max(k, 4)) + 0.5)
-    if name == "polygonal_star":
-        p = params.get("p", 5)
-        support = tuple(range(p))
-        d = np.zeros((p, p))
-        for i in range(p):
-            d[i, (i + 1) % p] = d[(i + 1) % p, i] = 1.0
-        return SecularSystem(
-            "polygonal_star", support, d, np.zeros((p, 0)), np.zeros((0, 0)),
-            _diagonal_kernel(rk.kernel_half_line, p),
-            base_radius=2.0, bracket_hi=3.5)
-    if name == "polygonal_star_box":
-        p = params.get("p", 5)
-        support = tuple(range(p))
-        d = np.zeros((p, p))
-        for i in range(p):
-            d[i, (i + 1) % p] = d[(i + 1) % p, i] = 1.0
-        return SecularSystem(
-            "polygonal_star_box", support, d, np.zeros((p, 0)),
-            np.zeros((0, 0)), _diagonal_kernel(rk.kernel_box, p),
-            base_radius=2.0 * SQRT2, bracket_hi=4.5)
-    if name == "h_graph":
-        k = params["k"]
-        support = (0, 1)  # the two origins, on disjoint copies of the line
-        d = np.array([[0.0, float(k)], [float(k), 0.0]])
-        return SecularSystem(
-            "h_graph", support, d, np.zeros((2, 0)), np.zeros((0, 0)),
-            _diagonal_kernel(rk.kernel_line, 2),
-            base_radius=2.0, bracket_hi=float(2 + k) + 0.5)
-    if name == "nail_chain":
-        return SecularSystem(
-            "nail_chain", (0,), np.zeros((1, 1)), np.ones((1, 1)),
-            np.zeros((1, 1)), _diagonal_kernel(rk.kernel_line, 1),
-            base_radius=2.0, bracket_hi=3.5)
-    if name == "comb":
-        d = params["d"]
-        # support is the whole backbone; translation invariance gives the PF
-        # eigenvalue of S(lam) in closed form as 2d * <d0, R_Z(lam) d0>.
-        return SecularSystem(
-            "comb", (0,), np.zeros((1, 1)), np.zeros((1, 0)),
-            np.zeros((0, 0)), _diagonal_kernel(rk.kernel_line, 1),
-            base_radius=2.0, bracket_hi=2.0 * d + 2.5,
-            pf_closed=lambda lam: 2.0 * d * rk.kernel_line(lam, 0))
-    if name == "modified_ladder":
-        k = params["k"]
-        nrem = params.get("nrem", 0)
-        support = tuple((j, r) for j in range(-nrem, nrem + 1) for r in (0, 1))
-        m = len(support)
-        d = np.zeros((m, m))
-        ix = {s: i for i, s in enumerate(support)}
-        for j in range(-nrem, nrem + 1):
-            w = float(k - 1) if j == 0 else -1.0
-            if w != 0.0:
-                d[ix[(j, 0)], ix[(j, 1)]] = w
-                d[ix[(j, 1)], ix[(j, 0)]] = w
-        return SecularSystem(
-            "modified_ladder", support, d, np.zeros((m, 0)), np.zeros((0, 0)),
-            _ladder_kernel(support),
-            base_radius=3.0, bracket_hi=float(2 + max(k, 1)) + 0.5)
-    raise SecularError("no catalog system for %r" % (name,))
+    fam = family(name, **params)
+    if name not in _SECULAR_NAMES:
+        raise SecularError("no catalog system for %r" % (name,))
+    if "periodic" in params:
+        fam = family(name, **dict(params, periodic=True))
+    q = _infinite_quotient(fam)
+    c, link = q.c, q.link
+    off = np.subtract(q.links, link)
+    pert = np.diag(np.subtract(q.d, c)) + np.diag(off, 1) + np.diag(off, -1)
+    rows = np.flatnonzero(pert.any(axis=1))
+    return SecularSystem(
+        name, tuple(rows.tolist()), pert[rows][:, rows],
+        np.zeros((rows.size, 0)), np.zeros((0, 0)),
+        rk.half_line_green(rows, c, link),
+        base_radius=c + 2.0 * link, bracket_hi=q.gershgorin() + 1e-3)

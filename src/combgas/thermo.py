@@ -187,10 +187,12 @@ def solve_mu(vals, weights, shift, beta, rho, tol=1e-12, max_steps=50):
     h_min = float(h[bottom])
     gaps = h - h_min
     weights = np.asarray(weights, dtype=float)
-    t = math.log1p(weights[bottom] / rho) / beta
+    # inf for a subnormal rho: its density 0 then fails the range check
+    t = math.log1p(float(weights[bottom]) / rho) / beta
     for _ in range(max_steps):
-        n = _occupations(beta * (gaps + t))
-        rho_t = float(np.sum(weights * n))
+        with np.errstate(over="ignore"):  # inf fails the range check below
+            n = _occupations(beta * (gaps + t))
+            rho_t = float(np.sum(weights * n))
         if not 0 < rho_t < INF:
             raise NumericFailure("density %r at mu = %r leaves the double "
                                  "range" % (rho_t, h_min - t))

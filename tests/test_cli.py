@@ -285,6 +285,12 @@ EXIT_CODES = [
       '"perturbation": [{"op": "attach", "graph": {"labels": [[7], [8]], '
       '"edges": [[0, 2]]}, "links": []}]}'), 1,
      "input error: edges must join vertex ids 0..1"),
+    # an occupation that overflows to inf, and a subnormal rho, whose start
+    # overflows, fail the density range check: no RuntimeWarning
+    (("mu-solve", "--family", "comb", "--param", "d=1", "--n", "5", "--beta",
+      "1", "--rho", "1.7e308"), 2, "numeric failure: density inf"),
+    (("mu-solve",) + COMB_N + ("--beta", "1", "--rho", "1e-320"), 2,
+     "numeric failure: density 0.0"),
 ]
 
 
@@ -299,6 +305,43 @@ def test_exit_codes(capsys, tmp_path, argv, code, stderr):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines()[-1].startswith(stderr), err
+
+
+# the commands that read no tolerance, with valid arguments
+TOL_FREE = {
+    "build": ("--inline", '{"builder": "chain", "params": {"n": 2}}'),
+    "catalog": (),
+    "spectrum": COMB_N,
+    "ids": COMB_N,
+    "density": COMB_N + ("--beta", "1", "--mu", "-3"),
+    "critical": ("--beta", "1", "--gap", "1"),
+    "transience": ("--param", "d=3"),
+    "bec": BEC[1:] + ("--xi", "0,0,0,0"),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(TOL_FREE))
+def test_tol_is_refused_where_it_is_not_read(capsys, cmd):
+    argv = [cmd, *TOL_FREE[cmd]]
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    assert "tol" not in doc["manifest"]
+    assert main(argv + ["--tol", "1e-8"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --tol 1e-8" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("norm", "--family", "catalog:star", "--param", "k=3"),
+    ("secular", "--family", "catalog:star", "--param", "k=3"),
+    ("hidden", "--family", "catalog:star", "--param", "k=3"),
+    ("mu-solve",) + COMB_N + ("--beta", "1", "--rho", "0.25"),
+], ids=lambda argv: argv[0])
+def test_tol_is_stamped_where_it_is_read(capsys, argv):
+    code, doc = run_json(capsys, *argv, "--tol", "1e-8")
+    assert code == 0
+    assert doc["manifest"]["tol"] == 1e-8
 
 
 @pytest.mark.parametrize("exc", [TypeError("bug"), IndexError("bug"),

@@ -15,9 +15,9 @@ def dense_chain_resolvent(lam, n):
 
 
 def test_half_line_kernel_value():
-    # (2/(lam + sqrt(lam^2-4))) at lam=3 is (3-sqrt5)/2
-    assert rk.kernel_half_line(3.0) == pytest.approx((3 - math.sqrt(5)) / 2,
-                                                     abs=1e-14)
+    # the end entry 2/(lam + sqrt(lam^2-4)) at lam=3 is (3-sqrt5)/2
+    assert rk.half_line_green([0])(3.0)[0, 0] == pytest.approx(
+        (3 - math.sqrt(5)) / 2, abs=1e-14)
 
 
 def test_line_kernel_decay_and_diagonal():
@@ -31,16 +31,35 @@ def test_line_kernel_decay_and_diagonal():
 
 
 def test_box_kernel_domain():
-    assert rk.kernel_box(3.0) == pytest.approx(2 / (3 + 1), abs=1e-14)
+    # the end corner of the chain of squares: links sqrt2 in its quotient,
+    # 2/(lam + sqrt(lam^2-8))
+    box = rk.half_line_green([0], link=math.sqrt(2.0))
+    assert box(3.0)[0, 0] == pytest.approx(2 / (3 + 1), abs=1e-14)
     with pytest.raises(ValueError):
-        rk.kernel_box(2.5)  # inside the box spectrum (radius 2*sqrt2)
+        box(2.5)  # inside the box spectrum (radius 2*sqrt2)
 
 
 def test_kernels_decreasing_in_lambda():
     lams = np.linspace(2.05, 6.0, 40)
-    for kern in (rk.kernel_half_line, rk.kernel_line):
+    half_line = rk.half_line_green([0])
+    for kern in (lambda x: half_line(x)[0, 0], rk.kernel_line):
         vals = [kern(x) for x in lams]
         assert all(a > b > 0 for a, b in zip(vals, vals[1:]))
+
+
+def test_half_line_green_vs_dense():
+    # rows of the half-infinite chain (diagonal 1, links 0.7) against the
+    # dense inverse of its first 1000 rows: their far end adds at most
+    # z^-2(1000 - 9) < 1e-30 at lam_above >= 1e-3
+    diag, link, size = 1.0, 0.7, 1000
+    rows = [0, 1, 4, 9]
+    a = (np.diag(np.full(size, diag)) + np.diag(np.full(size - 1, link), 1)
+         + np.diag(np.full(size - 1, link), -1))
+    green = rk.half_line_green(rows, diag, link)
+    for lam_above in (1e-3, 0.3, 4.0):
+        lam = diag + 2.0 * link + lam_above
+        dense = np.linalg.inv(lam * np.eye(size) - a)[np.ix_(rows, rows)]
+        assert np.allclose(green(lam), dense, rtol=1e-10, atol=0.0)
 
 
 def test_finite_chain_center_small_case():

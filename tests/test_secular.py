@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -64,9 +65,18 @@ def test_star_box_threshold():
 
 
 def test_pf_z_positive():
-    sol = solve_secular(catalog_system("polygonal_star"))
-    assert sol.pf_z is not None
-    assert np.all(sol.pf_z > 0)
+    # where D >= 0, S = D R_A has a positive Perron-Frobenius vector: one
+    # entry per quotient row that D touches
+    for name, params in [("star", {"k": 3}), ("star_box", {"k": 6}),
+                         ("polygonal_star", {}), ("polygonal_star_box", {}),
+                         ("nail_chain", {}), ("h_graph", {"k": 2}),
+                         ("comb", {"d": 1}), ("comb", {"d": 3})]:
+        system = catalog_system(name, **params)
+        assert np.all(system.d_block >= 0.0), name
+        sol = solve_secular(system)
+        assert sol.pf_z.shape == (len(system.support),)
+        assert np.all(sol.pf_z > 0), name
+        assert max(sol.pf_z) == 1.0
 
 
 # removing rungs near the impurity: survival of the hidden eigenvalue
@@ -97,15 +107,6 @@ def test_h_graph_family_values():
         assert sol.lambda0 == pytest.approx(math.sqrt(k * k + 4), abs=1e-8)
 
 
-def test_comb_pf_closed_consistency():
-    # closed-form PF value of S and the generic eigenvalue route agree
-    sys = catalog_system("comb", d=1)
-    lam = 2.9
-    from combgas.resolvent import kernel_line
-    assert sys.pf_value(lam) == pytest.approx(2 * kernel_line(lam, 0),
-                                              abs=1e-12)
-
-
 def _line_system(diag, bracket_hi):
     # one support vertex on each of len(diag) disjoint lines, potential D
     m = len(diag)
@@ -124,12 +125,14 @@ def test_two_close_roots_are_not_skipped():
 
 
 def test_bracket_too_small_raises():
+    system = dataclasses.replace(catalog_system("star", k=5), bracket_hi=2.4)
     with pytest.raises(NumericFailure, match="bracket too small"):
-        solve_secular(catalog_system("star", k=5), bracket_hi=2.4)
+        solve_secular(system)
     # mixed-sign D as well
+    system = dataclasses.replace(
+        catalog_system("modified_ladder", k=4, nrem=2), bracket_hi=3.5)
     with pytest.raises(NumericFailure, match="bracket too small"):
-        solve_secular(catalog_system("modified_ladder", k=4, nrem=2),
-                      bracket_hi=3.5)
+        solve_secular(system)
 
 
 def test_indefinite_base_kernel_raises():
@@ -201,20 +204,41 @@ def test_catalogue_root_is_closed_form(case):
     _check_evaluations(system, sol)
 
 
+# norms of the unperturbed infinite graphs: the line, half-line or chain of
+# squares, and the ladder
+BASE_NORMS = {"star": 2.0, "star_box": 2.0 * math.sqrt(2.0),
+              "polygonal_star": 2.0, "polygonal_star_box": 2.0 * math.sqrt(2.0),
+              "nail_chain": 2.0, "h_graph": 2.0, "comb": 2.0,
+              "modified_ladder": 3.0}
+
+
+def _check_truncations(name, params, system, sol):
+    # a hidden eigenvalue is the limit of the truncation norms; without one
+    # they stay below the base norm
+    assert system.base_radius == pytest.approx(BASE_NORMS[name], abs=1e-15)
+    norms = norm_sequence(family(name, **params), [200, 400]).norms
+    if hidden_spectrum_verdict(sol)[0] == "hidden":
+        assert norms[-1] == pytest.approx(sol.lambda0, abs=1e-9)
+    else:
+        assert max(norms) < system.base_radius
+
+
+@PROPERTY
+@given(st.one_of(CATALOGUE, st.just(("nail_chain", {}))))
+def test_catalogue_verdict_matches_truncations(case):
+    name, params = case
+    system = catalog_system(name, **params)
+    _check_truncations(name, params, system, solve_secular(system))
+
+
 @PROPERTY
 @given(st.integers(0, 8), st.integers(0, 5))
 def test_modified_ladder_verdict_matches_truncations(k, nrem):
-    sol = solve_secular(catalog_system("modified_ladder", k=k, nrem=nrem))
+    system = catalog_system("modified_ladder", k=k, nrem=nrem)
+    sol = solve_secular(system)
     verdict = hidden_spectrum_verdict(sol)[0]
     assert verdict == LADDER_VERDICTS.get((k, nrem), verdict)
-    # a hidden eigenvalue is the limit of the truncation norms; without one
-    # they stay below the ladder norm 3
-    top = norm_sequence(family("modified_ladder", k=k, nrem=nrem),
-                        [30, 60]).norms[-1]
-    if verdict == "hidden":
-        assert top == pytest.approx(sol.lambda0, abs=1e-9)
-    else:
-        assert top < 3.0
+    _check_truncations("modified_ladder", {"k": k, "nrem": nrem}, system, sol)
 
 
 @pytest.mark.parametrize("k", [3, 4])
