@@ -247,22 +247,19 @@ def cmd_catalog(args):
 
 def cmd_norm(args):
     from .families import family
-    from .secular import SecularError, catalog_system
+    from .secular import SecularError, solve_secular
 
     name, params = _family_args(args)
     fam = family(name, **params)
     result = {"family": name}
     try:
-        system = catalog_system(name, **params)
+        sol = solve_secular(name, **params)
     except SecularError:  # no secular system: exhaustion only
-        system = None
-    if system is not None:
-        from .secular import solve_secular
-
-        sol = solve_secular(system, tol=args.tol)
+        sol = None
+    if sol is not None:
         result["secular"] = sol.to_record()
         result["lambda0"] = sol.lambda0
-    if args.n_max is not None or system is None:
+    if args.n_max is not None or sol is None:
         from .spectral import norm_sequence
 
         n_max = args.n_max or 24
@@ -297,20 +294,20 @@ def cmd_spectrum(args):
 
 
 def cmd_secular(args):
-    from .secular import catalog_system, solve_secular
+    from .secular import solve_secular
 
     name, params = _family_args(args)
-    sol = solve_secular(catalog_system(name, **params), tol=args.tol)
+    sol = solve_secular(name, **params)
     _emit(args, _manifest(args, "secular", {"family": args.family}),
           sol.to_record())
     return EXIT_OK
 
 
 def cmd_hidden(args):
-    from .secular import catalog_system, hidden_spectrum_verdict, solve_secular
+    from .secular import hidden_spectrum_verdict, solve_secular
 
     name, params = _family_args(args)
-    sol = solve_secular(catalog_system(name, **params), tol=args.tol)
+    sol = solve_secular(name, **params)
     verdict, gap = hidden_spectrum_verdict(sol)
     result = dict(sol.to_record())
     result.update({"verdict": verdict, "gap": gap})
@@ -371,10 +368,10 @@ def cmd_mu_solve(args):
     from . import thermo
 
     name, vals, weights, shift = _volume_spectrum(args)
-    mu = thermo.solve_mu(vals, weights, shift, args.beta, args.rho,
-                         tol=args.tol)
+    mu, gap = thermo.solve_mu(vals, weights, shift, args.beta, args.rho,
+                              tol=args.tol)
     result = {"family": name, "n": args.n, "beta": args.beta, "rho": args.rho,
-              "shift": shift, "mu": mu}
+              "shift": shift, "mu": mu, "gap": gap}
     _emit(args, _manifest(args, "mu-solve", {"family": args.family}), result)
     return EXIT_OK
 
@@ -492,12 +489,12 @@ def build_parser():
 
     p = sub.add_parser("secular", help="solve the secular equation")
     p.add_argument("--family", required=True)
-    _add_common(p, tol=True)
+    _add_common(p)
     p.set_defaults(func=cmd_secular)
 
     p = sub.add_parser("hidden", help="hidden-spectrum verdict and gap")
     p.add_argument("--family", required=True)
-    _add_common(p, tol=True)
+    _add_common(p)
     p.set_defaults(func=cmd_hidden)
 
     p = sub.add_parser("ids", help="integrated density of states")

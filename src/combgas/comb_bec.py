@@ -430,7 +430,7 @@ def density_limit(cfg, ns):
 def fixed_density_mu(d, n, beta, rho):
     """Finite-volume chemical potential pinned by the density constraint."""
     vals, w = CombFamily(d).spectrum(n)
-    return thermo.solve_mu(vals, w, norm_limit(d), beta, rho)
+    return thermo.solve_mu(vals, w, norm_limit(d), beta, rho)[0]
 
 
 def pf_projection_term(d, n, mu, xi, eta):

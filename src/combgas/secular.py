@@ -1,44 +1,35 @@
-"""Secular equation for perturbed adjacency operators.
+"""Hidden eigenvalues of the catalogue's infinite graphs.
 
-A perturbation in block form
+A perturbation in block form A_p = [[A + D, C], [C^t, B]] has eigenvalues
+lam outside sigma(A) u sigma(B) exactly where 1 is an eigenvalue of the
+secular matrix S(lam) = K(lam) R_A(lam), K(lam) = D + C R_B(lam) C^t, with
+R_A the base resolvent on the support of C and D (`SecularSystem`, kept
+for `resolvent.perturbed_resolvent_apply` and the tests).
 
-    A_p = [[A + D, C], [C^t, B]]
-
-has eigenvalues lam outside sigma(A) u sigma(B) exactly where 1 is an
-eigenvalue of the finite matrix
-
-    S(lam) = K(lam) R_A(lam),    K(lam) = D + C R_B(lam) C^t,
-
-with R_A the base resolvent restricted to the support of C and D.  Above the
-base spectra R_A = L L^t is positive definite, so S is similar to the
-symmetric M(lam) = L^t K L.  By the Birman-Schwinger principle (the inertia
-of lam - A_p through its Schur complement), the number of perturbed
-eigenvalues above lam equals the number of eigenvalues of M(lam) above 1,
-whatever the signs in D.  Where the top eigenvalue of M is positive it
-strictly decreases in lam, because R_A and R_B decrease in the Loewner
-order; so it crosses 1 at most once, at the perturbed norm.
-
-`solve_secular` finds that crossing by one monotone search (Brent's method)
-on the bracket (base spectra, bracket_hi]: no grid, so no root can be
-skipped.  A top eigenvalue below 1 at the bottom of the bracket means the
-perturbation adds no eigenvalue above the base norm; one still at or above 1
-at bracket_hi means the bracket is too small, which raises `NumericFailure`
-(exit 2 at the CLI).
+For a catalogue entry A is the half-infinite chain of diagonal c and links
+l, D the head of the family's quotient minus it, and there is no B
+(`spectral._infinite_quotient`).  `solve_secular` finds the top root with
+no bracket search and no matrix: the Sturm count of the quotient at
+c + 2l + 1e-9, the tail entering by its exact pivot l z at
+lam = c + l(z + 1/z), says whether an eigenvalue lies above the base norm;
+Newton on the twisted pivot (`spectral._twisted_root`), started at the
+head rows' bound-state estimate, finds the top one to roundoff; and the
+eigenvector psi follows from the same pivots.  psi = R_A D psi, so D psi on
+the support is the eigenvector of S(lam0) for the eigenvalue 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
-from . import DomainError, NumericFailure
+from . import DomainError
 from . import resolvent as rk
-from .families import FamilyError, family
-from .spectral import _HeadTail
+from .families import family
+from .spectral import _bound_state_start, _infinite_quotient, _twisted_root
 
 
 class SecularError(DomainError):
@@ -47,7 +38,9 @@ class SecularError(DomainError):
 
 @dataclass
 class SecularSystem:
-    """Blocks (D, C, B) plus a base-resolvent oracle on a finite support."""
+    """Blocks (D, C, B) plus a base-resolvent oracle on a finite support:
+    the secular matrix S(lam) for `resolvent.perturbed_resolvent_apply`
+    (criterion 6) and the tests' oracles."""
 
     name: str
     support: tuple                 # labels of base vertices spanning R(C)+R(D)
@@ -56,7 +49,6 @@ class SecularSystem:
     b_adj: np.ndarray              # adjacency of the attached graph
     base_kernel: object            # lam -> (m, m) matrix of R_A on the support
     base_radius: float
-    bracket_hi: float
     # optional hooks for applying the full perturbed resolvent:
     base_solve: object = None      # (lam, x) -> R_A x on an ambient base space
     support_indices: tuple = ()    # ids of support labels in that base space
@@ -88,26 +80,6 @@ class SecularSystem:
     def secular_matrix_on_support(self, lam):
         return self._k_block(lam) @ self.kernel_matrix(lam)
 
-    def symmetrised(self, lam):
-        """M(lam) = L^t K L, where R_A = L L^t: symmetric, similar to S."""
-        k = self._k_block(lam)
-        try:
-            low = np.linalg.cholesky(self.kernel_matrix(lam))
-        except np.linalg.LinAlgError:
-            raise NumericFailure("base kernel not positive definite at lam=%r"
-                                 % lam) from None
-        return low.T @ k @ low
-
-    def pf_value(self, lam, count=False):
-        """Top eigenvalue of S(lam).
-
-        With count=True, also the number of eigenvalues of S(lam) above 1:
-        the number of perturbed eigenvalues above lam.
-        """
-        ev = np.linalg.eigvalsh(self.symmetrised(lam))
-        top = float(ev[-1])
-        return (top, int(np.count_nonzero(ev > 1.0))) if count else top
-
 
 @dataclass
 class SecularSolution:
@@ -116,7 +88,6 @@ class SecularSolution:
     base_radius: float
     status: str                    # root_found | no_root_in_bracket
     pf_z: np.ndarray | None = None
-    evaluations: list = field(default_factory=list)  # (lam, top-1, count)
 
     def to_record(self):
         gap = max(self.lambda0 - self.base_radius, 0.0)
@@ -130,48 +101,34 @@ class SecularSolution:
         }
 
 
-def _pf_vector(s):
-    ev, vecs = np.linalg.eig(s)
-    i = int(np.argmax(ev.real))
-    v = vecs[:, i].real
-    if v.sum() < 0:
-        v = -v
-    return v / np.max(np.abs(v))
+def solve_secular(name, **params):
+    """The top eigenvalue of a catalogue entry's infinite graph above its
+    base norm c + 2l, with the eigenvector z of S(lam0) on the support.
 
-
-def solve_secular(system, tol=1e-10):
-    """Locate the perturbed norm: where the top eigenvalue of S crosses 1.
-
-    The crossing is unique, so Brent's method on the whole bracket finds
-    the largest perturbed eigenvalue to within `tol`.  Every evaluation is
-    recorded as (lam, top eigenvalue - 1, eigenvalues of S above 1); the
-    last two points Brent's method keeps bracket the root, with counts
-    >= 1 below it and 0 above it.
+    Status `root_found` iff the Sturm count at c + 2l + 1e-9 is nonzero;
+    otherwise lambda0 is c + 2l.  z = D psi on the support rows, psi the
+    quotient's eigenvector (`spectral._HeadTail.vector`), signed to a
+    positive sum and scaled to a largest entry of 1.  Raises SecularError
+    for a name with no secular system.
     """
-    lo = max(system.base_radius, system.b_norm) + 1e-9
-    hi = system.bracket_hi
-    if hi <= lo:
-        raise NumericFailure("invalid bracket (%g, %g]" % (lo, hi))
-    evals = []
-    seen = {}
+    fam = _secular_family(name, params)
+    return _solve_quotient(name, _infinite_quotient(fam))
 
-    def f(lam):
-        if lam not in seen:
-            top, above = system.pf_value(lam, count=True)
-            seen[lam] = top - 1.0
-            evals.append((lam, top - 1.0, above))
-        return seen[lam]
 
-    if f(lo) < 0.0:
-        return SecularSolution(system.name, lo - 1e-9, system.base_radius,
-                               "no_root_in_bracket", evaluations=evals)
-    if f(hi) >= 0.0:
-        raise NumericFailure("top eigenvalue of S(lam) >= 1 at bracket_hi=%g; "
-                             "bracket too small" % hi)
-    lam0 = brentq(f, lo, hi, xtol=tol)
-    return SecularSolution(system.name, lam0, system.base_radius, "root_found",
-                           _pf_vector(system.secular_matrix_on_support(lam0)),
-                           evals)
+def _solve_quotient(name, q):
+    """`solve_secular` on the head/tail split q with an infinite tail."""
+    edge = q.c + 2.0 * q.link
+    lo = edge + 1e-9
+    if not q.count(lo, q.tail(lo)[0]):
+        return SecularSolution(name, edge, edge, "no_root_in_bracket")
+    start = _bound_state_start(q)
+    lam0 = _twisted_root(q, start if start > lo else q.gershgorin(), True, lo)
+    rows, pert = _perturbation(q)
+    z = (pert @ q.vector(lam0, q.tail(lam0)[0]))[rows]
+    if z.sum() < 0:
+        z = -z
+    return SecularSolution(name, lam0, edge, "root_found",
+                           z / np.max(np.abs(z)))
 
 
 def hidden_spectrum_verdict(solution, tol=1e-8):
@@ -213,49 +170,36 @@ _SECULAR_NAMES = ("comb", "h_graph", "modified_ladder", "nail_chain",
                   "polygonal_star", "polygonal_star_box", "star", "star_box")
 
 
-def _infinite_quotient(fam):
-    """The head/tail split (`spectral._HeadTail`) of the family's quotient
-    as n -> oo: the split at the first volume n = 2^j whose constant tail
-    has at least two rows and whose head the volume 2n repeats."""
-    last = None
-    for j in range(1, 21):
-        try:
-            q = _HeadTail(*fam.quotient_matrix(2 ** j))
-        except FamilyError:  # a volume too small for the family's edits
-            continue
-        if (last is not None and last.size >= 2
-                and (q.d, q.links, q.link) == (last.d, last.links, last.link)):
-            return last
-        last = q
-    raise NumericFailure("%s: the quotient's head grows up to n = 2^20"
-                         % fam.name)
-
-
-def catalog_system(name, **params):
-    """SecularSystem for a catalogue entry on its infinite graph, read off
-    its family's quotient (`_infinite_quotient`): a head and a constant
-    tail, diagonal c and links l.
-
-    The base A is the half-infinite chain of diagonal c and links l on the
-    quotient's rows (`resolvent.half_line_green`), of norm c + 2l; D is the
-    head minus the base on the rows it touches, the support, in row order;
-    there is no attached graph.  The bracket ends just above the quotient's
-    Gershgorin bound.  `family` refuses the parameters (FamilyError) that
-    the entry's truncations refuse.  The comb's `periodic` picks the base
-    box of its truncations only: the infinite comb reads the periodic one.
-    """
+def _secular_family(name, params):
+    """The family whose quotient carries the entry's secular system.  The
+    comb's `periodic` picks the base box of its truncations only: the
+    infinite comb reads the periodic one."""
     fam = family(name, **params)
     if name not in _SECULAR_NAMES:
         raise SecularError("no catalog system for %r" % (name,))
     if "periodic" in params:
         fam = family(name, **dict(params, periodic=True))
-    q = _infinite_quotient(fam)
-    c, link = q.c, q.link
-    off = np.subtract(q.links, link)
-    pert = np.diag(np.subtract(q.d, c)) + np.diag(off, 1) + np.diag(off, -1)
-    rows = np.flatnonzero(pert.any(axis=1))
+    return fam
+
+
+def _perturbation(q):
+    """The head minus the base chain on the quotient rows 0..t: the rows it
+    touches, in order, and the (t+1) x (t+1) matrix."""
+    off = np.subtract(q.links, q.link)
+    pert = np.diag(np.subtract(q.d, q.c)) + np.diag(off, 1) + np.diag(off, -1)
+    return np.flatnonzero(pert.any(axis=1)), pert
+
+
+def catalog_system(name, **params):
+    """SecularSystem for a catalogue entry on its infinite graph: the base
+    is the half-infinite chain (c, l) on the quotient's rows
+    (`resolvent.half_line_green`), of norm c + 2l; D is the head minus it
+    on the rows it touches, the support, in row order; no attached graph.
+    `family` refuses the parameters (FamilyError) that the entry's
+    truncations refuse."""
+    q = _infinite_quotient(_secular_family(name, params))
+    rows, pert = _perturbation(q)
     return SecularSystem(
         name, tuple(rows.tolist()), pert[rows][:, rows],
         np.zeros((rows.size, 0)), np.zeros((0, 0)),
-        rk.half_line_green(rows, c, link),
-        base_radius=c + 2.0 * link, bracket_hi=q.gershgorin() + 1e-3)
+        rk.half_line_green(rows, q.c, q.link), base_radius=q.c + 2.0 * q.link)

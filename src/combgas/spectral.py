@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DomainError, NumericFailure
+from .families import FamilyError
 
 
 class SpectralError(DomainError):
@@ -36,7 +37,8 @@ _ROOT_CAP = 100
 
 class _HeadTail:
     """A symmetric tridiagonal quotient split into head rows 0..t-1 and its
-    longest constant tail, rows t..R-1: L rows of diagonal c and links l.
+    longest constant tail, rows t..R-1: L rows of diagonal c and links l
+    (`size`; math.inf for the half-infinite tail of `_infinite_quotient`).
     d (rows 0..t, d_t = c) and w (w_i = l_i^2 for the links l_0..l_(t-1),
     the last one joining row t) are lists."""
 
@@ -50,6 +52,30 @@ class _HeadTail:
         self.links = offdiag[:t].tolist()
         self.w = [x * x for x in self.links]
         self.scale = abs(c + 2.0 * link) + link
+
+    def tail(self, lam):
+        """The tail's pivot p_t = 1/g at lam = c + l(z + 1/z) >= c + 2l,
+        z = e^u >= 1, and its lam-derivative.
+
+        1/g = l z (1 - z^-2(L+1))/(1 - z^-2L), with the derivative
+        (z (1 - z^-2(2L+1))/(z - 1/z) - (2L+1) z^-2L)/(1 - z^-2L)^2, which
+        cancels near z = 1, where it is (L+1)(2L+1)/(6L).  For L = oo the
+        pivot is l z and its derivative z^2/(z^2 - 1), infinite at the
+        edge.
+        """
+        link, size = self.link, self.size
+        u = math.acosh(max(0.5 * (lam - self.c) / link, 1.0))
+        z = math.exp(u)
+        if size == math.inf:
+            return link * z, (-1.0 / math.expm1(-2.0 * u) if u else math.inf)
+        odd = 2 * size + 1
+        e = math.expm1(-2.0 * size * u)
+        tail = (link * z * math.expm1(-2.0 * (size + 1) * u) / e if u
+                else link * (size + 1) / size)
+        if (odd * u) ** 2 < 1e-8:
+            return tail, (size + 1) * odd / (6.0 * size)
+        return tail, (-z * math.expm1(-2.0 * odd * u) / (z - 1.0 / z)
+                      - odd * (1.0 + e)) / (e * e)
 
     def count(self, lam, tail):
         """The Sturm count: the number of eigenvalues above lam, i.e. of
@@ -124,6 +150,19 @@ class _HeadTail:
                 best, row = d[k + 1] + below * (z + 1.0 / z), k
         return best, row
 
+    def vector(self, lam, tail):
+        """The eigenvector psi at an eigenvalue lam on rows 0..t, psi_0 = 1,
+        from the bottom-up pivots: psi_(i+1) = l_i psi_i / p_(i+1), with the
+        tail's pivot p_t = tail.  Below row t it decays by l/p_t per row."""
+        d, w, links = self.d, self.w, self.links
+        pivots = [tail]
+        for i in range(self.t - 1, 0, -1):
+            pivots.append(lam - d[i] - w[i] / pivots[-1])
+        psi = [1.0]
+        for link, p in zip(links, reversed(pivots)):
+            psi.append(link * psi[-1] / p)
+        return psi
+
     def gershgorin(self):
         """An upper bound of the top eigenvalue: the largest row sum."""
         d, links = self.d, self.links
@@ -134,6 +173,26 @@ class _HeadTail:
                 bound = row
             before = links[i]
         return max(bound, self.c + before + self.link)
+
+
+def _infinite_quotient(fam):
+    """The head/tail split of the family's quotient as n -> oo: the split
+    at the first volume n = 2^j whose constant tail has at least two rows
+    and whose head the volume 2n repeats, with its tail made half-infinite
+    (size math.inf)."""
+    last = None
+    for j in range(1, 21):
+        try:
+            q = _HeadTail(*fam.quotient_matrix(2 ** j))
+        except FamilyError:  # a volume too small for the family's edits
+            continue
+        if (last is not None and last.size >= 2
+                and (q.d, q.links, q.link) == (last.d, last.links, last.link)):
+            last.size = math.inf
+            return last
+        last = q
+    raise NumericFailure("%s: the quotient's head grows up to n = 2^20"
+                         % fam.name)
 
 
 def _converged(count, step, last, lam, scale):
@@ -182,7 +241,7 @@ def quotient_norm(diag, offdiag):
     edge = c + 2.0 * link
     start = _bound_state_start(q)
     if start > edge:  # most likely a root above the edge
-        root = _twisted_root(q, start, False)
+        root = _twisted_root(q, start, False, edge)
         if root is not None:
             return root
     # 1/g and its lam-derivative at the edge, where theta = phi = 0
@@ -192,7 +251,7 @@ def quotient_norm(diag, offdiag):
         return edge - r / dr
     if count:
         return _twisted_root(q, start if start > edge else q.gershgorin(),
-                             True)
+                             True, edge)
     return _phase_root(q)
 
 
@@ -267,34 +326,20 @@ def _bound_state_start(q):
     return min(guess, hi)
 
 
-def _twisted_root(q, lam, confirmed):
-    """The top root above the band edge, in (c + 2l, Gershgorin], searched
+def _twisted_root(q, lam, confirmed, lo):
+    """The top root above lo >= c + 2l, in (lo, Gershgorin], searched
     from lam, or None if `confirmed` is false and the search finds no
-    eigenvalue above the edge before it would leave it: the caller then
-    runs the Sturm test at the edge.
+    eigenvalue above lo before it would leave it: the caller then runs
+    the Sturm test at the band edge.
 
     Newton on the twisted pivot 1/G_kk(lam) at the row k <= t where it is
     smallest, i.e. where the top eigenvector is largest, so that the other
-    poles of G_kk lie far from the root.  At lam = c + l(z + 1/z) the tail
-    pivot is 1/g = l z (1 - z^-2(L+1))/(1 - z^-2L).
+    poles of G_kk lie far from the root.  The tail enters by its pivot
+    (`_HeadTail.tail`).
     """
-    c, link, size = q.c, q.link, q.size
-    lo, hi = c + 2.0 * link, q.gershgorin()  # the root lies in (lo, hi]
-    odd, last = 2 * size + 1, 0.0
+    hi, last = q.gershgorin(), 0.0  # the root lies in (lo, hi]
     for _ in range(_ROOT_CAP):
-        u = math.acosh(max(0.5 * (lam - c) / link, 1.0))
-        z = math.exp(u)
-        e = math.expm1(-2.0 * size * u)
-        tail = (link * z * math.expm1(-2.0 * (size + 1) * u) / e if u
-                else link * (size + 1) / size)
-        # d(1/g)/dlam = (z (1 - z^-2(2L+1))/(z - 1/z) - (2L+1) z^-2L)
-        # /(1 - z^-2L)^2 cancels near z = 1, where it is (L+1)(2L+1)/(6L)
-        if (odd * u) ** 2 < 1e-8:
-            slope = (size + 1) * odd / (6.0 * size)
-        else:
-            slope = (-z * math.expm1(-2.0 * odd * u) / (z - 1.0 / z)
-                     - odd * (1.0 + e)) / (e * e)
-        count, r, dr = q.twisted(lam, tail, slope)
+        count, r, dr = q.twisted(lam, *q.tail(lam))
         if count:
             lo, confirmed = lam, True
         else:

@@ -177,6 +177,9 @@ def solve_mu(vals, weights, shift, beta, rho, tol=1e-12, max_steps=50):
     holds rho, and stops once a step is below tol * t.  Every rho from
     about 1e-300 to 1e300 solves; a density sum that leaves the double
     range, or reaching max_steps, raises NumericFailure.
+
+    Returns (mu, t): t to its own precision, which mu = h_min - t loses to
+    rounding when h_min is far above t (a shift far above the spectrum).
     """
     if not 0 < rho < INF:
         raise ThermoError("rho must be positive and finite")
@@ -202,7 +205,7 @@ def solve_mu(vals, weights, shift, beta, rho, tol=1e-12, max_steps=50):
         step = t * (math.log(rho_t) - math.log(rho)) * rho_t / slope
         t += step
         if abs(step) <= tol * t:
-            return h_min - t
+            return h_min - t, t
     raise NumericFailure("mu search took more than %d Newton steps"
                          % max_steps)
 

@@ -11,8 +11,8 @@ from combgas.comb_bec import CombRunConfig, FockVector
 from combgas.families import CombFamily, family
 from combgas.resolvent import (finite_chain_resolvent_matrix,
                                kernel_finite_chain, kernel_line)
-from combgas.secular import (catalog_expected, catalog_system,
-                             hidden_spectrum_verdict, solve_secular)
+from combgas.secular import (catalog_expected, hidden_spectrum_verdict,
+                             solve_secular)
 from combgas.spectral import extrapolate_power, norm_sequence
 
 
@@ -30,7 +30,7 @@ def test_criterion_01_closed_form_catalog():
     cases += [("comb", {"d": d}) for d in range(1, 4)]
     worst = 0.0
     for name, params in cases:
-        sol = solve_secular(catalog_system(name, **params))
+        sol = solve_secular(name, **params)
         want = catalog_expected(name, **params)
         worst = max(worst, abs(sol.lambda0 - want))
         verdict = hidden_spectrum_verdict(sol)[0]
@@ -195,7 +195,7 @@ def _perturbed_apply_worst_error():
 
         sys_fin = SecularSystem(
             "finite", tuple(range(len(support_ids))), d_block, c_block,
-            b_adj, base_kernel, base_radius=2.0, bracket_hi=8.0,
+            b_adj, base_kernel, base_radius=2.0,
             base_solve=base_solve, support_indices=tuple(support_ids))
         rng = np.random.RandomState(7)
         v = rng.randn(size + nb)

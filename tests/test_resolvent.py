@@ -141,7 +141,7 @@ def test_perturbed_resolvent_star_vs_dense():
 
     sys_fin = type(sys)(
         "star_fin", tuple(range(k)), np.zeros((k, k)), np.ones((k, 1)),
-        np.zeros((1, 1)), base_kernel, base_radius=2.0, bracket_hi=3.0,
+        np.zeros((1, 1)), base_kernel, base_radius=2.0,
         base_solve=base_solve, support_indices=tuple(s * m for s in range(k)))
     v = np.zeros(size + 1)
     v[0] = 1.0

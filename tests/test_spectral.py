@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from combgas import spectral
+from combgas import NumericFailure, spectral
 from combgas.families import CombFamily, FamilyError, family
 
 
@@ -281,3 +281,38 @@ def test_norm_sequence_makes_no_lapack_eigensolve(monkeypatch):
         report = spectral.norm_sequence(family(name, **params),
                                         [nrem + 2, nrem + 40, 2000])
         assert len(report.norms) == 3
+
+
+@pytest.mark.parametrize("c,link", [(0.0, 1.0), (1.0, 1.0), (0.0, 2 ** 0.5),
+                                    (4.0, 1.0)])
+def test_infinite_tail_pivot_is_the_limit_of_the_finite_one(c, link):
+    # l z at lam = c + l(z + 1/z), the fixed point of p = lam - c - l^2/p,
+    # with the slope z^2/(z^2 - 1): the finite tail's pivot and slope at a
+    # length where z^-2L is below roundoff, and a central difference
+    inf = spectral._HeadTail(np.r_[1.5, c, c, c], np.r_[0.7, link, link])
+    inf.size = math.inf
+    fin = spectral._HeadTail(np.r_[1.5, np.full(400, c)],
+                             np.r_[0.7, np.full(399, link)])
+    for x in (1.001, 1.1, 1.5, 3.0):
+        z = x + math.sqrt(x * x - 1.0)
+        lam = c + 2.0 * link * x
+        tail, slope = inf.tail(lam)
+        assert tail == pytest.approx(link * z, rel=1e-14)
+        assert tail == pytest.approx(lam - c - link * link / tail, rel=1e-14)
+        assert slope == pytest.approx(z * z / (z * z - 1.0), rel=1e-12)
+        assert (tail, slope) == pytest.approx(fin.tail(lam), rel=1e-12)
+        h = 1e-6 * link
+        diff = (inf.tail(lam + h)[0] - inf.tail(lam - h)[0]) / (2.0 * h)
+        assert slope == pytest.approx(diff, rel=1e-6)
+
+
+def test_infinite_quotient_refuses_a_head_that_keeps_growing():
+    # a head whose first row moves with n never repeats: exit 2, not a loop
+    class Growing:
+        name = "growing"
+
+        def quotient_matrix(self, n):
+            return np.r_[float(n), np.zeros(3)], np.ones(3)
+
+    with pytest.raises(NumericFailure, match="head grows"):
+        spectral._infinite_quotient(Growing())

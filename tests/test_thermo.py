@@ -33,9 +33,9 @@ def test_e0_em_comb_d1():
 
 def test_hidden_gap_consistency_with_secular():
     # IDS route and secular route certify the same gap
-    from combgas.secular import catalog_system, solve_secular
+    from combgas.secular import solve_secular
 
-    sol = solve_secular(catalog_system("comb", d=1))
+    sol = solve_secular("comb", d=1)
     gap_secular = sol.lambda0 - 2.0
     _, em, _ = thermo.e0_em(CombFamily(1), [10, 16, 22, 28, 34, 40])
     assert em == pytest.approx(gap_secular, abs=0.02)
@@ -84,8 +84,9 @@ def test_solve_mu_round_trip():
     vals, w = CombFamily(1).spectrum(8)
     shift = 2 * math.sqrt(2)
     rho = 0.3
-    mu = thermo.solve_mu(vals, w, shift, 1.0, rho)
+    mu, gap = thermo.solve_mu(vals, w, shift, 1.0, rho)
     assert mu < 0 or mu < float((shift - vals).min())
+    assert gap == pytest.approx(float((shift - vals).min()) - mu, rel=1e-12)
     back = thermo.finite_volume_density(vals, w, shift, 1.0, mu)
     assert back == pytest.approx(rho, rel=1e-8)
 
@@ -116,7 +117,7 @@ def test_solve_mu_matches_a_40_digit_root(monkeypatch, name, params, n, beta,
     occupations = thermo._occupations
     monkeypatch.setattr(thermo, "_occupations",
                         lambda x: passes.append(x.size) or occupations(x))
-    mu = thermo.solve_mu(vals, w, shift, beta, rho, tol=1e-10)
+    mu, _ = thermo.solve_mu(vals, w, shift, beta, rho, tol=1e-10)
     assert 1 <= len(passes) <= 12
     with mpmath.workdps(40):
         levels = [(mpmath.mpf(shift) - mpmath.mpf(v), mpmath.mpf(wi))
