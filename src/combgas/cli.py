@@ -395,10 +395,8 @@ def cmd_bec(args):
     d = args.d
     if args.c is not None:
         schedule = ("condensate_scaled", args.c)
-    elif args.mu_power is not None:
-        schedule = ("power", args.mu_power)
     else:
-        raise InputError("bec needs --c or --mu-power")
+        schedule = ("power", args.mu_power)
     cfg = cb.CombRunConfig(d=d, beta=args.beta, mu_schedule=schedule)
     xi = _parse_fock(args.xi, d)
     eta = _parse_fock(args.eta or args.xi, d)
@@ -413,8 +411,11 @@ def cmd_bec(args):
         if d <= 2 or args.c is None:
             result["limit"] = {
                 "verdict": "divergent",
-                "detail": "no locally normal limit state for d <= 2; "
-                          "finite-volume two-point values diverge",
+                "detail": ("no locally normal limit state for d <= 2; "
+                           "finite-volume two-point values diverge"
+                           if d <= 2 else
+                           "the limit state is defined for the condensate "
+                           "scaling --c only, not for --mu-power"),
             }
             code = EXIT_DIVERGENT
         else:
@@ -535,10 +536,11 @@ def build_parser():
     p = sub.add_parser("bec", help="comb condensation sweep and limit")
     p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--beta", type=_positive, required=True)
-    p.add_argument("--c", type=_positive, default=None,
-                   help="condensate scaling mu_n = -1/(c (2n+1)^d)")
-    p.add_argument("--mu-power", type=_finite, default=None,
-                   help="schedule mu_n = -n^(-p)")
+    schedule = p.add_mutually_exclusive_group(required=True)
+    schedule.add_argument("--c", type=_positive, default=None,
+                          help="condensate scaling mu_n = -1/(c (2n+1)^d)")
+    schedule.add_argument("--mu-power", type=_finite, default=None,
+                          help="schedule mu_n = -n^(-p)")
     p.add_argument("--n", required=True, help="lo:hi[:step]")
     p.add_argument("--xi", action="append", default=[],
                    help="base coords,fiber coord[@amplitude], repeatable")

@@ -1,16 +1,21 @@
 """Condensation engine for the comb graphs Z^d -| Z.
 
 Finite volumes are X_n -| Y_n with X_n the periodic box (Z_{2n+1})^d and Y_n
-the chain [-n,n].  Everything routes through the tensor decomposition
+the chain [-n,n].  The base Fourier modes split A_{Lambda_n} into one
+chain-plus-impurity fiber block A_Y + a P_0 per orbit of modes under sign
+flips and axis permutations (`CombVolume`), solved together by
+`families.fiber_eigen`; the finite-volume two-point function, density and
+PF projection are sums over those blocks, so no computation ever assembles
+the full (2n+1)^(d+1) operator.  The tensor decomposition
 
     H_n^{-1} = I (x) R_{Y_n}(lam_n)
              + Phi_n (x) R_{Y_n}(lam_n) P_0 R_{Y_n}(lam_n),
 
-with lam_n = ||A|| - mu_n, so no computation ever assembles the full
-(2n+1)^(d+1) operator for large volumes; the backbone factor Phi_n reduces to
-the finite torus Green function G_n(Delta; eps), summed over the orbits of
-the base modes under sign flips and axis permutations (`CombVolume`), and
-the fiber factors to closed-form chain kernels.
+with lam_n = ||A|| - mu_n, serves the infinite-volume limit: the backbone
+factor Phi_n reduces to the finite torus Green function G_n(Delta; eps),
+whose coefficients k_n^0, k_n^+ a sweep reports next to the condensate
+coefficient, and whose continuum limit enters `two_point_limit` with the
+closed-form chain kernels.
 """
 
 from __future__ import annotations
@@ -23,8 +28,7 @@ import numpy as np
 
 from . import DomainError, thermo
 from .families import CombFamily, CombVolume, block_measure, fiber_eigen
-from .resolvent import (finite_chain_resolvent_entry, kernel_finite_chain,
-                        kernel_line, theta_of)
+from .resolvent import kernel_finite_chain, kernel_line, theta_of
 
 
 class CombError(DomainError):
@@ -228,20 +232,6 @@ def block_matrix_element(d, n, func, xi, eta, eig=None, vol=None):
 # two-point function, finite volume and limit
 
 
-@dataclass
-class TwoPointBreakdown:
-    smooth_term: float
-    line_term: float
-    q_term: float
-    condensate_term: float
-    total: float
-    n: int
-    mu: float
-    eps: float
-    k0: float
-    kplus: float
-
-
 class VolumeTerms(NamedTuple):
     """One volume under a run's mu schedule: mu_n, lam_n = ||A|| - mu_n,
     eps_n, (k_n^0, k_n^+), the fiber vector z_n = R_{Y_n}(lam_n) delta_0 at
@@ -272,50 +262,16 @@ def volume_terms(cfg, n):
 
 
 def two_point_finite(cfg, n, xi, eta, eig=None, terms=None):
-    """omega_n(a+(xi) a(eta)) = <eta, (e^{beta H_n} - 1)^{-1} xi>
-    through the tensor decomposition of H_n^{-1}.  `eig` is handed on to
-    `block_matrix_element`; `terms` passes the volume's `volume_terms`."""
-    d, beta = cfg.d, cfg.beta
+    """omega_n(a+(xi) a(eta)) = <eta, (e^{beta H_n} - 1)^{-1} xi> with
+    H_n = lam_n - A_{Lambda_n}: the Bose occupation of every fiber-block
+    eigenvalue, through `block_matrix_element`.  `eig` is handed on to it;
+    `terms` passes the volume's `volume_terms`."""
     if terms is None:
         terms = volume_terms(cfg, n)
-    mu, lam, eps, k0, kplus, z, vol = terms
-    fiber_support(n, xi, eta)  # refuses fibers that leave [-n, n]
-    fib_xi = xi.fibers()
-    fib_eta = eta.fibers()
-
-    # fiber-diagonal part I (x) R_{Y_n}, on the supports of the fiber vectors
-    line = 0.0
-    for jv, fe in fib_eta.items():
-        for k, ak in fib_xi.get(jv, {}).items():
-            for j, aj in fe.items():
-                line += aj * ak * finite_chain_resolvent_entry(lam, n, j, k)
-
-    # rank-one fiber factor: overlaps with z_n = R_{Y_n}(lam) delta_0
-    def overlap(f):
-        return sum(amp * z[j + n] for j, amp in f.items())
-
-    a_eta = {jv: overlap(f) for jv, f in fib_eta.items()}
-    a_xi = {jv: overlap(f) for jv, f in fib_xi.items()}
-    # k_n^+ + Q_n(Delta) = ((d+eps)/d) G_n(Delta) - delta_{Delta,0}/d - k_n^0
-    # with the zero mode of G_n summed in closed form: no 1/eps cancels
-    pref = 2.0 * d * (d + eps)
-    side = 2 * n + 1
-    qpart = 0.0
-    for jv_e, ae in a_eta.items():
-        for jv_x, ax in a_xi.items():
-            delta = tuple(e - x for e, x in zip(jv_e, jv_x))
-            kq = (1.0 / vol.modes + (d + eps) * torus_green(vol, eps, delta)
-                  - (not any(t % side for t in delta))) / d
-            qpart += kq * ae * ax
-    qpart *= pref
-    cond = pref * k0 * sum(a_eta.values()) * sum(a_xi.values())
-
-    sm = block_matrix_element(
-        d, n, lambda a: bounded_correction(beta * (lam - a)), xi, eta, eig,
-        vol)
-    total = sm + (line + qpart + cond) / beta
-    return TwoPointBreakdown(sm, line / beta, qpart / beta, cond / beta,
-                             total, n, mu, eps, k0, kplus)
+    beta, lam = cfg.beta, terms.lam
+    return block_matrix_element(
+        cfg.d, n, lambda a: thermo._occupations(beta * (lam - a)), xi, eta,
+        eig, terms.vol)
 
 
 def two_point_limit(cfg, xi, eta, smooth_n=None):
@@ -436,23 +392,17 @@ def fixed_density_mu(d, n, beta, rho):
 def pf_projection_term(d, n, mu, xi, eta):
     """<eta, H_n^{-1} P_{v_n} xi> with v_n the finite-volume PF eigenvector.
 
-    Its eigenvalue lam0 = ||A_{Lambda_n}|| is the top of the periodic comb's
-    fiber-level quotient (`spectral.quotient_norm`), the root of
-    2d <d0, R_{Y_n}(lam0) d0> = 1, and its fiber profile the chain kernel
-    <j, R_{Y_n}(lam0) d0>."""
-    from .spectral import quotient_norm
-
-    lam0 = quotient_norm(*CombFamily(d).quotient_matrix(n))
-    z = np.array([kernel_finite_chain(lam0, n, j) for j in range(-n, n + 1)])
-    znorm2 = float(z @ z)
-    vol = (2 * n + 1) ** d
+    v_n = u (x) w_n/sqrt((2n+1)^d): u = 1 on the base box and w_n the unit
+    top vector of the zero-mode fiber block A_Y + 2d P_0 (`fiber_eigen`),
+    whose top eigenvalue is lam0 = ||A_{Lambda_n}||."""
+    eig = fiber_eigen(n, [2.0 * d], fiber_support(n, xi, eta))
+    lam0 = float(eig.even[0, 0])
+    w = dict(zip(eig.support, eig.even_vec[:, 0, 0]))
     gap = (norm_limit(d) - mu) - lam0
 
     def overlap(fv):
-        acc = 0.0
-        for (jvec, j), amp in fv.entries.items():
-            acc += z[j + n] * amp
-        return acc / math.sqrt(znorm2 * vol)
+        acc = sum(w[j] * amp for (_, j), amp in fv.entries.items())
+        return acc / math.sqrt((2 * n + 1) ** d)
 
     return overlap(eta) * overlap(xi) / gap
 
@@ -462,18 +412,18 @@ def sweep_rows(cfg, ns, xi, eta):
 
     Each volume's base orbits (one `CombVolume`), lattice sum and fiber
     vector are computed once and its fiber blocks solved once; the
-    two-point function, the condensate coefficient and the density share
-    them.
+    two-point function and the density share the blocks, the condensate
+    coefficient the lattice sum and the fiber vector.
     """
     rows = []
     for n in ns:
         terms = volume_terms(cfg, n)
         eig = fiber_eigen(n, terms.vol.a, fiber_support(n, xi, eta))
-        bd = two_point_finite(cfg, n, xi, eta, eig, terms)
+        total = two_point_finite(cfg, n, xi, eta, eig, terms)
         kprime = condensate_coefficient(cfg, n, terms)
         dens = block_density(terms.vol, eig, cfg.beta, terms.mu)
-        rows.append((n, bd.mu, bd.eps, bd.k0, bd.kplus, kprime, bd.total,
-                     dens))
+        rows.append((n, terms.mu, terms.eps, terms.k0, terms.kplus, kprime,
+                     total, dens))
     return rows
 
 

@@ -254,7 +254,7 @@ def test_criterion_07_comb_condensation_limit():
     xi = FockVector.delta((0, 0, 0), 0)
     cfg = CombRunConfig(d=3, beta=beta, mu_schedule=("condensate_scaled", 1.0))
     ns = [4, 6, 8]
-    totals = [cb.two_point_finite(cfg, n, xi, xi).total for n in ns]
+    totals = [cb.two_point_finite(cfg, n, xi, xi) for n in ns]
     diffs = [b - a for a, b in zip(totals, totals[1:])]
     cauchy = all(d > 0 for d in diffs) and diffs[1] < diffs[0]
     sides = np.array([2 * n + 1 for n in ns], dtype=float)
@@ -309,7 +309,7 @@ def test_criterion_09_low_dimensional_failure():
     totals = []
     kprimes = []
     for n in ns:
-        totals.append(cb.two_point_finite(cfg, n, xi, xi).total)
+        totals.append(cb.two_point_finite(cfg, n, xi, xi))
         kprimes.append(cb.condensate_coefficient(cfg, n))
     monotone = all(a < b for a, b in zip(totals, totals[1:]))
     exceeded = totals[-1] > 10.0 * totals[0]

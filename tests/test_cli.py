@@ -449,6 +449,38 @@ def test_bec_divergence_verdict(capsys):
     assert doc["result"]["limit"]["verdict"] == "divergent"
 
 
+@pytest.mark.parametrize("d,flag,cause", [
+    ("1", ("--mu-power", "1"), "d <= 2"), ("2", ("--c", "1"), "d <= 2"),
+    ("3", ("--mu-power", "1"), "--mu-power")],
+    ids=["d1-power", "d2-c", "d3-power"])
+def test_bec_divergence_detail_names_its_cause(capsys, d, flag, cause):
+    code, doc = run_json(capsys, "bec", "--d", d, "--beta", "1", *flag,
+                         "--n", "2", "--xi", ",".join("0" * (int(d) + 1)),
+                         "--limit")
+    assert code == 3
+    limit = doc["result"]["limit"]
+    assert limit["verdict"] == "divergent"
+    assert cause in limit["detail"]
+    assert ("d <= 2" in limit["detail"]) == (cause == "d <= 2")
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--c", "1", "--mu-power", "2"),
+     "argument --mu-power: not allowed with argument --c"),
+    (("--mu-power", "2", "--c", "1"),
+     "argument --c: not allowed with argument --mu-power"),
+    ((), "one of the arguments --c --mu-power is required")],
+    ids=["c-and-mu-power", "mu-power-and-c", "neither"])
+def test_bec_takes_exactly_one_schedule(capsys, flags, message):
+    # a second schedule flag is refused, not silently dropped
+    code = main(["bec", "--d", "3", "--beta", "1", *flags, "--n", "2",
+                 "--xi", "0,0,0,0"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == "combgas bec: error: " + message
+
+
 def _fresh_stdout(script):
     """The output of `script` in a fresh interpreter on this checkout."""
     src = str(Path(combgas.__file__).resolve().parents[1])

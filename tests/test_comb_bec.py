@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -198,27 +199,75 @@ def test_block_matrix_element_exact():
 
 @pytest.mark.parametrize("d,n,mu,beta", [(1, 3, -0.2, 1.0), (2, 2, -0.33, 0.7)])
 def test_two_point_decomposition_identity(d, n, mu, beta):
-    # tensor-decomposition total equals the dense evaluation to 1e-8
+    # the fiber-block sum equals the dense evaluation to 1e-8, on an
+    # off-fiber pair
     cfg = CombRunConfig(d=d, beta=beta, mu_schedule=(
         "condensate_scaled", -1.0 / (mu * (2 * n + 1) ** d)))
     xi = FockVector.delta((0,) * d, 0)
     eta = FockVector.delta((1,) + (0,) * (d - 1), min(2, n))
-    bd = two_point_finite(cfg, n, xi, eta)
+    got = two_point_finite(cfg, n, xi, eta)
     want = dense_two_point(d, n, beta, mu, xi, eta)
-    assert bd.total == pytest.approx(want, abs=1e-8)
-    # off-fiber pair: the fiber-diagonal term must vanish
-    assert bd.line_term == 0.0
+    assert got == pytest.approx(want, abs=1e-8)
 
 
 def test_two_point_breakdown_diagonal():
     cfg = CombRunConfig(d=1, beta=1.0,
                         mu_schedule=("condensate_scaled", 1.0 / (0.2 * 7)))
     xi = FockVector.delta((0,), 0)
-    bd = two_point_finite(cfg, 3, xi, xi)
+    got = two_point_finite(cfg, 3, xi, xi)
     want = dense_two_point(1, 3, 1.0, -0.2, xi, xi)
-    assert bd.total == pytest.approx(want, abs=1e-10)
-    assert bd.line_term > 0
-    assert bd.condensate_term > 0
+    assert got == pytest.approx(want, abs=1e-10)
+
+
+def mp_two_point(cfg, n, xi, eta):
+    """40-digit <eta, (e^{beta H_n} - 1)^{-1} xi> on Lambda_n: mpmath
+    `eigsy` of the (2n+1)-row fiber block A_Y + a P_0 of each orbit of base
+    modes k (sorted |k_i|), weighted by the orbit's phase sum
+    sum_k cos(theta k . Delta) over its modes."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        d, side = cfg.d, 2 * n + 1
+        kind, p = cfg.mu_schedule
+        p = mpmath.mpf(p)
+        mu = -1 / (p * side ** d) if kind == "condensate_scaled" else -n ** -p
+        lam = 2 * mpmath.sqrt(d * d + 1) - mu
+        theta = 2 * mpmath.pi / side
+        orbits = {}
+        for k in itertools.product(range(-n, n + 1), repeat=d):
+            orbits.setdefault(tuple(sorted(map(abs, k))), []).append(k)
+        total = 0
+        for rep, modes in orbits.items():
+            block = mpmath.zeros(side)
+            for i in range(side - 1):
+                block[i, i + 1] = block[i + 1, i] = 1
+            block[n, n] = 2 * sum(mpmath.cos(theta * t) for t in rep)
+            vals, vecs = mpmath.eigsy(block)
+            occ = [1 / mpmath.expm1(cfg.beta * (lam - v)) for v in vals]
+            for (jv_e, j_e), a_e in eta.entries.items():
+                for (jv_x, j_x), a_x in xi.entries.items():
+                    delta = [e - x for e, x in zip(jv_e, jv_x)]
+                    phase = sum(mpmath.cos(theta * sum(
+                        t * m for t, m in zip(delta, k))) for k in modes)
+                    elem = sum(vecs[j_e + n, i] * occ[i] * vecs[j_x + n, i]
+                               for i in range(side))
+                    total += a_e * a_x * phase * elem
+        return total / side ** d
+
+
+@pytest.mark.parametrize("d,n,beta,schedule", [
+    (1, 10, 1.0, ("condensate_scaled", 1.0)), (3, 3, 0.7, ("power", 1.5)),
+    (3, 4, 0.5, ("condensate_scaled", 2.0))])
+def test_sweep_two_point_matches_40_digit_blocks(d, n, beta, schedule):
+    # the last case sits near condensation: beta (lam_n - ||A_n||) = 3.4e-4
+    cfg = CombRunConfig(d=d, beta=beta, mu_schedule=schedule)
+    xi = FockVector({((0,) * d, 0): 1.0, ((1,) + (0,) * (d - 1), -1): 0.5,
+                     ((-2,) * d, n): 0.75})
+    eta = FockVector({((0,) * d, 1): 1.0, ((0,) * (d - 1) + (-1,), 0): -0.25,
+                      ((n,) * d, -n): 2.0})
+    row = sweep_rows(cfg, [n], xi, eta)[0]
+    want = float(mp_two_point(cfg, n, xi, eta))
+    assert row[6] == pytest.approx(want, rel=1e-10)
 
 
 def test_two_point_limit_refuses_low_dimension():
@@ -301,8 +350,8 @@ def test_sweep_rows_solves_each_volume_once(monkeypatch):
     # the shared eigendata gives what each consumer computes on its own
     for row in rows:
         n = row[0]
-        assert row[6] == pytest.approx(
-            two_point_finite(cfg, n, xi, xi).total, rel=1e-14)
+        assert row[6] == pytest.approx(two_point_finite(cfg, n, xi, xi),
+                                       rel=1e-14)
         assert row[7] == pytest.approx(
             density_finite(3, n, 1.0, cfg.mu_of(n)), rel=1e-14)
 
@@ -340,4 +389,4 @@ def test_sweep_rows_sums_each_lattice_once(monkeypatch):
     for row in rows:
         n = row[0]
         assert row[5] == condensate_coefficient(cfg, n)
-        assert row[6] == two_point_finite(cfg, n, xi, xi).total
+        assert row[6] == two_point_finite(cfg, n, xi, xi)
