@@ -15,7 +15,8 @@ with lam_n = ||A|| - mu_n, serves the infinite-volume limit: the backbone
 factor Phi_n reduces to the finite torus Green function G_n(Delta; eps),
 whose coefficients k_n^0, k_n^+ a sweep reports next to the condensate
 coefficient, and whose continuum limit enters `two_point_limit` with the
-closed-form chain kernels.
+line's Green function.  Every chain resolvent R_{Y_n}, R_Z is
+`resolvent.chain_green`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import DomainError, thermo
 from .families import CombFamily, CombVolume, block_measure, fiber_eigen
-from .resolvent import kernel_finite_chain, kernel_line, theta_of
+from .resolvent import chain_green
 
 
 class CombError(DomainError):
@@ -46,10 +47,18 @@ def lambda_n(d, mu):
 
 
 def eps_n(d, n, mu):
-    """The backbone self-energy: <d0, R_{Y_n}(lam_n) d0> = 1/(2(d+eps_n))."""
-    lam = lambda_n(d, mu)
-    tau = theta_of(lam)
-    return math.sqrt(lam * lam - 4.0) / (2.0 * math.tanh((n + 1) * tau)) - d
+    """The backbone self-energy: <d0, R_{Y_n}(lam_n) d0> = 1/(2(d+eps_n)).
+
+    At lam_n = 2 cosh u, N = n + 1, eps_n = (sinh u - d) + sinh u (coth(Nu)
+    - 1), neither part cancelling: sinh u - d = (-mu/2)(cosh u + r)/(sinh u
+    + d), r = sqrt(d^2 + 1), sinh u = sqrt(d^2 - mu (r - mu/4)) and
+    coth(Nu) - 1 = 2 e^{-2Nu}/(1 - e^{-2Nu}).
+    """
+    r = math.sqrt(d * d + 1.0)
+    sh = math.sqrt(d * d - mu * (r - mu / 4.0))
+    x = -2.0 * (n + 1) * math.asinh(sh)
+    return (-mu / 2.0 * (lambda_n(d, mu) / 2.0 + r) / (sh + d)
+            - 2.0 * sh * math.exp(x) / math.expm1(x))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +266,7 @@ def volume_terms(cfg, n):
     eps = eps_n(cfg.d, n, mu)
     vol = CombVolume(cfg.d, n, True)
     k0, kplus = lattice_coeffs(cfg.d, n, eps, vol)
-    z = np.array([kernel_finite_chain(lam, n, j) for j in range(-n, n + 1)])
+    z = chain_green(lam, np.arange(-n, n + 1), 0, -n, n)
     return VolumeTerms(mu, lam, eps, k0, kplus, z, vol)
 
 
@@ -295,18 +304,17 @@ def two_point_limit(cfg, xi, eta, smooth_n=None):
     fib_xi = xi.fibers()
     fib_eta = eta.fibers()
 
-    line = 0.0
-    for jv, fe in fib_eta.items():
-        if jv in fib_xi:
-            fx = fib_xi[jv]
-            for j, aj in fe.items():
-                for k, ak in fx.items():
-                    line += aj * ak * kernel_line(lam, j - k)
+    def pair(fe, fx):
+        # <fe, R_Z(lam) fx> on one fiber
+        kern = chain_green(lam, np.array(list(fe))[:, None], list(fx))
+        return float(np.array(list(fe.values())) @ kern
+                     @ np.array(list(fx.values())))
 
-    wt = {jv: sum(a * kernel_line(lam, j) for j, a in f.items())
-          for jv, f in fib_eta.items()}
-    wx = {jv: sum(a * kernel_line(lam, j) for j, a in f.items())
-          for jv, f in fib_xi.items()}
+    line = sum(pair(fe, fib_xi[jv]) for jv, fe in fib_eta.items()
+               if jv in fib_xi)
+    # <f, w_tilde> per base coordinate, w_tilde = R_Z(lam) delta_0
+    wt = {jv: pair(f, {0: 1.0}) for jv, f in fib_eta.items()}
+    wx = {jv: pair(f, {0: 1.0}) for jv, f in fib_xi.items()}
     green = thermo.green_lattice(d)
     phi_part = 0.0
     qcache = {}
@@ -396,9 +404,14 @@ def pf_projection_term(d, n, mu, xi, eta):
     top vector of the zero-mode fiber block A_Y + 2d P_0 (`fiber_eigen`),
     whose top eigenvalue is lam0 = ||A_{Lambda_n}||."""
     eig = fiber_eigen(n, [2.0 * d], fiber_support(n, xi, eta))
-    lam0 = float(eig.even[0, 0])
     w = dict(zip(eig.support, eig.even_vec[:, 0, 0]))
-    gap = (norm_limit(d) - mu) - lam0
+    # ||A|| - lam0 = 2(d - sinh t)(d + sinh t)/(sqrt(d^2+1) + cosh t) at
+    # lam0 = 2 cosh t, where sinh t = d tanh(Nt), N = n + 1, makes
+    # d - sinh t = 2d e^{-2Nt}/(1 + e^{-2Nt}): no subtraction
+    t = math.acosh(float(eig.even[0, 0]) / 2.0)
+    q = math.exp(-2.0 * (n + 1) * t)
+    gap = (4.0 * d * q / (1.0 + q) * (d + math.sinh(t))
+           / (math.sqrt(d * d + 1.0) + math.cosh(t)) - mu)
 
     def overlap(fv):
         acc = sum(w[j] * amp for (_, j), amp in fv.entries.items())

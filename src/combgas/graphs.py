@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from . import DomainError
 
@@ -59,6 +58,8 @@ class Graph:
                     yield (u, v)
 
     def adjacency_matrix(self):
+        from scipy import sparse
+
         n = self.vertex_count
         rows, cols = [], []
         for u, nbrs in enumerate(self.adjacency):

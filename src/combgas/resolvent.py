@@ -1,10 +1,9 @@
-"""Closed-form resolvent kernels for chain-like graphs and numeric solves.
+"""The chain Green function in closed form, and the perturbed resolvent.
 
-All kernels are entries of (lam*I - A)^{-1} for lam above the spectral radius,
-written in the hyperbolic parametrization 2*cosh(theta) = lam.  The finite
-chain [-n,n] admits a fully closed form, which the infinite-line kernel is a
-limit of; the half-infinite chain with any constant diagonal and link has
-its whole Green matrix in closed form (`half_line_green`).
+`chain_green` gives every entry of (lam*I - A)^{-1} on a chain of constant
+diagonal and link, finite, half-infinite or two-sided, for lam above its
+spectral radius; `perturbed_resolvent_apply` applies the resolvent of a
+finite-rank perturbation in block form.
 """
 
 from __future__ import annotations
@@ -20,91 +19,34 @@ class ResolventDomainError(DomainError):
     pass
 
 
-def theta_of(lam):
-    # arccosh(lam/2) via log form, stable for lam -> 2+
-    if lam <= 2.0:
-        raise ResolventDomainError("lam must exceed 2, got %r" % lam)
-    half = lam / 2.0
-    return math.log(half + math.sqrt(half * half - 1.0))
+def chain_green(lam, i, j, lo=-math.inf, hi=math.inf, diag=0.0, link=1.0):
+    """<delta_i, (lam - A)^{-1} delta_j> on the chain of rows lo..hi with
+    diagonal `diag` and links `link`, lam above its spectrum; either end may
+    be infinite, and i, j broadcast as arrays.
 
+    At lam = diag + link (z + 1/z), z = e^u > 1, with a = min(i, j) - lo + 1,
+    b = hi - max(i, j) + 1 and m = |i - j|, the entry is
 
-def kernel_line(lam, j=0):
-    """<delta_j, R(lam) delta_0> on the two-sided infinite chain."""
-    th = theta_of(lam)
-    return math.exp(-abs(j) * th) / (2.0 * math.sinh(th))
+        z^-m (1 - z^-2a)(1 - z^-2b) / (link (z - 1/z)(1 - z^-2(a+b+m))),
 
-
-def half_line_green(rows, diag=0.0, link=1.0):
-    """lam -> <delta_i, R(lam) delta_j>, i, j in `rows`, on the
-    half-infinite chain 0, 1, ... of diagonal `diag` and links `link`.
-
-    At lam = diag + link (z + 1/z), z = e^u > 1, the entry is
-    (z^-|i-j| - z^-(i+j+2)) / (link (z - 1/z)), taken in expm1 form with
-    sinh(u/2)^2 = (lam - diag - 2 link)/(4 link): no cancellation near the
-    band edge.  Entry (0, 0) is 1/(link z): 2/(lam + sqrt(lam^2 - 4)) on
-    the half-line and, at link sqrt 2, 2/(lam + sqrt(lam^2 - 8)) at the end
-    corner of the chain of squares.
+    in expm1 form with sinh(u/2)^2 = (lam - diag - 2 link)/(4 link): no
+    cancellation near the band edge; an infinite end sets its factor to 1.
     """
-    rows = np.asarray(rows, dtype=float)
-    near = 2.0 * (np.minimum.outer(rows, rows) + 1.0)
-    far = np.abs(np.subtract.outer(rows, rows))
     edge = diag + 2.0 * link
-
-    def green(lam):
-        if lam <= edge:
-            raise ResolventDomainError("half-line Green matrix needs lam > "
-                                       "%r, got %r" % (edge, lam))
-        u = 2.0 * math.asinh(math.sqrt((lam - edge) / (4.0 * link)))
-        return (np.exp(far * -u) * np.expm1(near * -u)
-                * (-0.5 / (link * math.sinh(u))))
-
-    return green
-
-
-def kernel_finite_chain(lam, n, j):
-    """z(lam,n)_j = <delta_j, R(lam) delta_0> on the chain [-n,n].
-
-    Hyperbolic closed form, valid for lam > 2; at j=0 this equals
-    tanh((n+1)theta)/sqrt(lam^2-4).
-    """
-    if abs(j) > n:
-        raise ResolventDomainError("|j| <= n required")
-    th = theta_of(lam)
-    # sinh((n+1-|j|)th) / (2 sinh th cosh((n+1)th)), guarded against overflow
-    a = (n + 1 - abs(j)) * th
-    b = (n + 1) * th
-    # sinh(a)/cosh(b) = (e^{a-b} - e^{-a-b}) / (1 + e^{-2b})
-    val = (math.exp(a - b) - math.exp(-a - b)) / (1.0 + math.exp(-2.0 * b))
-    return val / (2.0 * math.sinh(th))
-
-
-def finite_chain_resolvent_entry(lam, n, j, k):
-    """General entry <delta_j, R(lam) delta_k> on the chain [-n,n], lam > 2."""
-    if abs(j) > n or abs(k) > n:
-        raise ResolventDomainError("indices must lie in [-n,n]")
-    th = theta_of(lam)
-    # with 1-based positions a <= b in a path of N = 2n+1 vertices:
-    # G_ab = sinh(a th) sinh((N+1-b) th) / (sinh th sinh((N+1) th))
-    a = min(j, k) + n + 1
-    b = max(j, k) + n + 1
-    big = 2 * n + 2
-    # exponential-form ratio to avoid overflow at large n*th
-    num = ((math.exp((a + big - b - big) * th) - math.exp((-a + big - b - big) * th))
-           - (math.exp((a - big + b - big) * th) - math.exp((-a + b - 2 * big) * th)))
-    den = 2.0 * (1.0 - math.exp(-2.0 * big * th))
-    return num / den / math.sinh(th)
-
-
-def finite_chain_resolvent_matrix(lam, n):
-    """Dense (2n+1)x(2n+1) resolvent of the chain [-n,n] via the closed form."""
-    size = 2 * n + 1
-    out = np.empty((size, size))
-    for j in range(-n, n + 1):
-        for k in range(j, n + 1):
-            v = finite_chain_resolvent_entry(lam, n, j, k)
-            out[j + n, k + n] = v
-            out[k + n, j + n] = v
-    return out
+    if not lam > edge:
+        raise ResolventDomainError("the chain Green function needs lam > %r, "
+                                   "got %r" % (edge, lam))
+    i = np.asarray(i, dtype=float)
+    j = np.asarray(j, dtype=float)
+    near, far = np.minimum(i, j), np.maximum(i, j)
+    if (near < lo).any() or (far > hi).any():
+        raise ResolventDomainError("indices must lie in [%r, %r]" % (lo, hi))
+    u = 2.0 * math.asinh(math.sqrt((lam - edge) / (4.0 * link)))
+    # the exponents -2au, -2bu and -mu
+    ea, eb = (near - lo + 1.0) * (-2.0 * u), (hi - far + 1.0) * (-2.0 * u)
+    em = (near - far) * u
+    return (np.exp(em) * np.expm1(ea) * np.expm1(eb)
+            / (np.expm1(ea + eb + 2.0 * em) * (-2.0 * link * math.sinh(u))))
 
 
 def perturbed_resolvent_apply(system, lam, v):

@@ -192,9 +192,9 @@ def _perturbation(q):
 
 def catalog_system(name, **params):
     """SecularSystem for a catalogue entry on its infinite graph: the base
-    is the half-infinite chain (c, l) on the quotient's rows
-    (`resolvent.half_line_green`), of norm c + 2l; D is the head minus it
-    on the rows it touches, the support, in row order; no attached graph.
+    is the half-infinite chain (c, l) on the quotient's rows 0, 1, ...
+    (`resolvent.chain_green`), of norm c + 2l; D is the head minus it on
+    the rows it touches, the support, in row order; no attached graph.
     `family` refuses the parameters (FamilyError) that the entry's
     truncations refuse."""
     q = _infinite_quotient(_secular_family(name, params))
@@ -202,4 +202,6 @@ def catalog_system(name, **params):
     return SecularSystem(
         name, tuple(rows.tolist()), pert[rows][:, rows],
         np.zeros((rows.size, 0)), np.zeros((0, 0)),
-        rk.half_line_green(rows, q.c, q.link), base_radius=q.c + 2.0 * q.link)
+        lambda lam: rk.chain_green(lam, rows[:, None], rows, 0, math.inf,
+                                   q.c, q.link),
+        base_radius=q.c + 2.0 * q.link)

@@ -9,8 +9,7 @@ from combgas import comb_bec as cb
 from combgas import thermo
 from combgas.comb_bec import CombRunConfig, FockVector
 from combgas.families import CombFamily, family
-from combgas.resolvent import (finite_chain_resolvent_matrix,
-                               kernel_finite_chain, kernel_line)
+from combgas.resolvent import chain_green
 from combgas.secular import (catalog_expected, hidden_spectrum_verdict,
                              solve_secular)
 from combgas.spectral import extrapolate_power, norm_sequence
@@ -143,7 +142,8 @@ def test_criterion_06_kernel_identities():
             size = 2 * n + 1
             a = np.diag(np.ones(size - 1), 1) + np.diag(np.ones(size - 1), -1)
             dense = np.linalg.inv(lam * np.eye(size) - a)
-            mat = finite_chain_resolvent_matrix(lam, n)
+            rows = np.arange(-n, n + 1)
+            mat = chain_green(lam, rows[:, None], rows, -n, n)
             worst_chain = max(worst_chain, float(np.max(np.abs(mat - dense))))
     # Q(0) = Q(e_1) = -1/d, the second from the lattice equation
     worst_q = max(abs(cb.q_limit(d, delta + (0,) * (d - 1)) + 1.0 / d)

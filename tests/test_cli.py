@@ -514,10 +514,11 @@ def test_bec_and_transience_leave_scipy_integrate_unimported():
 
 def test_comb_and_lattice_commands_import_no_scipy():
     # comb and lattice spectra are closed form or fiber blocks, their
-    # densities and mu numpy sums, and a bec sweep without --limit needs no
-    # Bessel integral: scipy is imported only where it is called
+    # densities and mu numpy sums, a bec sweep without --limit needs no
+    # Bessel integral and `build` no sparse matrix: scipy is imported only
+    # where it is called
     script = (
-        "import sys\n"
+        "import json, sys\n"
         "from combgas.cli import main\n"
         "for fam, d in (('comb', 1), ('comb', 3), ('lattice', 2)):\n"
         "    base = ['--family', fam, '--param', 'd=%d' % d, '--n', '3']\n"
@@ -527,6 +528,9 @@ def test_comb_and_lattice_commands_import_no_scipy():
         "        assert main(argv + base + ['--out', '/dev/null']) == 0\n"
         "assert main(['bec', '--d', '3', '--beta', '1', '--c', '1', '--n',\n"
         "             '2:4:2', '--xi', '0,0,0,0', '--out', '/dev/null']) == 0\n"
+        "box = {'builder': 'lattice_box', 'params': {'d': 2, 'n': 3}}\n"
+        "assert main(['build', '--inline', json.dumps(box), '--out',\n"
+        "             '/dev/null']) == 0\n"
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
     assert _fresh_stdout(script).strip() == "[]"
 

@@ -34,12 +34,12 @@ def dense_two_point(d, n, beta, mu, xi, eta):
 
 def test_eps_n_matches_center_kernel():
     # <d0, R_{Y_n}(lam_n) d0> = 1/(2(d+eps_n)) by construction
-    from combgas.resolvent import kernel_finite_chain
+    from combgas.resolvent import chain_green
 
     for d, n, mu in ((1, 10, -0.1), (3, 6, -0.02)):
         lam = norm_limit(d) - mu
         eps = eps_n(d, n, mu)
-        assert kernel_finite_chain(lam, n, 0) == pytest.approx(
+        assert chain_green(lam, 0, 0, -n, n) == pytest.approx(
             1.0 / (2.0 * (d + eps)), rel=1e-12)
         assert eps > 0
 
@@ -47,15 +47,52 @@ def test_eps_n_matches_center_kernel():
 def test_comb_quotient_norm_combnorm_identity(lanczos_top):
     # the finite-volume norm, the top of the periodic comb's fiber-level
     # quotient, satisfies 2d <d0, R_{Y_n}(norm) d0> = 1
-    from combgas.resolvent import kernel_finite_chain
+    from combgas.resolvent import chain_green
     from combgas.spectral import quotient_norm
 
     for d, n in ((1, 8), (2, 4)):
         lam0 = quotient_norm(*CombFamily(d).quotient_matrix(n))
-        assert 2 * d * kernel_finite_chain(lam0, n, 0) == pytest.approx(
+        assert 2 * d * chain_green(lam0, 0, 0, -n, n) == pytest.approx(
             1.0, abs=1e-12)
         top = lanczos_top(CombFamily(d).matrix(n))
         assert lam0 == pytest.approx(top, abs=1e-8)
+
+
+def test_eps_n_vs_50_digit_value():
+    # d + eps_n = sinh u coth((n+1)u) at cosh u = sqrt(d^2+1) - mu/2, under
+    # the condensate schedule; the theta_of form was off by up to 1.3e-6
+    import mpmath
+
+    worst = 0.0
+    with mpmath.workdps(50):
+        for d, c, n in itertools.product((1, 3, 4), (0.5, 1.0, 2.0),
+                                         range(1, 81)):
+            mu = -1.0 / (c * (2 * n + 1) ** d)
+            u = mpmath.acosh(mpmath.sqrt(d * d + 1) - mpmath.mpf(mu) / 2)
+            want = mpmath.sinh(u) * mpmath.coth((n + 1) * u) - d
+            worst = max(worst, abs(eps_n(d, n, mu) / want - 1))
+    assert float(worst) < 1e-14
+
+
+def test_pf_projection_term_vs_40_digit_value():
+    # at d=3 n=14 ||A|| - lam0 ~ 1e-24 sits far below |mu| ~ 4e-8, where
+    # the subtraction (||A|| - mu) - lam0 was off by 3.1e-8 relative: the
+    # top root solves sinh t = d tanh(N t), N = n + 1, and the PF fiber
+    # vector is sinh((N - |j|) t) up to its norm
+    import mpmath
+
+    d, n, mu = 3, 14, -1e-3 / 29 ** 3
+    xi = FockVector.delta((0, 0, 0), 0)
+    eta = FockVector.delta((1, 0, 0), 2)
+    got = pf_projection_term(d, n, mu, xi, eta)
+    with mpmath.workdps(40):
+        t = mpmath.findroot(lambda t: mpmath.sinh(t)
+                            - d * mpmath.tanh((n + 1) * t), mpmath.asinh(d))
+        w = [mpmath.sinh((n + 1 - abs(j)) * t) for j in range(-n, n + 1)]
+        gap = 2 * mpmath.sqrt(d * d + 1) - 2 * mpmath.cosh(t) - mu
+        want = (w[n] * w[n + 2] / sum(x * x for x in w)
+                / (2 * n + 1) ** d / gap)
+        assert float(abs(got / want - 1)) < 1e-12
 
 
 def test_k0_condensate_scaling_limit():
