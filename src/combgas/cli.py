@@ -401,11 +401,9 @@ def cmd_bec(args):
     xi = _parse_fock(args.xi, d)
     eta = _parse_fock(args.eta or args.xi, d)
     ns = _parse_nrange(args.n)
-    rows = cb.sweep_rows(cfg, ns, xi, eta)
-    sweep = [dict(zip(("n", "mu_n", "eps_n", "k0_n", "kplus_n", "kprime_n",
-                       "two_point_total", "density_n"), r)) for r in rows]
+    rows = [cb.sweep_row(cfg, n, xi, eta) for n in ns]
     result = {"d": d, "beta": args.beta, "mu_schedule": list(schedule),
-              "sweep": sweep}
+              "sweep": [r._asdict() for r in rows]}
     code = EXIT_OK
     if args.limit:
         if d <= 2 or args.c is None:

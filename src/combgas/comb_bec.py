@@ -6,7 +6,8 @@ chain-plus-impurity fiber block A_Y + a P_0 per orbit of modes under sign
 flips and axis permutations (`CombVolume`), solved together by
 `families.fiber_eigen`; the finite-volume two-point function, density and
 PF projection are sums over those blocks, so no computation ever assembles
-the full (2n+1)^(d+1) operator.  The tensor decomposition
+the full (2n+1)^(d+1) operator.  `sweep_row` computes one volume's row of
+a sweep from one solve of its blocks.  The tensor decomposition
 
     H_n^{-1} = I (x) R_{Y_n}(lam_n)
              + Phi_n (x) R_{Y_n}(lam_n) P_0 R_{Y_n}(lam_n),
@@ -238,49 +239,7 @@ def block_matrix_element(d, n, func, xi, eta, eig=None, vol=None):
 
 
 # ---------------------------------------------------------------------------
-# two-point function, finite volume and limit
-
-
-class VolumeTerms(NamedTuple):
-    """One volume under a run's mu schedule: mu_n, lam_n = ||A|| - mu_n,
-    eps_n, (k_n^0, k_n^+), the fiber vector z_n = R_{Y_n}(lam_n) delta_0 at
-    j = -n..n and the base box as a periodic `CombVolume`."""
-
-    mu: float
-    lam: float
-    eps: float
-    k0: float
-    kplus: float
-    z: np.ndarray
-    vol: CombVolume
-
-
-def volume_terms(cfg, n):
-    """`VolumeTerms` of volume n: one `CombVolume`, one lattice sum and one
-    fiber vector.  Refuses n = 0, where the base torus is one vertex and
-    the decomposition would give it 2d self-loops."""
-    mu = cfg.mu_of(n)
-    if n < 1:
-        raise CombError("comb volumes need n >= 1, got %r" % n)
-    lam = lambda_n(cfg.d, mu)
-    eps = eps_n(cfg.d, n, mu)
-    vol = CombVolume(cfg.d, n, True)
-    k0, kplus = lattice_coeffs(cfg.d, n, eps, vol)
-    z = chain_green(lam, np.arange(-n, n + 1), 0, -n, n)
-    return VolumeTerms(mu, lam, eps, k0, kplus, z, vol)
-
-
-def two_point_finite(cfg, n, xi, eta, eig=None, terms=None):
-    """omega_n(a+(xi) a(eta)) = <eta, (e^{beta H_n} - 1)^{-1} xi> with
-    H_n = lam_n - A_{Lambda_n}: the Bose occupation of every fiber-block
-    eigenvalue, through `block_matrix_element`.  `eig` is handed on to it;
-    `terms` passes the volume's `volume_terms`."""
-    if terms is None:
-        terms = volume_terms(cfg, n)
-    beta, lam = cfg.beta, terms.lam
-    return block_matrix_element(
-        cfg.d, n, lambda a: thermo._occupations(beta * (lam - a)), xi, eta,
-        eig, terms.vol)
+# two-point function in the infinite-volume limit
 
 
 def two_point_limit(cfg, xi, eta, smooth_n=None):
@@ -350,16 +309,6 @@ def two_point_limit(cfg, xi, eta, smooth_n=None):
     }
 
 
-def condensate_coefficient(cfg, n, terms=None):
-    """k'_n = (2d(d+eps_n) k_n / beta) ||R_{Y_n}(lam_n) delta_0||^2; `terms`
-    passes the volume's `volume_terms`."""
-    d, beta = cfg.d, cfg.beta
-    if terms is None:
-        terms = volume_terms(cfg, n)
-    eps, k0, kplus, z = terms.eps, terms.k0, terms.kplus, terms.z
-    return 2.0 * d * (d + eps) * (k0 + kplus) * float(z @ z) / beta
-
-
 # ---------------------------------------------------------------------------
 # densities
 
@@ -368,14 +317,6 @@ def density_finite(d, n, beta, mu):
     """Per-site density on Lambda_n via the exact block spectrum."""
     vals, w = CombFamily(d).spectrum(n)
     return thermo.finite_volume_density(vals, w, norm_limit(d), beta, mu)
-
-
-def block_density(vol, eig, beta, mu):
-    """Per-site density on Lambda_n straight from the fiber blocks of `vol`,
-    their unsorted `block_measure`."""
-    vals, weights = block_measure(eig, vol.mult)
-    return thermo.finite_volume_density(vals, weights, norm_limit(vol.d),
-                                        beta, mu)
 
 
 def density_limit(cfg, ns):
@@ -420,29 +361,49 @@ def pf_projection_term(d, n, mu, xi, eta):
     return overlap(eta) * overlap(xi) / gap
 
 
-def sweep_rows(cfg, ns, xi, eta):
-    """Rows (n, mu, eps, k0, kplus, kprime, two_point_total, density).
+class SweepRow(NamedTuple):
+    """One volume's row of a `bec` sweep: the JSON keys, the CSV columns."""
 
-    Each volume's base orbits (one `CombVolume`), lattice sum and fiber
-    vector are computed once and its fiber blocks solved once; the
-    two-point function and the density share the blocks, the condensate
-    coefficient the lattice sum and the fiber vector.
-    """
-    rows = []
-    for n in ns:
-        terms = volume_terms(cfg, n)
-        eig = fiber_eigen(n, terms.vol.a, fiber_support(n, xi, eta))
-        total = two_point_finite(cfg, n, xi, eta, eig, terms)
-        kprime = condensate_coefficient(cfg, n, terms)
-        dens = block_density(terms.vol, eig, cfg.beta, terms.mu)
-        rows.append((n, terms.mu, terms.eps, terms.k0, terms.kplus, kprime,
-                     total, dens))
-    return rows
+    n: int
+    mu_n: float
+    eps_n: float
+    k0_n: float
+    kplus_n: float
+    kprime_n: float
+    two_point_total: float
+    density_n: float
+
+
+def sweep_row(cfg, n, xi, eta):
+    """Volume n under the run's mu schedule, lam_n = ||A|| - mu_n, from one
+    `CombVolume`, lattice sum, fiber vector z_n = R_{Y_n}(lam_n) delta_0 and
+    `fiber_eigen` solve: the two-point function <eta, (e^{beta H_n} - 1)^{-1}
+    xi>, H_n = lam_n - A_{Lambda_n}, as the Bose occupation of every block
+    eigenvalue; k'_n = (2d(d+eps_n)(k_n^0 + k_n^+)/beta) ||z_n||^2; and the
+    per-site density of the blocks' `block_measure`.  Refuses n = 0, where
+    the base torus is one vertex and would get 2d self-loops."""
+    mu = cfg.mu_of(n)
+    if n < 1:
+        raise CombError("comb volumes need n >= 1, got %r" % n)
+    d, beta = cfg.d, cfg.beta
+    lam = lambda_n(d, mu)
+    eps = eps_n(d, n, mu)
+    vol = CombVolume(d, n, True)
+    k0, kplus = lattice_coeffs(d, n, eps, vol)
+    z = chain_green(lam, np.arange(-n, n + 1), 0, -n, n)
+    eig = fiber_eigen(n, vol.a, fiber_support(n, xi, eta))
+    total = block_matrix_element(
+        d, n, lambda a: thermo._occupations(beta * (lam - a)), xi, eta, eig,
+        vol)
+    kprime = 2.0 * d * (d + eps) * (k0 + kplus) * float(z @ z) / beta
+    vals, weights = block_measure(eig, vol.mult)
+    dens = thermo.finite_volume_density(vals, weights, norm_limit(d), beta,
+                                        mu)
+    return SweepRow(n, mu, eps, k0, kplus, kprime, total, dens)
 
 
 def sweep_csv(rows):
-    header = "n,mu_n,eps_n,k0_n,kplus_n,kprime_n,two_point_total,density_n"
-    lines = [header]
+    lines = [",".join(SweepRow._fields)]
     for r in rows:
         lines.append("%d," % r[0] + ",".join("%.17g" % v for v in r[1:]))
     return "\n".join(lines) + "\n"

@@ -3,7 +3,8 @@
 `chain_green` gives every entry of (lam*I - A)^{-1} on a chain of constant
 diagonal and link, finite, half-infinite or two-sided, for lam above its
 spectral radius; `perturbed_resolvent_apply` applies the resolvent of a
-finite-rank perturbation in block form.
+finite-rank perturbation in block form, given the base resolvent as a
+solve.
 """
 
 from __future__ import annotations
@@ -49,38 +50,39 @@ def chain_green(lam, i, j, lo=-math.inf, hi=math.inf, diag=0.0, link=1.0):
             / (np.expm1(ea + eb + 2.0 * em) * (-2.0 * link * math.sinh(u))))
 
 
-def perturbed_resolvent_apply(system, lam, v):
+def perturbed_resolvent_apply(lam, v, base_solve, support, d_block, c_block,
+                              b_adj):
     """Apply R_{A_p}(lam) to v = (x on base, y on attached) in block form.
 
-    `system` carries (D, C, B) on a finite support together with a base
-    resolvent oracle; the correction reduces to the finite linear solve
-    (I - S(lam)) z = (D R_A + C R_B C^t R_A) x + C R_B y on the support, then
+    A_p = [[A + D, C], [C^t, B]] with D and C on the base vertices
+    `support`, and `base_solve(lam, x)` = R_A(lam) x, lam above sigma(A).
+    With K = D + C R_B C^t and S = K R_A on the support, the correction
+    reduces to the finite linear solve (I - S(lam)) z = K R_A x + C R_B y
+    on the support, then
 
         base part     = R_A (x + z)
         attached part = R_B (C^t R_A x + y + C^t R_A z).
+
+    Refuses lam not above sigma(B) (ResolventDomainError).
     """
-    nb = system.b_dim
+    nb = len(b_adj)
+    if nb and not lam > np.max(np.abs(np.linalg.eigvalsh(b_adj))):
+        raise ResolventDomainError("lam=%g not above sigma(B)" % lam)
     v = np.asarray(v, dtype=float)
     x, y = v[: v.size - nb], v[v.size - nb:]
-    base_solve = system.base_solve
-    rb = system.rb(lam)
-    sup = np.asarray(system.support_indices, dtype=int)
+    sup = np.asarray(support, dtype=int)
+    rb = np.linalg.inv(lam * np.eye(nb) - b_adj)
+    k_block = d_block + c_block @ rb @ c_block.T
     rax = base_solve(lam, x)
-    dc = system.d_block + system.c_block @ rb @ system.c_block.T
-    rhs_sup = dc @ rax[sup]
-    if nb:
-        rhs_sup = rhs_sup + system.c_block @ (rb @ y)
-    s_mat = system.secular_matrix_on_support(lam)
-    eye = np.eye(len(sup))
+    rhs_sup = k_block @ rax[sup] + c_block @ (rb @ y)
+    unit = np.equal.outer(np.arange(x.size), sup).astype(float)
+    s_mat = k_block @ base_solve(lam, unit)[sup]
+    eye = np.eye(sup.size)
     if np.linalg.cond(eye - s_mat) > 1e12:
         raise NumericFailure(
             "I - S(lam) numerically singular; lam too close to the perturbed norm")
-    z_sup = np.linalg.solve(eye - s_mat, rhs_sup)
     z = np.zeros_like(x)
-    z[sup] = z_sup
+    z[sup] = np.linalg.solve(eye - s_mat, rhs_sup)
     raz = base_solve(lam, z)
-    base_part = rax + raz
-    if nb:
-        att = rb @ (system.c_block.T @ (rax[sup] + raz[sup]) + y)
-        return np.concatenate([base_part, att])
-    return base_part
+    att = rb @ (c_block.T @ (rax[sup] + raz[sup]) + y)
+    return np.concatenate([rax + raz, att])

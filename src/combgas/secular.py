@@ -3,8 +3,8 @@
 A perturbation in block form A_p = [[A + D, C], [C^t, B]] has eigenvalues
 lam outside sigma(A) u sigma(B) exactly where 1 is an eigenvalue of the
 secular matrix S(lam) = K(lam) R_A(lam), K(lam) = D + C R_B(lam) C^t, with
-R_A the base resolvent on the support of C and D (`SecularSystem`, kept
-for `resolvent.perturbed_resolvent_apply` and the tests).
+R_A the base resolvent on the support of C and D
+(`resolvent.perturbed_resolvent_apply` applies the resolvent of A_p).
 
 For a catalogue entry A is the half-infinite chain of diagonal c and links
 l, D the head of the family's quotient minus it, and there is no B
@@ -22,63 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import DomainError
-from . import resolvent as rk
 from .families import family
 from .spectral import _bound_state_start, _infinite_quotient, _twisted_root
 
 
 class SecularError(DomainError):
     pass
-
-
-@dataclass
-class SecularSystem:
-    """Blocks (D, C, B) plus a base-resolvent oracle on a finite support:
-    the secular matrix S(lam) for `resolvent.perturbed_resolvent_apply`
-    (criterion 6) and the tests' oracles."""
-
-    name: str
-    support: tuple                 # labels of base vertices spanning R(C)+R(D)
-    d_block: np.ndarray            # symmetric, on support
-    c_block: np.ndarray            # support x |B|, 0/1
-    b_adj: np.ndarray              # adjacency of the attached graph
-    base_kernel: object            # lam -> (m, m) matrix of R_A on the support
-    base_radius: float
-    # optional hooks for applying the full perturbed resolvent:
-    base_solve: object = None      # (lam, x) -> R_A x on an ambient base space
-    support_indices: tuple = ()    # ids of support labels in that base space
-
-    @property
-    def b_dim(self):
-        return self.b_adj.shape[0]
-
-    @cached_property
-    def b_norm(self):
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.b_adj)),
-                            initial=0.0))
-
-    def rb(self, lam):
-        return np.linalg.inv(lam * np.eye(self.b_dim) - self.b_adj)
-
-    def kernel_matrix(self, lam):
-        return np.asarray(self.base_kernel(lam), dtype=float)
-
-    def _k_block(self, lam):
-        """K(lam) = D + C R_B(lam) C^t, for lam above the base spectra."""
-        lo = max(self.base_radius, self.b_norm)
-        if lam <= lo:
-            raise SecularError("lam=%g not above base spectra (%g)" % (lam, lo))
-        if not self.b_dim:
-            return self.d_block
-        return self.d_block + self.c_block @ self.rb(lam) @ self.c_block.T
-
-    def secular_matrix_on_support(self, lam):
-        return self._k_block(lam) @ self.kernel_matrix(lam)
 
 
 @dataclass
@@ -189,19 +142,3 @@ def _perturbation(q):
     pert = np.diag(np.subtract(q.d, q.c)) + np.diag(off, 1) + np.diag(off, -1)
     return np.flatnonzero(pert.any(axis=1)), pert
 
-
-def catalog_system(name, **params):
-    """SecularSystem for a catalogue entry on its infinite graph: the base
-    is the half-infinite chain (c, l) on the quotient's rows 0, 1, ...
-    (`resolvent.chain_green`), of norm c + 2l; D is the head minus it on
-    the rows it touches, the support, in row order; no attached graph.
-    `family` refuses the parameters (FamilyError) that the entry's
-    truncations refuse."""
-    q = _infinite_quotient(_secular_family(name, params))
-    rows, pert = _perturbation(q)
-    return SecularSystem(
-        name, tuple(rows.tolist()), pert[rows][:, rows],
-        np.zeros((rows.size, 0)), np.zeros((0, 0)),
-        lambda lam: rk.chain_green(lam, rows[:, None], rows, 0, math.inf,
-                                   q.c, q.link),
-        base_radius=q.c + 2.0 * q.link)

@@ -160,7 +160,6 @@ def _perturbed_apply_worst_error():
     import scipy.sparse as sp
 
     from combgas.resolvent import perturbed_resolvent_apply
-    from combgas.secular import SecularSystem
 
     def chain_block(m):
         rows = list(range(m - 1)) + list(range(1, m))
@@ -188,18 +187,10 @@ def _perturbed_apply_worst_error():
         def base_solve(lam_, x):
             return np.linalg.solve(lam_ * np.eye(size) - base_arr, x)
 
-        def base_kernel(lam_):
-            rhs = np.zeros((size, len(support_ids)))
-            rhs[support_ids, np.arange(len(support_ids))] = 1.0
-            return base_solve(lam_, rhs)[support_ids]
-
-        sys_fin = SecularSystem(
-            "finite", tuple(range(len(support_ids))), d_block, c_block,
-            b_adj, base_kernel, base_radius=2.0,
-            base_solve=base_solve, support_indices=tuple(support_ids))
         rng = np.random.RandomState(7)
         v = rng.randn(size + nb)
-        got = perturbed_resolvent_apply(sys_fin, lam, v)
+        got = perturbed_resolvent_apply(lam, v, base_solve, support_ids,
+                                        d_block, c_block, b_adj)
         want = np.linalg.solve(lam * np.eye(size + nb) - dense, v)
         worst = max(worst, float(np.max(np.abs(got - want))))
 
@@ -254,7 +245,7 @@ def test_criterion_07_comb_condensation_limit():
     xi = FockVector.delta((0, 0, 0), 0)
     cfg = CombRunConfig(d=3, beta=beta, mu_schedule=("condensate_scaled", 1.0))
     ns = [4, 6, 8]
-    totals = [cb.two_point_finite(cfg, n, xi, xi) for n in ns]
+    totals = [cb.sweep_row(cfg, n, xi, xi).two_point_total for n in ns]
     diffs = [b - a for a, b in zip(totals, totals[1:])]
     cauchy = all(d > 0 for d in diffs) and diffs[1] < diffs[0]
     sides = np.array([2 * n + 1 for n in ns], dtype=float)
@@ -309,8 +300,9 @@ def test_criterion_09_low_dimensional_failure():
     totals = []
     kprimes = []
     for n in ns:
-        totals.append(cb.two_point_finite(cfg, n, xi, xi))
-        kprimes.append(cb.condensate_coefficient(cfg, n))
+        row = cb.sweep_row(cfg, n, xi, xi)
+        totals.append(row.two_point_total)
+        kprimes.append(row.kprime_n)
     monotone = all(a < b for a, b in zip(totals, totals[1:]))
     exceeded = totals[-1] > 10.0 * totals[0]
     growth = float(np.polyfit(np.log(ns[2:]), np.log(kprimes[2:]), 1)[0])

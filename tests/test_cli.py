@@ -441,6 +441,25 @@ def test_bec_sweep_and_limit(capsys):
         3 / math.sqrt(10), rel=1e-6)
 
 
+def test_bec_json_keys_and_csv_columns_are_the_sweep_row(capsys):
+    from combgas.comb_bec import SweepRow
+
+    argv = ("bec", "--d", "2", "--beta", "1", "--c", "1", "--n", "1:2",
+            "--xi", "0,0,0")
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    # the JSON writer sorts the keys
+    assert [sorted(row) for row in doc["result"]["sweep"]] == [
+        sorted(SweepRow._fields)] * 2
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == ",".join(SweepRow._fields)
+    first = doc["result"]["sweep"][0]
+    assert [float(v) for v in lines[2].split(",")] == [
+        first[key] for key in SweepRow._fields]
+
+
 def test_bec_divergence_verdict(capsys):
     code, doc = run_json(capsys, "bec", "--d", "1", "--beta", "1",
                          "--mu-power", "1", "--n", "2:4", "--xi", "0,0",
@@ -537,7 +556,8 @@ def test_comb_and_lattice_commands_import_no_scipy():
 
 def test_norm_and_secular_commands_import_no_scipy():
     # truncation norms and catalogue roots are scalar pivot recurrences on
-    # tridiagonal quotients: no root finder, sparse or dense solver
+    # tridiagonal quotients: no root finder, sparse or dense solver, and no
+    # resolvent
     script = (
         "import sys\n"
         "from combgas.cli import main\n"
@@ -548,7 +568,8 @@ def test_norm_and_secular_commands_import_no_scipy():
         "             ['hidden', '--family', 'catalog:star_box', '--param',\n"
         "              'k=5']):\n"
         "    assert main(argv + ['--out', '/dev/null']) == 0, argv\n"
-        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "       or m == 'combgas.resolvent'])\n")
     assert _fresh_stdout(script).strip() == "[]"
 
 

@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 from combgas import comb_bec as cb
-from combgas.comb_bec import (CombRunConfig, FockVector, block_matrix_element,
-                              bounded_correction, condensate_coefficient,
-                              density_finite,
-                              density_limit, eps_n, fixed_density_mu,
-                              lattice_coeffs, norm_limit,
+from combgas.comb_bec import (CombRunConfig, FockVector, SweepRow,
+                              block_matrix_element, bounded_correction,
+                              density_finite, density_limit, eps_n,
+                              fixed_density_mu, lattice_coeffs, norm_limit,
                               pf_projection_term, q_limit, sweep_csv,
-                              sweep_rows, torus_green, two_point_finite,
-                              two_point_limit)
+                              sweep_row, torus_green, two_point_limit)
 from combgas.families import CombFamily, CombVolume
 
 
@@ -242,7 +240,7 @@ def test_two_point_decomposition_identity(d, n, mu, beta):
         "condensate_scaled", -1.0 / (mu * (2 * n + 1) ** d)))
     xi = FockVector.delta((0,) * d, 0)
     eta = FockVector.delta((1,) + (0,) * (d - 1), min(2, n))
-    got = two_point_finite(cfg, n, xi, eta)
+    got = sweep_row(cfg, n, xi, eta).two_point_total
     want = dense_two_point(d, n, beta, mu, xi, eta)
     assert got == pytest.approx(want, abs=1e-8)
 
@@ -251,7 +249,7 @@ def test_two_point_breakdown_diagonal():
     cfg = CombRunConfig(d=1, beta=1.0,
                         mu_schedule=("condensate_scaled", 1.0 / (0.2 * 7)))
     xi = FockVector.delta((0,), 0)
-    got = two_point_finite(cfg, 3, xi, xi)
+    got = sweep_row(cfg, 3, xi, xi).two_point_total
     want = dense_two_point(1, 3, 1.0, -0.2, xi, xi)
     assert got == pytest.approx(want, abs=1e-10)
 
@@ -302,9 +300,9 @@ def test_sweep_two_point_matches_40_digit_blocks(d, n, beta, schedule):
                      ((-2,) * d, n): 0.75})
     eta = FockVector({((0,) * d, 1): 1.0, ((0,) * (d - 1) + (-1,), 0): -0.25,
                       ((n,) * d, -n): 2.0})
-    row = sweep_rows(cfg, [n], xi, eta)[0]
+    row = sweep_row(cfg, n, xi, eta)
     want = float(mp_two_point(cfg, n, xi, eta))
-    assert row[6] == pytest.approx(want, rel=1e-10)
+    assert row.two_point_total == pytest.approx(want, rel=1e-10)
 
 
 def test_two_point_limit_refuses_low_dimension():
@@ -330,9 +328,10 @@ def test_two_point_limit_linear_in_c():
 
 def test_condensate_coefficient_divergence_d1():
     cfg = CombRunConfig(d=1, beta=1.0, mu_schedule=("power", 1.0))
+    xi = FockVector.delta((0,), 0)
     ks = []
     for n in (10, 40, 160):
-        ks.append(condensate_coefficient(cfg, n))
+        ks.append(sweep_row(cfg, n, xi, xi).kprime_n)
     assert ks[0] < ks[1] < ks[2]
     # k'_n ~ sqrt(n): quadrupling n doubles the coefficient
     assert ks[2] / ks[1] == pytest.approx(2.0, rel=0.15)
@@ -363,9 +362,10 @@ def test_fixed_density_mu_and_projection():
 def test_sweep_csv_shape():
     cfg = CombRunConfig(d=1, beta=1.0, mu_schedule=("power", 1.0))
     xi = FockVector.delta((0,), 0)
-    rows = sweep_rows(cfg, [2, 4], xi, xi)
+    rows = [sweep_row(cfg, n, xi, xi) for n in (2, 4)]
     text = sweep_csv(rows)
     lines = text.strip().split("\n")
+    assert lines[0] == ",".join(SweepRow._fields)
     assert lines[0].startswith("n,mu_n,eps_n")
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "2"
@@ -382,15 +382,11 @@ def test_sweep_rows_solves_each_volume_once(monkeypatch):
     monkeypatch.setattr(cb, "fiber_eigen", counting)
     cfg = CombRunConfig(d=3, beta=1.0, mu_schedule=("condensate_scaled", 1.0))
     xi = FockVector({((0, 0, 0), 0): 1.0, ((1, 0, 0), -1): 0.5})
-    rows = sweep_rows(cfg, [2, 3], xi, xi)
+    rows = [sweep_row(cfg, n, xi, xi) for n in (2, 3)]
     assert solved == [2, 3]
-    # the shared eigendata gives what each consumer computes on its own
     for row in rows:
-        n = row[0]
-        assert row[6] == pytest.approx(two_point_finite(cfg, n, xi, xi),
-                                       rel=1e-14)
-        assert row[7] == pytest.approx(
-            density_finite(3, n, 1.0, cfg.mu_of(n)), rel=1e-14)
+        assert row.density_n == pytest.approx(
+            density_finite(3, row.n, 1.0, cfg.mu_of(row.n)), rel=1e-14)
 
 
 @pytest.mark.parametrize("d,n,schedule", [
@@ -401,13 +397,13 @@ def test_sweep_rows_match_dense_eigh(d, n, schedule):
     cfg = CombRunConfig(d=d, beta=0.7, mu_schedule=schedule)
     xi = FockVector({((0,) * d, 0): 1.0, ((1,) + (0,) * (d - 1), -1): 0.5})
     eta = FockVector({((0,) * d, 1): 1.0, ((0,) * (d - 1) + (-1,), 0): -0.25})
-    row = sweep_rows(cfg, [n], xi, eta)[0]
+    row = sweep_row(cfg, n, xi, eta)
     mu = cfg.mu_of(n)
     lams = np.linalg.eigvalsh(CombFamily(d).matrix(n).toarray())
     density = float(np.mean(1.0 / np.expm1(0.7 * (norm_limit(d) - mu - lams))))
-    assert row[6] == pytest.approx(dense_two_point(d, n, 0.7, mu, xi, eta),
-                                   rel=1e-12)
-    assert row[7] == pytest.approx(density, rel=1e-12)
+    assert row.two_point_total == pytest.approx(
+        dense_two_point(d, n, 0.7, mu, xi, eta), rel=1e-12)
+    assert row.density_n == pytest.approx(density, rel=1e-12)
 
 
 def test_sweep_rows_sums_each_lattice_once(monkeypatch):
@@ -420,10 +416,6 @@ def test_sweep_rows_sums_each_lattice_once(monkeypatch):
     monkeypatch.setattr(cb, "CombVolume", counting)
     cfg = CombRunConfig(d=3, beta=1.0, mu_schedule=("condensate_scaled", 1.0))
     xi = FockVector.delta((0, 0, 0), 0)
-    rows = sweep_rows(cfg, [4, 6, 8], xi, xi)
+    for n in (4, 6, 8):
+        sweep_row(cfg, n, xi, xi)
     assert built == [4, 6, 8]
-    # the shared terms give what each consumer computes on its own
-    for row in rows:
-        n = row[0]
-        assert row[5] == condensate_coefficient(cfg, n)
-        assert row[6] == two_point_finite(cfg, n, xi, xi)

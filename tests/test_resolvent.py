@@ -6,7 +6,6 @@ import pytest
 
 from combgas import resolvent as rk
 from combgas.comb_bec import norm_limit
-from combgas.secular import catalog_system
 
 
 def dense_chain_resolvent(lam, n):
@@ -173,7 +172,6 @@ def test_perturbed_resolvent_star_vs_dense():
     # star with k=3 half-lines truncated: base = 3 disjoint chains of length m
     # joined through an attached center vertex
     k, m = 3, 60
-    sys = catalog_system("star", k=k)
     # build the finite analogue: base = k paths, each vertex 0..m-1, support
     # at the 0 ends; one attached center
     import scipy.sparse as sp
@@ -196,22 +194,61 @@ def test_perturbed_resolvent_star_vs_dense():
     def base_solve(lam_, x):
         return np.linalg.solve(lam_ * np.eye(size) - a_base.toarray(), x)
 
-    def base_kernel(lam_):
-        ids = np.arange(k) * m
-        rhs = np.zeros((size, k))
-        rhs[ids, np.arange(k)] = 1.0
-        return base_solve(lam_, rhs)[ids]
-
-    sys_fin = type(sys)(
-        "star_fin", tuple(range(k)), np.zeros((k, k)), np.ones((k, 1)),
-        np.zeros((1, 1)), base_kernel, base_radius=2.0,
-        base_solve=base_solve, support_indices=tuple(s * m for s in range(k)))
     v = np.zeros(size + 1)
     v[0] = 1.0
     v[size] = -0.3
-    got = rk.perturbed_resolvent_apply(sys_fin, lam, v)
+    got = rk.perturbed_resolvent_apply(
+        lam, v, base_solve, [s * m for s in range(k)], np.zeros((k, k)),
+        np.ones((k, 1)), np.zeros((1, 1)))
     want = np.linalg.solve(lam * np.eye(size + 1) - dense, v)
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+def _two_arms_and_a_path(m):
+    """Two chain arms of m rows with their ends 0 and m as the support,
+    D = diag(0.5, 0) there, and a 3-vertex path B linked to the first end at
+    its vertex 0 and to the second at its vertices 1 and 2."""
+    arm = np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
+    base = np.zeros((2 * m, 2 * m))
+    base[:m, :m] = base[m:, m:] = arm
+    d_block = np.diag([0.5, 0.0])
+    c_block = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+    b_adj = np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1)
+    return base, [0, m], d_block, c_block, b_adj
+
+
+def test_perturbed_resolvent_attached_path_vs_dense():
+    # an attached block of three vertices, two of them on one support row
+    m, lam = 80, 2.9
+    base, sup, d_block, c_block, b_adj = _two_arms_and_a_path(m)
+    size = base.shape[0]
+    dense = np.zeros((size + 3, size + 3))
+    dense[:size, :size] = base
+    dense[np.ix_(sup, sup)] += d_block
+    dense[np.ix_(sup, range(size, size + 3))] = c_block
+    dense[np.ix_(range(size, size + 3), sup)] = c_block.T
+    dense[size:, size:] = b_adj
+
+    def base_solve(lam_, x):
+        return np.linalg.solve(lam_ * np.eye(size) - base, x)
+
+    v = np.random.RandomState(3).randn(size + 3)
+    got = rk.perturbed_resolvent_apply(lam, v, base_solve, sup, d_block,
+                                       c_block, b_adj)
+    want = np.linalg.solve(lam * np.eye(size + 3) - dense, v)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_perturbed_resolvent_refuses_lam_within_the_attached_spectrum():
+    # the 3-vertex path has norm sqrt 2 > 1.2
+    base, sup, d_block, c_block, b_adj = _two_arms_and_a_path(80)
+
+    def base_solve(lam_, x):
+        raise AssertionError("the refusal comes before any base solve")
+
+    with pytest.raises(rk.ResolventDomainError):
+        rk.perturbed_resolvent_apply(1.2, np.ones(base.shape[0] + 3),
+                                     base_solve, sup, d_block, c_block, b_adj)
 
 
 def test_kernel_line_comb_pf_fiber_values():

@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -7,17 +8,44 @@ from hypothesis import strategies as st
 
 from combgas import secular, spectral
 from combgas.families import family
-from combgas.secular import (catalog_expected, catalog_system,
-                             hidden_spectrum_verdict, solve_secular)
+from combgas.resolvent import chain_green
+from combgas.secular import (catalog_expected, hidden_spectrum_verdict,
+                             solve_secular)
 from combgas.spectral import norm_sequence
+
+
+class Catalogue(NamedTuple):
+    """A catalogue entry's secular blocks on its infinite graph: the base is
+    the half-infinite chain (c, l) on the quotient rows 0, 1, ..., of norm
+    c + 2l; D is the head minus it on the rows it touches, the support, in
+    row order; there is no attached graph, so K = D."""
+
+    support: np.ndarray
+    d_block: np.ndarray
+    base_radius: float
+    quotient: object
+
+    def kernel(self, lam):
+        """R_A(lam) on the support, by `chain_green`: refuses lam <= c + 2l."""
+        q, rows = self.quotient, self.support
+        return chain_green(lam, rows[:, None], rows, 0, math.inf, q.c, q.link)
+
+    def secular_matrix(self, lam):
+        return self.d_block @ self.kernel(lam)
+
+
+def catalogue_system(name, **params):
+    q = spectral._infinite_quotient(secular._secular_family(name, params))
+    rows, pert = secular._perturbation(q)
+    return Catalogue(rows, pert[rows][:, rows], q.c + 2.0 * q.link, q)
 
 
 def _birman_schwinger(system, lam):
     """Eigenvalues of M(lam) = L^t K L, where R_A = L L^t: M is similar to
     S(lam) = K R_A, and the number of its eigenvalues above 1 is the number
     of perturbed eigenvalues above lam (Birman-Schwinger)."""
-    low = np.linalg.cholesky(system.kernel_matrix(lam))
-    return np.linalg.eigvalsh(low.T @ system._k_block(lam) @ low)
+    low = np.linalg.cholesky(system.kernel(lam))
+    return np.linalg.eigvalsh(low.T @ system.d_block @ low)
 
 
 def _count_above(system, lam):
@@ -41,7 +69,7 @@ LADDER_SYSTEMS = [("modified_ladder", {"k": k, "nrem": r})
 
 @pytest.fixture(scope="module")
 def solved():
-    return [(name, params, catalog_system(name, **params),
+    return [(name, params, catalogue_system(name, **params),
              solve_secular(name, **params))
             for name, params in CATALOGUE_SYSTEMS + LADDER_SYSTEMS]
 
@@ -49,16 +77,10 @@ def solved():
 def test_pf_monotone_decreasing_in_lambda():
     # the top eigenvalue of M(lam) decreases in lam, so the count above
     # drops from 1 to 0 at the root and nowhere else
-    system = catalog_system("star", k=4)
+    system = catalogue_system("star", k=4)
     vals = [_birman_schwinger(system, x)[-1]
             for x in np.linspace(2.05, 3.5, 25)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_secular_matrix_domain():
-    sys = catalog_system("star", k=3)
-    with pytest.raises(secular.SecularError):
-        sys.secular_matrix_on_support(1.9)
 
 
 def test_no_secular_system_outside_the_catalogue():
@@ -108,7 +130,7 @@ def test_pf_z_positive():
                          ("polygonal_star", {}), ("polygonal_star_box", {}),
                          ("nail_chain", {}), ("h_graph", {"k": 2}),
                          ("comb", {"d": 1}), ("comb", {"d": 3})]:
-        system = catalog_system(name, **params)
+        system = catalogue_system(name, **params)
         assert np.all(system.d_block >= 0.0), name
         sol = solve_secular(name, **params)
         assert sol.pf_z.shape == (len(system.support),)
@@ -153,7 +175,7 @@ def test_pf_z_is_the_fixed_vector_of_s(solved):
         z = sol.pf_z
         assert z.shape == (len(system.support),)
         assert z.sum() > 0 and np.max(np.abs(z)) == 1.0
-        s = system.secular_matrix_on_support(sol.lambda0)
+        s = system.secular_matrix(sol.lambda0)
         assert np.max(np.abs(s @ z - z)) <= 1e-12, (name, params)
 
 
