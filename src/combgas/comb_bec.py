@@ -3,11 +3,13 @@
 Finite volumes are X_n -| Y_n with X_n the periodic box (Z_{2n+1})^d and Y_n
 the chain [-n,n].  The base Fourier modes split A_{Lambda_n} into one
 chain-plus-impurity fiber block A_Y + a P_0 per orbit of modes under sign
-flips and axis permutations (`CombVolume`), solved together by
-`families.fiber_eigen`; the finite-volume two-point function, density and
+flips and axis permutations (`CombVolume`), solved a chunk at a time by
+`families.fiber_chunks`; the finite-volume two-point function, density and
 PF projection are sums over those blocks, so no computation ever assembles
-the full (2n+1)^(d+1) operator.  `sweep_row` computes one volume's row of
-a sweep from one solve of its blocks.  The tensor decomposition
+the full (2n+1)^(d+1) operator, and each sum holds one chunk's eigendata
+and O(orbits) phase sums, never an array over every block root.
+`sweep_row` computes one volume's row of a sweep from one pass over its
+chunks.  The tensor decomposition
 
     H_n^{-1} = I (x) R_{Y_n}(lam_n)
              + Phi_n (x) R_{Y_n}(lam_n) P_0 R_{Y_n}(lam_n),
@@ -29,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import DomainError, thermo
-from .families import CombFamily, CombVolume, block_measure, fiber_eigen
+from .families import CombFamily, CombVolume, fiber_chunks, fiber_eigen
 from .resolvent import chain_green
 
 
@@ -194,47 +196,54 @@ def fiber_support(n, *vectors):
     return support
 
 
-def block_matrix_element(d, n, func, xi, eta, eig=None, vol=None):
-    """Exact <eta, func(A_{Lambda_n}) xi> via base-Fourier fiber blocks.
+def _element_chunks(vol, func, xi, eta):
+    """Yield (FiberEigen, blk, share) over the `fiber_chunks` of the
+    periodic `CombVolume` vol: share is the blocks a[blk]'s part of
+    modes * <eta, func(A_{Lambda_n}) xi>.
 
     In the base eigenbasis the comb adjacency splits into chain-plus-impurity
-    blocks A_Y + a P_0, one per orbit of base modes (`families.CombVolume`,
-    passed as `vol` when the caller has it); matrix elements reduce to
-    orbit phase sums of per-block fiber elements.  The secular engine
-    `families.fiber_eigen` gives every block eigenvalue and the eigenvector
-    entries on the fibers of xi and eta in one pass; `eig` passes eigendata
-    it already computed for this volume, with a support covering those
-    fibers.  `func` acts elementwise on an array of block eigenvalues.
+    blocks A_Y + a P_0, one per orbit of base modes; a matrix element is the
+    orbit phase sums (`CombVolume.phase`, one (O,) array per |Delta|) dotted
+    with per-block fiber elements.  Per chunk, `func` acts once on the
+    (rows, n+1) even eigenvalues and one `tensordot` projects the
+    amplitudes of every base coordinate of eta and xi on the chunk's even
+    eigenvectors; the odd sector, the same in every block, is projected
+    once, with the first chunk.
     """
-    if vol is None:
-        vol = CombVolume(d, n, True)
-    support = fiber_support(n, xi, eta)
-    if eig is None:
-        eig = fiber_eigen(n, vol.a, support)
-    row = {j: i for i, j in enumerate(eig.support)}
+    support = fiber_support(vol.n, xi, eta)
+    col = {j: i for i, j in enumerate(support)}
+    fib_eta, fib_xi = eta.fibers(), xi.fibers()
+    # rows: the amplitudes on the support of eta's base coordinates, then xi's
+    amps = np.zeros((len(fib_eta) + len(fib_xi), len(support)))
+    for p, f in enumerate([*fib_eta.values(), *fib_xi.values()]):
+        amps[p, [col[j] for j in f]] = list(f.values())
+    pe = len(fib_eta)
+    pairs = [(e, pe + x, vol.phase(tuple(s - t for s, t in zip(jv_e, jv_x))))
+             for e, jv_e in enumerate(fib_eta)
+             for x, jv_x in enumerate(fib_xi)]
+    for eig, blk in fiber_chunks(vol.n, vol.a, support):
+        if not blk.start:
+            # <eta, u> f <u, xi> summed over the odd vectors u, per pair
+            proj = amps @ eig.odd_vec
+            odd = (proj[:pe] * func(eig.odd)) @ proj[pe:].T
+        proj = np.tensordot(amps, eig.even_vec, axes=1)
+        proj[:pe] *= func(eig.even)
+        share = 0.0
+        for e, x, phase in pairs:
+            elem = np.einsum("bk,bk->b", proj[e], proj[x]) + odd[e, x - pe]
+            share += float(phase[blk] @ elem)
+        yield eig, blk, share
 
-    def project(fv):
-        # <u, v> with every block eigenvector u, per base coordinate of fv
-        out = {}
-        for jv, f in fv.fibers().items():
-            rows = [row[j] for j in f]
-            amps = np.array(list(f.values()))
-            out[jv] = (amps @ eig.odd_vec[rows],
-                       np.tensordot(amps, eig.even_vec[rows], axes=1))
-        return out
 
-    proj_xi = project(xi)
-    proj_eta = project(eta)
-    fw = func(np.concatenate((eig.odd, eig.even.ravel())))
-    f_odd, f_even = fw[:n], fw[n:].reshape(eig.even.shape)
-    total = 0.0
-    for jv_e, (odd_e, even_e) in proj_eta.items():
-        for jv_x, (odd_x, even_x) in proj_xi.items():
-            # the odd sector is the same in every block
-            elem = (np.sum(even_e * f_even * even_x, axis=1)
-                    + float(np.sum(odd_e * f_odd * odd_x)))
-            delta = tuple(e - x for e, x in zip(jv_e, jv_x))
-            total += float(vol.phase(delta) @ elem)
+def block_matrix_element(d, n, func, xi, eta):
+    """Exact <eta, func(A_{Lambda_n}) xi> via base-Fourier fiber blocks: the
+    sum of each chunk's share (`_element_chunks`) over the periodic
+    `CombVolume` of Lambda_n.  `func` acts elementwise on an array of block
+    eigenvalues.  Memory is one chunk's eigendata plus O(orbits) phase
+    sums; no array spans every block root.
+    """
+    vol = CombVolume(d, n, True)
+    total = sum(share for _, _, share in _element_chunks(vol, func, xi, eta))
     return total / vol.modes
 
 
@@ -313,10 +322,34 @@ def two_point_limit(cfg, xi, eta, smooth_n=None):
 # densities
 
 
+def _density_share(vol, eig, blk, beta, mu):
+    """The blocks a[blk]'s part of the per-site Bose density of H = ||A|| - A
+    on the `CombVolume` vol, from their `fiber_chunks` eigendata eig; the
+    first chunk also carries the odd sector, the same in every block, at
+    weight 1/(2n+1) per root.  Block b's n+1 even roots each weigh
+    mult[b]/((2n+1)^d (2n+1)).  Raises ThermoError unless mu lies below
+    every level of the chunk, so the chunks together check the volume's
+    bottom."""
+    side = 2 * vol.n + 1
+
+    def occupation_sums(vals):
+        h = norm_limit(vol.d) - vals
+        if float(h.min(initial=math.inf)) - mu <= 0:
+            raise thermo.ThermoError("mu not below the finite-volume bottom")
+        return thermo._occupations(beta * (h - mu)).sum(axis=-1)
+
+    share = (vol.mult[blk] @ occupation_sums(eig.even)) / (vol.modes * side)
+    if not blk.start:
+        share += occupation_sums(eig.odd) / side
+    return float(share)
+
+
 def density_finite(d, n, beta, mu):
-    """Per-site density on Lambda_n via the exact block spectrum."""
-    vals, w = CombFamily(d).spectrum(n)
-    return thermo.finite_volume_density(vals, w, norm_limit(d), beta, mu)
+    """Per-site density on Lambda_n: the blocks' Bose occupations summed a
+    chunk at a time (`_density_share`)."""
+    vol = CombVolume(d, n, True)
+    return sum(_density_share(vol, eig, blk, beta, mu)
+               for eig, blk in fiber_chunks(n, vol.a))
 
 
 def density_limit(cfg, ns):
@@ -377,11 +410,12 @@ class SweepRow(NamedTuple):
 def sweep_row(cfg, n, xi, eta):
     """Volume n under the run's mu schedule, lam_n = ||A|| - mu_n, from one
     `CombVolume`, lattice sum, fiber vector z_n = R_{Y_n}(lam_n) delta_0 and
-    `fiber_eigen` solve: the two-point function <eta, (e^{beta H_n} - 1)^{-1}
-    xi>, H_n = lam_n - A_{Lambda_n}, as the Bose occupation of every block
-    eigenvalue; k'_n = (2d(d+eps_n)(k_n^0 + k_n^+)/beta) ||z_n||^2; and the
-    per-site density of the blocks' `block_measure`.  Refuses n = 0, where
-    the base torus is one vertex and would get 2d self-loops."""
+    pass over its `fiber_chunks`: each chunk adds its share of the
+    two-point function <eta, (e^{beta H_n} - 1)^{-1} xi>, H_n = lam_n -
+    A_{Lambda_n}, the Bose occupation of every block eigenvalue
+    (`_element_chunks`), and of the per-site density (`_density_share`);
+    k'_n = (2d(d+eps_n)(k_n^0 + k_n^+)/beta) ||z_n||^2.  Refuses n = 0,
+    where the base torus is one vertex and would get 2d self-loops."""
     mu = cfg.mu_of(n)
     if n < 1:
         raise CombError("comb volumes need n >= 1, got %r" % n)
@@ -391,15 +425,13 @@ def sweep_row(cfg, n, xi, eta):
     vol = CombVolume(d, n, True)
     k0, kplus = lattice_coeffs(d, n, eps, vol)
     z = chain_green(lam, np.arange(-n, n + 1), 0, -n, n)
-    eig = fiber_eigen(n, vol.a, fiber_support(n, xi, eta))
-    total = block_matrix_element(
-        d, n, lambda a: thermo._occupations(beta * (lam - a)), xi, eta, eig,
-        vol)
     kprime = 2.0 * d * (d + eps) * (k0 + kplus) * float(z @ z) / beta
-    vals, weights = block_measure(eig, vol.mult)
-    dens = thermo.finite_volume_density(vals, weights, norm_limit(d), beta,
-                                        mu)
-    return SweepRow(n, mu, eps, k0, kplus, kprime, total, dens)
+    total = dens = 0.0
+    for eig, blk, share in _element_chunks(
+            vol, lambda a: thermo._occupations(beta * (lam - a)), xi, eta):
+        total += share
+        dens += _density_share(vol, eig, blk, beta, mu)
+    return SweepRow(n, mu, eps, k0, kplus, kprime, total / vol.modes, dens)
 
 
 def sweep_csv(rows):

@@ -261,7 +261,9 @@ class FiberSolveError(NumericFailure):
 
 
 class FiberEigen(NamedTuple):
-    """Eigendata of the fiber blocks A_Y + a*P_0 on the chain [-n, n].
+    """Eigendata of the fiber blocks A_Y + a*P_0 on the chain [-n, n] that
+    one `fiber_eigen` call solves (a chunk of a volume's blocks under
+    `fiber_chunks`).
 
     odd (n,): odd-sector eigenvalues, shared by every block.
     even (B, n+1): even-sector eigenvalues, row b for block a[b].
@@ -290,8 +292,9 @@ _ROOT_CAP = 100
 # (3e-3 from N = 3), so the first pass leaves at most 4 (6.5e-3)^3 = 1.1e-6
 # and the second stops.
 _HALLEY_STOP = (_ROOT_TOL / 4.0) ** (1.0 / 3.0)
-# Blocks solved together: _CHUNK / N rows keep each (rows, n) temporary of
-# the root passes near 128 kB, in cache.
+# Blocks solved together (`fiber_chunks`): _CHUNK / N rows keep each
+# (rows, n) temporary of the root passes near 128 kB, in cache, and bound
+# what a sum over a volume's blocks holds at once.
 _CHUNK = 1 << 14
 
 
@@ -458,7 +461,9 @@ def _even_entries(sn, cs, b, big, fiber):
 
 
 def fiber_eigen(n, a, support=()):
-    """Every eigenvalue of the fiber blocks A_Y + a*P_0, one block per a.
+    """Every eigenvalue of the fiber blocks A_Y + a*P_0, one block per a,
+    solved together (`fiber_chunks` passes a volume's blocks a chunk at a
+    time).
 
     A_Y is the chain [-n, n] and P_0 the projection on its origin.  Each
     block splits by the reflection j -> -j:
@@ -479,29 +484,24 @@ def fiber_eigen(n, a, support=()):
     (`_even_entries`) and, for the top root, F'(lam) (`_top_entries`).
 
     A negative a uses spec(A_Y + a P_0) = -spec(A_Y - a P_0), with vectors
-    multiplied by (-1)^j.  Blocks are solved _CHUNK / N at a time, so the
-    passes run on arrays that stay in cache.  `support` lists the fiber
-    coordinates j at which unit eigenvector entries are returned.
+    multiplied by (-1)^j.  `support` lists the fiber coordinates j at which
+    unit eigenvector entries are returned.
     """
     a = np.asarray(a, dtype=float)
     b = np.abs(a)
     big = n + 1
     k = np.arange(1, big)
     odd = 2.0 * np.cos(math.pi * k / big)
+    sn, cs = _even_roots(b[:, None], big)
+    even = np.empty((a.size, big))
+    even[:, 0] = _top_root(b, big, b - 2.0 * cs.sum(axis=1))
+    even[:, 1:] = 2.0 * cs
     fib = np.asarray(support, dtype=int)
     absj = np.abs(fib)
-    even = np.empty((a.size, big))
     even_vec = np.empty((fib.size,) + even.shape)
-    rows = max(1, _CHUNK // big)
-    for lo in range(0, a.size, rows):
-        blk = slice(lo, lo + rows)
-        sn, cs = _even_roots(b[blk, None], big)
-        even[blk, 0] = _top_root(b[blk], big, b[blk] - 2.0 * cs.sum(axis=1))
-        even[blk, 1:] = 2.0 * cs
-        if fib.size:
-            even_vec[:, blk, 0] = _top_entries(even[blk, 0], big, absj).T
-            even_vec[:, blk, 1:] = _even_entries(sn, cs, b[blk, None], big,
-                                                 absj)
+    if fib.size:
+        even_vec[:, :, 0] = _top_entries(even[:, 0], big, absj).T
+        even_vec[:, :, 1:] = _even_entries(sn, cs, b[:, None], big, absj)
     sign = np.where(a < 0.0, -1.0, 1.0)[:, None]
     even *= sign
     if not fib.size:
@@ -515,18 +515,16 @@ def fiber_eigen(n, a, support=()):
                       even_vec)
 
 
-def block_measure(eig, counts):
-    """Unsorted (values, weights) of the per-site measure of a volume's fiber
-    blocks, block b taken counts[b] times.  The odd sector is the same in
-    every block, so its n roots come once, each weighing 1/(2n+1); block b's
-    n+1 even roots each weigh counts[b]/(sum(counts) (2n+1)).  The weights
-    sum to 1."""
-    side = eig.odd.size + eig.even.shape[1]
-    vals = np.concatenate((eig.odd, eig.even.ravel()))
-    weights = np.concatenate((
-        np.full(eig.odd.size, 1.0 / side),
-        np.repeat(counts / (np.sum(counts) * side), eig.even.shape[1])))
-    return vals, weights
+def fiber_chunks(n, a, support=()):
+    """`fiber_eigen` of the blocks a, _CHUNK // (n+1) of them at a time:
+    yields (FiberEigen, blk) with blk the slice of a that it solves.  The
+    root passes run on arrays that stay in cache, and a sum over a volume's
+    blocks holds one chunk's eigendata at a time."""
+    a = np.asarray(a, dtype=float)
+    rows = max(1, _CHUNK // (n + 1))
+    for lo in range(0, a.size, rows):
+        blk = slice(lo, min(lo + rows, a.size))
+        yield fiber_eigen(n, a[blk], support), blk
 
 
 class CombFamily(GraphFamily):
@@ -590,16 +588,26 @@ class CombFamily(GraphFamily):
 
         In the eigenbasis of the base, I (x) A_Y + A_X (x) P_0 splits into
         tridiagonal blocks A_Y + a*P_0, one per orbit of base modes
-        (`CombVolume`), taken mult times.  `fiber_eigen` returns the
-        eigenvalues of all blocks from one vectorised secular root search.
-        The result is their `block_measure` sorted once, ascending: B(n+1)+n
-        rows for B blocks, the n odd roots 2cos(pi k/(n+1)), shared by every
-        block, once at weight 1/(2n+1), and each block's n+1 even roots once
-        at weight mult/((2n+1)^d (2n+1)).  The blocks are exact and no
-        matrix is ever formed.
+        (`CombVolume`), taken mult times.  `fiber_chunks` solves them a
+        chunk at a time into preallocated arrays of B(n+1)+n rows for B
+        blocks: the n odd roots 2cos(pi k/(n+1)), shared by every block,
+        once at weight 1/(2n+1), then each block's n+1 even roots once at
+        weight mult/((2n+1)^d (2n+1)); the weights sum to 1.  The result is
+        sorted once, ascending.  The blocks are exact and no matrix is ever
+        formed.
         """
         vol = CombVolume(self.d, n, self.periodic)
-        vals, weights = block_measure(fiber_eigen(n, vol.a), vol.mult)
+        big, side = n + 1, 2 * n + 1
+        vals = np.empty(n + vol.a.size * big)
+        weights = np.empty_like(vals)
+        even_vals = vals[n:].reshape(-1, big)
+        even_weights = weights[n:].reshape(-1, big)
+        block_weight = vol.mult / (vol.modes * side)
+        for eig, blk in fiber_chunks(n, vol.a):
+            even_vals[blk] = eig.even
+            even_weights[blk] = block_weight[blk, None]
+        vals[:n] = eig.odd  # the same in every chunk
+        weights[:n] = 1.0 / side
         order = np.argsort(vals)
         return vals[order], weights[order]
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from combgas import comb_bec as cb
+from combgas import families
 from combgas.comb_bec import (CombRunConfig, FockVector, SweepRow,
                               block_matrix_element, bounded_correction,
                               density_finite, density_limit, eps_n,
@@ -372,21 +373,83 @@ def test_sweep_csv_shape():
 
 
 def test_sweep_rows_solves_each_volume_once(monkeypatch):
-    solved = []
-    engine = cb.fiber_eigen
+    # every block of a volume is solved once, in one pass over its chunks,
+    # for both the two-point function and the density
+    solved = {}
+    engine = families.fiber_eigen
 
     def counting(n, a, support=()):
-        solved.append(n)
+        solved[n] = solved.get(n, 0) + len(a)
         return engine(n, a, support)
 
-    monkeypatch.setattr(cb, "fiber_eigen", counting)
+    monkeypatch.setattr(families, "fiber_eigen", counting)
     cfg = CombRunConfig(d=3, beta=1.0, mu_schedule=("condensate_scaled", 1.0))
     xi = FockVector({((0, 0, 0), 0): 1.0, ((1, 0, 0), -1): 0.5})
     rows = [sweep_row(cfg, n, xi, xi) for n in (2, 3)]
-    assert solved == [2, 3]
+    assert solved == {n: CombVolume(3, n, True).a.size for n in (2, 3)}
     for row in rows:
         assert row.density_n == pytest.approx(
             density_finite(3, row.n, 1.0, cfg.mu_of(row.n)), rel=1e-14)
+
+
+CHUNK_CASES = [(3, 6, ("condensate_scaled", 0.5)), (4, 3, ("power", 1.5))]
+
+
+@pytest.mark.parametrize("d,n,schedule", CHUNK_CASES)
+def test_results_do_not_depend_on_the_chunk_size(monkeypatch, d, n,
+                                                 schedule):
+    # a 64-root chunk splits these volumes into 3-10 chunks; the default
+    # chunk holds each volume whole
+    cfg = CombRunConfig(d=d, beta=0.7, mu_schedule=schedule)
+    xi = FockVector({((0,) * d, 0): 1.0, ((1,) + (0,) * (d - 1), -1): 0.5,
+                     ((-2,) * d, n): 0.75})
+    eta = FockVector({((0,) * d, 1): 1.0,
+                      ((0,) * (d - 1) + (-1,), 0): -0.25})
+    lam = norm_limit(d) + 0.01
+
+    def results():
+        return (sweep_row(cfg, n, xi, eta),
+                block_matrix_element(
+                    d, n, lambda a: bounded_correction(0.7 * (lam - a)),
+                    xi, eta),
+                CombFamily(d).spectrum(n))
+
+    roots = CombVolume(d, n, True).a.size * (n + 1)
+    assert roots <= families._CHUNK and roots > 2 * 64
+    row, elem, (vals, weights) = results()
+    monkeypatch.setattr(families, "_CHUNK", 64)
+    row64, elem64, (vals64, weights64) = results()
+    for field, want, got in zip(SweepRow._fields, row, row64):
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0), field
+    assert elem64 == pytest.approx(elem, rel=1e-13, abs=0.0)
+    assert np.max(np.abs(vals64 - vals)) <= 1e-14
+    assert np.array_equal(np.sort(weights64), np.sort(weights))
+
+
+def _traced_peak(call):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_comb_sums_hold_one_chunk_at_a_time():
+    # full-volume arrays over the 5,456 blocks x 31 roots of the d=3 n=30
+    # smooth term take about 22 MB; a chunk of eigendata plus O(orbits)
+    # phase sums stays well below 8 MB
+    xi = FockVector({((0, 0, 0), 0): 1.0, ((0, 1, 0), -1): -0.5,
+                     ((1, 1, 0), 2): 0.25})
+    lam = norm_limit(3)
+    peak = _traced_peak(lambda: block_matrix_element(
+        3, 30, lambda a: bounded_correction(lam - a), xi, xi))
+    assert peak < 8e6
+    cfg = CombRunConfig(d=3, beta=1.0, mu_schedule=("condensate_scaled", 1.0))
+    peak = _traced_peak(lambda: sweep_row(cfg, 40, xi, xi))
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("d,n,schedule", [
