@@ -19,7 +19,11 @@ factor Phi_n reduces to the finite torus Green function G_n(Delta; eps),
 whose coefficients k_n^0, k_n^+ a sweep reports next to the condensate
 coefficient, and whose continuum limit enters `two_point_limit` with the
 line's Green function.  Every chain resolvent R_{Y_n}, R_Z is
-`resolvent.chain_green`.
+`resolvent.chain_green`.  The limit's smooth term, the bounded Bose
+correction as a fiber-block sum, runs on a fixed geometric volume schedule
+from the vectors' radius until two consecutive differences fall within
+1e-14 relative; it reports the volume it stopped at and the last difference,
+and fails with NumericFailure if the schedule reaches its cap first.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import DomainError, thermo
+from . import DomainError, NumericFailure, thermo
 from .families import CombFamily, CombVolume, fiber_chunks, fiber_eigen
 from .resolvent import chain_green
 
@@ -171,16 +175,33 @@ class CombRunConfig:
 # bounded correction and its fiber-block matrix elements
 
 
+def _bernoulli_coeffs(terms):
+    """B_2k/(2k)!, k = terms..1 (highest first, for `np.polyval`): the Taylor
+    coefficients b_m of x/(e^x - 1), from sum_{j<=m} b_j/(m-j+1)! = [m == 0]
+    in floats.  They come within 1.1e-14 relative of exact, and term k of
+    the series weighs at most (1/pi)^(2k) below |x| = 2."""
+    b = [1.0]
+    for m in range(1, 2 * terms + 1):
+        b.append(-sum(bj / math.factorial(m - j + 1)
+                      for j, bj in enumerate(b)))
+    return np.array(b[:1:-2])
+
+
+_BERNOULLI = _bernoulli_coeffs(16)
+
+
 def bounded_correction(x):
     """f(x) = 1/(e^x - 1) - 1/x, continuously extended by f(0) = -1/2.
 
-    Series below x = 1e-4 for stability: f = -1/2 + x/12 - x^3/720 + ...
+    Below |x| = 2 the Bernoulli series f = -1/2 + sum_k B_2k x^(2k-1)/(2k)!
+    (16 terms, Horner in x^2; it converges for |x| < 2 pi), because there
+    1/expm1(x) - 1/x cancels; above, the direct formula, -1/x past x = 700.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
-    small = np.abs(x) < 1e-4
+    small = np.abs(x) < 2.0
     xs = x[small]
-    out[small] = -0.5 + xs / 12.0 - xs ** 3 / 720.0
+    out[small] = -0.5 + xs * np.polyval(_BERNOULLI, xs * xs)
     xl = x[~small]
     with np.errstate(over="ignore"):
         out[~small] = np.where(xl > 700, -1.0 / xl,
@@ -250,13 +271,46 @@ def block_matrix_element(d, n, func, xi, eta):
 # ---------------------------------------------------------------------------
 # two-point function in the infinite-volume limit
 
+# the smooth term's volumes, about 1.35x per step
+_SMOOTH_SCHEDULE = (6, 8, 11, 15, 20, 27, 36, 48, 64)
+# two consecutive differences within this times max(1, |sm|) stop the schedule
+_SMOOTH_TOL = 1e-14
+# block roots the schedule may sum up to its cap, at about 0.3 us each
+_SMOOTH_ROOTS = 5_000_000
 
-def two_point_limit(cfg, xi, eta, smooth_n=None):
+
+def _smooth_cap(d):
+    """The last schedule volume at which the block roots C(n+d, d)(n+1) of
+    the volumes so far stay within _SMOOTH_ROOTS, about 1.5 s of block
+    sums; where that volume lies below n = 24, the first one from 24 on.
+    64 at d = 3, 36 at d = 4, 27 from d = 5 on."""
+    roots, cap = 0, _SMOOTH_SCHEDULE[0]
+    for n in _SMOOTH_SCHEDULE:
+        roots += math.comb(n + d, d) * (n + 1)
+        if roots > _SMOOTH_ROOTS and cap >= 24:
+            break
+        cap = n
+    return cap
+
+
+def two_point_limit(cfg, xi, eta):
     """Infinite-volume two-point function under the condensate scaling.
 
     The condensate term is (c/beta) <eta, v> <v, xi> with the generalized PF
     vector v = u (x) w_tilde/||w_tilde|| (u = 1 on the backbone,
     w_tilde = R_Z(||A||) delta_0), matching mu_n = -1/(c (2n+1)^d).
+
+    The smooth term sm = <eta, f(beta(||A|| - A)) xi>, f the
+    `bounded_correction`, is the `block_matrix_element` at n = r + s for s
+    in _SMOOTH_SCHEDULE, r the vectors' radius: their largest fiber |j| and
+    base offset |Delta_i|, so every volume holds the vectors, their base
+    points do not wrap around the torus, and each step of the schedule
+    widens the same margin s between the vectors and the volume's edge.
+    sm converges exponentially in that margin, at a rate set by beta; the
+    schedule stops once two consecutive differences |sm(n) - sm(prev)| are
+    within 1e-14 max(1, |sm|), and the record gives that n as smooth_n and
+    the last difference as smooth_uncertainty.  A schedule that reaches
+    its cap (`_smooth_cap`) unconverged raises NumericFailure.
 
     Only meaningful in the transient regime d >= 3; for d <= 2 the finite
     volume values diverge and this refuses with a divergence verdict.
@@ -296,21 +350,32 @@ def two_point_limit(cfg, xi, eta, smooth_n=None):
     wnorm2 = math.sqrt(d * d + 1.0) / (4.0 * d ** 3)
     cond = c * sum(wt.values()) * sum(wx.values()) / wnorm2
 
-    if smooth_n is None:
-        smooth_n = {3: 30}.get(d, 24)
-    lam_shift = lam  # mu -> 0 in the limit
-    sm_small = block_matrix_element(
-        d, smooth_n - 8, lambda a: bounded_correction(beta * (lam_shift - a)),
-        xi, eta)
-    sm = block_matrix_element(
-        d, smooth_n, lambda a: bounded_correction(beta * (lam_shift - a)),
-        xi, eta)
-    sm_unc = abs(sm - sm_small)
+    radius = max([abs(j) for fv in (xi, eta) for (_, j) in fv.entries]
+                 + [abs(e - x) for jv_e in fib_eta for jv_x in fib_xi
+                    for e, x in zip(jv_e, jv_x)], default=0)
+    cap = _smooth_cap(d)
+    volumes = [radius + s for s in _SMOOTH_SCHEDULE if radius + s <= cap]
+    sums, small = [], 0
+    for n in volumes:
+        sums.append(block_matrix_element(
+            d, n, lambda a: bounded_correction(beta * (lam - a)), xi, eta))
+        if len(sums) > 1:
+            sm_unc = abs(sums[-1] - sums[-2])
+            tol = _SMOOTH_TOL * max(1.0, abs(sums[-1]))
+            small = small + 1 if sm_unc <= tol else 0
+            if small == 2:
+                break
+    else:
+        raise NumericFailure(
+            "limit smooth term at beta = %r not converged by n = %d"
+            % (beta, max(volumes, default=cap)))
+    sm = sums[-1]
     total = sm + (line + phi_part + cond) / beta
     return {
         "total": total,
         "smooth_term": sm,
         "smooth_uncertainty": sm_unc,
+        "smooth_n": n,
         "line_term": line / beta,
         "phi_term": phi_part / beta,
         "condensate_term": cond / beta,

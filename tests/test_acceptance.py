@@ -250,12 +250,12 @@ def test_criterion_07_comb_condensation_limit():
     cauchy = all(d > 0 for d in diffs) and diffs[1] < diffs[0]
     sides = np.array([2 * n + 1 for n in ns], dtype=float)
     est, _ = extrapolate_power(sides, totals, p=1, terms=2)
-    lim = cb.two_point_limit(cfg, xi=xi, eta=xi, smooth_n=20)
+    lim = cb.two_point_limit(cfg, xi=xi, eta=xi)
     unc = max(5e-3, lim["smooth_uncertainty"])
     match = abs(est - lim["total"]) <= unc
     # c-dependence of the limit
     cfg2 = CombRunConfig(d=3, beta=beta, mu_schedule=("condensate_scaled", 2.0))
-    lim2 = cb.two_point_limit(cfg2, xi=xi, eta=xi, smooth_n=20)
+    lim2 = cb.two_point_limit(cfg2, xi=xi, eta=xi)
     slope = lim2["total"] - lim["total"]
     linear = abs(slope - lim["condensate_slope"]) < 1e-9
     # Under mu_n = -1/(c (2n+1)^d), c/beta is the ground-state occupation per

@@ -441,6 +441,27 @@ def test_bec_sweep_and_limit(capsys):
         3 / math.sqrt(10), rel=1e-6)
 
 
+def test_bec_limit_takes_every_vector_the_sweep_takes(capsys):
+    # the sweep's n = 26 holds fiber coordinate 25; the smooth term's
+    # volumes count from the vectors' radius
+    code, doc = run_json(capsys, "bec", "--d", "3", "--beta", "1", "--c", "1",
+                         "--n", "26", "--xi=0,0,0,25", "--limit")
+    assert code == 0
+    assert doc["result"]["limit"]["smooth_n"] > 25
+
+
+def test_bec_limit_unconverged_at_its_cap_exits_2(capsys, monkeypatch):
+    from combgas import comb_bec
+
+    monkeypatch.setattr(comb_bec, "_SMOOTH_SCHEDULE", (6, 8, 11))
+    assert main(["bec", "--d", "3", "--beta", "40", "--c", "1", "--n", "2",
+                 "--xi", "0,0,0,0", "--limit"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("numeric failure: limit smooth term at beta = 40.0 not "
+                   "converged by n = 11\n")
+
+
 def test_bec_json_keys_and_csv_columns_are_the_sweep_row(capsys):
     from combgas.comb_bec import SweepRow
 

@@ -205,6 +205,19 @@ def test_bounded_correction_series_and_value():
     assert bounded_correction(50.0) == pytest.approx(-1 / 50.0, abs=1e-12)
 
 
+def test_bounded_correction_matches_mpmath():
+    # 1/expm1(x) - 1/x cancels below x ~ 1; the series does not
+    import mpmath
+
+    xs = np.logspace(-8, math.log10(50.0), 400)
+    got = bounded_correction(xs)
+    with mpmath.workdps(40):
+        for x, g in zip(xs, got):
+            x = mpmath.mpf(float(x))
+            want = 1 / mpmath.expm1(x) - 1 / x
+            assert abs((g - want) / want) <= 1e-15, (x, g)
+
+
 def test_block_matrix_element_vs_dense_matrix_function():
     # spec-level invariant: fiber-block application within 1e-8 of dense
     d, n, beta, mu = 1, 4, 1.0, -0.3
@@ -319,12 +332,27 @@ def test_two_point_limit_linear_in_c():
     for c in (0.5, 1.0, 2.0):
         cfg = CombRunConfig(d=3, beta=1.0,
                             mu_schedule=("condensate_scaled", c))
-        lims.append(two_point_limit(cfg, xi=xi, eta=xi, smooth_n=16))
+        lims.append(two_point_limit(cfg, xi=xi, eta=xi))
     slope1 = (lims[1]["total"] - lims[0]["total"]) / 0.5
     slope2 = (lims[2]["total"] - lims[1]["total"]) / 1.0
     assert slope1 == pytest.approx(slope2, rel=1e-9)
     assert slope1 == pytest.approx(3 / math.sqrt(10), rel=1e-9)
     assert lims[0]["condensate_slope"] == pytest.approx(slope1, rel=1e-9)
+    assert max(lim["smooth_n"] for lim in lims) <= 16
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0, 20.0])
+def test_two_point_limit_smooth_term_within_its_uncertainty(beta):
+    d = 3
+    cfg = CombRunConfig(d=d, beta=beta, mu_schedule=("condensate_scaled", 1.0))
+    xi = FockVector.delta((0,) * d, 0)
+    lim = two_point_limit(cfg, xi=xi, eta=xi)
+    lam = norm_limit(d)
+    want = block_matrix_element(
+        d, 50, lambda a: bounded_correction(beta * (lam - a)), xi, xi)
+    sm = lim["smooth_term"]
+    assert abs(sm - want) <= lim["smooth_uncertainty"] + 1e-15 * abs(sm)
+    assert lim["smooth_n"] in cb._SMOOTH_SCHEDULE
 
 
 def test_condensate_coefficient_divergence_d1():
