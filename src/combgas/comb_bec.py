@@ -9,7 +9,15 @@ PF projection are sums over those blocks, so no computation ever assembles
 the full (2n+1)^(d+1) operator, and each sum holds one chunk's eigendata
 and O(orbits) phase sums, never an array over every block root.
 `sweep_row` computes one volume's row of a sweep from one pass over its
-chunks.  The tensor decomposition
+chunks.
+
+Every volume comes from `families.comb_volume`.  A process keeps the
+volumes whose blocks fit one chunk (B (n+1) <= 2^14 roots), at most 32
+of them and 16 MB together: their orbits, phase sums and the eigendata of
+each fiber support a call asks for, so a sweep, a density or a limit that
+meets the same (d, n) and support again solves no block again.  Nothing
+kept depends on beta, mu, c or the amplitudes, so no result depends on
+what was kept.  The tensor decomposition
 
     H_n^{-1} = I (x) R_{Y_n}(lam_n)
              + Phi_n (x) R_{Y_n}(lam_n) P_0 R_{Y_n}(lam_n),
@@ -23,7 +31,9 @@ line's Green function.  Every chain resolvent R_{Y_n}, R_Z is
 correction as a fiber-block sum, runs on a fixed geometric volume schedule
 from the vectors' radius until two consecutive differences fall within
 1e-14 relative; it reports the volume it stopped at and the last difference,
-and fails with NumericFailure if the schedule reaches its cap first.
+and fails with NumericFailure if the schedule reaches its cap first, unless
+the last difference there is within the tolerance and below half the one
+before it.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import DomainError, NumericFailure, thermo
-from .families import CombFamily, CombVolume, fiber_chunks, fiber_eigen
+from .families import CombFamily, comb_volume, fiber_eigen
 from .resolvent import chain_green
 
 
@@ -84,14 +94,13 @@ def torus_green(vol, eps, delta):
     return float(vol.phase(delta)[1:] @ weights) / vol.modes
 
 
-def lattice_coeffs(d, n, eps, vol=None):
+def lattice_coeffs(d, n, eps):
     """(k_n^0, k_n^+) = (1/((2n+1)^d eps), G_n^+(0; eps)): the zero mode of
-    G_n(0; eps) and the rest (`torus_green`); `vol` passes the volume's
-    periodic `CombVolume`."""
+    G_n(0; eps) and the rest (`torus_green`) on the periodic `comb_volume`
+    of Lambda_n."""
     if eps <= 0:
         raise CombError("eps must be positive")
-    if vol is None:
-        vol = CombVolume(d, n, True)
+    vol = comb_volume(d, n)
     return 1.0 / (vol.modes * eps), torus_green(vol, eps, (0,) * d)
 
 
@@ -218,8 +227,8 @@ def fiber_support(n, *vectors):
 
 
 def _element_chunks(vol, func, xi, eta):
-    """Yield (FiberEigen, blk, share) over the `fiber_chunks` of the
-    periodic `CombVolume` vol: share is the blocks a[blk]'s part of
+    """Yield (FiberEigen, blk, share) over the chunks (`CombVolume.chunks`)
+    of the periodic `CombVolume` vol: share is the blocks a[blk]'s part of
     modes * <eta, func(A_{Lambda_n}) xi>.
 
     In the base eigenbasis the comb adjacency splits into chain-plus-impurity
@@ -242,7 +251,7 @@ def _element_chunks(vol, func, xi, eta):
     pairs = [(e, pe + x, vol.phase(tuple(s - t for s, t in zip(jv_e, jv_x))))
              for e, jv_e in enumerate(fib_eta)
              for x, jv_x in enumerate(fib_xi)]
-    for eig, blk in fiber_chunks(vol.n, vol.a, support):
+    for eig, blk in vol.chunks(support):
         if not blk.start:
             # <eta, u> f <u, xi> summed over the odd vectors u, per pair
             proj = amps @ eig.odd_vec
@@ -259,11 +268,11 @@ def _element_chunks(vol, func, xi, eta):
 def block_matrix_element(d, n, func, xi, eta):
     """Exact <eta, func(A_{Lambda_n}) xi> via base-Fourier fiber blocks: the
     sum of each chunk's share (`_element_chunks`) over the periodic
-    `CombVolume` of Lambda_n.  `func` acts elementwise on an array of block
+    `comb_volume` of Lambda_n.  `func` acts elementwise on an array of block
     eigenvalues.  Memory is one chunk's eigendata plus O(orbits) phase
     sums; no array spans every block root.
     """
-    vol = CombVolume(d, n, True)
+    vol = comb_volume(d, n)
     total = sum(share for _, _, share in _element_chunks(vol, func, xi, eta))
     return total / vol.modes
 
@@ -309,8 +318,11 @@ def two_point_limit(cfg, xi, eta):
     sm converges exponentially in that margin, at a rate set by beta; the
     schedule stops once two consecutive differences |sm(n) - sm(prev)| are
     within 1e-14 max(1, |sm|), and the record gives that n as smooth_n and
-    the last difference as smooth_uncertainty.  A schedule that reaches
-    its cap (`_smooth_cap`) unconverged raises NumericFailure.
+    the last difference as smooth_uncertainty.  At its cap (`_smooth_cap`)
+    it also stops on one last difference within that tolerance and below
+    half the difference before it: if the differences keep falling at
+    least that fast, the rest of the series is below the last one.
+    Otherwise a schedule that reaches its cap raises NumericFailure.
 
     Only meaningful in the transient regime d >= 3; for d <= 2 the finite
     volume values diverge and this refuses with a divergence verdict.
@@ -355,21 +367,22 @@ def two_point_limit(cfg, xi, eta):
                     for e, x in zip(jv_e, jv_x)], default=0)
     cap = _smooth_cap(d)
     volumes = [radius + s for s in _SMOOTH_SCHEDULE if radius + s <= cap]
-    sums, small = [], 0
+    sums, diffs, small = [], [], 0
     for n in volumes:
         sums.append(block_matrix_element(
             d, n, lambda a: bounded_correction(beta * (lam - a)), xi, eta))
         if len(sums) > 1:
-            sm_unc = abs(sums[-1] - sums[-2])
+            diffs.append(abs(sums[-1] - sums[-2]))
             tol = _SMOOTH_TOL * max(1.0, abs(sums[-1]))
-            small = small + 1 if sm_unc <= tol else 0
-            if small == 2:
+            small = small + 1 if diffs[-1] <= tol else 0
+            if small == 2 or (small and n == volumes[-1] and len(diffs) > 1
+                              and diffs[-1] < 0.5 * diffs[-2]):
                 break
     else:
         raise NumericFailure(
             "limit smooth term at beta = %r not converged by n = %d"
             % (beta, max(volumes, default=cap)))
-    sm = sums[-1]
+    sm, sm_unc = sums[-1], diffs[-1]
     total = sm + (line + phi_part + cond) / beta
     return {
         "total": total,
@@ -389,8 +402,8 @@ def two_point_limit(cfg, xi, eta):
 
 def _density_share(vol, eig, blk, beta, mu):
     """The blocks a[blk]'s part of the per-site Bose density of H = ||A|| - A
-    on the `CombVolume` vol, from their `fiber_chunks` eigendata eig; the
-    first chunk also carries the odd sector, the same in every block, at
+    on the `CombVolume` vol, from their eigendata eig (`CombVolume.chunks`);
+    the first chunk also carries the odd sector, the same in every block, at
     weight 1/(2n+1) per root.  Block b's n+1 even roots each weigh
     mult[b]/((2n+1)^d (2n+1)).  Raises ThermoError unless mu lies below
     every level of the chunk, so the chunks together check the volume's
@@ -411,10 +424,10 @@ def _density_share(vol, eig, blk, beta, mu):
 
 def density_finite(d, n, beta, mu):
     """Per-site density on Lambda_n: the blocks' Bose occupations summed a
-    chunk at a time (`_density_share`)."""
-    vol = CombVolume(d, n, True)
+    chunk at a time (`_density_share`) over its `comb_volume`."""
+    vol = comb_volume(d, n)
     return sum(_density_share(vol, eig, blk, beta, mu)
-               for eig, blk in fiber_chunks(n, vol.a))
+               for eig, blk in vol.chunks())
 
 
 def density_limit(cfg, ns):
@@ -474,8 +487,8 @@ class SweepRow(NamedTuple):
 
 def sweep_row(cfg, n, xi, eta):
     """Volume n under the run's mu schedule, lam_n = ||A|| - mu_n, from one
-    `CombVolume`, lattice sum, fiber vector z_n = R_{Y_n}(lam_n) delta_0 and
-    pass over its `fiber_chunks`: each chunk adds its share of the
+    `comb_volume`, lattice sum, fiber vector z_n = R_{Y_n}(lam_n) delta_0 and
+    pass over its chunks: each chunk adds its share of the
     two-point function <eta, (e^{beta H_n} - 1)^{-1} xi>, H_n = lam_n -
     A_{Lambda_n}, the Bose occupation of every block eigenvalue
     (`_element_chunks`), and of the per-site density (`_density_share`);
@@ -487,8 +500,8 @@ def sweep_row(cfg, n, xi, eta):
     d, beta = cfg.d, cfg.beta
     lam = lambda_n(d, mu)
     eps = eps_n(d, n, mu)
-    vol = CombVolume(d, n, True)
-    k0, kplus = lattice_coeffs(d, n, eps, vol)
+    vol = comb_volume(d, n)
+    k0, kplus = lattice_coeffs(d, n, eps)
     z = chain_green(lam, np.arange(-n, n + 1), 0, -n, n)
     kprime = 2.0 * d * (d + eps) * (k0 + kplus) * float(z @ z) / beta
     total = dens = 0.0

@@ -6,12 +6,21 @@ tridiagonal blocks its symmetry splits a volume into, from which its spectrum
 and norm come.  The catalog families mirror the perturbed infinite graphs
 whose norms have closed forms; their truncations are used for exhaustion
 cross-checks.
+
+Comb volumes (`comb_volume`) are the one thing a process keeps between
+calls: the volumes whose fiber blocks fit one chunk (`fiber_chunks`), with
+their orbits, phase sums and the eigendata of each fiber support asked
+for, read-only, at most 32 volumes and 16 MB together.  They depend on
+(d, n) and the supports alone; beta, mu, c and the amplitudes never enter
+them.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
+import weakref
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -192,6 +201,11 @@ class CombVolume:
     sum_i 2cos(pi k_i/(2n+2)) (free).  Each orbit is its own fiber block.
     gap (O,), periodic only: sum_i (1 - cos(theta k_i)), each term taken as
     2 sin^2(theta k_i/2), so there is no cancellation near 0.
+
+    These arrays are read-only, as are the phase sums and eigendata the
+    volume keeps; nbytes counts all of them.  `comb_volume` hands out one
+    volume per (d, n, periodic), and keeps it (kept = True) while its
+    blocks fit one chunk.
     """
 
     def __init__(self, d, n, periodic):
@@ -222,6 +236,14 @@ class CombVolume:
         else:
             one = 2.0 * np.cos(np.pi * np.arange(side + 1) / (side + 1))
         self.a = self._sum_axes(one)
+        self._eigen = {}
+        self.kept = False
+        arrays = [self.reps, self.mult, self.a]
+        if periodic:
+            arrays.append(self.gap)
+        for x in arrays:
+            x.setflags(write=False)
+        self.nbytes = sum(x.nbytes for x in arrays)
 
     def _sum_axes(self, table):
         """sum_i table[k_i] over each representative, in the order i = 1..d."""
@@ -252,8 +274,43 @@ class CombVolume:
                 for m, j in zip(key, tau):
                     term = term * cols[m, j]
                 total += term
-            self._phases[key] = self.mult * total / math.perm(self.d, len(key))
+            total = self.mult * total / math.perm(self.d, len(key))
+            self._store(self._phases, key, total, [total])
+            return total
         return self._phases[key]
+
+    def chunks(self, support=()):
+        """`fiber_chunks` of the volume's blocks with eigenvector entries at
+        `support`.  A volume whose blocks fit one chunk solves each support
+        once and keeps its FiberEigen; a larger one streams its chunks and
+        keeps nothing of them."""
+        if not self.one_chunk():
+            yield from fiber_chunks(self.n, self.a, support)
+            return
+        eig = self._eigen.get(support)
+        if eig is None:
+            eig = fiber_eigen(self.n, self.a, support)
+            self._store(self._eigen, support, eig,
+                        [x for x in eig if isinstance(x, np.ndarray)])
+        yield eig, slice(0, self.a.size)
+
+    def one_chunk(self):
+        """Whether `fiber_chunks` solves all the blocks in one chunk."""
+        return self.a.size <= max(1, _CHUNK // (self.n + 1))
+
+    def _store(self, cache, key, value, arrays):
+        """cache[key] = value with its arrays made read-only, unless the
+        volume is kept and would outgrow _KEEP_BYTES; a store on a kept
+        volume trims the others (`_trim`)."""
+        size = sum(x.nbytes for x in arrays)
+        if self.kept and self.nbytes + size > _KEEP_BYTES:
+            return
+        for x in arrays:
+            x.setflags(write=False)
+        cache[key] = value
+        self.nbytes += size
+        if self.kept:
+            _trim(self)
 
 
 class FiberSolveError(NumericFailure):
@@ -296,6 +353,11 @@ _HALLEY_STOP = (_ROOT_TOL / 4.0) ** (1.0 / 3.0)
 # (rows, n) temporary of the root passes near 128 kB, in cache, and bound
 # what a sum over a volume's blocks holds at once.
 _CHUNK = 1 << 14
+# One-chunk comb volumes a process keeps (`comb_volume`), least recently
+# used out first, and the bytes of orbits, phase sums and eigendata that
+# they hold together: at most 16 MB.
+_KEEP_VOLUMES = 32
+_KEEP_BYTES = 16 << 20
 
 
 def _bracketed_newton(fun, x, lo, hi, scale):
@@ -525,6 +587,57 @@ def fiber_chunks(n, a, support=()):
     for lo in range(0, a.size, rows):
         blk = slice(lo, min(lo + rows, a.size))
         yield fiber_eigen(n, a[blk], support), blk
+
+
+_kept = collections.OrderedDict()  # (d, n, periodic) -> kept CombVolume
+_alive = weakref.WeakValueDictionary()  # every volume still in use
+
+
+def comb_volume(d, n, periodic=True):
+    """The `CombVolume` of (d, n, periodic), one per process.
+
+    A volume whose blocks fit one `fiber_chunks` chunk, B <= _CHUNK // (n+1),
+    is kept with its phase sums and the eigendata of each fiber support it
+    is asked for (`CombVolume.chunks`), so a later call on the same volume
+    solves nothing again.  The process keeps at most _KEEP_VOLUMES volumes
+    holding at most _KEEP_BYTES (16 MB) together, dropping the least
+    recently used, and does not keep what would exceed that alone.  A larger
+    volume is shared only while some caller holds it.  What is kept depends
+    on (d, n), the supports and the `delta`s of the phase sums alone, never
+    on beta, mu, c or the amplitudes.
+    """
+    key = (d, n, periodic)
+    vol = _alive.get(key)
+    if vol is None:
+        vol = _alive[key] = CombVolume(d, n, periodic)
+    if vol.kept:
+        _kept.move_to_end(key)
+    elif vol.one_chunk() and vol.nbytes <= _KEEP_BYTES:
+        vol.kept = True
+        _kept[key] = vol
+        _trim(vol)
+    return vol
+
+
+def _trim(keep):
+    """Drop the least recently used kept volumes but `keep` until at most
+    _KEEP_VOLUMES hold at most _KEEP_BYTES."""
+    total = sum(vol.nbytes for vol in _kept.values())
+    for key, vol in list(_kept.items()):
+        if len(_kept) <= _KEEP_VOLUMES and total <= _KEEP_BYTES:
+            return
+        if vol is not keep:
+            del _kept[key]
+            vol.kept = False
+            total -= vol.nbytes
+
+
+def clear_volumes():
+    """Forget every volume `comb_volume` has handed out."""
+    for vol in _kept.values():
+        vol.kept = False
+    _kept.clear()
+    _alive.clear()
 
 
 class CombFamily(GraphFamily):

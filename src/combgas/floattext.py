@@ -243,7 +243,8 @@ def join(columns, fmt, end="\n"):
         inverses.append(np.searchsorted(keys, bits))
     blocks = []
     for start in range(0, columns[0].size, _CHUNK):
-        rows = np.concatenate([text[inverse[start:start + _CHUNK]]
+        rows = np.concatenate([text.take(inverse[start:start + _CHUNK],
+                                         axis=0)
                                for text, inverse in zip(texts, inverses)],
                               axis=1).ravel()
         blocks.append(str(rows[rows != 0].data, "ascii"))

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from combgas import families
+
 
 def _lanczos_top(mat, tol=1e-13):
     """The largest eigenvalue of the sparse symmetric `mat`: ARPACK Lanczos
@@ -24,3 +26,10 @@ def _lanczos_top(mat, tol=1e-13):
 @pytest.fixture
 def lanczos_top():
     return _lanczos_top
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_volumes():
+    """Each test starts with no comb volume kept (`families.comb_volume`),
+    so it solves, builds and chunks its volumes itself."""
+    families.clear_volumes()

@@ -462,6 +462,34 @@ def test_bec_limit_unconverged_at_its_cap_exits_2(capsys, monkeypatch):
                    "converged by n = 11\n")
 
 
+BEC_REPEATS = [
+    ("--d", "3", "--beta", "1", "--c", "1", "--n", "4:8:2", "--xi",
+     "0,0,0,0", "--limit"),
+    ("--d", "3", "--beta", "0.5", "--c", "2", "--n", "6:8", "--xi=0,0,0,0",
+     "--xi=1,0,0,1@0.5", "--eta=0,1,0,-2", "--format", "csv"),
+    ("--d", "4", "--beta", "2", "--mu-power", "1.5", "--n", "2:4", "--xi",
+     "0,0,0,0,1"),
+]
+
+
+def test_bec_output_does_not_depend_on_kept_volumes(tmp_path):
+    from combgas import families
+
+    def outputs():
+        out = []
+        for i, argv in enumerate(BEC_REPEATS):
+            path = tmp_path / ("%d.out" % i)
+            assert main(["bec", *argv, "--out", str(path)]) == 0
+            out.append(path.read_bytes())
+        return out
+
+    cold = outputs()
+    assert families._kept
+    warm = outputs()
+    families.clear_volumes()
+    assert outputs() == warm == cold
+
+
 def test_bec_json_keys_and_csv_columns_are_the_sweep_row(capsys):
     from combgas.comb_bec import SweepRow
 

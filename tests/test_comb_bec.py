@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from combgas import NumericFailure
 from combgas import comb_bec as cb
 from combgas import families
 from combgas.comb_bec import (CombRunConfig, FockVector, SweepRow,
@@ -121,7 +122,7 @@ def q_finite(d, n, eps, delta):
     + ((d+eps)/d) G_n^+(Delta; eps) - delta_{Delta,0}/d, the delta taken
     on the torus (Delta = 0 mod 2n+1)."""
     vol = CombVolume(d, n, True)
-    _, kplus = lattice_coeffs(d, n, eps, vol)
+    _, kplus = lattice_coeffs(d, n, eps)
     zero = not any(t % (2 * n + 1) for t in delta)
     return ((1.0 / vol.modes + (d + eps) * torus_green(vol, eps, delta)
              - zero) / d - kplus)
@@ -355,6 +356,40 @@ def test_two_point_limit_smooth_term_within_its_uncertainty(beta):
     assert lim["smooth_n"] in cb._SMOOTH_SCHEDULE
 
 
+def _limit_on_sums(monkeypatch, diffs):
+    """two_point_limit at d = 4, xi = eta = delta_0 (radius 0, so the
+    volumes run 6, 8, ..., 36, the cap) on block sums 1e-3 + the rest of
+    `diffs`, the differences between consecutive volumes."""
+    rest = np.cumsum(diffs[::-1])[::-1]
+    sums = dict(zip(cb._SMOOTH_SCHEDULE, 1e-3 + np.append(rest, 0.0)))
+    assert max(sums) == cb._smooth_cap(4) == 36
+    monkeypatch.setattr(cb, "block_matrix_element",
+                        lambda d, n, func, xi, eta: sums[n])
+    cfg = CombRunConfig(d=4, beta=11.0,
+                        mu_schedule=("condensate_scaled", 1.0))
+    xi = FockVector.delta((0,) * 4, 0)
+    return two_point_limit(cfg, xi=xi, eta=xi)
+
+
+def test_two_point_limit_accepts_a_converged_sum_at_the_cap(monkeypatch):
+    # the differences of the d = 4, beta = 11 smooth term: n = 20 -> 27 is
+    # just above the 1e-14 tolerance, n = 27 -> 36 far below it and below
+    # half of it, so the rest of the series is below 1e-17
+    lim = _limit_on_sums(monkeypatch,
+                         [1e-6, 1e-8, 1e-10, 7.8e-12, 1.44e-14, 1.0e-17])
+    assert lim["smooth_n"] == 36
+    assert lim["smooth_term"] == 1e-3
+    assert lim["smooth_uncertainty"] == pytest.approx(1.0e-17, rel=1e-3)
+
+
+def test_two_point_limit_refuses_a_slow_last_difference_at_the_cap(
+        monkeypatch):
+    # within the tolerance, but not below half the difference before it
+    with pytest.raises(NumericFailure, match="not converged by n = 36"):
+        _limit_on_sums(monkeypatch,
+                       [1e-6, 1e-8, 1e-10, 7.8e-12, 1.5e-14, 0.9e-14])
+
+
 def test_condensate_coefficient_divergence_d1():
     cfg = CombRunConfig(d=1, beta=1.0, mu_schedule=("power", 1.0))
     xi = FockVector.delta((0,), 0)
@@ -498,15 +533,89 @@ def test_sweep_rows_match_dense_eigh(d, n, schedule):
 
 
 def test_sweep_rows_sums_each_lattice_once(monkeypatch):
+    # the lattice sum and the block sums share the volume `comb_volume`
+    # builds
     built = []
 
     def counting(d, n, periodic):
         built.append(n)
         return CombVolume(d, n, periodic)
 
-    monkeypatch.setattr(cb, "CombVolume", counting)
+    monkeypatch.setattr(families, "CombVolume", counting)
     cfg = CombRunConfig(d=3, beta=1.0, mu_schedule=("condensate_scaled", 1.0))
     xi = FockVector.delta((0, 0, 0), 0)
     for n in (4, 6, 8):
         sweep_row(cfg, n, xi, xi)
     assert built == [4, 6, 8]
+
+
+def _delta_vector(d, *fibers):
+    return FockVector({((t,) + (0,) * (d - 1), j): 1.0
+                       for t, j in enumerate(fibers)})
+
+
+def test_a_second_sweep_row_solves_nothing(monkeypatch):
+    cfg = CombRunConfig(d=3, beta=0.7, mu_schedule=("condensate_scaled", 2.0))
+    xi = FockVector({((0, 0, 0), 0): 1.0, ((1, 0, 0), -1): 0.5})
+    eta = FockVector({((0, 1, 0), 2): -0.25})
+    first = sweep_row(cfg, 5, xi, eta)
+    assert (3, 5, True) in families._kept
+
+    def refused(*args):
+        raise AssertionError("fiber_eigen called")
+
+    monkeypatch.setattr(families, "fiber_eigen", refused)
+    again = sweep_row(cfg, 5, xi, eta)
+    assert [v.hex() for v in again[1:]] == [v.hex() for v in first[1:]]
+    assert again == first
+
+
+def test_kept_arrays_are_read_only():
+    cfg = CombRunConfig(d=3, beta=1.0, mu_schedule=("condensate_scaled", 1.0))
+    xi = _delta_vector(3, 0, 1)
+    sweep_row(cfg, 4, xi, xi)
+    vol = families.comb_volume(3, 4)
+    eig = vol._eigen[(0, 1)]
+    kept = [vol.reps, vol.mult, vol.a, vol.gap, vol.phase((1, 0, 0)),
+            eig.odd, eig.even, eig.odd_vec, eig.even_vec]
+    for arr in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0
+
+
+@pytest.mark.parametrize("d,n,schedule", CHUNK_CASES)
+def test_volumes_of_several_chunks_are_not_kept(monkeypatch, d, n, schedule):
+    monkeypatch.setattr(families, "_CHUNK", 64)
+    cfg = CombRunConfig(d=d, beta=0.7, mu_schedule=schedule)
+    xi = _delta_vector(d, 0, -1)
+    sweep_row(cfg, n, xi, xi)
+    density_finite(d, n, 0.7, cfg.mu_of(n))
+    lattice_coeffs(d, n, 0.1)
+    assert not families._kept
+
+
+def test_kept_volumes_stay_within_their_bound(monkeypatch):
+    # three volumes and 60 kB, where the five volumes with three supports
+    # each would hold 103 kB, n = 5 and 6 alone 77 kB
+    monkeypatch.setattr(families, "_KEEP_VOLUMES", 3)
+    monkeypatch.setattr(families, "_KEEP_BYTES", 60_000)
+    cfg = CombRunConfig(d=3, beta=1.0, mu_schedule=("condensate_scaled", 1.0))
+    rows = []
+    for n in (2, 3, 4, 5, 6, 3, 2):
+        for fibers in ((0,), (0, 1), (-2, 0, 2)):
+            xi = _delta_vector(3, *fibers)
+            rows.append(sweep_row(cfg, n, xi, xi))
+            kept = families._kept.values()
+            assert 1 <= len(kept) <= 3
+            assert sum(vol.nbytes for vol in kept) <= 60_000
+    # an entry larger than the budget is not kept, the volume still is
+    wide = _delta_vector(3, *range(-6, 7))
+    sweep_row(cfg, 6, wide, wide)
+    assert tuple(range(-6, 7)) not in families._kept[3, 6, True]._eigen
+    # the bound changes what is solved again, never a result
+    monkeypatch.undo()
+    families.clear_volumes()
+    assert rows == [sweep_row(cfg, n, _delta_vector(3, *fibers),
+                              _delta_vector(3, *fibers))
+                    for n in (2, 3, 4, 5, 6, 3, 2)
+                    for fibers in ((0,), (0, 1), (-2, 0, 2))]
