@@ -230,14 +230,16 @@ def cmd_build(args):
 
 
 def cmd_catalog(args):
-    from .families import catalog_names
+    from .families import FAMILY_PARAMS, catalog_names
     from .secular import catalog_expected
 
     rows = []
     for name in catalog_names():
         row = {"name": name}
+        params = {key: value for key, value in (("k", 3), ("d", 1))
+                  if key in FAMILY_PARAMS[name]}
         try:
-            row["norm_example"] = catalog_expected(name, k=3, d=1)
+            row["norm_example"] = catalog_expected(name, **params)
         except DomainError:  # no closed form, or k = 3 out of range
             pass
         rows.append(row)
@@ -294,24 +296,16 @@ def cmd_spectrum(args):
 
 
 def cmd_secular(args):
-    from .secular import solve_secular
-
-    name, params = _family_args(args)
-    sol = solve_secular(name, **params)
-    _emit(args, _manifest(args, "secular", {"family": args.family}),
-          sol.to_record())
-    return EXIT_OK
-
-
-def cmd_hidden(args):
+    """`secular`, and `hidden`: the same record with the verdict and gap."""
     from .secular import hidden_spectrum_verdict, solve_secular
 
     name, params = _family_args(args)
     sol = solve_secular(name, **params)
-    verdict, gap = hidden_spectrum_verdict(sol)
-    result = dict(sol.to_record())
-    result.update({"verdict": verdict, "gap": gap})
-    _emit(args, _manifest(args, "hidden", {"family": args.family}), result)
+    result = sol.to_record()
+    if args.cmd == "hidden":
+        verdict, gap = hidden_spectrum_verdict(sol)
+        result.update({"verdict": verdict, "gap": gap})
+    _emit(args, _manifest(args, args.cmd, {"family": args.family}), result)
     return EXIT_OK
 
 
@@ -451,6 +445,10 @@ def _add_common(p, tol=False):
         p.add_argument("--tol", type=_positive, default=1e-10)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _add_family(p):
+    p.add_argument("--family", required=True)
     p.add_argument("--param", action="append", default=[],
                    help="key=value, repeatable")
 
@@ -475,36 +473,33 @@ def build_parser():
 
     p = sub.add_parser("norm", help="graph norm via secular equation and/or "
                                     "exhaustion")
-    p.add_argument("--family", required=True)
+    _add_family(p)
     p.add_argument("--n-max", type=_positive_int, default=None)
     _add_common(p, tol=True)
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("spectrum", help="finite-volume spectrum with weights")
-    p.add_argument("--family", required=True)
+    _add_family(p)
     p.add_argument("--n", type=_positive_int, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("secular", help="solve the secular equation")
-    p.add_argument("--family", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_secular)
-
-    p = sub.add_parser("hidden", help="hidden-spectrum verdict and gap")
-    p.add_argument("--family", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_hidden)
+    for cmd, what in (("secular", "solve the secular equation"),
+                      ("hidden", "hidden-spectrum verdict and gap")):
+        p = sub.add_parser(cmd, help=what)
+        _add_family(p)
+        _add_common(p)
+        p.set_defaults(func=cmd_secular)
 
     p = sub.add_parser("ids", help="integrated density of states")
-    p.add_argument("--family", required=True)
+    _add_family(p)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--shift", type=_finite, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_ids)
 
     p = sub.add_parser("density", help="finite-volume Bose density")
-    p.add_argument("--family", required=True)
+    _add_family(p)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--beta", type=_positive, required=True)
     p.add_argument("--mu", type=_finite, required=True)
@@ -519,7 +514,7 @@ def build_parser():
     p.set_defaults(func=cmd_critical)
 
     p = sub.add_parser("mu-solve", help="chemical potential at fixed density")
-    p.add_argument("--family", required=True)
+    _add_family(p)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--beta", type=_positive, required=True)
     p.add_argument("--rho", type=_finite, required=True)
@@ -528,6 +523,8 @@ def build_parser():
     p.set_defaults(func=cmd_mu_solve)
 
     p = sub.add_parser("transience", help="random-walk transience verdict")
+    p.add_argument("--param", action="append", default=[],
+                   help="d=<dimension>")
     _add_common(p)
     p.set_defaults(func=cmd_transience)
 

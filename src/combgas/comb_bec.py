@@ -7,9 +7,9 @@ flips and axis permutations (`CombVolume`), solved a chunk at a time by
 `families.fiber_chunks`; the finite-volume two-point function, density and
 PF projection are sums over those blocks, so no computation ever assembles
 the full (2n+1)^(d+1) operator, and each sum holds one chunk's eigendata
-and O(orbits) phase sums, never an array over every block root.
-`sweep_row` computes one volume's row of a sweep from one pass over its
-chunks.
+and O(orbits) phase sums, never an array over every block root.  Each sum
+takes the levels as energies h = ||A|| - lam from one function, `_levels`.
+`sweep_row` computes one volume's row of a sweep in one pass over them.
 
 Every volume comes from `families.comb_volume`.  A process keeps the
 volumes whose blocks fit one chunk (B (n+1) <= 2^14 roots), at most 32
@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import DomainError, NumericFailure, thermo
-from .families import CombFamily, comb_volume, fiber_eigen
+from .families import comb_volume
 from .resolvent import chain_green
 
 
@@ -226,52 +226,73 @@ def fiber_support(n, *vectors):
     return support
 
 
-def _element_chunks(vol, func, xi, eta):
-    """Yield (FiberEigen, blk, share) over the chunks (`CombVolume.chunks`)
-    of the periodic `CombVolume` vol: share is the blocks a[blk]'s part of
-    modes * <eta, func(A_{Lambda_n}) xi>.
+def _levels(vol, func, support=()):
+    """Yield (eig, blk, f, w) per chunk (`CombVolume.chunks`) of the periodic
+    `CombVolume` vol: f = func(h) on the energies h = ||A|| - lam of the
+    chunk's levels, one call per chunk, and w their per-site weights: first
+    the n odd levels, the same in every block, at 1/(2n+1) each, on the first
+    chunk only; then the even levels of the blocks a[blk] as in eig.even, at
+    mult/((2n+1)^d (2n+1)) each.  A top root lam = 2cosh(t) > 2 solves
+    a tanh(Nt) = 2 sinh t, N = n + 1, a = 2d - 2 gamma (`CombVolume.gap`), so
+    h = 2(d + sinh t)(2d q/(1+q) + gamma tanh(Nt))/(sqrt(d^2+1) + cosh t),
+    q = e^{-2Nt}, with no cancellation where ||A|| - lam would lose
+    ulp(||A||)/h relative, h down to 1e-20; other levels take ||A|| - lam."""
+    d, big, side = vol.d, vol.n + 1, 2 * vol.n + 1
+    for eig, blk in vol.chunks(support):
+        skip = 0 if blk.start else vol.n
+        lam = np.concatenate((eig.odd[:skip], eig.even.ravel()))
+        h = norm_limit(d) - lam
+        top = lam[skip::big]
+        up = top > 2.0
+        t = np.arccosh(0.5 * top[up])
+        q = np.exp(-2.0 * big * t)
+        h[skip::big][up] = (
+            2.0 * (d + np.sinh(t))
+            * (2.0 * d * q / (1.0 + q) + vol.gap[blk][up] * np.tanh(big * t))
+            / (math.sqrt(d * d + 1.0) + np.cosh(t)))
+        w = np.concatenate((np.full(skip, 1.0 / side), np.repeat(
+            vol.mult[blk] / (vol.modes * side), big)))
+        yield eig, blk, func(h), w
 
-    In the base eigenbasis the comb adjacency splits into chain-plus-impurity
-    blocks A_Y + a P_0, one per orbit of base modes; a matrix element is the
-    orbit phase sums (`CombVolume.phase`, one (O,) array per |Delta|) dotted
-    with per-block fiber elements.  Per chunk, `func` acts once on the
-    (rows, n+1) even eigenvalues and one `tensordot` projects the
-    amplitudes of every base coordinate of eta and xi on the chunk's even
+
+def _element_chunks(vol, func, xi, eta):
+    """Yield (f, w, share) per chunk of `_levels(vol, func)`: share is its
+    part of modes * <eta, func(H) xi>, H = ||A|| - A_{Lambda_n}, the orbit
+    phase sums (`CombVolume.phase`, one (O,) array per |Delta|) dotted with
+    per-block fiber elements.  One `tensordot` per chunk projects the
+    amplitudes of every base coordinate of eta and xi on its even
     eigenvectors; the odd sector, the same in every block, is projected
-    once, with the first chunk.
-    """
+    once, with the first chunk."""
     support = fiber_support(vol.n, xi, eta)
     col = {j: i for i, j in enumerate(support)}
     fib_eta, fib_xi = eta.fibers(), xi.fibers()
     # rows: the amplitudes on the support of eta's base coordinates, then xi's
     amps = np.zeros((len(fib_eta) + len(fib_xi), len(support)))
-    for p, f in enumerate([*fib_eta.values(), *fib_xi.values()]):
-        amps[p, [col[j] for j in f]] = list(f.values())
+    for p, fib in enumerate([*fib_eta.values(), *fib_xi.values()]):
+        amps[p, [col[j] for j in fib]] = list(fib.values())
     pe = len(fib_eta)
     pairs = [(e, pe + x, vol.phase(tuple(s - t for s, t in zip(jv_e, jv_x))))
              for e, jv_e in enumerate(fib_eta)
              for x, jv_x in enumerate(fib_xi)]
-    for eig, blk in vol.chunks(support):
+    for eig, blk, f, w in _levels(vol, func, support):
         if not blk.start:
             # <eta, u> f <u, xi> summed over the odd vectors u, per pair
             proj = amps @ eig.odd_vec
-            odd = (proj[:pe] * func(eig.odd)) @ proj[pe:].T
+            odd = (proj[:pe] * f[:vol.n]) @ proj[pe:].T
         proj = np.tensordot(amps, eig.even_vec, axes=1)
-        proj[:pe] *= func(eig.even)
+        proj[:pe] *= f[f.size - eig.even.size:].reshape(eig.even.shape)
         share = 0.0
         for e, x, phase in pairs:
             elem = np.einsum("bk,bk->b", proj[e], proj[x]) + odd[e, x - pe]
             share += float(phase[blk] @ elem)
-        yield eig, blk, share
+        yield f, w, share
 
 
 def block_matrix_element(d, n, func, xi, eta):
-    """Exact <eta, func(A_{Lambda_n}) xi> via base-Fourier fiber blocks: the
-    sum of each chunk's share (`_element_chunks`) over the periodic
-    `comb_volume` of Lambda_n.  `func` acts elementwise on an array of block
-    eigenvalues.  Memory is one chunk's eigendata plus O(orbits) phase
-    sums; no array spans every block root.
-    """
+    """Exact <eta, func(H) xi>, H = ||A|| - A_{Lambda_n}, func acting on an
+    array of level energies (`_levels`): the chunks' shares
+    (`_element_chunks`) over the periodic `comb_volume` of Lambda_n, with
+    one chunk's eigendata held at a time."""
     vol = comb_volume(d, n)
     total = sum(share for _, _, share in _element_chunks(vol, func, xi, eta))
     return total / vol.modes
@@ -370,7 +391,7 @@ def two_point_limit(cfg, xi, eta):
     sums, diffs, small = [], [], 0
     for n in volumes:
         sums.append(block_matrix_element(
-            d, n, lambda a: bounded_correction(beta * (lam - a)), xi, eta))
+            d, n, lambda h: bounded_correction(beta * h), xi, eta))
         if len(sums) > 1:
             diffs.append(abs(sums[-1] - sums[-2]))
             tol = _SMOOTH_TOL * max(1.0, abs(sums[-1]))
@@ -400,34 +421,12 @@ def two_point_limit(cfg, xi, eta):
 # densities
 
 
-def _density_share(vol, eig, blk, beta, mu):
-    """The blocks a[blk]'s part of the per-site Bose density of H = ||A|| - A
-    on the `CombVolume` vol, from their eigendata eig (`CombVolume.chunks`);
-    the first chunk also carries the odd sector, the same in every block, at
-    weight 1/(2n+1) per root.  Block b's n+1 even roots each weigh
-    mult[b]/((2n+1)^d (2n+1)).  Raises ThermoError unless mu lies below
-    every level of the chunk, so the chunks together check the volume's
-    bottom."""
-    side = 2 * vol.n + 1
-
-    def occupation_sums(vals):
-        h = norm_limit(vol.d) - vals
-        if float(h.min(initial=math.inf)) - mu <= 0:
-            raise thermo.ThermoError("mu not below the finite-volume bottom")
-        return thermo._occupations(beta * (h - mu)).sum(axis=-1)
-
-    share = (vol.mult[blk] @ occupation_sums(eig.even)) / (vol.modes * side)
-    if not blk.start:
-        share += occupation_sums(eig.odd) / side
-    return float(share)
-
-
 def density_finite(d, n, beta, mu):
-    """Per-site density on Lambda_n: the blocks' Bose occupations summed a
-    chunk at a time (`_density_share`) over its `comb_volume`."""
-    vol = comb_volume(d, n)
-    return sum(_density_share(vol, eig, blk, beta, mu)
-               for eig, blk in vol.chunks())
+    """Per-site density on Lambda_n: `thermo.finite_volume_density` of each
+    chunk's weighted level energies h (`_levels`), given as the eigenvalues
+    -h at shift 0."""
+    return sum(thermo.finite_volume_density(f, w, 0.0, beta, mu)
+               for _, _, f, w in _levels(comb_volume(d, n), np.negative))
 
 
 def density_limit(cfg, ns):
@@ -444,9 +443,11 @@ def density_limit(cfg, ns):
 
 
 def fixed_density_mu(d, n, beta, rho):
-    """Finite-volume chemical potential pinned by the density constraint."""
-    vals, w = CombFamily(d).spectrum(n)
-    return thermo.solve_mu(vals, w, norm_limit(d), beta, rho)[0]
+    """Finite-volume chemical potential pinned by the density constraint:
+    `thermo.solve_mu` on the levels as `density_finite` gives them."""
+    vals, w = map(np.concatenate, zip(*[(f, w) for _, _, f, w in _levels(
+        comb_volume(d, n), np.negative)]))
+    return thermo.solve_mu(vals, w, 0.0, beta, rho)[0]
 
 
 def pf_projection_term(d, n, mu, xi, eta):
@@ -454,22 +455,14 @@ def pf_projection_term(d, n, mu, xi, eta):
 
     v_n = u (x) w_n/sqrt((2n+1)^d): u = 1 on the base box and w_n the unit
     top vector of the zero-mode fiber block A_Y + 2d P_0 (`fiber_eigen`),
-    whose top eigenvalue is lam0 = ||A_{Lambda_n}||."""
-    eig = fiber_eigen(n, [2.0 * d], fiber_support(n, xi, eta))
+    whose top eigenvalue is lam0 = ||A_{Lambda_n}||: block 0 of `_levels`,
+    energy h[n]."""
+    eig, _, h, _ = next(_levels(comb_volume(d, n), lambda h: h,
+                                fiber_support(n, xi, eta)))
     w = dict(zip(eig.support, eig.even_vec[:, 0, 0]))
-    # ||A|| - lam0 = 2(d - sinh t)(d + sinh t)/(sqrt(d^2+1) + cosh t) at
-    # lam0 = 2 cosh t, where sinh t = d tanh(Nt), N = n + 1, makes
-    # d - sinh t = 2d e^{-2Nt}/(1 + e^{-2Nt}): no subtraction
-    t = math.acosh(float(eig.even[0, 0]) / 2.0)
-    q = math.exp(-2.0 * (n + 1) * t)
-    gap = (4.0 * d * q / (1.0 + q) * (d + math.sinh(t))
-           / (math.sqrt(d * d + 1.0) + math.cosh(t)) - mu)
-
-    def overlap(fv):
-        acc = sum(w[j] * amp for (_, j), amp in fv.entries.items())
-        return acc / math.sqrt((2 * n + 1) ** d)
-
-    return overlap(eta) * overlap(xi) / gap
+    at_eta, at_xi = (sum(w[j] * amp for (_, j), amp in fv.entries.items())
+                     for fv in (eta, xi))
+    return at_eta * at_xi / (2 * n + 1) ** d / (float(h[n]) - mu)
 
 
 class SweepRow(NamedTuple):
@@ -488,27 +481,26 @@ class SweepRow(NamedTuple):
 def sweep_row(cfg, n, xi, eta):
     """Volume n under the run's mu schedule, lam_n = ||A|| - mu_n, from one
     `comb_volume`, lattice sum, fiber vector z_n = R_{Y_n}(lam_n) delta_0 and
-    pass over its chunks: each chunk adds its share of the
-    two-point function <eta, (e^{beta H_n} - 1)^{-1} xi>, H_n = lam_n -
-    A_{Lambda_n}, the Bose occupation of every block eigenvalue
-    (`_element_chunks`), and of the per-site density (`_density_share`);
+    pass over its chunks: each chunk takes the Bose occupations of its
+    level energies h once (`_levels`), and adds from them its share of the
+    two-point function <eta, (e^{beta(H - mu_n)} - 1)^{-1} xi>, H = ||A|| -
+    A_{Lambda_n} (`_element_chunks`), and of the per-site density;
     k'_n = (2d(d+eps_n)(k_n^0 + k_n^+)/beta) ||z_n||^2.  Refuses n = 0,
     where the base torus is one vertex and would get 2d self-loops."""
     mu = cfg.mu_of(n)
     if n < 1:
         raise CombError("comb volumes need n >= 1, got %r" % n)
     d, beta = cfg.d, cfg.beta
-    lam = lambda_n(d, mu)
     eps = eps_n(d, n, mu)
     vol = comb_volume(d, n)
     k0, kplus = lattice_coeffs(d, n, eps)
-    z = chain_green(lam, np.arange(-n, n + 1), 0, -n, n)
+    z = chain_green(lambda_n(d, mu), np.arange(-n, n + 1), 0, -n, n)
     kprime = 2.0 * d * (d + eps) * (k0 + kplus) * float(z @ z) / beta
     total = dens = 0.0
-    for eig, blk, share in _element_chunks(
-            vol, lambda a: thermo._occupations(beta * (lam - a)), xi, eta):
+    for f, w, share in _element_chunks(
+            vol, lambda h: thermo._occupations(beta * (h - mu)), xi, eta):
         total += share
-        dens += _density_share(vol, eig, blk, beta, mu)
+        dens += float(w @ f)
     return SweepRow(n, mu, eps, k0, kplus, kprime, total / vol.modes, dens)
 
 

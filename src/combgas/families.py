@@ -18,6 +18,7 @@ them.
 from __future__ import annotations
 
 import collections
+import inspect
 import itertools
 import math
 import weakref
@@ -878,7 +879,7 @@ def _polygon_blocks(p, rows, link=1.0):
 class PolygonalStarFamily(GraphFamily):
     """p strands whose origins are joined into a polygon."""
 
-    def __init__(self, p):
+    def __init__(self, p=5):
         if p < 3:
             raise FamilyError("polygon needs p >= 3")
         self.p = p
@@ -905,7 +906,7 @@ class PolygonalStarFamily(GraphFamily):
 
 
 class PolygonalStarBoxFamily(GraphFamily, BoxChainMixin):
-    def __init__(self, p):
+    def __init__(self, p=5):
         if p < 3:
             raise FamilyError("polygon needs p >= 3")
         self.p = p
@@ -988,7 +989,7 @@ class HGraphFamily(GraphFamily):
 class ModifiedLadderFamily(GraphFamily):
     """Ladder with the origin rung k-fold and rungs at 1 <= |j| <= nrem removed."""
 
-    def __init__(self, k, nrem):
+    def __init__(self, k, nrem=0):
         if k < 0 or nrem < 0:
             raise FamilyError("k, nrem >= 0 required")
         self.k = k
@@ -1030,27 +1031,39 @@ class LadderFamily(ModifiedLadderFamily):
 
 
 _CATALOG = {
-    "nail_chain": lambda p: NailChainFamily(),
-    "star": lambda p: StarFamily(p["k"]),
-    "star_box": lambda p: StarBoxFamily(p["k"]),
-    "polygonal_star": lambda p: PolygonalStarFamily(p.get("p", 5)),
-    "polygonal_star_box": lambda p: PolygonalStarBoxFamily(p.get("p", 5)),
-    "h_graph": lambda p: HGraphFamily(p["k"]),
-    "ladder": lambda p: LadderFamily(),
-    "modified_ladder": lambda p: ModifiedLadderFamily(p["k"], p.get("nrem", 0)),
-    "comb": lambda p: CombFamily(p["d"], p.get("periodic", True)),
-    "chain": lambda p: LatticeFamily(1),
-    "lattice": lambda p: LatticeFamily(p["d"], p.get("boundary", "free")),
-    "fiber_union": lambda p: FiberUnionFamily(p["d"]),
+    "nail_chain": NailChainFamily,
+    "star": StarFamily,
+    "star_box": StarBoxFamily,
+    "polygonal_star": PolygonalStarFamily,
+    "polygonal_star_box": PolygonalStarBoxFamily,
+    "h_graph": HGraphFamily,
+    "ladder": LadderFamily,
+    "modified_ladder": ModifiedLadderFamily,
+    "comb": CombFamily,
+    "chain": lambda: LatticeFamily(1),
+    "lattice": LatticeFamily,
+    "fiber_union": FiberUnionFamily,
 }
 
 
+# the parameters of each family's constructor, by name
+FAMILY_PARAMS = {name: inspect.signature(make).parameters
+                 for name, make in _CATALOG.items()}
+
+
 def family(name, **params):
-    """The family `name`.  d, k, p and nrem must be integers, d >= 1,
+    """The family `name` from exactly its `FAMILY_PARAMS`: an unknown or
+    missing one is refused.  d, k, p and nrem must be integers, d >= 1,
     periodic a boolean and boundary "free" or "periodic"; each constructor
     refuses the other values outside its domain."""
-    if name not in _CATALOG:
+    if name not in FAMILY_PARAMS:
         raise FamilyError("unknown family %r" % (name,))
+    known = FAMILY_PARAMS[name]
+    for key in [*params, *known]:
+        if key not in known:
+            raise FamilyError("%s takes no parameter %s" % (name, key))
+        if key not in params and known[key].default is known[key].empty:
+            raise FamilyError("%s needs the parameter %s" % (name, key))
     for key in ("d", "k", "p", "nrem"):
         if key in params and type(params[key]) is not int:
             raise FamilyError("%s must be an integer, got %r"
@@ -1061,13 +1074,9 @@ def family(name, **params):
     if params.get("boundary", "free") not in ("free", "periodic"):
         raise FamilyError("boundary must be free or periodic, got %r"
                           % (params["boundary"],))
-    if params.get("d", 1) < 1 and name in ("comb", "lattice", "fiber_union"):
+    if params.get("d", 1) < 1:
         raise FamilyError("%s needs d >= 1, got %r" % (name, params["d"]))
-    try:
-        return _CATALOG[name](params)
-    except KeyError as exc:  # a required parameter of the _CATALOG entry
-        raise FamilyError("%s needs the parameter %s"
-                          % (name, exc.args[0])) from None
+    return _CATALOG[name](**params)
 
 
 def catalog_names():

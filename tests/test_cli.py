@@ -4,6 +4,7 @@ import math
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -307,6 +308,10 @@ EXIT_CODES = [
       "1", "--rho", "1.7e308"), 2, "numeric failure: density inf"),
     (("mu-solve",) + COMB_N + ("--beta", "1", "--rho", "1e-320"), 2,
      "numeric failure: density 0.0"),
+    (("spectrum",) + COMB_N + ("--param", "bogus=3"), 1,
+     "input error: comb takes no parameter bogus"),
+    (("norm", "--family", "catalog:star", "--param", "k=3", "--param",
+      "d=1"), 1, "input error: star takes no parameter d"),
 ]
 
 
@@ -348,6 +353,50 @@ def test_tol_is_refused_where_it_is_not_read(capsys, cmd):
     out, err = capsys.readouterr()
     assert out == ""
     assert "unrecognized arguments: --tol 1e-8" in err
+
+
+# the commands that read no --param: argparse refuses it, and their
+# manifest's params stay empty
+PARAM_FREE = ("bec", "build", "catalog", "critical")
+
+
+@pytest.mark.parametrize("cmd", PARAM_FREE)
+def test_param_is_refused_where_it_is_not_read(capsys, cmd):
+    argv = [cmd, *TOL_FREE[cmd]]
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["manifest"]["params"] == {}
+    assert main(argv + ["--param", "d=5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --param d=5" in err
+
+
+def test_catalog_examples_take_each_family_s_own_parameters(capsys):
+    # k = 3 and d = 1 go only to the families that take them
+    code, doc = run_json(capsys, "catalog")
+    assert code == 0
+    examples = {row["name"]: row.get("norm_example") for row in doc["result"]}
+    assert examples == {
+        "chain": None, "comb": 2 * math.sqrt(2), "fiber_union": None,
+        "h_graph": math.sqrt(13), "ladder": 3.0, "lattice": None,
+        "modified_ladder": None, "nail_chain": math.sqrt(2 + math.sqrt(5)),
+        "polygonal_star": 2.5, "polygonal_star_box": 3.0,
+        "star": 3 / math.sqrt(2), "star_box": None}
+
+
+def test_readme_cli_examples_run(tmp_path):
+    # every line of README's CLI example block exits 0, but the recurrent
+    # `transience --param d=2`, which exits 3
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n")[1].split("```sh\n")[1].split("```")[0]
+    lines = block.splitlines()
+    assert len(lines) >= 10
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "combgas", line
+        want = 3 if argv[1:] == ["transience", "--param", "d=2"] else 0
+        assert main(argv[1:] + ["--out", str(tmp_path / "out")]) == want, line
 
 
 @pytest.mark.parametrize("argv", [

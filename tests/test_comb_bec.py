@@ -6,7 +6,7 @@ import pytest
 
 from combgas import NumericFailure
 from combgas import comb_bec as cb
-from combgas import families
+from combgas import families, thermo
 from combgas.comb_bec import (CombRunConfig, FockVector, SweepRow,
                               block_matrix_element, bounded_correction,
                               density_finite, density_limit, eps_n,
@@ -226,7 +226,7 @@ def test_block_matrix_element_vs_dense_matrix_function():
     eta = FockVector.delta((2,), -1)
     lam = norm_limit(d) - mu
     sm = block_matrix_element(
-        d, n, lambda a: bounded_correction(beta * (lam - a)), xi, eta)
+        d, n, lambda h: bounded_correction(beta * (h - mu)), xi, eta)
     a = CombFamily(d).matrix(n).toarray()
     w, u = np.linalg.eigh(a)
     f = bounded_correction(beta * (lam - w))
@@ -237,11 +237,10 @@ def test_block_matrix_element_vs_dense_matrix_function():
 
 def test_block_matrix_element_exact():
     d, n, beta, mu = 2, 2, 0.7, -0.33
-    lam = norm_limit(d) - mu
     xi = FockVector({((0, 0), 0): 1.0, ((1, -1), 1): 0.5})
     eta = FockVector({((0, 1), 0): 1.0, ((-2, 0), -2): -0.25})
     got = block_matrix_element(d, n,
-                               lambda a: 1.0 / np.expm1(beta * (lam - a)),
+                               lambda h: 1.0 / np.expm1(beta * (h - mu)),
                                xi, eta)
     want = dense_two_point(d, n, beta, mu, xi, eta)
     assert got == pytest.approx(want, abs=1e-10)
@@ -320,6 +319,100 @@ def test_sweep_two_point_matches_40_digit_blocks(d, n, beta, schedule):
     assert row.two_point_total == pytest.approx(want, rel=1e-10)
 
 
+def mp_block_sums(d, n, func, xi, eta):
+    """40-digit (modes * <eta, func(H) xi>, per-site trace of func(H)) on
+    Lambda_n, H = ||A|| - A, func acting on mpmath energies.  Each orbit of
+    base modes k (sorted |k_i|) is one fiber block A_Y + a P_0: its odd
+    levels are 2cos(pi k/N), N = n + 1, with vectors sign(j) sin((N-|j|)
+    pi k/N)/sqrt(N); its even levels are the roots of p(lam) = (lam - a)
+    U_n(lam/2) - 2 U_{n-1}(lam/2) (Chebyshev U), three Newton steps from
+    the LAPACK eigenvalues of the even quotient, with vectors
+    U_{n-|j|}(lam/2) normalised.  Every energy, the top ones too, is taken
+    at 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        side, big = 2 * n + 1, n + 1
+        norm = 2 * mpmath.sqrt(d * d + 1)
+        theta = 2 * mpmath.pi / side
+        cos = [mpmath.cos(theta * r) for r in range(side)]
+        support = {j for fv in (xi, eta) for _, j in fv.entries}
+        odd = []
+        for k in range(1, big):
+            lam = 2 * mpmath.cos(mpmath.pi * k / big)
+            odd.append((func(norm - lam), {j: mpmath.sign(j) * mpmath.sin(
+                (big - abs(j)) * mpmath.pi * k / big) / mpmath.sqrt(big)
+                for j in support}))
+        orbits = {}
+        for k in itertools.product(range(-n, n + 1), repeat=d):
+            orbits.setdefault(tuple(sorted(map(abs, k))), []).append(k)
+        element = trace = 0
+        for rep, modes in orbits.items():
+            a = sum(2 * cos[t] for t in rep)
+            quotient = np.diag(np.ones(n), 1) + np.diag(np.ones(n), -1)
+            quotient[0, 0] = float(a)
+            quotient[0, 1] = quotient[1, 0] = math.sqrt(2.0)
+            levels = list(odd)
+            for lam in np.linalg.eigvalsh(quotient):
+                lam = mpmath.mpf(float(lam))
+                for _ in range(3):
+                    # U_m(lam/2), m = 0..n, and their lam-derivatives
+                    u, du = [mpmath.mpf(1), lam], [0, 1]
+                    for m in range(1, n):
+                        u.append(lam * u[m] - u[m - 1])
+                        du.append(u[m] + lam * du[m] - du[m - 1])
+                    lam -= (((lam - a) * u[n] - 2 * u[n - 1])
+                            / (u[n] + (lam - a) * du[n] - 2 * du[n - 1]))
+                scale = mpmath.sqrt(2 * mpmath.fsum(x * x for x in u)
+                                    - u[n] ** 2)
+                levels.append((func(norm - lam),
+                               {j: u[n - abs(j)] / scale for j in support}))
+            trace += len(modes) * mpmath.fsum(f for f, _ in levels)
+            for (jv_e, j_e), a_e in eta.entries.items():
+                for (jv_x, j_x), a_x in xi.entries.items():
+                    delta = [e - x for e, x in zip(jv_e, jv_x)]
+                    phase = mpmath.fsum(cos[sum(t * m for t, m in zip(
+                        delta, k)) % side] for k in modes)
+                    elem = mpmath.fsum(vec[j_e] * f * vec[j_x]
+                                       for f, vec in levels)
+                    element += a_e * a_x * phase * elem
+        return element, trace / side ** (d + 1)
+
+
+@pytest.mark.parametrize("d,n,c,beta", [(4, 5, 2.0, 2.0), (3, 4, 2.0, 0.5),
+                                        (3, 8, 1.0, 1.0)])
+def test_sweep_row_within_rounding_of_40_digit_blocks(d, n, c, beta):
+    # the top level of the zero-mode block lies within |mu| + 1e-20 of
+    # ||A||: as ||A|| - lam it took a relative error of ulp(||A||)/|mu|
+    # into density_n and two_point_total, 4.5e-11 at d=4 n=5
+    import mpmath
+
+    cfg = CombRunConfig(d=d, beta=beta, mu_schedule=("condensate_scaled", c))
+    xi = FockVector({((0,) * d, 0): 1.0, ((1,) + (0,) * (d - 1), -1): 0.5,
+                     ((-2,) * d, n): 0.75})
+    eta = FockVector({((0,) * d, 1): 1.0, ((0,) * (d - 1) + (-1,), 0): -0.25,
+                      ((n,) * d, -n): 2.0})
+    mu = -1 / (mpmath.mpf(c) * (2 * n + 1) ** d)
+    element, density = mp_block_sums(
+        d, n, lambda h: 1 / mpmath.expm1(beta * (h - mu)), xi, eta)
+    row = sweep_row(cfg, n, xi, eta)
+    assert abs(row.two_point_total / (element / (2 * n + 1) ** d) - 1) <= 1e-14
+    assert abs(row.density_n / density - 1) <= 1e-14
+
+
+def test_smooth_term_within_rounding_of_40_digit_blocks():
+    import mpmath
+
+    d, beta = 3, 0.5
+    cfg = CombRunConfig(d=d, beta=beta, mu_schedule=("condensate_scaled", 1.0))
+    xi = FockVector.delta((0,) * d, 0)
+    lim = two_point_limit(cfg, xi=xi, eta=xi)
+    n = lim["smooth_n"]
+    element, _ = mp_block_sums(
+        d, n, lambda h: 1 / mpmath.expm1(beta * h) - 1 / (beta * h), xi, xi)
+    assert abs(lim["smooth_term"] / (element / (2 * n + 1) ** d) - 1) <= 1e-14
+
+
 def test_two_point_limit_refuses_low_dimension():
     cfg = CombRunConfig(d=2, beta=1.0, mu_schedule=("condensate_scaled", 1.0))
     xi = FockVector.delta((0, 0), 0)
@@ -348,9 +441,8 @@ def test_two_point_limit_smooth_term_within_its_uncertainty(beta):
     cfg = CombRunConfig(d=d, beta=beta, mu_schedule=("condensate_scaled", 1.0))
     xi = FockVector.delta((0,) * d, 0)
     lim = two_point_limit(cfg, xi=xi, eta=xi)
-    lam = norm_limit(d)
     want = block_matrix_element(
-        d, 50, lambda a: bounded_correction(beta * (lam - a)), xi, xi)
+        d, 50, lambda h: bounded_correction(beta * h), xi, xi)
     sm = lim["smooth_term"]
     assert abs(sm - want) <= lim["smooth_uncertainty"] + 1e-15 * abs(sm)
     assert lim["smooth_n"] in cb._SMOOTH_SCHEDULE
@@ -462,26 +554,35 @@ CHUNK_CASES = [(3, 6, ("condensate_scaled", 0.5)), (4, 3, ("power", 1.5))]
 def test_results_do_not_depend_on_the_chunk_size(monkeypatch, d, n,
                                                  schedule):
     # a 64-root chunk splits these volumes into 3-10 chunks; the default
-    # chunk holds each volume whole
+    # chunk holds each volume whole.  sweep_row takes the occupations of
+    # every level once, in one call per chunk
     cfg = CombRunConfig(d=d, beta=0.7, mu_schedule=schedule)
     xi = FockVector({((0,) * d, 0): 1.0, ((1,) + (0,) * (d - 1), -1): 0.5,
                      ((-2,) * d, n): 0.75})
     eta = FockVector({((0,) * d, 1): 1.0,
                       ((0,) * (d - 1) + (-1,), 0): -0.25})
-    lam = norm_limit(d) + 0.01
+    calls = []
+    occupations = thermo._occupations
+    monkeypatch.setattr(thermo, "_occupations",
+                        lambda x: calls.append(x.size) or occupations(x))
 
     def results():
-        return (sweep_row(cfg, n, xi, eta),
+        calls.clear()
+        return (sweep_row(cfg, n, xi, eta), list(calls),
                 block_matrix_element(
-                    d, n, lambda a: bounded_correction(0.7 * (lam - a)),
+                    d, n, lambda h: bounded_correction(0.7 * (h + 0.01)),
                     xi, eta),
                 CombFamily(d).spectrum(n))
 
-    roots = CombVolume(d, n, True).a.size * (n + 1)
+    blocks = CombVolume(d, n, True).a.size
+    roots = blocks * (n + 1)
     assert roots <= families._CHUNK and roots > 2 * 64
-    row, elem, (vals, weights) = results()
+    row, sizes, elem, (vals, weights) = results()
+    assert sizes == [roots + n]
     monkeypatch.setattr(families, "_CHUNK", 64)
-    row64, elem64, (vals64, weights64) = results()
+    row64, sizes64, elem64, (vals64, weights64) = results()
+    assert len(sizes64) == -(-blocks // (64 // (n + 1)))
+    assert sum(sizes64) == roots + n
     for field, want, got in zip(SweepRow._fields, row, row64):
         assert got == pytest.approx(want, rel=1e-13, abs=0.0), field
     assert elem64 == pytest.approx(elem, rel=1e-13, abs=0.0)
@@ -506,9 +607,8 @@ def test_comb_sums_hold_one_chunk_at_a_time():
     # phase sums stays well below 8 MB
     xi = FockVector({((0, 0, 0), 0): 1.0, ((0, 1, 0), -1): -0.5,
                      ((1, 1, 0), 2): 0.25})
-    lam = norm_limit(3)
     peak = _traced_peak(lambda: block_matrix_element(
-        3, 30, lambda a: bounded_correction(lam - a), xi, xi))
+        3, 30, lambda h: bounded_correction(h), xi, xi))
     assert peak < 8e6
     cfg = CombRunConfig(d=3, beta=1.0, mu_schedule=("condensate_scaled", 1.0))
     peak = _traced_peak(lambda: sweep_row(cfg, 40, xi, xi))

@@ -19,6 +19,24 @@ def test_catalog_names_complete():
         family("no_such_family")
 
 
+@pytest.mark.parametrize("name,params,message", [
+    ("chain", {"d": 1}, "chain takes no parameter d"),
+    ("lattice", {"d": 2, "periodic": True}, "lattice takes no parameter"),
+    ("modified_ladder", {"nrem": 1}, "modified_ladder needs the parameter k"),
+], ids=["chain", "lattice", "modified_ladder"])
+def test_family_takes_exactly_its_constructor_parameters(name, params,
+                                                         message):
+    with pytest.raises(families.FamilyError, match=message):
+        family(name, **params)
+
+
+def test_family_defaults_are_the_constructors():
+    assert set(families.FAMILY_PARAMS["polygonal_star"]) == {"p"}
+    assert family("polygonal_star").p == 5
+    assert family("modified_ladder", k=2).nrem == 0
+    assert family("comb", d=2).periodic is True
+
+
 def test_chain_closed_form_spectrum():
     fam = family("chain")
     vals, w = fam.spectrum(5)
