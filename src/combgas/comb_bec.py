@@ -13,11 +13,12 @@ takes the levels as energies h = ||A|| - lam from one function, `_levels`.
 
 Every volume comes from `families.comb_volume`.  A process keeps the
 volumes whose blocks fit one chunk (B (n+1) <= 2^14 roots), at most 32
-of them and 16 MB together: their orbits, phase sums and the eigendata of
-each fiber support a call asks for, so a sweep, a density or a limit that
-meets the same (d, n) and support again solves no block again.  Nothing
-kept depends on beta, mu, c or the amplitudes, so no result depends on
-what was kept.  The tensor decomposition
+of them and 16 MB together: their orbits, phase sums, block roots
+(searched once), eigenvector entries up to the widest fiber reach asked
+for, and the level energies and weights of `_levels`, so a sweep, a
+density or a limit that meets the same (d, n) again searches no root
+again and solves entries only for a wider reach.  Nothing kept depends on
+beta, mu, c or the amplitudes, so no result depends on what was kept.  The tensor decomposition
 
     H_n^{-1} = I (x) R_{Y_n}(lam_n)
              + Phi_n (x) R_{Y_n}(lam_n) P_0 R_{Y_n}(lam_n),
@@ -229,30 +230,41 @@ def fiber_support(n, *vectors):
 def _levels(vol, func, support=()):
     """Yield (eig, blk, f, w) per chunk (`CombVolume.chunks`) of the periodic
     `CombVolume` vol: f = func(h) on the energies h = ||A|| - lam of the
-    chunk's levels, one call per chunk, and w their per-site weights: first
-    the n odd levels, the same in every block, at 1/(2n+1) each, on the first
-    chunk only; then the even levels of the blocks a[blk] as in eig.even, at
-    mult/((2n+1)^d (2n+1)) each.  A top root lam = 2cosh(t) > 2 solves
-    a tanh(Nt) = 2 sinh t, N = n + 1, a = 2d - 2 gamma (`CombVolume.gap`), so
+    chunk's levels, one call per chunk, and w their per-site weights
+    (`_energies`).  A volume whose blocks fit one chunk computes h and w
+    once and keeps them (`CombVolume.keep`): neither depends on beta, mu,
+    c, the support or the amplitudes."""
+    one = vol.one_chunk()
+    for eig, blk in vol.chunks(support):
+        h, w = (vol.keep("levels", lambda: _energies(vol, eig, blk)) if one
+                else _energies(vol, eig, blk))
+        yield eig, blk, func(h), w
+
+
+def _energies(vol, eig, blk):
+    """(h, w) of one chunk of `_levels`: first the n odd levels, the same in
+    every block, at 1/(2n+1) each, on the first chunk only; then the even
+    levels of the blocks a[blk] as in eig.even, at mult/((2n+1)^d (2n+1))
+    each.  A top root lam = 2cosh(t) > 2 solves a tanh(Nt) = 2 sinh t,
+    N = n + 1, a = 2d - 2 gamma (`CombVolume.gap`), so
     h = 2(d + sinh t)(2d q/(1+q) + gamma tanh(Nt))/(sqrt(d^2+1) + cosh t),
     q = e^{-2Nt}, with no cancellation where ||A|| - lam would lose
     ulp(||A||)/h relative, h down to 1e-20; other levels take ||A|| - lam."""
     d, big, side = vol.d, vol.n + 1, 2 * vol.n + 1
-    for eig, blk in vol.chunks(support):
-        skip = 0 if blk.start else vol.n
-        lam = np.concatenate((eig.odd[:skip], eig.even.ravel()))
-        h = norm_limit(d) - lam
-        top = lam[skip::big]
-        up = top > 2.0
-        t = np.arccosh(0.5 * top[up])
-        q = np.exp(-2.0 * big * t)
-        h[skip::big][up] = (
-            2.0 * (d + np.sinh(t))
-            * (2.0 * d * q / (1.0 + q) + vol.gap[blk][up] * np.tanh(big * t))
-            / (math.sqrt(d * d + 1.0) + np.cosh(t)))
-        w = np.concatenate((np.full(skip, 1.0 / side), np.repeat(
-            vol.mult[blk] / (vol.modes * side), big)))
-        yield eig, blk, func(h), w
+    skip = 0 if blk.start else vol.n
+    lam = np.concatenate((eig.odd[:skip], eig.even.ravel()))
+    h = norm_limit(d) - lam
+    top = lam[skip::big]
+    up = top > 2.0
+    t = np.arccosh(0.5 * top[up])
+    q = np.exp(-2.0 * big * t)
+    h[skip::big][up] = (
+        2.0 * (d + np.sinh(t))
+        * (2.0 * d * q / (1.0 + q) + vol.gap[blk][up] * np.tanh(big * t))
+        / (math.sqrt(d * d + 1.0) + np.cosh(t)))
+    w = np.concatenate((np.full(skip, 1.0 / side), np.repeat(
+        vol.mult[blk] / (vol.modes * side), big)))
+    return h, w
 
 
 def _element_chunks(vol, func, xi, eta):

@@ -9,9 +9,10 @@ cross-checks.
 
 Comb volumes (`comb_volume`) are the one thing a process keeps between
 calls: the volumes whose fiber blocks fit one chunk (`fiber_chunks`), with
-their orbits, phase sums and the eigendata of each fiber support asked
-for, read-only, at most 32 volumes and 16 MB together.  They depend on
-(d, n) and the supports alone; beta, mu, c and the amplitudes never enter
+their orbits, phase sums, fiber-block roots (searched once), eigenvector
+entries up to the widest fiber reach asked for, and level energies and
+weights, read-only, at most 32 volumes and 16 MB together.  They depend on
+(d, n) and the reach alone; beta, mu, c and the amplitudes never enter
 them.
 """
 
@@ -203,10 +204,12 @@ class CombVolume:
     gap (O,), periodic only: sum_i (1 - cos(theta k_i)), each term taken as
     2 sin^2(theta k_i/2), so there is no cancellation near 0.
 
-    These arrays are read-only, as are the phase sums and eigendata the
-    volume keeps; nbytes counts all of them.  `comb_volume` hands out one
-    volume per (d, n, periodic), and keeps it (kept = True) while its
-    blocks fit one chunk.
+    These arrays are read-only, as is everything the volume keeps
+    (`keep`): the phase sums, and on a volume whose blocks fit one chunk the
+    fiber-block roots, the eigenvector entries by reach (`chunks`) and the
+    level energies and weights of `comb_bec`; nbytes counts all of them.
+    `comb_volume` hands out one volume per (d, n, periodic), and keeps it
+    (kept = True) while its blocks fit one chunk.
     """
 
     def __init__(self, d, n, periodic):
@@ -233,11 +236,10 @@ class CombVolume:
             t = np.arange(n + 1)
             one = 2.0 * np.cos(self.theta * t) if n else np.zeros(1)
             self.gap = self._sum_axes(2.0 * np.sin(0.5 * self.theta * t) ** 2)
-            self._phases = {}
         else:
             one = 2.0 * np.cos(np.pi * np.arange(side + 1) / (side + 1))
         self.a = self._sum_axes(one)
-        self._eigen = {}
+        self._memo = {}
         self.kept = False
         arrays = [self.reps, self.mult, self.a]
         if periodic:
@@ -263,55 +265,78 @@ class CombVolume:
         the injective maps tau of the nonzero rows into the d columns.
         """
         key = tuple(sorted(abs(int(t)) for t in delta if t))
-        if key not in self._phases:
-            t = np.arange(self.n + 1)
-            tables = {m: np.cos(self.theta * (m * t % (2 * self.n + 1)))
-                      for m in set(key)}
-            cols = {(m, j): tables[m][self.reps[:, j]]
-                    for m in tables for j in range(self.d)}
-            total = np.zeros(len(self.reps))
-            for tau in itertools.permutations(range(self.d), len(key)):
-                term = 1.0
-                for m, j in zip(key, tau):
-                    term = term * cols[m, j]
-                total += term
-            total = self.mult * total / math.perm(self.d, len(key))
-            self._store(self._phases, key, total, [total])
-            return total
-        return self._phases[key]
+        return self.keep(("phase", key), lambda: self._phase(key))
+
+    def _phase(self, key):
+        t = np.arange(self.n + 1)
+        tables = {m: np.cos(self.theta * (m * t % (2 * self.n + 1)))
+                  for m in set(key)}
+        cols = {(m, j): tables[m][self.reps[:, j]]
+                for m in tables for j in range(self.d)}
+        total = np.zeros(len(self.reps))
+        for tau in itertools.permutations(range(self.d), len(key)):
+            term = 1.0
+            for m, j in zip(key, tau):
+                term = term * cols[m, j]
+            total += term
+        return self.mult * total / math.perm(self.d, len(key))
 
     def chunks(self, support=()):
         """`fiber_chunks` of the volume's blocks with eigenvector entries at
-        `support`.  A volume whose blocks fit one chunk solves each support
-        once and keeps its FiberEigen; a larger one streams its chunks and
-        keeps nothing of them."""
+        `support`.  A volume whose blocks fit one chunk searches its roots
+        once (`_fiber_roots`) and keeps them.  It keeps the entries at every
+        |j| up to the widest reach asked so far (`_fiber_entries`), solving
+        them again from the kept roots only when a support reaches further,
+        and gathers each support's FiberEigen from them (`_fiber_gather`).
+        A larger volume streams its chunks and keeps nothing of them."""
         if not self.one_chunk():
             yield from fiber_chunks(self.n, self.a, support)
             return
-        eig = self._eigen.get(support)
-        if eig is None:
-            eig = fiber_eigen(self.n, self.a, support)
-            self._store(self._eigen, support, eig,
-                        [x for x in eig if isinstance(x, np.ndarray)])
-        yield eig, slice(0, self.a.size)
+        roots = self.keep("roots", lambda: _fiber_roots(self.n, self.a))
+        absj = np.abs(np.asarray(support, dtype=int))
+        entries = self._memo.get("entries")
+        if absj.size and (entries is None or len(entries.odd) <= absj.max()):
+            entries = self._store("entries", _fiber_entries(
+                self.n, self.a, roots, np.arange(absj.max() + 1)))
+        yield (_fiber_gather(self.a, roots, entries, support, absj),
+               slice(0, self.a.size))
 
     def one_chunk(self):
         """Whether `fiber_chunks` solves all the blocks in one chunk."""
         return self.a.size <= max(1, _CHUNK // (self.n + 1))
 
-    def _store(self, cache, key, value, arrays):
-        """cache[key] = value with its arrays made read-only, unless the
-        volume is kept and would outgrow _KEEP_BYTES; a store on a kept
-        volume trims the others (`_trim`)."""
-        size = sum(x.nbytes for x in arrays)
+    def keep(self, key, make):
+        """The value kept under `key`, from make() on the first call: an
+        array or a tuple of arrays, none of which depends on beta, mu, c,
+        a support or the amplitudes (`_store`)."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._store(key, make())
+        return value
+
+    def _store(self, key, value):
+        """Keep value under key in place of what it held, its arrays made
+        read-only and counted in nbytes, unless the volume is kept and
+        would outgrow _KEEP_BYTES; a store on a kept volume trims the
+        others (`_trim`).  Returns value."""
+        size = _nbytes(value) - _nbytes(self._memo.get(key, ()))
         if self.kept and self.nbytes + size > _KEEP_BYTES:
-            return
-        for x in arrays:
+            return value
+        for x in _arrays(value):
             x.setflags(write=False)
-        cache[key] = value
+        self._memo[key] = value
         self.nbytes += size
         if self.kept:
             _trim(self)
+        return value
+
+
+def _arrays(value):
+    return [value] if isinstance(value, np.ndarray) else list(value)
+
+
+def _nbytes(value):
+    return sum(x.nbytes for x in _arrays(value))
 
 
 class FiberSolveError(NumericFailure):
@@ -321,7 +346,7 @@ class FiberSolveError(NumericFailure):
 class FiberEigen(NamedTuple):
     """Eigendata of the fiber blocks A_Y + a*P_0 on the chain [-n, n] that
     one `fiber_eigen` call solves (a chunk of a volume's blocks under
-    `fiber_chunks`).
+    `fiber_chunks`), or that a kept volume gathers (`CombVolume.chunks`).
 
     odd (n,): odd-sector eigenvalues, shared by every block.
     even (B, n+1): even-sector eigenvalues, row b for block a[b].
@@ -355,8 +380,8 @@ _HALLEY_STOP = (_ROOT_TOL / 4.0) ** (1.0 / 3.0)
 # what a sum over a volume's blocks holds at once.
 _CHUNK = 1 << 14
 # One-chunk comb volumes a process keeps (`comb_volume`), least recently
-# used out first, and the bytes of orbits, phase sums and eigendata that
-# they hold together: at most 16 MB.
+# used out first, and the bytes of orbits, phase sums, roots, entries and
+# level energies that they hold together: at most 16 MB.
 _KEEP_VOLUMES = 32
 _KEEP_BYTES = 16 << 20
 
@@ -548,34 +573,85 @@ def fiber_eigen(n, a, support=()):
 
     A negative a uses spec(A_Y + a P_0) = -spec(A_Y - a P_0), with vectors
     multiplied by (-1)^j.  `support` lists the fiber coordinates j at which
-    unit eigenvector entries are returned.
+    unit eigenvector entries are returned.  The root search
+    (`_fiber_roots`), the entries (`_fiber_entries`) and their signs
+    (`_fiber_gather`) are separate steps, so that a kept `CombVolume`
+    searches its roots once and solves entries only for a wider |j|.
     """
     a = np.asarray(a, dtype=float)
+    roots = _fiber_roots(n, a)
+    absj = np.abs(np.asarray(support, dtype=int))
+    if not absj.size:
+        return FiberEigen(roots.odd, roots.even)
+    return _fiber_gather(a, roots, _fiber_entries(n, a, roots, absj),
+                         support, slice(None))
+
+
+class FiberRoots(NamedTuple):
+    """The root search of `fiber_eigen` on the blocks a: its odd and even
+    eigenvalues, and sn (B, n), sin(phi) of each even root below the top
+    one, lam = 2cos(phi) for a >= 0.  cos(phi) is even[:, 1:] sign(a)/2,
+    exactly."""
+
+    odd: np.ndarray
+    even: np.ndarray
+    sn: np.ndarray
+
+
+class FiberEntries(NamedTuple):
+    """Unit eigenvector entries of the blocks a at the L fiber levels |j|
+    that `_fiber_entries` is given, before the signs sign(j) (odd) and
+    sign(a)^j (even): odd (L, n) and even (L, B, n+1), in the column order
+    of FiberEigen's odd and even."""
+
+    odd: np.ndarray
+    even: np.ndarray
+
+
+def _fiber_roots(n, a):
+    """`fiber_eigen`'s eigenvalues of the blocks a (float64, (B,)), with
+    the sines its entries need (`FiberRoots`)."""
     b = np.abs(a)
     big = n + 1
-    k = np.arange(1, big)
-    odd = 2.0 * np.cos(math.pi * k / big)
+    odd = 2.0 * np.cos(math.pi * np.arange(1, big) / big)
     sn, cs = _even_roots(b[:, None], big)
     even = np.empty((a.size, big))
     even[:, 0] = _top_root(b, big, b - 2.0 * cs.sum(axis=1))
     even[:, 1:] = 2.0 * cs
-    fib = np.asarray(support, dtype=int)
-    absj = np.abs(fib)
-    even_vec = np.empty((fib.size,) + even.shape)
-    if fib.size:
-        even_vec[:, :, 0] = _top_entries(even[:, 0], big, absj).T
-        even_vec[:, :, 1:] = _even_entries(sn, cs, b[:, None], big, absj)
-    sign = np.where(a < 0.0, -1.0, 1.0)[:, None]
-    even *= sign
-    if not fib.size:
-        return FiberEigen(odd, even)
+    even *= np.where(a < 0.0, -1.0, 1.0)[:, None]
+    return FiberRoots(odd, even, sn)
 
-    odd_vec = (np.sign(fib)[:, None]
-               * np.sin((big - absj)[:, None] * (math.pi / big) * k)
-               / math.sqrt(big))
-    even_vec *= (sign.T ** fib[:, None])[:, :, None]
-    return FiberEigen(odd, even, tuple(int(j) for j in fib), odd_vec,
-                      even_vec)
+
+def _fiber_entries(n, a, roots, levels):
+    """`FiberEntries` at |j| = levels (an int array) of the blocks a from
+    their `_fiber_roots`, with no root search."""
+    big = n + 1
+    sign = np.where(a < 0.0, -1.0, 1.0)[:, None]
+    even = np.empty((levels.size,) + roots.even.shape)
+    even[:, :, 0] = _top_entries(roots.even[:, 0] * sign[:, 0], big,
+                                 levels).T
+    even[:, :, 1:] = _even_entries(roots.sn, 0.5 * sign * roots.even[:, 1:],
+                                   np.abs(a)[:, None], big, levels)
+    odd = (np.sin((big - levels)[:, None] * (math.pi / big)
+                  * np.arange(1, big)) / math.sqrt(big))
+    return FiberEntries(odd, even)
+
+
+def _fiber_gather(a, roots, entries, support, rows):
+    """The `FiberEigen` of the blocks a at `support`, the entries' rows
+    taken by the index `rows` (one row per j; a slice signs the entries in
+    place) with sign(j) on the odd entries and sign(a)^j on the even ones,
+    that is sign(a) on the rows of odd j."""
+    fib = np.asarray(support, dtype=int)
+    if not fib.size:
+        return FiberEigen(roots.odd, roots.even)
+    odd_vec = np.sign(fib)[:, None] * entries.odd[rows]
+    even_vec = entries.even[rows]
+    sign = np.where(a < 0.0, -1.0, 1.0)[:, None]
+    for s in np.flatnonzero(fib % 2):
+        even_vec[s] *= sign
+    return FiberEigen(roots.odd, roots.even, tuple(int(j) for j in fib),
+                      odd_vec, even_vec)
 
 
 def fiber_chunks(n, a, support=()):
@@ -598,14 +674,17 @@ def comb_volume(d, n, periodic=True):
     """The `CombVolume` of (d, n, periodic), one per process.
 
     A volume whose blocks fit one `fiber_chunks` chunk, B <= _CHUNK // (n+1),
-    is kept with its phase sums and the eigendata of each fiber support it
-    is asked for (`CombVolume.chunks`), so a later call on the same volume
-    solves nothing again.  The process keeps at most _KEEP_VOLUMES volumes
-    holding at most _KEEP_BYTES (16 MB) together, dropping the least
-    recently used, and does not keep what would exceed that alone.  A larger
-    volume is shared only while some caller holds it.  What is kept depends
-    on (d, n), the supports and the `delta`s of the phase sums alone, never
-    on beta, mu, c or the amplitudes.
+    is kept with its phase sums, its fiber-block roots, searched once, the
+    eigenvector entries up to the widest fiber reach max |j| it is asked
+    for (`CombVolume.chunks`) and its level energies and weights
+    (`comb_bec._levels`), so a later call on the same volume searches no
+    root again and solves entries only for a wider reach.  The process
+    keeps at most _KEEP_VOLUMES volumes holding at most _KEEP_BYTES (16 MB)
+    together, dropping the least recently used, and does not keep what
+    would exceed that alone.  A larger volume is shared only while some
+    caller holds it.  What is kept depends on (d, n), the reach and the
+    `delta`s of the phase sums alone, never on beta, mu, c or the
+    amplitudes.
     """
     key = (d, n, periodic)
     vol = _alive.get(key)

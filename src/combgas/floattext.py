@@ -191,8 +191,8 @@ def one(value, fmt):
 
 def _texts(values, fmt, tail):
     """Text rows (len(values), _WIDTH + len(tail)) of a 1-D float64 array:
-    each text NUL-padded to _WIDTH, then the bytes `tail`.  Fastest when
-    sorted by bit pattern, as `join` gives them."""
+    each text NUL-padded to _WIDTH, then the bytes `tail`.  Fastest in
+    runs of one sign and exponent, as `join` gives them."""
     out = np.empty((values.size, _WIDTH + len(tail)), dtype=np.uint8)
     out[:, _WIDTH:] = np.frombuffer(tail, dtype=np.uint8)
     a = np.abs(values)
@@ -225,26 +225,34 @@ def join(columns, fmt, end="\n"):
     separator after it: the column's bit patterns are sorted, each that
     differs from its predecessor is kept, and `searchsorted` finds every
     row's text among them (cheaper than `np.unique`'s argsort when a
-    column has few values).  The rows are gathered from those texts, 4096
-    at a time, and one pass over each block drops the NUL padding.
+    column has few values).  A strictly increasing column (no NaN, no
+    repeat, no -0.0 before 0.0) has distinct values in runs of one sign and
+    exponent already, so its texts are written in row order and taken as
+    they are.  The rows are gathered from those texts, 4096 at a time, and
+    one pass over each block drops the NUL padding.
     """
     columns = [_column(col) for col in columns]
     texts, inverses = [], []
     for i, col in enumerate(columns):
         if col.size != columns[0].size:
             raise ValueError("columns differ in length")
+        tail = ("," if i + 1 < len(columns) else end).encode("ascii")
+        if np.all(col[1:] > col[:-1]):
+            texts.append(_texts(col, fmt, tail))
+            inverses.append(None)
+            continue
         bits = col.view(np.int64)
         keys = np.sort(bits)
         new = np.ones(keys.size, dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=new[1:])
         keys = keys[new]
-        tail = ("," if i + 1 < len(columns) else end).encode("ascii")
         texts.append(_texts(keys.view(np.float64), fmt, tail))
         inverses.append(np.searchsorted(keys, bits))
     blocks = []
     for start in range(0, columns[0].size, _CHUNK):
-        rows = np.concatenate([text.take(inverse[start:start + _CHUNK],
-                                         axis=0)
+        block = slice(start, start + _CHUNK)
+        rows = np.concatenate([text[block] if inverse is None
+                               else text.take(inverse[block], axis=0)
                                for text, inverse in zip(texts, inverses)],
                               axis=1).ravel()
         blocks.append(str(rows[rows != 0].data, "ascii"))

@@ -518,6 +518,13 @@ BEC_REPEATS = [
      "--xi=1,0,0,1@0.5", "--eta=0,1,0,-2", "--format", "csv"),
     ("--d", "4", "--beta", "2", "--mu-power", "1.5", "--n", "2:4", "--xi",
      "0,0,0,0,1"),
+    # one volume whose vectors reach |j| = 0, then 2, then 1
+    ("--d", "3", "--beta", "0.7", "--c", "0.5", "--n", "5", "--xi",
+     "0,0,0,0"),
+    ("--d", "3", "--beta", "1.5", "--c", "1", "--n", "5", "--xi", "0,0,0,0",
+     "--eta=1,0,0,-2"),
+    ("--d", "3", "--beta", "0.7", "--c", "2", "--n", "5", "--xi",
+     "0,1,0,1@0.5", "--format", "csv"),
 ]
 
 

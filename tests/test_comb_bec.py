@@ -272,8 +272,19 @@ def mp_two_point(cfg, n, xi, eta):
     """40-digit <eta, (e^{beta H_n} - 1)^{-1} xi> on Lambda_n: mpmath
     `eigsy` of the (2n+1)-row fiber block A_Y + a P_0 of each orbit of base
     modes k (sorted |k_i|), weighted by the orbit's phase sum
-    sum_k cos(theta k . Delta) over its modes."""
+    sum_k cos(theta k . Delta) over its modes.  Each block is solved in its
+    two reflection sectors j -> -j, in the bases (e_j -+ e_{-j})/sqrt(2),
+    j >= 1, and e_0: the odd one, the chain 1..n, the same in every block,
+    and the even one, the chain 0..n with a on 0 and sqrt(2) on the link
+    0-1.  A sector vector u has v(+-j) = +-u_j/sqrt(2) (odd),
+    v(+-j) = u_j/sqrt(2) and v(0) = u_0 (even)."""
     import mpmath
+
+    def chain(rows, head, link):
+        block = mpmath.zeros(rows)
+        for i in range(rows - 1):
+            block[i, i + 1] = block[i + 1, i] = link if i else head
+        return block
 
     with mpmath.workdps(40):
         d, side = cfg.d, 2 * n + 1
@@ -282,24 +293,36 @@ def mp_two_point(cfg, n, xi, eta):
         mu = -1 / (p * side ** d) if kind == "condensate_scaled" else -n ** -p
         lam = 2 * mpmath.sqrt(d * d + 1) - mu
         theta = 2 * mpmath.pi / side
+        root2 = mpmath.sqrt(2)
         orbits = {}
         for k in itertools.product(range(-n, n + 1), repeat=d):
             orbits.setdefault(tuple(sorted(map(abs, k))), []).append(k)
+
+        def sector(vals, vecs, odd):
+            # occupations and entries v(j) of one sector's eigenpairs
+            occ = [1 / mpmath.expm1(cfg.beta * (lam - v)) for v in vals]
+            sign = (lambda j: (j > 0) - (j < 0)) if odd else (lambda j: 1)
+
+            def entry(j, i):
+                if odd:
+                    return sign(j) * vecs[abs(j) - 1, i] / root2 if j else 0
+                return vecs[0, i] if not j else vecs[abs(j), i] / root2
+            return occ, entry
+
+        odd = sector(*mpmath.eigsy(chain(n, 1, 1)), True)
         total = 0
         for rep, modes in orbits.items():
-            block = mpmath.zeros(side)
-            for i in range(side - 1):
-                block[i, i + 1] = block[i + 1, i] = 1
-            block[n, n] = 2 * sum(mpmath.cos(theta * t) for t in rep)
-            vals, vecs = mpmath.eigsy(block)
-            occ = [1 / mpmath.expm1(cfg.beta * (lam - v)) for v in vals]
+            even_block = chain(n + 1, root2, 1)
+            even_block[0, 0] = 2 * sum(mpmath.cos(theta * t) for t in rep)
+            even = sector(*mpmath.eigsy(even_block), False)
             for (jv_e, j_e), a_e in eta.entries.items():
                 for (jv_x, j_x), a_x in xi.entries.items():
                     delta = [e - x for e, x in zip(jv_e, jv_x)]
                     phase = sum(mpmath.cos(theta * sum(
                         t * m for t, m in zip(delta, k))) for k in modes)
-                    elem = sum(vecs[j_e + n, i] * occ[i] * vecs[j_x + n, i]
-                               for i in range(side))
+                    elem = sum(entry(j_e, i) * occ[i] * entry(j_x, i)
+                               for occ, entry in (odd, even)
+                               for i in range(len(occ)))
                     total += a_e * a_x * phase * elem
         return total / side ** d
 
@@ -527,24 +550,77 @@ def test_sweep_csv_shape():
     assert lines[1].split(",")[0] == "2"
 
 
+def _count_solves(monkeypatch):
+    """Record every root search (n, blocks) and entry solve (n, blocks,
+    |j| levels) of `families.fiber_eigen`'s two steps."""
+    roots, entries = [], []
+    find, solve = families._fiber_roots, families._fiber_entries
+
+    def counting_roots(n, a):
+        roots.append((n, a.size))
+        return find(n, a)
+
+    def counting_entries(n, a, found, levels):
+        entries.append((n, a.size, levels.tolist()))
+        return solve(n, a, found, levels)
+
+    monkeypatch.setattr(families, "_fiber_roots", counting_roots)
+    monkeypatch.setattr(families, "_fiber_entries", counting_entries)
+    return roots, entries
+
+
 def test_sweep_rows_solves_each_volume_once(monkeypatch):
-    # every block of a volume is solved once, in one pass over its chunks,
-    # for both the two-point function and the density
-    solved = {}
-    engine = families.fiber_eigen
-
-    def counting(n, a, support=()):
-        solved[n] = solved.get(n, 0) + len(a)
-        return engine(n, a, support)
-
-    monkeypatch.setattr(families, "fiber_eigen", counting)
+    # every block of a volume has its roots searched once and its entries
+    # solved once, in one pass over its chunks, for both the two-point
+    # function and the density
+    roots, entries = _count_solves(monkeypatch)
     cfg = CombRunConfig(d=3, beta=1.0, mu_schedule=("condensate_scaled", 1.0))
     xi = FockVector({((0, 0, 0), 0): 1.0, ((1, 0, 0), -1): 0.5})
     rows = [sweep_row(cfg, n, xi, xi) for n in (2, 3)]
-    assert solved == {n: CombVolume(3, n, True).a.size for n in (2, 3)}
-    for row in rows:
-        assert row.density_n == pytest.approx(
-            density_finite(3, row.n, 1.0, cfg.mu_of(row.n)), rel=1e-14)
+    densities = [density_finite(3, n, 1.0, cfg.mu_of(n)) for n in (2, 3)]
+    blocks = {n: CombVolume(3, n, True).a.size for n in (2, 3)}
+    assert roots == [(n, blocks[n]) for n in (2, 3)]
+    assert entries == [(n, blocks[n], [0, 1]) for n in (2, 3)]
+    for row, density in zip(rows, densities):
+        assert row.density_n == pytest.approx(density, rel=1e-14)
+
+
+def test_a_kept_volume_searches_its_roots_once(monkeypatch):
+    # supports reaching |j| = 0, 2, 1, 0 at several beta and c: one root
+    # search, entries solved at reach 0 and again at reach 2 only, and every
+    # support's eigendata bit for bit what one `fiber_eigen` call gives
+    n = 5
+    supports = [(0,), (0, 2), (-1, 1), (0,)]
+
+    def rows(cold):
+        out = []
+        for beta, c in ((0.5, 2.0), (2.0, 0.5), (1.0, 1.0)):
+            cfg = CombRunConfig(d=3, beta=beta,
+                                mu_schedule=("condensate_scaled", c))
+            for support in supports:
+                if cold:
+                    families.clear_volumes()
+                xi = FockVector({((t, 0, 0), j): 1.0 - 0.25 * t
+                                 for t, j in enumerate(support)})
+                row = sweep_row(cfg, n, xi, FockVector.delta((0, 1, 0), 0))
+                out.append([v.hex() for v in row[1:]])
+        return out
+
+    roots, entries = _count_solves(monkeypatch)
+    warm = rows(cold=False)
+    vol = families.comb_volume(3, n)
+    gathered = [next(vol.chunks(support))[0] for support in supports]
+    assert roots == [(n, vol.a.size)]
+    assert entries == [(n, vol.a.size, [0]), (n, vol.a.size, [0, 1, 2])]
+    monkeypatch.undo()
+    for support, eig in zip(supports, gathered):
+        want = families.fiber_eigen(n, vol.a, support)
+        assert eig.support == want.support == support
+        for got, ref in zip(eig, want):
+            if isinstance(ref, np.ndarray):
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+    assert warm == rows(cold=True)
 
 
 CHUNK_CASES = [(3, 6, ("condensate_scaled", 0.5)), (4, 3, ("power", 1.5))]
@@ -662,12 +738,31 @@ def test_a_second_sweep_row_solves_nothing(monkeypatch):
     assert (3, 5, True) in families._kept
 
     def refused(*args):
-        raise AssertionError("fiber_eigen called")
+        raise AssertionError("a kept volume solved again")
 
-    monkeypatch.setattr(families, "fiber_eigen", refused)
+    for name in ("fiber_eigen", "_fiber_roots", "_fiber_entries"):
+        monkeypatch.setattr(families, name, refused)
+    monkeypatch.setattr(cb, "_energies", refused)
     again = sweep_row(cfg, 5, xi, eta)
     assert [v.hex() for v in again[1:]] == [v.hex() for v in first[1:]]
     assert again == first
+
+
+def _held_arrays(obj):
+    """Every distinct numpy array that obj holds, through its attributes
+    and the dicts, tuples and lists among them."""
+    found, stack = {}, [obj]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, np.ndarray):
+            found[id(x)] = x
+        elif isinstance(x, dict):
+            stack += list(x.values())
+        elif isinstance(x, (tuple, list)):
+            stack += list(x)
+        elif isinstance(x, CombVolume):
+            stack += list(vars(x).values())
+    return list(found.values())
 
 
 def test_kept_arrays_are_read_only():
@@ -675,12 +770,39 @@ def test_kept_arrays_are_read_only():
     xi = _delta_vector(3, 0, 1)
     sweep_row(cfg, 4, xi, xi)
     vol = families.comb_volume(3, 4)
-    eig = vol._eigen[(0, 1)]
+    roots, entries = vol._memo["roots"], vol._memo["entries"]
+    levels = vol._memo["levels"]
     kept = [vol.reps, vol.mult, vol.a, vol.gap, vol.phase((1, 0, 0)),
-            eig.odd, eig.even, eig.odd_vec, eig.even_vec]
+            *roots, *entries, *levels]
+    assert len(kept) == 4 + 1 + 3 + 2 + 2
+    assert len(entries.odd) == 2  # |j| = 0, 1
     for arr in kept:
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 0
+
+
+def test_kept_bytes_count_every_kept_array():
+    # whatever a volume holds is counted in its nbytes and read-only, so no
+    # kept array escapes _KEEP_BYTES; a wider reach replaces the entries
+    cfg = CombRunConfig(d=3, beta=0.7, mu_schedule=("condensate_scaled", 2.0))
+    for n, fibers in ((4, (0,)), (4, (0, 1)), (5, (-2, 0)), (4, (3,)),
+                      (5, (1,)), (6, ())):
+        xi = _delta_vector(3, *fibers)
+        if fibers:
+            sweep_row(cfg, n, xi, xi)
+            pf_projection_term(3, n, -0.01, xi, xi)
+        density_finite(3, n, 0.7, cfg.mu_of(n))
+        fixed_density_mu(3, n, 0.7, 0.5)
+        assert families._kept
+        for vol in families._kept.values():
+            held = _held_arrays(vol)
+            assert vol.nbytes == sum(x.nbytes for x in held)
+            for arr in held:
+                assert not arr.flags.writeable
+    kept = families._kept
+    assert set(kept[3, 4, True]._memo) >= {"roots", "entries", "levels"}
+    assert len(kept[3, 4, True]._memo["entries"].odd) == 4
+    assert "entries" not in kept[3, 6, True]._memo
 
 
 @pytest.mark.parametrize("d,n,schedule", CHUNK_CASES)
@@ -695,10 +817,10 @@ def test_volumes_of_several_chunks_are_not_kept(monkeypatch, d, n, schedule):
 
 
 def test_kept_volumes_stay_within_their_bound(monkeypatch):
-    # three volumes and 60 kB, where the five volumes with three supports
-    # each would hold 103 kB, n = 5 and 6 alone 77 kB
+    # three volumes and 50 kB, where the five volumes with three supports
+    # each would hold 82 kB, n = 5 and 6 alone 61 kB
     monkeypatch.setattr(families, "_KEEP_VOLUMES", 3)
-    monkeypatch.setattr(families, "_KEEP_BYTES", 60_000)
+    monkeypatch.setattr(families, "_KEEP_BYTES", 50_000)
     cfg = CombRunConfig(d=3, beta=1.0, mu_schedule=("condensate_scaled", 1.0))
     rows = []
     for n in (2, 3, 4, 5, 6, 3, 2):
@@ -707,11 +829,16 @@ def test_kept_volumes_stay_within_their_bound(monkeypatch):
             rows.append(sweep_row(cfg, n, xi, xi))
             kept = families._kept.values()
             assert 1 <= len(kept) <= 3
-            assert sum(vol.nbytes for vol in kept) <= 60_000
-    # an entry larger than the budget is not kept, the volume still is
+            assert sum(vol.nbytes for vol in kept) <= 50_000
+    # entries wider than the budget are not kept, the volume and its
+    # narrower entries still are
+    vol = families._kept[3, 6, True]
+    assert len(vol._memo["entries"].odd) == 3
     wide = _delta_vector(3, *range(-6, 7))
     sweep_row(cfg, 6, wide, wide)
-    assert tuple(range(-6, 7)) not in families._kept[3, 6, True]._eigen
+    assert families._kept[3, 6, True] is vol
+    assert len(vol._memo["entries"].odd) == 3
+    assert vol.nbytes <= 50_000
     # the bound changes what is solved again, never a result
     monkeypatch.undo()
     families.clear_volumes()

@@ -115,6 +115,55 @@ def test_columns_repeats_and_separators():
     assert floattext.join([xs[:0], ys[:0]], "csv") == ""
 
 
+def increasing_column():
+    """Distinct values in increasing order across the kernel's domain and
+    outside it: negatives, both domain edges, subnormals and one zero."""
+    rng = np.random.default_rng(RNG_SEED)
+    inside = 10.0 ** rng.uniform(-6, 15, 7000)
+    edges = neighbours([1e-6, 1e15])
+    outside = np.array([5e-324, 1e-310, 2.2250738585072014e-308, 1e-200,
+                        1e20, 1.7976931348623157e308])
+    values = np.unique(np.concatenate([inside, -inside[:3000], edges,
+                                       outside, -outside[:3], [0.0]]))
+    assert values.size > 2 * floattext._CHUNK
+    assert np.all(values[1:] > values[:-1])
+    return values
+
+
+def test_increasing_columns_are_written_in_row_order(monkeypatch):
+    values = increasing_column()
+    seen = []
+    texts = floattext._texts
+    monkeypatch.setattr(floattext, "_texts",
+                        lambda v, *rest: seen.append(v) or texts(v, *rest))
+    assert_stdlib_text(values)
+    # no dedupe: each format writes the column itself, in row order
+    assert len(seen) == 2
+    assert all(np.array_equal(v, values) for v in seen)
+
+
+def test_columns_that_do_not_strictly_increase():
+    values = increasing_column()
+    for col in (np.repeat(values[:300], 2),
+                np.array([-1.5, -0.0, 0.0, 2.0]),
+                np.array([0.0, -0.0, 1.0]),
+                np.array([1.0, 2.0, float("nan"), 3.0]),
+                values[::-1]):
+        assert_stdlib_text(col)
+
+
+def test_two_columns_of_which_one_increases():
+    xs = increasing_column()
+    rng = np.random.default_rng(RNG_SEED + 1)
+    ys = rng.choice([0.25, -1e-7, 3.0, -0.0, 0.0, 1e300], xs.size)
+    want = "".join("%.17g,%.17g\n" % row for row in zip(xs.tolist(),
+                                                       ys.tolist()))
+    assert floattext.join([xs, ys], "csv") == want
+    want = "".join("%.17g,%.17g\n" % row for row in zip(ys.tolist(),
+                                                       xs.tolist()))
+    assert floattext.join([ys, xs], "csv") == want
+
+
 def test_refuses_other_arrays():
     for bad in (np.arange(3), np.zeros((2, 2)), [0.5], np.zeros(3, "f4")):
         with pytest.raises(TypeError):
