@@ -157,9 +157,9 @@ def _emit(args, manifest, result, csv_text=None):
             json.dumps(manifest, sort_keys=True), csv_text)
     else:
         text = _json({"manifest": manifest, "result": result}, "\n")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    if args.out:  # ASCII: the JSON writers escape every other character
+        with open(args.out, "wb") as fh:
+            fh.write(text.encode("ascii"))
     else:
         sys.stdout.write(text)
 
@@ -545,13 +545,22 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=cmd_bec)
 
+    parser.commands = sub.choices  # each command's own subparser, by name
     return parser
 
 
 def main(argv=None):
     parser = build_parser()  # built once per process: parsing leaves it as is
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:  # no command first: help, usage or its error
+            args = parser.parse_args(argv)
+        else:  # what the subparsers action would do, without a second parse
+            args, extra = command.parse_known_args(
+                argv[1:], argparse.Namespace(cmd=argv[0]))
+            if extra:
+                parser.error("unrecognized arguments: %s" % " ".join(extra))
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:

@@ -76,8 +76,7 @@ def _solve_quotient(name, q):
         return SecularSolution(name, edge, edge, "no_root_in_bracket")
     start = _bound_state_start(q)
     lam0 = _twisted_root(q, start if start > lo else q.gershgorin(), True, lo)
-    rows, pert = _perturbation(q)
-    z = (pert @ q.vector(lam0, q.tail(lam0)[0]))[rows]
+    z = np.array(_perturbation(q, q.vector(lam0, q.tail(lam0)[0])))
     if z.sum() < 0:
         z = -z
     return SecularSolution(name, lam0, edge, "root_found",
@@ -135,10 +134,13 @@ def _secular_family(name, params):
     return fam
 
 
-def _perturbation(q):
-    """The head minus the base chain on the quotient rows 0..t: the rows it
-    touches, in order, and the (t+1) x (t+1) matrix."""
-    off = np.subtract(q.links, q.link)
-    pert = np.diag(np.subtract(q.d, q.c)) + np.diag(off, 1) + np.diag(off, -1)
-    return np.flatnonzero(pert.any(axis=1)), pert
-
+def _perturbation(q, psi):
+    """D psi on the quotient rows 0..t that D, the head minus the base
+    chain, touches, in row order: D has diagonal d_i - c and links l_i - l,
+    and each row adds its terms left to right, as a matrix product would."""
+    c = q.c
+    off = [0.0] + [x - q.link for x in q.links] + [0.0]
+    pad = [0.0] + psi + [0.0]
+    return [b * pad[i] + (d - c) * pad[i + 1] + a * pad[i + 2]
+            for i, (b, d, a) in enumerate(zip(off, q.d, off[1:]))
+            if b or d != c or a]

@@ -811,3 +811,62 @@ def test_norm_comb_large_volume_lifts_no_vector(capsys, monkeypatch):
     assert seq["ns"] == [50, 100, 150, 200]
     for n, norm in zip(seq["ns"], seq["norms"]):
         assert abs(norm - fiber_eigen(n, [6.0]).even.max()) < 1e-12
+
+
+# argv, exit code, stdout and stderr of the CLI's usage and error paths, as
+# the top-level parser with its subparsers action gave them; "missing/"
+# names no directory
+ERROR_SURFACE = json.loads(
+    (Path(__file__).parent / "cli_error_surface.json").read_text())
+
+
+@pytest.mark.parametrize("case", ERROR_SURFACE,
+                         ids=["%d-%s" % (i, " ".join(case["argv"][:2]))
+                              for i, case in enumerate(ERROR_SURFACE)])
+def test_error_surface_is_unchanged(capsys, monkeypatch, tmp_path, case):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the width
+    monkeypatch.chdir(tmp_path)
+    assert main(case["argv"]) == case["code"]
+    assert capsys.readouterr() == (case["out"], case["err"])
+
+
+# one valid job per command
+JOBS = dict(TOL_FREE, **{
+    "norm": ("--family", "catalog:star", "--param", "k=3"),
+    "mu-solve": COMB_N + ("--beta", "1", "--rho", "0.25")})
+
+
+def test_a_job_is_parsed_by_its_command_s_subparser_alone(capsys,
+                                                         monkeypatch):
+    parser = cli.build_parser()
+    assert sorted(JOBS) == sorted(parser.commands)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a job")
+
+    monkeypatch.setattr(parser, "parse_args", refuse)
+    monkeypatch.setattr(parser, "parse_known_args", refuse)
+    for cmd, argv in JOBS.items():
+        code, doc = run_json(capsys, cmd, *argv)
+        assert code == 0, cmd
+        assert doc["manifest"]["command"] == cmd
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("cmd", ["spectrum", "ids", "bec"])
+def test_out_file_holds_the_stdout_bytes(capsysbinary, tmp_path, cmd, fmt):
+    argv = [cmd, *JOBS[cmd], "--format", fmt]
+    assert main(argv) == 0
+    stdout = capsysbinary.readouterr().out
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert (tmp_path / "out").read_bytes() == stdout
+
+
+def test_python_m_combgas_runs_the_cli(capsys):
+    src = str(Path(combgas.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-m", "combgas", "catalog"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    code, out = run_cli(capsys, "catalog")
+    assert (run.returncode, run.stdout, run.stderr) == (code, out, "")

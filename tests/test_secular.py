@@ -34,9 +34,17 @@ class Catalogue(NamedTuple):
         return self.d_block @ self.kernel(lam)
 
 
+def _perturbation(q):
+    """D, the head of the quotient q minus its base chain, as a matrix on
+    rows 0..t, and the rows it touches."""
+    off = np.subtract(q.links, q.link)
+    pert = np.diag(np.subtract(q.d, q.c)) + np.diag(off, 1) + np.diag(off, -1)
+    return np.flatnonzero(pert.any(axis=1)), pert
+
+
 def catalogue_system(name, **params):
     q = spectral._infinite_quotient(secular._secular_family(name, params))
-    rows, pert = secular._perturbation(q)
+    rows, pert = _perturbation(q)
     return Catalogue(rows, pert[rows][:, rows], q.c + 2.0 * q.link, q)
 
 
@@ -179,6 +187,20 @@ def test_pf_z_is_the_fixed_vector_of_s(solved):
         assert np.max(np.abs(s @ z - z)) <= 1e-12, (name, params)
 
 
+def test_pf_z_matches_the_matrix_product_bit_for_bit(solved):
+    # the head lists' D psi adds each row's terms as D @ psi does
+    for name, params, system, sol in solved:
+        if sol.status != "root_found":
+            continue
+        q = system.quotient
+        rows, pert = _perturbation(q)
+        want = (pert @ q.vector(sol.lambda0, q.tail(sol.lambda0)[0]))[rows]
+        if want.sum() < 0:
+            want = -want
+        assert np.array_equal(sol.pf_z, want / np.max(np.abs(want))), (
+            name, params)
+
+
 def test_edge_resonance_has_no_root():
     # modified_ladder k=1 nrem=0: the first link sqrt 2 = sqrt 2 l puts a
     # resonance at the edge 3, where the count rests on one rounding bit;
@@ -240,7 +262,7 @@ def test_two_close_roots_are_not_skipped():
     sol = secular._solve_quotient("pair", q)
     assert sol.status == "root_found"
     assert sol.lambda0 == pytest.approx(vals[-1], rel=1e-14, abs=0)
-    rows, pert = secular._perturbation(q)
+    rows, pert = _perturbation(q)
     want = (pert @ vecs[:q.t + 1, -1])[rows]
     want *= math.copysign(1.0 / np.max(np.abs(want)), want.sum())
     assert np.max(np.abs(sol.pf_z - want)) < 1e-10
