@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -158,10 +159,21 @@ def _emit(args, manifest, result, csv_text=None):
     else:
         text = _json({"manifest": manifest, "result": result}, "\n")
     if args.out:  # ASCII: the JSON writers escape every other character
-        with open(args.out, "wb") as fh:
-            fh.write(text.encode("ascii"))
+        _write_file(args.out, text.encode("ascii"))
     else:
         sys.stdout.write(text)
+
+
+def _write_file(path, data):
+    """Write the bytes `data` to `path`, created or truncated, with
+    os.write calls alone: no buffered file object."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
 
 
 def _parse_fock(items, d):
@@ -393,7 +405,7 @@ def cmd_bec(args):
         schedule = ("power", args.mu_power)
     cfg = cb.CombRunConfig(d=d, beta=args.beta, mu_schedule=schedule)
     xi = _parse_fock(args.xi, d)
-    eta = _parse_fock(args.eta or args.xi, d)
+    eta = _parse_fock(args.eta, d) if args.eta else xi
     ns = _parse_nrange(args.n)
     rows = [cb.sweep_row(cfg, n, xi, eta) for n in ns]
     result = {"d": d, "beta": args.beta, "mu_schedule": list(schedule),

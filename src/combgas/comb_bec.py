@@ -271,7 +271,7 @@ def _element_chunks(vol, func, xi, eta):
     """Yield (f, w, share) per chunk of `_levels(vol, func)`: share is its
     part of modes * <eta, func(H) xi>, H = ||A|| - A_{Lambda_n}, the orbit
     phase sums (`CombVolume.phase`, one (O,) array per |Delta|) dotted with
-    per-block fiber elements.  One `tensordot` per chunk projects the
+    per-block fiber elements.  One `np.dot` per chunk projects the
     amplitudes of every base coordinate of eta and xi on its even
     eigenvectors; the odd sector, the same in every block, is projected
     once, with the first chunk."""
@@ -291,7 +291,9 @@ def _element_chunks(vol, func, xi, eta):
             # <eta, u> f <u, xi> summed over the odd vectors u, per pair
             proj = amps @ eig.odd_vec
             odd = (proj[:pe] * f[:vol.n]) @ proj[pe:].T
-        proj = np.tensordot(amps, eig.even_vec, axes=1)
+        vec = eig.even_vec  # (support, blocks, levels)
+        proj = np.dot(amps, vec.reshape(vec.shape[0], -1)).reshape(
+            len(amps), *vec.shape[1:])
         proj[:pe] *= f[f.size - eig.even.size:].reshape(eig.even.shape)
         share = 0.0
         for e, x, phase in pairs:

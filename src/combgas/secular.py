@@ -20,6 +20,8 @@ the support is the eigenvector of S(lam0) for the eigenvalue 1.
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 from dataclasses import dataclass
 
@@ -34,13 +36,20 @@ class SecularError(DomainError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class SecularSolution:
+    """One solved secular system; `solve_secular` shares it between
+    callers, so it is frozen and `pf_z` is read-only."""
+
     name: str
     lambda0: float
     base_radius: float
     status: str                    # root_found | no_root_in_bracket
     pf_z: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.pf_z is not None:
+            self.pf_z.flags.writeable = False
 
     def to_record(self):
         gap = max(self.lambda0 - self.base_radius, 0.0)
@@ -63,8 +72,20 @@ def solve_secular(name, **params):
     quotient's eigenvector (`spectral._HeadTail.vector`), signed to a
     positive sum and scaled to a largest entry of 1.  Raises SecularError
     for a name with no secular system.
+
+    The parameters are checked on every call; the solution is then kept
+    per process, keyed by the name and the parameters with their types
+    (k=3, k=3.0 and k=True are three keys), for the 64 most recently used
+    entries.  A NumericFailure is not kept.
     """
-    fam = _secular_family(name, params)
+    _secular_family(name, params)
+    return _solve_entry(name, json.dumps(params, sort_keys=True))
+
+
+@functools.lru_cache(maxsize=64)
+def _solve_entry(name, params):
+    """`solve_secular` on the checked parameters as JSON text."""
+    fam = _secular_family(name, json.loads(params))
     return _solve_quotient(name, _infinite_quotient(fam))
 
 

@@ -7,6 +7,7 @@ spectrum sits at h = 0 in the infinite-volume limit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -296,8 +297,19 @@ def transience(d):
     The regularizer eps is shrunk geometrically: Cauchy increments mean a
     finite Green value (transient); non-shrinking increments mean divergence
     (recurrent).  Never decided by a magnitude threshold alone.
+
+    The verdict is kept per process for the 16 most recently used d (3
+    and 3.0 are two keys; a NumericFailure is not kept); each call returns
+    a fresh list of the regularized values.
     """
-    seq = green_lattice_eps(d, 10.0 ** -np.arange(1, 9))
+    verdict, value, seq = _classify(d)
+    return verdict, value, list(seq)
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _classify(d):
+    """`transience` with its values as a tuple."""
+    seq = tuple(green_lattice_eps(d, 10.0 ** -np.arange(1, 9)))
     incs = [b - a for a, b in zip(seq, seq[1:])]
     ratios = [b / a for a, b in zip(incs, incs[1:]) if a > 0]
     shrinking = ratios and ratios[-1] < 0.5 and incs[-1] < 1e-2 * max(seq[-1], 1.0)

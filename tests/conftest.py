@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from combgas import families
+from combgas import families, secular, thermo
 
 
 def _lanczos_top(mat, tol=1e-13):
@@ -31,5 +31,9 @@ def lanczos_top():
 @pytest.fixture(autouse=True)
 def _no_kept_volumes():
     """Each test starts with no comb volume kept (`families.comb_volume`),
-    so it solves, builds and chunks its volumes itself."""
+    no secular solution (`secular.solve_secular`) and no transience verdict
+    (`thermo.transience`), so it solves, builds and chunks its volumes and
+    solves its infinite systems itself."""
     families.clear_volumes()
+    secular._solve_entry.cache_clear()
+    thermo._classify.cache_clear()

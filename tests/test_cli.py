@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import combgas
-from combgas import DomainError, NumericFailure, cli, floattext, thermo
+from combgas import (DomainError, NumericFailure, cli, floattext, secular,
+                     thermo)
 from combgas.cli import main
 from combgas.families import CombFamily, family, fiber_eigen
 
@@ -870,3 +871,75 @@ def test_python_m_combgas_runs_the_cli(capsys):
                          env=env, capture_output=True, text=True, timeout=120)
     code, out = run_cli(capsys, "catalog")
     assert (run.returncode, run.stdout, run.stderr) == (code, out, "")
+
+
+def test_an_entry_s_infinite_system_is_solved_once_per_process(
+        capsys, monkeypatch):
+    calls = []
+    quotient = secular._infinite_quotient
+    monkeypatch.setattr(secular, "_infinite_quotient",
+                        lambda fam: calls.append(fam.name) or quotient(fam))
+    entry = ("--family", "catalog:star", "--param", "k=3")
+    for argv in (["norm", *entry], ["secular", *entry], ["hidden", *entry],
+                 ["norm", *entry, "--n-max", "8"]):
+        code, doc = run_json(capsys, *argv)
+        assert code == 0, argv
+        assert doc["result"]["lambda0"] == pytest.approx(3 / math.sqrt(2))
+    assert calls == ["star"]
+
+
+def test_transience_is_integrated_once_per_process(capsys, monkeypatch):
+    rule = thermo.log_trapezoid
+    calls = []
+    monkeypatch.setattr(thermo, "log_trapezoid",
+                        lambda *a, **kw: calls.append(1) or rule(*a, **kw))
+    first = run_cli(capsys, "transience", "--param", "d=3")
+    assert len(calls) == 2
+    assert run_cli(capsys, "transience", "--param", "d=3") == first
+    assert len(calls) == 2
+
+
+def test_a_solved_entry_still_refuses_other_parameter_types(capsys):
+    code, _ = run_cli(capsys, "hidden", "--family", "catalog:star",
+                      "--param", "k=3")
+    assert code == 0
+    for value in ("3.0", "true"):
+        assert main(["hidden", "--family", "catalog:star",
+                     "--param", "k=" + value]) == 1
+        assert "k must be an integer" in capsys.readouterr().err
+
+
+def test_changing_a_result_changes_no_later_report(capsys):
+    entry = ("--family", "catalog:star", "--param", "k=3")
+    hidden = run_cli(capsys, "hidden", *entry)
+    transient = run_cli(capsys, "transience", "--param", "d=3")
+    record = secular.solve_secular("star", k=3).to_record()
+    record["pf_z"][0] = -1.0
+    record["lambda0"] = 0.0
+    seq = thermo.transience(3)[2]
+    seq[0] = -1.0
+    seq.append(0.0)
+    assert run_cli(capsys, "hidden", *entry) == hidden
+    assert run_cli(capsys, "transience", "--param", "d=3") == transient
+
+
+def test_out_is_written_whole_by_short_writes(capsysbinary, tmp_path,
+                                              monkeypatch):
+    argv = ["spectrum", *JOBS["spectrum"]]
+    assert main(argv) == 0
+    stdout = capsysbinary.readouterr().out
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out").read_bytes() == stdout
+
+
+def test_out_replaces_a_longer_or_shorter_file(capsysbinary, tmp_path):
+    out = tmp_path / "out"
+    short, long = ["critical", *JOBS["critical"]], ["spectrum",
+                                                    *JOBS["spectrum"]]
+    for argv in (long, short, long):
+        assert main(argv) == 0
+        stdout = capsysbinary.readouterr().out
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == stdout

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from typing import NamedTuple
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combgas import secular, spectral
+from combgas import DomainError, NumericFailure, secular, spectral
 from combgas.families import family
 from combgas.resolvent import chain_green
 from combgas.secular import (catalog_expected, hidden_spectrum_verdict,
@@ -330,3 +331,69 @@ def test_modified_ladder_root_is_truncation_norm(k, nrem):
     fam = family("modified_ladder", k=k, nrem=nrem)
     report = norm_sequence(fam, [100, 200])
     assert report.norms[-1] == pytest.approx(sol.lambda0, abs=1e-9)
+
+
+def test_a_solution_is_frozen_and_its_pf_z_read_only():
+    sol = solve_secular("star", k=3)
+    with pytest.raises(ValueError):
+        sol.pf_z[0] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.lambda0 = 0.0
+    record = sol.to_record()
+    record["pf_z"][0] = 2.0
+    assert sol.pf_z[0] != 2.0
+    assert sol.to_record()["pf_z"] is not record["pf_z"]
+
+
+def test_each_entry_is_solved_once_per_process(monkeypatch):
+    calls = []
+    quotient = secular._infinite_quotient
+
+    def counting(fam):
+        calls.append(fam.name)
+        return quotient(fam)
+
+    monkeypatch.setattr(secular, "_infinite_quotient", counting)
+    first = solve_secular("star", k=3)
+    assert solve_secular("star", k=3) is first
+    assert len(calls) == 1
+    solve_secular("star", k=4)
+    solve_secular("comb", d=2)
+    solve_secular("comb", d=2, periodic=True)  # another key, one more solve
+    assert len(calls) == 4
+    # a refusal after a solve is still a refusal
+    for params in ({"k": 3.0}, {"k": True}, {"k": 3, "p": 1}):
+        with pytest.raises(DomainError):
+            solve_secular("star", **params)
+    with pytest.raises(secular.SecularError):
+        solve_secular("ladder")
+    assert len(calls) == 4
+
+
+def test_the_64_most_recently_used_solutions_are_kept(monkeypatch):
+    calls = []
+    quotient = secular._infinite_quotient
+    monkeypatch.setattr(secular, "_infinite_quotient",
+                        lambda fam: calls.append(1) or quotient(fam))
+    for k in (3, *range(5, 68), 3, 68):  # k=5 is least recently used at 68
+        solve_secular("star", k=k)
+    assert len(calls) == 65
+    solve_secular("star", k=3)
+    assert len(calls) == 65
+    solve_secular("star", k=5)
+    assert len(calls) == 66
+
+
+def test_a_numeric_failure_is_not_kept(monkeypatch):
+    solve = secular._solve_quotient
+    failures = [NumericFailure("once")]
+
+    def failing_once(name, q):
+        if failures:
+            raise failures.pop()
+        return solve(name, q)
+
+    monkeypatch.setattr(secular, "_solve_quotient", failing_once)
+    with pytest.raises(NumericFailure):
+        solve_secular("star", k=3)
+    assert solve_secular("star", k=3).status == "root_found"

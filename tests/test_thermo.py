@@ -237,3 +237,50 @@ def test_transience_verdicts():
             assert value == pytest.approx(WATSON / 3, abs=1e-13)
         else:
             assert value is None
+
+
+def test_transience_is_classified_once_per_d(monkeypatch):
+    rule = thermo.log_trapezoid
+    calls = []
+    monkeypatch.setattr(thermo, "log_trapezoid",
+                        lambda *a, **kw: calls.append(1) or rule(*a, **kw))
+    verdict, value, seq = thermo.transience(3)
+    assert len(calls) == 2  # the regularized sequence, then G(0)
+    seq[0] = -1.0
+    seq.append(0.0)
+    again = thermo.transience(3)
+    assert len(calls) == 2
+    assert again[:2] == (verdict, value)
+    assert again[2] is not seq and len(again[2]) == len(seq) - 1
+    assert again[2][0] != -1.0
+    thermo.transience(3.0)  # another key
+    assert len(calls) == 4
+
+
+def test_a_transience_failure_is_not_kept(monkeypatch):
+    rule = thermo.log_trapezoid
+    failures = [NumericFailure("once")]
+
+    def failing_once(*args, **kwargs):
+        if failures:
+            raise failures.pop()
+        return rule(*args, **kwargs)
+
+    monkeypatch.setattr(thermo, "log_trapezoid", failing_once)
+    with pytest.raises(NumericFailure):
+        thermo.transience(1)
+    assert thermo.transience(1)[0] == "recurrent"
+
+
+def test_transience_keeps_its_16_most_recent_verdicts(monkeypatch):
+    rule = thermo.log_trapezoid
+    calls = []
+    monkeypatch.setattr(thermo, "log_trapezoid",
+                        lambda *a, **kw: calls.append(1) or rule(*a, **kw))
+    for d in (1, *range(2, 17), 1, 17):  # d=2 is least recently used at 17
+        thermo.transience(d)
+    assert len(calls) == 2 + 2 * 15  # d >= 3 adds G(0)
+    thermo.transience(1)
+    assert len(calls) == 32
+    thermo.transience(2)  # recurrent: the sequence alone
+    assert len(calls) == 33
