@@ -321,19 +321,12 @@ def cmd_secular(args):
     return EXIT_OK
 
 
-def _volume_spectrum(args):
-    """(family name, eigenvalues, weights, shift) of volume --n of --family;
-    the shift defaults to the top eigenvalue."""
-    name, fam = _resolve_family(args)
-    vals, weights = fam.spectrum(args.n)
-    shift = float(vals.max()) if args.shift is None else args.shift
-    return name, vals, weights, shift
-
-
 def cmd_ids(args):
     from . import thermo
 
-    name, vals, weights, shift = _volume_spectrum(args)
+    name, fam = _resolve_family(args)
+    vals, weights = fam.spectrum(args.n)
+    shift = float(vals.max()) if args.shift is None else args.shift
     measure = thermo.ids_from_spectrum(vals, weights, shift)
     result = csv_text = None
     if args.format == "csv":
@@ -349,14 +342,32 @@ def cmd_ids(args):
 
 
 def cmd_density(args):
+    """`density`, and `mu-solve`: the mu that holds the density --rho, on
+    the levels' energies top - lam below the top eigenvalue, a comb's a chunk
+    at a time (`comb_bec.level_energies`).  The shift defaults to top; a
+    --shift s moves mu by s - top."""
     from . import thermo
+    from .families import CombFamily
 
-    name, vals, weights, shift = _volume_spectrum(args)
-    rho = thermo.finite_volume_density(vals, weights, shift, args.beta,
-                                       args.mu)
-    result = {"family": name, "n": args.n, "beta": args.beta, "mu": args.mu,
-              "shift": shift, "density": rho}
-    _emit(args, _manifest(args, "density", {"family": args.family}), result)
+    name, fam = _resolve_family(args)
+    solve = args.cmd == "mu-solve"
+    if isinstance(fam, CombFamily):
+        from .comb_bec import level_energies
+
+        top, _, levels = level_energies(fam.d, args.n, fam.periodic, solve)
+    else:
+        vals, weights = fam.spectrum(args.n)
+        top = float(vals.max())
+        levels = [(top - vals, weights)]
+    shift = top if args.shift is None else args.shift
+    result = {"family": name, "n": args.n, "beta": args.beta, "shift": shift}
+    if solve:
+        mu, gap = thermo.solve_mu(levels, args.beta, args.rho, tol=args.tol)
+        result.update(rho=args.rho, mu=mu + (shift - top), gap=gap)
+    else:
+        result.update(mu=args.mu, density=thermo.finite_volume_density(
+            levels, args.beta, args.mu - (shift - top)))
+    _emit(args, _manifest(args, args.cmd, {"family": args.family}), result)
     return EXIT_OK
 
 
@@ -367,18 +378,6 @@ def cmd_critical(args):
     result = {"beta": args.beta, "norm_gap": args.gap,
               "critical_density": rho_c}
     _emit(args, _manifest(args, "critical"), result)
-    return EXIT_OK
-
-
-def cmd_mu_solve(args):
-    from . import thermo
-
-    name, vals, weights, shift = _volume_spectrum(args)
-    mu, gap = thermo.solve_mu(vals, weights, shift, args.beta, args.rho,
-                              tol=args.tol)
-    result = {"family": name, "n": args.n, "beta": args.beta, "rho": args.rho,
-              "shift": shift, "mu": mu, "gap": gap}
-    _emit(args, _manifest(args, "mu-solve", {"family": args.family}), result)
     return EXIT_OK
 
 
@@ -532,7 +531,7 @@ def build_parser():
     p.add_argument("--rho", type=_finite, required=True)
     p.add_argument("--shift", type=_finite, default=None)
     _add_common(p, tol=True)
-    p.set_defaults(func=cmd_mu_solve)
+    p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("transience", help="random-walk transience verdict")
     p.add_argument("--param", action="append", default=[],

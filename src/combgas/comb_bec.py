@@ -9,16 +9,17 @@ PF projection are sums over those blocks, so no computation ever assembles
 the full (2n+1)^(d+1) operator, and each sum holds one chunk's eigendata
 and O(orbits) phase sums, never an array over every block root.  Each sum
 takes the levels as energies h = ||A|| - lam from one function, `_levels`.
-`sweep_row` computes one volume's row of a sweep in one pass over them.
+`sweep_row` computes one volume's row of a sweep in one pass over them;
+`level_energies` gives them, from the volume's top, to the `thermo`
+densities of the CLI's `density` and `mu-solve` (on the free base too) and
+of `density_limit`; `density_finite` and `fixed_density_mu`, the second
+copy of that sum, are gone.
 
-Every volume comes from `families.comb_volume`.  A process keeps the
-volumes whose blocks fit one chunk (B (n+1) <= 2^14 roots), at most 32
-of them and 16 MB together: their orbits, phase sums, block roots
-(searched once), eigenvector entries up to the widest fiber reach asked
-for, and the level energies and weights of `_levels`, so a sweep, a
-density or a limit that meets the same (d, n) again searches no root
-again and solves entries only for a wider reach.  Nothing kept depends on
-beta, mu, c or the amplitudes, so no result depends on what was kept.  The tensor decomposition
+Every volume comes from `families.comb_volume`, which keeps the small ones
+with what their sums solved, so a sweep, a density or a limit that meets
+the same (d, n) again searches no root again.  Nothing kept depends on
+beta, mu, c or the amplitudes, so no result depends on what was kept.
+The tensor decomposition
 
     H_n^{-1} = I (x) R_{Y_n}(lam_n)
              + Phi_n (x) R_{Y_n}(lam_n) P_0 R_{Y_n}(lam_n),
@@ -39,6 +40,7 @@ before it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -228,7 +230,7 @@ def fiber_support(n, *vectors):
 
 
 def _levels(vol, func, support=()):
-    """Yield (eig, blk, f, w) per chunk (`CombVolume.chunks`) of the periodic
+    """Yield (eig, blk, f, w) per chunk (`CombVolume.chunks`) of the
     `CombVolume` vol: f = func(h) on the energies h = ||A|| - lam of the
     chunk's levels, one call per chunk, and w their per-site weights
     (`_energies`).  A volume whose blocks fit one chunk computes h and w
@@ -242,18 +244,17 @@ def _levels(vol, func, support=()):
 
 
 def _energies(vol, eig, blk):
-    """(h, w) of one chunk of `_levels`: first the n odd levels, the same in
-    every block, at 1/(2n+1) each, on the first chunk only; then the even
-    levels of the blocks a[blk] as in eig.even, at mult/((2n+1)^d (2n+1))
-    each.  A top root lam = 2cosh(t) > 2 solves a tanh(Nt) = 2 sinh t,
-    N = n + 1, a = 2d - 2 gamma (`CombVolume.gap`), so
+    """(h, w) of one chunk of `_levels`: its levels and weights as
+    `CombVolume.levels` lays them out.  A top root lam = 2cosh(t) > 2
+    solves a tanh(Nt) = 2 sinh t, N = n + 1, a = 2d - 2 gamma
+    (`CombVolume.gap`), so
     h = 2(d + sinh t)(2d q/(1+q) + gamma tanh(Nt))/(sqrt(d^2+1) + cosh t),
     q = e^{-2Nt}, with no cancellation where ||A|| - lam would lose
     ulp(||A||)/h relative, h down to 1e-20; other levels take ||A|| - lam."""
-    d, big, side = vol.d, vol.n + 1, 2 * vol.n + 1
-    skip = 0 if blk.start else vol.n
-    lam = np.concatenate((eig.odd[:skip], eig.even.ravel()))
+    d, big = vol.d, vol.n + 1
+    lam, w = vol.levels(eig, blk)
     h = norm_limit(d) - lam
+    skip = lam.size - eig.even.size
     top = lam[skip::big]
     up = top > 2.0
     t = np.arccosh(0.5 * top[up])
@@ -262,8 +263,6 @@ def _energies(vol, eig, blk):
         2.0 * (d + np.sinh(t))
         * (2.0 * d * q / (1.0 + q) + vol.gap[blk][up] * np.tanh(big * t))
         / (math.sqrt(d * d + 1.0) + np.cosh(t)))
-    w = np.concatenate((np.full(skip, 1.0 / side), np.repeat(
-        vol.mult[blk] / (vol.modes * side), big)))
     return h, w
 
 
@@ -435,33 +434,48 @@ def two_point_limit(cfg, xi, eta):
 # densities
 
 
-def density_finite(d, n, beta, mu):
-    """Per-site density on Lambda_n: `thermo.finite_volume_density` of each
-    chunk's weighted level energies h (`_levels`), given as the eigenvalues
-    -h at shift 0."""
-    return sum(thermo.finite_volume_density(f, w, 0.0, beta, mu)
-               for _, _, f, w in _levels(comb_volume(d, n), np.negative))
+def level_energies(d, n, periodic=True, keep=False):
+    """(top, h_min, levels) of the comb volume Lambda_n (`comb_volume`):
+    its top eigenvalue, the zero-mode block's eig.even[0, 0] on the first
+    chunk, that level's energy h_min = h[n] there, and (g, w) per chunk of
+    `_levels`: the energies g = h - h_min = top - lam, each to its own
+    rounding where top - lam would lose ulp(||A||), and their weights.
+    levels solves one chunk at a time; with keep it holds every chunk's g
+    and can be gone over again, each pass taking `CombVolume.weights`."""
+    vol = comb_volume(d, n, periodic)
+    chunks = _levels(vol, lambda h: h)
+    eig, _, h, _ = first = next(chunks)
+    top, h_min = float(eig.even[0, 0]), float(h[n])
+    levels = ((h - h_min, blk, w)
+              for _, blk, h, w in itertools.chain([first], chunks))
+    if keep:
+        return top, h_min, _Held(vol, ((g, blk) for g, blk, _ in levels))
+    return top, h_min, ((g, w) for g, _, w in levels)
+
+
+class _Held:
+    """Every chunk's (g, blk) of vol, gone over as (g, weights) pairs."""
+
+    def __init__(self, vol, chunks):
+        self.vol, self.chunks = vol, list(chunks)
+
+    def __iter__(self):
+        return ((g, self.vol.weights(blk)) for g, blk in self.chunks)
 
 
 def density_limit(cfg, ns):
-    """Extrapolated per-site density under the condensate scaling.
+    """Extrapolated per-site density under the condensate scaling: the
+    `level_energies` of each volume at mu_n, measured from its top.
 
     The finite-size error is boundary-driven (~ 1/(2n+1)), so the limit is a
     power-law fit in the inverse side length.
     """
-    vals = [density_finite(cfg.d, n, cfg.beta, cfg.mu_of(n)) for n in ns]
+    vals = [thermo.finite_volume_density(levels, cfg.beta, cfg.mu_of(n) - h)
+            for n in ns for _, h, levels in [level_energies(cfg.d, n)]]
     sides = np.asarray([2 * n + 1 for n in ns], dtype=float)
     from .spectral import extrapolate_power
     limit, unc = extrapolate_power(sides, vals, p=1, terms=3)
     return limit, unc, list(zip(ns, vals))
-
-
-def fixed_density_mu(d, n, beta, rho):
-    """Finite-volume chemical potential pinned by the density constraint:
-    `thermo.solve_mu` on the levels as `density_finite` gives them."""
-    vals, w = map(np.concatenate, zip(*[(f, w) for _, _, f, w in _levels(
-        comb_volume(d, n), np.negative)]))
-    return thermo.solve_mu(vals, w, 0.0, beta, rho)[0]
 
 
 def pf_projection_term(d, n, mu, xi, eta):

@@ -201,8 +201,9 @@ class CombVolume:
     a (O,): the base eigenvalue of each orbit, 2 sum_i cos(theta k_i)
     (periodic; 0 at n = 0, where the box is one vertex with no edges) or
     sum_i 2cos(pi k_i/(2n+2)) (free).  Each orbit is its own fiber block.
-    gap (O,), periodic only: sum_i (1 - cos(theta k_i)), each term taken as
-    2 sin^2(theta k_i/2), so there is no cancellation near 0.
+    gap (O,): a = 2d - 2 gap, with gap = sum_i 2 sin^2(theta k_i/2)
+    (periodic) or sum_i 2 sin^2(pi k_i/(4n+4)) (free), so there is no
+    cancellation near 0.
 
     These arrays are read-only, as is everything the volume keeps
     (`keep`): the phase sums, and on a volume whose blocks fit one chunk the
@@ -233,17 +234,16 @@ class CombVolume:
         if periodic:
             self.mult <<= np.count_nonzero(self.reps, axis=1)
             self.theta = 2.0 * math.pi / side
-            t = np.arange(n + 1)
-            one = 2.0 * np.cos(self.theta * t) if n else np.zeros(1)
-            self.gap = self._sum_axes(2.0 * np.sin(0.5 * self.theta * t) ** 2)
+            half = 0.5 * self.theta * np.arange(n + 1)
+            one = 2.0 * np.cos(2.0 * half) if n else np.zeros(1)
         else:
-            one = 2.0 * np.cos(np.pi * np.arange(side + 1) / (side + 1))
+            half = 0.5 * np.pi * np.arange(side + 1) / (side + 1)
+            one = 2.0 * np.cos(2.0 * half)
         self.a = self._sum_axes(one)
+        self.gap = self._sum_axes(2.0 * np.sin(half) ** 2)
         self._memo = {}
         self.kept = False
-        arrays = [self.reps, self.mult, self.a]
-        if periodic:
-            arrays.append(self.gap)
+        arrays = [self.reps, self.mult, self.a, self.gap]
         for x in arrays:
             x.setflags(write=False)
         self.nbytes = sum(x.nbytes for x in arrays)
@@ -300,6 +300,22 @@ class CombVolume:
                 self.n, self.a, roots, np.arange(absj.max() + 1)))
         yield (_fiber_gather(self.a, roots, entries, support, absj),
                slice(0, self.a.size))
+
+    def levels(self, eig, blk):
+        """(lam, `weights`) of the chunk (eig, blk) of `chunks`: the n odd
+        levels on the first chunk only, then the even ones as in eig.even."""
+        skip = 0 if blk.start else self.n
+        return (np.concatenate((eig.odd[:skip], eig.even.ravel())),
+                self.weights(blk))
+
+    def weights(self, blk):
+        """The per-site weights of chunk blk's `levels`: 1/(2n+1) on each
+        odd level, mult/((2n+1)^d (2n+1)) on each even one; they sum to 1
+        over the chunks."""
+        side = 2 * self.n + 1
+        return np.concatenate((
+            np.full(0 if blk.start else self.n, 1.0 / side),
+            np.repeat(self.mult[blk] / (self.modes * side), self.n + 1)))
 
     def one_chunk(self):
         """Whether `fiber_chunks` solves all the blocks in one chunk."""
@@ -782,25 +798,15 @@ class CombFamily(GraphFamily):
         In the eigenbasis of the base, I (x) A_Y + A_X (x) P_0 splits into
         tridiagonal blocks A_Y + a*P_0, one per orbit of base modes
         (`CombVolume`), taken mult times.  `fiber_chunks` solves them a
-        chunk at a time into preallocated arrays of B(n+1)+n rows for B
-        blocks: the n odd roots 2cos(pi k/(n+1)), shared by every block,
-        once at weight 1/(2n+1), then each block's n+1 even roots once at
-        weight mult/((2n+1)^d (2n+1)); the weights sum to 1.  The result is
-        sorted once, ascending.  The blocks are exact and no matrix is ever
-        formed.
+        chunk at a time, each laid out with its weights by
+        `CombVolume.levels`: the n odd roots 2cos(pi k/(n+1)), shared by
+        every block, once, then each block's n+1 even roots once.  The
+        result is sorted once, ascending.  The blocks are exact and no
+        matrix is ever formed.
         """
         vol = CombVolume(self.d, n, self.periodic)
-        big, side = n + 1, 2 * n + 1
-        vals = np.empty(n + vol.a.size * big)
-        weights = np.empty_like(vals)
-        even_vals = vals[n:].reshape(-1, big)
-        even_weights = weights[n:].reshape(-1, big)
-        block_weight = vol.mult / (vol.modes * side)
-        for eig, blk in fiber_chunks(n, vol.a):
-            even_vals[blk] = eig.even
-            even_weights[blk] = block_weight[blk, None]
-        vals[:n] = eig.odd  # the same in every chunk
-        weights[:n] = 1.0 / side
+        vals, weights = map(np.concatenate, zip(*(
+            vol.levels(eig, blk) for eig, blk in fiber_chunks(n, vol.a))))
         order = np.argsort(vals)
         return vals[order], weights[order]
 

@@ -156,28 +156,32 @@ def _occupations(x):
     return out
 
 
-def finite_volume_density(vals, weights, shift, beta, mu):
-    """Per-site Bose density from an adjacency spectrum: H = shift - A."""
-    h = shift - np.asarray(vals, dtype=float)
-    gap = float(h.min()) - mu
-    if gap <= 0:
-        raise ThermoError("mu not below the finite-volume bottom")
-    return float(np.sum(np.asarray(weights) * _occupations(beta * (h - mu))))
+def finite_volume_density(levels, beta, mu):
+    """Per-site Bose density sum w/(e^(beta(h - mu)) - 1) over `levels`:
+    (h, w) pairs of level energies and weights, one pair at a time (a whole
+    spectrum, or a comb volume's chunks)."""
+    rho = 0.0
+    for h, w in levels:
+        if float(h.min()) - mu <= 0:
+            raise ThermoError("mu not below the finite-volume bottom")
+        rho += float(np.sum(w * _occupations(beta * (h - mu))))
+    return rho
 
 
-def solve_mu(vals, weights, shift, beta, rho, tol=1e-12, max_steps=50):
+def solve_mu(levels, beta, rho, tol=1e-12, max_steps=50):
     """Chemical potential with prescribed finite-volume density rho.
 
-    With h_min the finite-volume bottom, g = h - h_min the level gaps and
-    t = h_min - mu, Newton's method solves phi(t) = log rho(t) - log rho
-    = 0, where rho(t) = sum w n with occupations n = 1/(e^(beta(g+t)) - 1)
-    and rho'(t) = -beta sum w n (n + 1).  Each term is log-convex in t, so
-    phi is convex and strictly decreasing: Newton started where phi >= 0
-    rises monotonically to the root and never overshoots.  It starts at
-    t_0 = log1p(w_0/rho)/beta, where the bottom level (weight w_0) alone
-    holds rho, and stops once a step is below tol * t.  Every rho from
-    about 1e-300 to 1e300 solves; a density sum that leaves the double
-    range, or reaching max_steps, raises NumericFailure.
+    With h_min the bottom of the levels (as `finite_volume_density` takes
+    them) and t = h_min - mu, Newton's method solves phi(t) = log rho(t) -
+    log rho = 0, one pass over the levels (a list, or another reiterable)
+    per step: rho(t) = sum w n with occupations n = 1/(e^(beta(h - h_min +
+    t)) - 1), rho'(t) = -beta sum w n (n + 1).  Each term is log-convex in
+    t, so phi is convex and strictly decreasing: Newton started where
+    phi >= 0 rises monotonically to the root and never overshoots.  It
+    starts at t_0 = log1p(w_0/rho)/beta, where the bottom level (weight
+    w_0) alone holds rho, and stops once a step is below tol * t.  Every rho from about 1e-300 to 1e300 solves; a
+    density sum that leaves the double range, or reaching max_steps, raises
+    NumericFailure.
 
     Returns (mu, t): t to its own precision, which mu = h_min - t loses to
     rounding when h_min is far above t (a shift far above the spectrum).
@@ -186,23 +190,25 @@ def solve_mu(vals, weights, shift, beta, rho, tol=1e-12, max_steps=50):
         raise ThermoError("rho must be positive and finite")
     if not beta > 0:
         raise ThermoError("beta must be positive")
-    h = shift - np.asarray(vals, dtype=float)
-    bottom = int(np.argmin(h))
-    h_min = float(h[bottom])
-    gaps = h - h_min
-    weights = np.asarray(weights, dtype=float)
+    h_min = INF
+    for h, w in levels:
+        bottom = int(np.argmin(h))
+        if h[bottom] < h_min:
+            h_min, w_0 = float(h[bottom]), float(w[bottom])
     # inf for a subnormal rho: its density 0 then fails the range check
-    t = math.log1p(float(weights[bottom]) / rho) / beta
+    t = math.log1p(w_0 / rho) / beta
     for _ in range(max_steps):
-        with np.errstate(over="ignore"):  # inf fails the range check below
-            n = _occupations(beta * (gaps + t))
-            rho_t = float(np.sum(weights * n))
+        rho_t = slope = 0.0
+        # inf fails the range check below; -t rho'(t) = sum w n beta t
+        # (n + 1) stays finite where rho'(t) overflows (n above 1e154)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for h, w in levels:
+                n = _occupations(beta * ((h - h_min) + t))
+                rho_t += float(np.sum(w * n))
+                slope += float(np.sum(w * n * (beta * t * (n + 1.0))))
         if not 0 < rho_t < INF:
             raise NumericFailure("density %r at mu = %r leaves the double "
                                  "range" % (rho_t, h_min - t))
-        # -t rho'(t) = sum w n beta t (n + 1), which stays finite where
-        # rho'(t) overflows (n above 1e154)
-        slope = float(np.sum(weights * n * (beta * t * (n + 1.0))))
         step = t * (math.log(rho_t) - math.log(rho)) * rho_t / slope
         t += step
         if abs(step) <= tol * t:

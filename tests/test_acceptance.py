@@ -318,7 +318,8 @@ def test_criterion_10_fixed_density_pathology():
     ns = [4, 6, 8, 10, 12, 14]
     mus, terms = [], []
     for n in ns:
-        mu = cb.fixed_density_mu(3, n, 1.0, rho)
+        _, h_min, levels = cb.level_energies(3, n, keep=True)
+        mu = h_min + thermo.solve_mu(levels, 1.0, rho)[0]
         mus.append(abs(mu))
         terms.append(cb.pf_projection_term(3, n, mu, xi, xi))
     sides = np.log([2 * n + 1 for n in ns])

@@ -1,19 +1,34 @@
+import functools
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from combgas import NumericFailure
+from combgas import NumericFailure, cli
 from combgas import comb_bec as cb
 from combgas import families, thermo
 from combgas.comb_bec import (CombRunConfig, FockVector, SweepRow,
                               block_matrix_element, bounded_correction,
-                              density_finite, density_limit, eps_n,
-                              fixed_density_mu, lattice_coeffs, norm_limit,
-                              pf_projection_term, q_limit, sweep_csv,
-                              sweep_row, torus_green, two_point_limit)
+                              density_limit, eps_n, lattice_coeffs,
+                              level_energies, norm_limit, pf_projection_term,
+                              q_limit, sweep_csv, sweep_row, torus_green,
+                              two_point_limit)
 from combgas.families import CombFamily, CombVolume
+
+
+def density_finite(d, n, beta, mu):
+    """Per-site density of H = ||A|| - A on Lambda_n: the levels of
+    `level_energies`, from the top, at mu - h_min."""
+    _, h_min, levels = level_energies(d, n)
+    return thermo.finite_volume_density(levels, beta, mu - h_min)
+
+
+def fixed_density_mu(d, n, beta, rho):
+    """The mu, against ||A||, at which Lambda_n holds the density rho."""
+    _, h_min, levels = level_energies(d, n, keep=True)
+    return h_min + thermo.solve_mu(levels, beta, rho)[0]
 
 
 def full_vector(d, n, fv):
@@ -342,40 +357,42 @@ def test_sweep_two_point_matches_40_digit_blocks(d, n, beta, schedule):
     assert row.two_point_total == pytest.approx(want, rel=1e-10)
 
 
-def mp_block_sums(d, n, func, xi, eta):
-    """40-digit (modes * <eta, func(H) xi>, per-site trace of func(H)) on
-    Lambda_n, H = ||A|| - A, func acting on mpmath energies.  Each orbit of
-    base modes k (sorted |k_i|) is one fiber block A_Y + a P_0: its odd
-    levels are 2cos(pi k/N), N = n + 1, with vectors sign(j) sin((N-|j|)
-    pi k/N)/sqrt(N); its even levels are the roots of p(lam) = (lam - a)
-    U_n(lam/2) - 2 U_{n-1}(lam/2) (Chebyshev U), three Newton steps from
-    the LAPACK eigenvalues of the even quotient, with vectors
-    U_{n-|j|}(lam/2) normalised.  Every energy, the top ones too, is taken
-    at 40 digits."""
+@functools.cache
+def mp_blocks(d, n, periodic=True):
+    """The 40-digit fiber blocks A_Y + a P_0 of Lambda_n, solved once per test
+    process: (odd, blocks).  Each orbit of base modes k (sorted |k_i| on the
+    periodic base, sorted k_i in 1..2n+1 on the free one) is one block,
+    (modes, even) in blocks.  Each level is (lam, amp, inv): its unit
+    vector's entry at fiber coordinate j is amp[|j|] sqrt(inv), times
+    sign(j) on the odd levels.  The n odd levels, the same in every block,
+    are 2cos(pi k/N), N = n + 1, with vectors sign(j) sin((N-|j|) pi k/N)
+    up to their norm sqrt(N); the even levels are the roots of
+    p(lam) = (lam - a) U_n(lam/2) - 2 U_{n-1}(lam/2) (Chebyshev U), three
+    Newton steps from the LAPACK eigenvalues of the even quotient, with
+    vectors U_{n-|j|}(lam/2) up to their norm."""
     import mpmath
 
     with mpmath.workdps(40):
         side, big = 2 * n + 1, n + 1
-        norm = 2 * mpmath.sqrt(d * d + 1)
-        theta = 2 * mpmath.pi / side
-        cos = [mpmath.cos(theta * r) for r in range(side)]
-        support = {j for fv in (xi, eta) for _, j in fv.entries}
-        odd = []
-        for k in range(1, big):
-            lam = 2 * mpmath.cos(mpmath.pi * k / big)
-            odd.append((func(norm - lam), {j: mpmath.sign(j) * mpmath.sin(
-                (big - abs(j)) * mpmath.pi * k / big) / mpmath.sqrt(big)
-                for j in support}))
+        odd = [(2 * mpmath.cos(mpmath.pi * k / big),
+                [mpmath.sin((big - m) * mpmath.pi * k / big)
+                 for m in range(big)], mpmath.mpf(1) / big)
+               for k in range(1, big)]
+        if periodic:  # k_i in -n..n, a = sum_i 2cos(2 pi k_i/(2n+1))
+            values, fold, angle = range(-n, n + 1), abs, 2 * mpmath.pi / side
+        else:  # k_i in 1..2n+1, a = sum_i 2cos(pi k_i/(2n+2))
+            values, fold = range(1, side + 1), int
+            angle = mpmath.pi / (2 * big)
         orbits = {}
-        for k in itertools.product(range(-n, n + 1), repeat=d):
-            orbits.setdefault(tuple(sorted(map(abs, k))), []).append(k)
-        element = trace = 0
-        for rep, modes in orbits.items():
-            a = sum(2 * cos[t] for t in rep)
+        for k in itertools.product(values, repeat=d):
+            orbits.setdefault(tuple(sorted(map(fold, k))), []).append(k)
+        blocks = []
+        for rep, members in orbits.items():
+            a = sum(2 * mpmath.cos(angle * t) for t in rep)
             quotient = np.diag(np.ones(n), 1) + np.diag(np.ones(n), -1)
             quotient[0, 0] = float(a)
             quotient[0, 1] = quotient[1, 0] = math.sqrt(2.0)
-            levels = list(odd)
+            even = []
             for lam in np.linalg.eigvalsh(quotient):
                 lam = mpmath.mpf(float(lam))
                 for _ in range(3):
@@ -386,19 +403,44 @@ def mp_block_sums(d, n, func, xi, eta):
                         du.append(u[m] + lam * du[m] - du[m - 1])
                     lam -= (((lam - a) * u[n] - 2 * u[n - 1])
                             / (u[n] + (lam - a) * du[n] - 2 * du[n - 1]))
-                scale = mpmath.sqrt(2 * mpmath.fsum(x * x for x in u)
-                                    - u[n] ** 2)
-                levels.append((func(norm - lam),
-                               {j: u[n - abs(j)] / scale for j in support}))
-            trace += len(modes) * mpmath.fsum(f for f, _ in levels)
-            for (jv_e, j_e), a_e in eta.entries.items():
-                for (jv_x, j_x), a_x in xi.entries.items():
-                    delta = [e - x for e, x in zip(jv_e, jv_x)]
-                    phase = mpmath.fsum(cos[sum(t * m for t, m in zip(
-                        delta, k)) % side] for k in modes)
-                    elem = mpmath.fsum(vec[j_e] * f * vec[j_x]
-                                       for f, vec in levels)
-                    element += a_e * a_x * phase * elem
+                norm2 = 2 * mpmath.fsum(x * x for x in u) - u[n] ** 2
+                even.append((lam, u[::-1], 1 / norm2))
+            blocks.append((members, even))
+        return odd, blocks
+
+
+def mp_block_sums(d, n, func, xi=None, eta=None, periodic=True):
+    """40-digit (modes * <eta, func(H) xi>, per-site trace of func(H)) on
+    Lambda_n, H = ||A|| - A, func acting on mpmath energies of the levels
+    of `mp_blocks`, every one of them, the top ones too, at 40 digits.  The
+    element needs the periodic base; without xi and eta it is 0."""
+    import mpmath
+
+    odd, blocks = mp_blocks(d, n, periodic)
+    with mpmath.workdps(40):
+        side = 2 * n + 1
+        norm = 2 * mpmath.sqrt(d * d + 1)
+        cos = [mpmath.cos(2 * mpmath.pi * r / side) for r in range(side)]
+        odd = [(func(norm - lam), amp, inv) for lam, amp, inv in odd]
+        trace = side ** d * mpmath.fsum(f for f, _, _ in odd)
+
+        def elem(levels, j_e, j_x):
+            return mpmath.fsum(f * amp[abs(j_e)] * amp[abs(j_x)] * inv
+                               for f, amp, inv in levels)
+
+        # (amplitudes, Delta, fiber coordinates, odd sector's element)
+        pairs = [(a_e * a_x, [e - x for e, x in zip(jv_e, jv_x)], j_e, j_x,
+                  mpmath.sign(j_e) * mpmath.sign(j_x) * elem(odd, j_e, j_x))
+                 for (jv_e, j_e), a_e in (eta.entries if eta else {}).items()
+                 for (jv_x, j_x), a_x in (xi.entries if xi else {}).items()]
+        element = 0
+        for modes, even in blocks:
+            levels = [(func(norm - lam), amp, inv) for lam, amp, inv in even]
+            trace += len(modes) * mpmath.fsum(f for f, _, _ in levels)
+            for amps, delta, j_e, j_x, odd_elem in pairs:
+                phase = mpmath.fsum(cos[sum(t * m for t, m in zip(
+                    delta, k)) % side] for k in modes)
+                element += amps * phase * (odd_elem + elem(levels, j_e, j_x))
         return element, trace / side ** (d + 1)
 
 
@@ -434,6 +476,70 @@ def test_smooth_term_within_rounding_of_40_digit_blocks():
     element, _ = mp_block_sums(
         d, n, lambda h: 1 / mpmath.expm1(beta * h) - 1 / (beta * h), xi, xi)
     assert abs(lim["smooth_term"] / (element / (2 * n + 1) ** d) - 1) <= 1e-14
+
+
+def _cli(capsys, cmd, d, n, periodic, beta, flag, value, shift):
+    """(result, g, lift) of the comb command cmd on Lambda_n: g(h) =
+    top - lam at 40 digits from h = ||A|| - lam (`mp_block_sums`), top the
+    volume's 40-digit top, and lift = shift - top with top as written,
+    exactly; the written shift is that of the sorted spectrum."""
+    import mpmath
+
+    argv = [cmd, "--family", "comb", "--param", "d=%d" % d, "--param",
+            "periodic=%s" % str(periodic).lower(), "--n", str(n), "--beta",
+            repr(beta), "%s=%r" % (flag, value)]
+    assert cli.main(argv + (["--shift", repr(shift)] if shift else [])) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    top = float(CombFamily(d, periodic).spectrum(n)[0].max())
+    assert res["shift"] == (shift or top)
+    _, blocks = mp_blocks(d, n, periodic)
+    with mpmath.workdps(40):
+        h_min = 2 * mpmath.sqrt(d * d + 1) - max(
+            lam for _, even in blocks for lam, _, _ in even)
+        return res, lambda h: h - h_min, mpmath.mpf(res["shift"]) - top
+
+
+# (d, n, periodic, beta, mu, shift) at the volumes of the sweep-row cases
+# above, whose blocks those solve, and one free base: the default shift, a
+# shift above the top and a mu within 1e-8 of the bottom
+DENSITY_ORACLE = [(3, 8, True, 1.0, -0.05, None), (4, 5, True, 2.0, 0.5, 9.0),
+                  (3, 4, True, 0.5, -5e-9, None),
+                  (2, 6, False, 1.0, -1e-3, None)]
+
+
+@pytest.mark.parametrize("d,n,periodic,beta,mu,shift", DENSITY_ORACLE)
+def test_comb_density_within_rounding_of_40_digit_blocks(
+        capsys, d, n, periodic, beta, mu, shift):
+    import mpmath
+
+    res, g, lift = _cli(capsys, "density", d, n, periodic, beta, "--mu", mu,
+                        shift)
+    _, want = mp_block_sums(
+        d, n, lambda h: 1 / mpmath.expm1(beta * (g(h) + lift - mu)),
+        periodic=periodic)
+    assert abs(res["density"] / want - 1) <= 1e-15
+
+
+MU_ORACLE = [(3, 4, True, 1.0, 0.5, None), (4, 5, True, 2.0, 0.3, 9.0),
+             (3, 4, True, 0.5, 1e5, None), (2, 6, False, 1.0, 2.0, None)]
+
+
+@pytest.mark.parametrize("d,n,periodic,beta,rho,shift", MU_ORACLE)
+def test_comb_mu_solve_within_rounding_of_40_digit_blocks(
+        capsys, d, n, periodic, beta, rho, shift):
+    # t = lift - mu solves sum w/(e^(beta(g + t)) - 1) = rho
+    import mpmath
+
+    res, g, lift = _cli(capsys, "mu-solve", d, n, periodic, beta, "--rho",
+                        rho, shift)
+    with mpmath.workdps(40):
+        gap = mpmath.findroot(lambda t: mp_block_sums(
+            d, n, lambda h: 1 / mpmath.expm1(beta * (g(h) + t)),
+            periodic=periodic)[1] - rho, (res["gap"], res["gap"] * (1 + 1e-9)))
+        assert abs(res["gap"] / gap - 1) <= 1e-15
+        assert abs(res["mu"] / (lift - gap) - 1) <= 1e-15
+    if rho == 1e5:
+        assert res["gap"] < 1e-8
 
 
 def test_two_point_limit_refuses_low_dimension():
@@ -689,6 +795,48 @@ def test_comb_sums_hold_one_chunk_at_a_time():
     cfg = CombRunConfig(d=3, beta=1.0, mu_schedule=("condensate_scaled", 1.0))
     peak = _traced_peak(lambda: sweep_row(cfg, 40, xi, xi))
     assert peak < 8e6
+
+
+def test_comb_density_and_mu_solve_hold_one_chunk_at_a_time(capsys,
+                                                           monkeypatch):
+    # the d=3 n=30 volume has 169,166 levels, 1.35 MB a full-size array, of
+    # which the sorted spectrum holds five; in chunks of 1,024 roots density
+    # holds none and mu-solve one, its energies, and neither sorts
+    d, n = 3, 30
+    top = CombFamily(d).spectrum(n)[0].max()
+    full = 8 * (CombVolume(d, n, True).a.size * (n + 1) + n)
+
+    def refused(self, n):
+        raise AssertionError("the sorted spectrum was built")
+
+    monkeypatch.setattr(CombFamily, "spectrum", refused)
+    monkeypatch.setattr(families, "_CHUNK", 1024)
+    argv = ["--family", "comb", "--param", "d=3", "--n", "30", "--beta", "1"]
+    for cmd, more, held in (("density", ["--mu", "-0.01"], 0),
+                            ("mu-solve", ["--rho", "0.5"], full)):
+        peak = _traced_peak(lambda: cli.main([cmd, *argv, *more]))
+        assert peak < held + full / 2, cmd
+        shift = json.loads(capsys.readouterr().out)["result"]["shift"]
+        assert shift.hex() == top.hex()
+
+
+@pytest.mark.parametrize("d,n", [(1, 4), (1, 7), (2, 2), (2, 3)])
+def test_free_base_density_and_mu_solve_match_dense_eigh(capsys, d, n):
+    # the free base takes the level path too (a = 2d - 2 gap)
+    lams = np.linalg.eigvalsh(CombFamily(d, periodic=False).matrix(n)
+                              .toarray())
+    argv = ["--family", "comb", "--param", "d=%d" % d, "--param",
+            "periodic=false", "--n", str(n), "--beta", "0.7"]
+    assert cli.main(["density", *argv, "--mu", "-0.1"]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["shift"] == pytest.approx(lams[-1], rel=1e-14)
+    h = res["shift"] - lams
+    assert res["density"] == pytest.approx(
+        float(np.mean(1.0 / np.expm1(0.7 * (h + 0.1)))), rel=1e-12)
+    assert cli.main(["mu-solve", *argv, "--rho", "0.5"]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    _, gap = thermo.solve_mu([(h, np.full(h.size, 1 / h.size))], 0.7, 0.5)
+    assert res["gap"] == pytest.approx(gap, rel=1e-12)
 
 
 @pytest.mark.parametrize("d,n,schedule", [

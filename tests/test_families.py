@@ -159,6 +159,11 @@ def test_comb_volume_orbits_match_the_grid(d, n, periodic):
     ours = np.sort(np.repeat(vol.a, vol.mult))
     assert np.max(np.abs(ours - np.sort(box_eigenvalues(d, n, periodic)))) \
         < 1e-13
+    # a = 2d - 2 gap, gap = sum_i (1 - cos) of each mode's angles
+    angles = (2 * np.pi / side if periodic else np.pi / (side + 1)) * vol.reps
+    assert np.allclose(vol.gap, (1 - np.cos(angles)).sum(1), rtol=1e-13,
+                       atol=1e-15)
+    assert np.allclose(vol.a, 2 * d - 2 * vol.gap, rtol=0, atol=1e-13)
     if not periodic:
         return
     # every grid mode x in its orbit (sorted |x|), its phase cos(theta x.D)

@@ -45,15 +45,15 @@ def test_bose_density_zero_gap_is_infinite():
     assert thermo.bose_density_arcsine(1.0, 0.0, shift=2.0) == math.inf
     # a finite volume has an atom at its bottom: mu there is refused
     with pytest.raises(thermo.ThermoError):
-        thermo.finite_volume_density([2.0, 1.0, 0.0], np.full(3, 1 / 3), 2.0,
-                                     1.0, 0.0)
+        thermo.finite_volume_density(
+            [(2.0 - np.array([2.0, 1.0, 0.0]), np.full(3, 1 / 3))], 1.0, 0.0)
 
 
 def test_bose_density_arcsine_vs_discrete():
     beta, mu = 1.0, -0.5
     closed = thermo.bose_density_arcsine(beta, mu, shift=2.0)
     vals = 2 * np.cos(np.pi * np.arange(1, 801) / 801.0)
-    disc = thermo.finite_volume_density(vals, np.full(800, 1 / 800), 2.0,
+    disc = thermo.finite_volume_density([(2.0 - vals, np.full(800, 1 / 800))],
                                         beta, mu)
     assert closed == pytest.approx(disc, abs=1e-3)
 
@@ -84,10 +84,10 @@ def test_solve_mu_round_trip():
     vals, w = CombFamily(1).spectrum(8)
     shift = 2 * math.sqrt(2)
     rho = 0.3
-    mu, gap = thermo.solve_mu(vals, w, shift, 1.0, rho)
+    mu, gap = thermo.solve_mu([(shift - vals, w)], 1.0, rho)
     assert mu < 0 or mu < float((shift - vals).min())
     assert gap == pytest.approx(float((shift - vals).min()) - mu, rel=1e-12)
-    back = thermo.finite_volume_density(vals, w, shift, 1.0, mu)
+    back = thermo.finite_volume_density([(shift - vals, w)], 1.0, mu)
     assert back == pytest.approx(rho, rel=1e-8)
 
 
@@ -117,7 +117,7 @@ def test_solve_mu_matches_a_40_digit_root(monkeypatch, name, params, n, beta,
     occupations = thermo._occupations
     monkeypatch.setattr(thermo, "_occupations",
                         lambda x: passes.append(x.size) or occupations(x))
-    mu, _ = thermo.solve_mu(vals, w, shift, beta, rho, tol=1e-10)
+    mu, _ = thermo.solve_mu([(shift - vals, w)], beta, rho, tol=1e-10)
     assert 1 <= len(passes) <= 12
     with mpmath.workdps(40):
         levels = [(mpmath.mpf(shift) - mpmath.mpf(v), mpmath.mpf(wi))
@@ -135,14 +135,14 @@ def test_solve_mu_matches_a_40_digit_root(monkeypatch, name, params, n, beta,
 
 def test_solve_mu_refusals():
     vals, w = CombFamily(1).spectrum(8)
-    shift = float(vals.max())
+    levels = [(float(vals.max()) - vals, w)]
     with pytest.raises(NumericFailure):
-        thermo.solve_mu(vals, w, shift, 1.0, 0.25, max_steps=1)
+        thermo.solve_mu(levels, 1.0, 0.25, max_steps=1)
     for rho in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(thermo.ThermoError):
-            thermo.solve_mu(vals, w, shift, 1.0, rho)
+            thermo.solve_mu(levels, 1.0, rho)
     with pytest.raises(thermo.ThermoError):
-        thermo.solve_mu(vals, w, shift, 0.0, 0.25)
+        thermo.solve_mu(levels, 0.0, 0.25)
 
 
 WATSON = (math.sqrt(6.0) / (32.0 * math.pi ** 3) * math.gamma(1 / 24)
