@@ -374,7 +374,7 @@ def cmd_density(args):
 def cmd_critical(args):
     from . import thermo
 
-    rho_c = thermo.critical_density_shifted(args.beta, args.gap)
+    rho_c = thermo.critical_density(args.beta, args.gap)
     result = {"beta": args.beta, "norm_gap": args.gap,
               "critical_density": rho_c}
     _emit(args, _manifest(args, "critical"), result)

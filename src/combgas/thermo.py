@@ -95,58 +95,6 @@ def e0_em(family, ns, mass_tol=2e-3, grid_points=400):
     return e0_lim, em, em - e0_lim
 
 
-def _bose_factor(x):
-    # 1/(e^x - 1), x > 0
-    if x > 700:
-        return 0.0
-    return 1.0 / math.expm1(x)
-
-
-def bose_density_arcsine(beta, mu, shift=2.0):
-    """Bose density for the chain measure dN(a) = da/(pi sqrt(4-a^2)).
-
-    With h = shift - a the substitution a = 2 cos(phi) gives
-    (1/pi) * integral_0^pi dphi / (e^{beta h} - 1), and
-    h = gap + 4 sin^2(phi/2) with gap = shift - 2 - mu, which does not
-    cancel as gap -> 0.  The integrand falls from its peak at phi = 0 over
-    a width sqrt(gap), so `quad` gets breakpoints at sqrt(gap)/10,
-    sqrt(gap) and 10 sqrt(gap) below pi.  An error estimate above
-    max(1e-13, 1e-12 * value) raises NumericFailure.
-    """
-    if beta <= 0:
-        raise ThermoError("beta must be positive")
-    gap = shift - 2.0 - mu
-    if gap < 0:
-        raise ThermoError("mu above the spectral bottom")
-    if gap == 0.0:
-        return INF  # 1/(h) ~ 1/phi^2 at the band edge is non-integrable
-
-    from scipy import integrate
-
-    def integrand(phi):
-        return _bose_factor(beta * (gap + 4.0 * math.sin(0.5 * phi) ** 2))
-
-    root = math.sqrt(gap)
-    points = [p for p in (0.1 * root, root, 10.0 * root) if p < math.pi]
-    val, err = integrate.quad(integrand, 0.0, math.pi, points=points,
-                              limit=400, epsabs=1e-13, epsrel=1e-12)
-    if not err <= max(1e-13, 1e-12 * val):
-        raise NumericFailure("arcsine Bose integral did not converge: value "
-                             "%r, error estimate %r" % (val, err))
-    return val / math.pi
-
-
-def critical_density_shifted(beta, norm_gap):
-    """Critical density of a perturbed chain via the shifted base measure.
-
-    A norm-raising perturbation shifts the effective chemical potential of
-    the unperturbed chain to -norm_gap = ||A_base|| - ||A_perturbed||.
-    """
-    if norm_gap <= 0:
-        raise ThermoError("norm_gap must be positive")
-    return bose_density_arcsine(beta, -norm_gap, shift=2.0)
-
-
 def _occupations(x):
     """Bose occupations 1/(e^x - 1) of the array x > 0; 0 where x >= 700,
     whose occupation is below 1e-304."""
@@ -225,19 +173,21 @@ LOG_STEP = 0.125   # h: the discretisation error is about e^(-pi^2/h) = 5e-35
 LOG_RULE_TOL = 1e-12
 
 
-def log_trapezoid(integrand, u_max, decay=None):
+def log_trapezoid(integrand, u_max, decay=None, step=LOG_STEP):
     """Integral over t in (0, inf) of integrand(t), with its error estimate.
 
     The trapezoid rule in u = log t: t*integrand(t) is summed at the nodes
-    u = u_0 + k*LOG_STEP up to u_max, an even number of steps, from
-    u_0 = min(LOG_T0, u_max - 45).  For the
-    lattice integrands, analytic in |Im u| < pi/2 and decaying at both ends,
-    it converges exponentially in 1/h (Trefethen & Weideman, SIAM Rev. 56,
-    2014).  `integrand` maps the node array to an array (..., nodes), so
-    several integrals share one pass.  With `decay` p > 0, t*integrand(t)
-    is taken to fall like t^-p beyond the last node, and the nodes beyond it
-    are summed as a geometric series: the rule then stops at u_max for an
-    integrand that cannot be evaluated further out.
+    u = u_0 + k*step up to u_max, an even number of steps, from
+    u_0 = min(LOG_T0, u_max - 45).  For an integrand analytic in
+    |Im u| < a and decaying at both ends, the error is about
+    e^(-2 pi a/step) (Trefethen & Weideman, SIAM Rev. 56, 2014): the
+    lattice integrands have a = pi/2, which the default step LOG_STEP
+    serves; a narrower strip needs a smaller step.  `integrand` maps the
+    node array to an array (..., nodes), so several integrals share one
+    pass.  With `decay` p > 0, t*integrand(t) is taken to fall like t^-p
+    beyond the last node, and the nodes beyond it are summed as a geometric
+    series: the rule then stops at u_max for an integrand that cannot be
+    evaluated further out.
 
     The estimate is |T_h - T_2h|, the coarse rule read from every other
     node.  Returns (value, estimate), arrays of the integrand's leading
@@ -245,21 +195,64 @@ def log_trapezoid(integrand, u_max, decay=None):
     raises NumericFailure.
     """
     u_0 = min(LOG_T0, u_max - 45.0)
-    steps = 2 * int((u_max - u_0) // (2 * LOG_STEP))
-    t = np.exp(u_0 + LOG_STEP * np.arange(steps + 1))
+    steps = 2 * int((u_max - u_0) // (2 * step))
+    t = np.exp(u_0 + step * np.arange(steps + 1))
     y = t * integrand(t)
     fine = y.sum(axis=-1)
     coarse = 2.0 * y[..., ::2].sum(axis=-1)
     if decay is not None:
-        ratio = math.exp(-decay * LOG_STEP)
+        ratio = math.exp(-decay * step)
         fine += y[..., -1] * ratio / (1.0 - ratio)
         coarse += 2.0 * y[..., -1] * ratio ** 2 / (1.0 - ratio ** 2)
-    value = LOG_STEP * fine
-    estimate = LOG_STEP * np.abs(fine - coarse)
+    value = step * fine
+    estimate = step * np.abs(fine - coarse)
     if not np.all(estimate <= LOG_RULE_TOL * np.maximum(1.0, np.abs(value))):
-        raise NumericFailure("Green integral did not converge: value %r, "
-                             "error estimate %r" % (value, estimate))
+        raise NumericFailure("log-t trapezoid rule did not converge: value "
+                             "%r, error estimate %r" % (value, estimate))
     return value, estimate
+
+
+def critical_density(beta, gap):
+    """Critical density of a chain whose perturbation raises the norm by
+    gap: the Bose density of the chain measure dN(a) = da/(pi sqrt(4-a^2))
+    at energies h = 2 + gap - a.
+
+    With a = 2 cos(phi) and t = tan(phi/2) it is (2/pi) times the integral
+    over t > 0 of n(beta (gap + 4t^2/(1 + t^2)))/(1 + t^2), n(x) =
+    1/(e^x - 1): `log_trapezoid` in t/s, s = min(1, sqrt(gap)/2) the width
+    of the peak at t = 0, up to t = e^20, past which t times the integrand
+    falls like 1/t.  The poles of n(beta h), at beta h = 2 pi i k, approach
+    |Im log t| = pi/4 as beta grows, half the lattice integrands' strip, so
+    the step is LOG_STEP/2: the same error e^(-pi^2/LOG_STEP).
+
+    gap = 0 gives inf (1/phi^2 at the band edge is not integrable); a
+    negative gap, or beta*gap below the normal doubles, raises ThermoError.
+    """
+    if beta <= 0:
+        raise ThermoError("beta must be positive")
+    if gap < 0:
+        raise ThermoError("gap must not be negative")
+    if gap == 0.0:
+        return INF
+    x_0 = beta * gap  # the least argument of n
+    if not x_0 >= np.finfo(float).tiny:
+        raise ThermoError("beta * gap below the double range")
+    if x_0 >= 700:
+        return 0.0  # as `_occupations` takes every n(x >= 700)
+    s = min(1.0, 0.5 * math.sqrt(gap))
+
+    def integrand(tau):
+        # times x_0/s, so that x_0 n(x) <= x_0/x <= 1 keeps every term
+        # below 1; beta 4t^2 as w^2 keeps t^2 out of the subnormals
+        t = s * tau
+        w = 2.0 * math.sqrt(beta) * t
+        with np.errstate(over="ignore"):  # x = inf only where n(x) = 0
+            x = x_0 + w * (w / (1.0 + t * t))
+        return (2.0 / math.pi) / (1.0 + t * t) * (x_0 * _occupations(x))
+
+    val, _ = log_trapezoid(integrand, 20.0 - math.log(s), decay=1.0,
+                           step=LOG_STEP / 2)
+    return float(val) * (s / x_0)
 
 
 def green_lattice(d):

@@ -280,7 +280,7 @@ def test_criterion_07_comb_condensation_limit():
 
 
 def test_criterion_08_density_at_the_limit():
-    target = thermo.critical_density_shifted(1.0, 2 * math.sqrt(10) - 2)
+    target = thermo.critical_density(1.0, 2 * math.sqrt(10) - 2)
     errs = {}
     for c in (0.5, 2.0):
         cfg = CombRunConfig(d=3, beta=1.0,
@@ -313,7 +313,7 @@ def test_criterion_09_low_dimensional_failure():
 
 
 def test_criterion_10_fixed_density_pathology():
-    rho = thermo.critical_density_shifted(1.0, 2 * math.sqrt(10) - 2) + 0.1
+    rho = thermo.critical_density(1.0, 2 * math.sqrt(10) - 2) + 0.1
     xi = FockVector.delta((0, 0, 0), 0)
     ns = [4, 6, 8, 10, 12, 14]
     mus, terms = [], []

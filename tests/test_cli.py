@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -417,7 +418,7 @@ def test_errors_outside_the_two_bases_propagate(capsys, monkeypatch, exc):
     def broken(beta, gap):
         raise exc
 
-    monkeypatch.setattr(thermo, "critical_density_shifted", broken)
+    monkeypatch.setattr(thermo, "critical_density", broken)
     with pytest.raises(type(exc)):
         main(["critical", "--beta", "1", "--gap", "1"])
     assert capsys.readouterr() == ("", "")
@@ -432,7 +433,7 @@ def test_the_two_bases_set_the_exit_code(capsys, monkeypatch, exc, code,
     def failing(beta, gap):
         raise exc
 
-    monkeypatch.setattr(thermo, "critical_density_shifted", failing)
+    monkeypatch.setattr(thermo, "critical_density", failing)
     assert main(["critical", "--beta", "1", "--gap", "1"]) == code
     assert capsys.readouterr() == ("", stderr)
 
@@ -480,6 +481,34 @@ def test_critical(capsys):
     assert code == 0
     assert doc["result"]["critical_density"] == pytest.approx(
         0.0041211512824647, abs=1e-10)
+
+
+# 40-digit values, from the recipe of test_thermo.CRITICAL_DENSITY
+@pytest.mark.parametrize("beta,gap,want", [
+    ("1", "1e-16", 49999999.645128278492),
+    ("1", "1e-20", 4999999999.6451284157),
+    ("1", "1e-100", 4.99999999999999995e+49),
+    ("1", "1e-300", 4.9999999999999999374e+149),
+    ("1000", "1e-16", 49999.986974188224429),
+])
+def test_critical_at_tiny_gaps(capsys, beta, gap, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["critical", "--beta", beta, "--gap", gap])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert abs(json.loads(out)["result"]["critical_density"] - want) <= (
+        1e-13 * want)
+
+
+@pytest.mark.parametrize("beta,gap", [("1", "1e-320"), ("1e-200", "1e-200")])
+def test_critical_refuses_beta_gap_below_the_double_range(capsys, beta, gap):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["critical", "--beta", beta, "--gap", gap])
+    assert code == 1
+    assert capsys.readouterr() == (
+        "", "input error: beta * gap below the double range\n")
 
 
 def test_bec_sweep_and_limit(capsys):
@@ -676,6 +705,20 @@ def test_norm_and_secular_commands_import_no_scipy():
         "    assert main(argv + ['--out', '/dev/null']) == 0, argv\n"
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
         "       or m == 'combgas.resolvent'])\n")
+    assert _fresh_stdout(script).strip() == "[]"
+
+
+def test_critical_imports_no_scipy():
+    # the critical density is a numpy trapezoid rule, as the Green integrals
+    # are
+    script = (
+        "import sys\n"
+        "from combgas.cli import main\n"
+        "for beta, gap in (('1', '4.3245553'), ('50', '1e-3'),\n"
+        "                  ('1', '1e-300')):\n"
+        "    assert main(['critical', '--beta', beta, '--gap', gap,\n"
+        "                 '--out', '/dev/null']) == 0\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
     assert _fresh_stdout(script).strip() == "[]"
 
 

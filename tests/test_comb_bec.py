@@ -629,14 +629,14 @@ def test_density_finite_and_limit():
     assert rho > 0
     cfg = CombRunConfig(d=3, beta=1.0, mu_schedule=("condensate_scaled", 1.0))
     limit, unc, seq = density_limit(cfg, ns=[6, 8, 10, 12])
-    target = thermo.critical_density_shifted(1.0, 2 * math.sqrt(10) - 2)
+    target = thermo.critical_density(1.0, 2 * math.sqrt(10) - 2)
     assert limit == pytest.approx(target, abs=5e-3)
 
 
 def test_fixed_density_mu_and_projection():
     from combgas import thermo
 
-    rho = thermo.critical_density_shifted(1.0, 2 * math.sqrt(10) - 2) + 0.1
+    rho = thermo.critical_density(1.0, 2 * math.sqrt(10) - 2) + 0.1
     mu = fixed_density_mu(3, 6, 1.0, rho)
     assert mu < 0
     xi = FockVector.delta((0, 0, 0), 0)

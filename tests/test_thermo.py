@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def test_hidden_gap_consistency_with_secular():
 
 
 def test_bose_density_zero_gap_is_infinite():
-    assert thermo.bose_density_arcsine(1.0, 0.0, shift=2.0) == math.inf
+    assert thermo.critical_density(1.0, 0.0) == math.inf
     # a finite volume has an atom at its bottom: mu there is refused
     with pytest.raises(thermo.ThermoError):
         thermo.finite_volume_density(
@@ -51,7 +52,7 @@ def test_bose_density_zero_gap_is_infinite():
 
 def test_bose_density_arcsine_vs_discrete():
     beta, mu = 1.0, -0.5
-    closed = thermo.bose_density_arcsine(beta, mu, shift=2.0)
+    closed = thermo.critical_density(beta, -mu)
     vals = 2 * np.cos(np.pi * np.arange(1, 801) / 801.0)
     disc = thermo.finite_volume_density([(2.0 - vals, np.full(800, 1 / 800))],
                                         beta, mu)
@@ -70,13 +71,123 @@ def test_bose_density_arcsine_near_the_band_edge(gap):
     want = mpmath.quad(
         lambda p: 1 / mpmath.expm1(g + 4 * mpmath.sin(p / 2) ** 2),
         [0, root / 10, root, 10 * root, mpmath.pi]) / mpmath.pi
-    got = thermo.bose_density_arcsine(1.0, -gap)
+    got = thermo.critical_density(1.0, gap)
     assert abs(got - want) < 1e-13 * want
 
 
+# The critical density at (beta, gap): 40-digit values of
+#   (2/pi) int_0^inf dt / ((1 + t^2) expm1(beta (gap + 4t^2/(1 + t^2)))),
+# with f the integrand times e^(beta gap), so that quad's error stays
+# relative where the density is below 1e-90, and s = sqrt(gap)/2:
+#   e^(-beta gap) 2/pi mp.quad(f, [0] + sorted({s/4 * 4^k < top} |
+#       {m/sqrt(beta) < top for m in (1/4, 1, 4, 16)}) + [top, mp.inf])
+# with top = 64 max(1, 1/sqrt(beta)).  The values at mp.dps = 40 and 55
+# agree to 6e-41 relative.
+CRITICAL_DENSITY = {
+    (0.05, 1e-10): 999999.50831736363975,
+    (0.05, 1e-06): 9999.5070798681106545,
+    (0.05, 0.001): 315.69657898338763317,
+    (0.05, 0.1): 30.743498585393197736,
+    (0.05, 1.0): 8.4567641065088145859,
+    (0.05, 4.3245553): 2.8596353086427051455,
+    (0.5, 1e-10): 99999.580099927349502,
+    (0.5, 1e-06): 999.57997621623672822,
+    (0.5, 0.001): 31.198964537927310587,
+    (0.5, 0.1): 2.7074542268541878435,
+    (0.5, 1.0): 0.51241203132313232614,
+    (0.5, 4.3245553): 0.058086654252701588154,
+    (1.0, 1e-10): 49999.645127653600354,
+    (1.0, 1e-06): 499.64506584483870365,
+    (1.0, 0.001): 15.454606754297036484,
+    (1.0, 0.1): 1.2134442507540873211,
+    (1.0, 1.0): 0.15373272088752856426,
+    (1.0, 4.3245553): 0.0041211513670294939777,
+    (2.0, 1e-10): 24999.726617336145334,
+    (2.0, 1e-06): 249.72658649417617175,
+    (2.0, 0.001): 7.6314192929569662968,
+    (2.0, 0.1): 0.51690143736244234607,
+    (2.0, 1.0): 0.030968680054572894023,
+    (2.0, 4.3245553): 3.6288257964098997955e-5,
+    (5.0, 1e-10): 9999.8200173841690674,
+    (5.0, 1e-06): 99.820005150572471444,
+    (5.0, 0.001): 2.9820413281830944129,
+    (5.0, 0.1): 0.14603138866375886776,
+    (5.0, 1.0): 8.6543277710843421166e-4,
+    (5.0, 4.3245553): 5.1998595018058808582e-11,
+    (20.0, 1e-10): 2499.9084020236254665,
+    (20.0, 1e-06): 24.908399197721689931,
+    (20.0, 0.001): 0.69914020876184854697,
+    (20.0, 0.1): 0.0094844212134519937602,
+    (20.0, 1.0): 1.3042625597631016361e-10,
+    (20.0, 4.3245553): 1.7323857212053903614e-39,
+    (50.0, 1e-10): 999.94187092475627393,
+    (50.0, 1e-06): 9.9418701054908322193,
+    (50.0, 0.001): 0.25847616823230965875,
+    (50.0, 0.1): 2.7043171185616034111e-4,
+    (50.0, 1.0): 7.7042715500145791433e-24,
+    (50.0, 4.3245553): 4.9537091408877980212e-96,
+    (0.05, 1e-16): 999999999.50832980615,
+    (0.05, 1e-20): 99999999999.508327055,
+    (0.05, 1e-100): 9.9999999999999993449e+50,
+    (0.05, 1e-300): 9.9999999999999993196e+150,
+    (1.0, 1e-16): 49999999.645128278492,
+    (1.0, 1e-20): 4999999999.6451284157,
+    (1.0, 1e-100): 4.99999999999999995e+49,
+    (1.0, 1e-300): 4.9999999999999999374e+149,
+    (50.0, 1e-16): 999999.94187093721242,
+    (50.0, 1e-20): 99999999.941870939957,
+    (50.0, 1e-100): 9.9999999999999999e+47,
+    (50.0, 1e-300): 9.9999999999999998747e+147,
+    (1000.0, 1e-16): 49999.986974188224429,
+    (1000.0, 1e-20): 4999999.9869741883616,
+    (1000.0, 1e-100): 4.99999999999999995e+46,
+    (1000.0, 1e-300): 4.9999999999999999374e+146,
+}
+
+
+@pytest.mark.parametrize("beta,gap", sorted(CRITICAL_DENSITY))
+def test_critical_density_matches_40_digit_values(monkeypatch, beta, gap):
+    rule = thermo.log_trapezoid
+    seen = []
+
+    def recording(*args, **kwargs):
+        value, estimate = rule(*args, **kwargs)
+        seen.append((value, estimate))
+        return value, estimate
+
+    monkeypatch.setattr(thermo, "log_trapezoid", recording)
+    want = CRITICAL_DENSITY[beta, gap]
+    assert abs(thermo.critical_density(beta, gap) - want) <= 1e-13 * want
+    [(value, estimate)] = seen
+    assert estimate <= min(thermo.LOG_RULE_TOL, 1e-13 * value)
+
+
+@pytest.mark.parametrize("beta,gap", [(0.0, 1.0), (1.0, -1e-3)])
+def test_critical_density_refuses_outside_its_range(beta, gap):
+    # argparse stops these before `critical`; beta * gap below the normal
+    # doubles is refused through the CLI (test_cli)
+    with pytest.raises(thermo.ThermoError):
+        thermo.critical_density(beta, gap)
+
+
+@pytest.mark.parametrize("beta,gap,want", [
+    (1e-308, 3.0, 1 / (1e-308 * math.sqrt(21.0))),  # sums stay below 1
+    (1e308, 1e-306, None),                          # x overflows, n = 0
+    (1e200, 1e200, 0.0),                            # beta * gap = inf
+    (1e20, 1e-320, 0.5e-20 / math.sqrt(1e-320)),    # subnormal gap
+])
+def test_critical_density_at_the_ends_of_the_double_range(beta, gap, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = thermo.critical_density(beta, gap)
+    assert math.isfinite(got)
+    if want is not None:
+        assert got == pytest.approx(want, rel=1e-9)
+
+
 def test_critical_density_shifted_monotone():
-    v1 = thermo.critical_density_shifted(1.0, 0.5)
-    v2 = thermo.critical_density_shifted(1.0, 1.5)
+    v1 = thermo.critical_density(1.0, 0.5)
+    v2 = thermo.critical_density(1.0, 1.5)
     assert 0 < v2 < v1
 
 
