@@ -3,7 +3,8 @@
 Every run emits a manifest (command, inputs, tolerances, version) alongside
 the results so identical invocations can be reproduced byte for byte.  JSON
 reports carry the manifest under "manifest"; CSV output prepends it as a
-single '#'-prefixed comment line.
+single '#'-prefixed comment line.  A report goes out piece by piece as it is
+made, its float columns in the blocks of `floattext.blocks`.
 
 Exit codes: 0 ok, 1 input error (an OSError on --input/--out, a bad
 argument, or a `DomainError` from the modules), 2 numeric failure (a
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -85,18 +87,17 @@ def _manifest(args, command, extra=None):
 
 def _json(obj, end=""):
     """`obj` as json.dumps(obj, sort_keys=True, indent=2, allow_nan=True)
-    writes it, then `end`, with 1-D float64 arrays written as lists.
+    writes it, then `end`, in pieces (`_stream`), 1-D float64 arrays as lists.
 
     Containers are laid out here, array entries come from
-    `floattext.join`, and scalars are written as the json encoder writes
+    `floattext.blocks`, and scalars are written as the json encoder writes
     them: strings by its ASCII escaper, floats by float.__repr__ with NaN
-    and Infinity, ints by int.__repr__.  The pieces go to one list, joined
-    once.
+    and Infinity, ints by int.__repr__.
     """
     out = []
     _json_pieces(obj, "", out)
     out.append(end)
-    return "".join(out)
+    return _stream(out)
 
 
 def _json_pieces(obj, pad, out):
@@ -114,7 +115,7 @@ def _json_pieces(obj, pad, out):
     elif isinstance(obj, np.ndarray):
         child = pad + "  "
         # every entry but the last ends in the separator: no text is cut
-        head = floattext.join([obj[:-1]], "json", end=",\n" + child)
+        head = floattext.blocks([obj[:-1]], "json", end=",\n" + child)
         if obj.size:
             out += ["[\n" + child, head, floattext.one(float(obj[-1]), "json"),
                     "\n" + pad + "]"]
@@ -150,30 +151,52 @@ def _json_pieces(obj, pad, out):
                         % type(obj).__name__)
 
 
-def _emit(args, manifest, result, csv_text=None):
+def _stream(pieces):
+    """The ASCII bytes of `pieces`, each a str or an iterable of
+    `floattext.blocks`: each run of str as one, the blocks as made."""
+    for kind, run in itertools.groupby(pieces, type):
+        if kind is str:
+            yield "".join(run).encode("ascii")
+        else:
+            for blocks in run:
+                yield from blocks
+
+
+def _emit(args, manifest, result, csv=None):
+    """Write the report piece by piece (`_stream`), to --out or decoded to
+    stdout: JSON, or a '#' manifest line and the pieces `csv`."""
     if args.format == "csv":
-        if csv_text is None:
+        if csv is None:
             raise InputError("this command has no CSV form; use --format json")
-        text = "# manifest: %s\n%s" % (
-            json.dumps(manifest, sort_keys=True), csv_text)
+        pieces = _stream(["# manifest: %s\n" % json.dumps(
+            manifest, sort_keys=True), *csv])
     else:
-        text = _json({"manifest": manifest, "result": result}, "\n")
-    if args.out:  # ASCII: the JSON writers escape every other character
-        _write_file(args.out, text.encode("ascii"))
+        pieces = _json({"manifest": manifest, "result": result}, "\n")
+    if args.out:
+        _write_file(args.out, pieces)
     else:
-        sys.stdout.write(text)
+        for piece in pieces:
+            sys.stdout.write(str(piece, "ascii"))
 
 
-def _write_file(path, data):
-    """Write the bytes `data` to `path`, created or truncated, with
-    os.write calls alone: no buffered file object."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+def _write_file(path, pieces):
+    """Write the pieces of `_stream` to `path` with os.write calls alone, no
+    buffered file object: over what the file holds, then cut to the pieces
+    written (cheaper than truncating it to zero first)."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    size = 0
     try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
+        for piece in pieces:
+            view = memoryview(piece)
+            while view:
+                view = view[os.write(fd, view):]
+            size += len(piece)
     finally:
-        os.close(fd)
+        try:
+            if os.fstat(fd).st_size > size:  # not for /dev/null or a pipe
+                os.ftruncate(fd, size)
+        finally:
+            os.close(fd)
 
 
 def _parse_fock(items, d):
@@ -295,15 +318,10 @@ def cmd_spectrum(args):
     name, fam = _resolve_family(args)
     n = args.n
     vals, weights = fam.spectrum(n)  # ascending
-    result = csv_text = None
-    if args.format == "csv":
-        csv_text = "eigenvalue,weight\n" + floattext.join([vals, weights],
-                                                          "csv")
-    else:
-        result = {"family": name, "n": n, "eigenvalues": vals,
-                  "weights": weights}
+    result = {"family": name, "n": n, "eigenvalues": vals, "weights": weights}
+    csv = ["eigenvalue,weight\n", floattext.blocks([vals, weights], "csv")]
     _emit(args, _manifest(args, "spectrum", {"family": args.family, "n": n}),
-          result, csv_text)
+          result, csv)
     return EXIT_OK
 
 
@@ -328,16 +346,13 @@ def cmd_ids(args):
     vals, weights = fam.spectrum(args.n)
     shift = float(vals.max()) if args.shift is None else args.shift
     measure = thermo.ids_from_spectrum(vals, weights, shift)
-    result = csv_text = None
-    if args.format == "csv":
-        # np.cumsum adds in order: the bits of itertools.accumulate
-        csv_text = "energy,cumulative_mass\n" + floattext.join(
-            [measure.points, np.cumsum(measure.weights)], "csv")
-    else:
-        result = {"family": name, "n": args.n, "shift": shift,
-                  "points": measure.points, "weights": measure.weights}
+    result = {"family": name, "n": args.n, "shift": shift,
+              "points": measure.points, "weights": measure.weights}
+    # np.cumsum adds in order: the bits of itertools.accumulate
+    csv = ["energy,cumulative_mass\n", floattext.blocks(
+        [measure.points, np.cumsum(measure.weights)], "csv")]
     _emit(args, _manifest(args, "ids", {"family": args.family, "n": args.n}),
-          result, csv_text)
+          result, csv)
     return EXIT_OK
 
 
@@ -423,9 +438,8 @@ def cmd_bec(args):
             code = EXIT_DIVERGENT
         else:
             result["limit"] = cb.two_point_limit(cfg, xi=xi, eta=eta)
-    csv_text = cb.sweep_csv(rows) if args.format == "csv" else None
-    _emit(args, _manifest(args, "bec", {"d": d, "n": args.n}), result,
-          csv_text)
+    csv = [cb.sweep_csv(rows)] if args.format == "csv" else None
+    _emit(args, _manifest(args, "bec", {"d": d, "n": args.n}), result, csv)
     return code
 
 

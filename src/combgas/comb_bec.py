@@ -440,14 +440,16 @@ def level_energies(d, n, periodic=True, keep=False):
     chunk, that level's energy h_min = h[n] there, and (g, w) per chunk of
     `_levels`: the energies g = h - h_min = top - lam, each to its own
     rounding where top - lam would lose ulp(||A||), and their weights.
-    levels solves one chunk at a time; with keep it holds every chunk's g
-    and can be gone over again, each pass taking `CombVolume.weights`."""
+    levels solves one chunk at a time; with keep it holds every chunk's g,
+    with the kept w of a one-chunk volume, and can be gone over again."""
     vol = comb_volume(d, n, periodic)
     chunks = _levels(vol, lambda h: h)
     eig, _, h, _ = first = next(chunks)
     top, h_min = float(eig.even[0, 0]), float(h[n])
     levels = ((h - h_min, blk, w)
               for _, blk, h, w in itertools.chain([first], chunks))
+    if keep and vol.one_chunk():
+        return top, h_min, [(g, w) for g, _, w in levels]
     if keep:
         return top, h_min, _Held(vol, ((g, blk) for g, blk, _ in levels))
     return top, h_min, ((g, w) for g, _, w in levels)

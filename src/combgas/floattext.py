@@ -1,24 +1,24 @@
 """Exact text of float64 arrays, byte for byte as the standard library
 writes each value, made over whole arrays with numpy alone.
 
-`join` writes the rows of one or more float64 columns.  Each distinct
-value (by bit pattern, so -0.0 keeps its sign) is written once, as
-`float.__repr__` writes it for "json" (with `NaN`, `Infinity` and
-`-Infinity`, as the json module writes them) or as `'%.17g'` writes it for
-"csv".
+`blocks` writes the rows of float64 columns, 4096 at a time, in one row
+buffer.  Each distinct value (by bit pattern, so -0.0 keeps its sign) of a
+block is written once, as `float.__repr__` writes it for "json" (with
+`NaN`, `Infinity` and `-Infinity`, as the json module writes them) or as
+`'%.17g'` writes it for "csv".
 
-Finite values with 1e-6 < |x| < 1e15 are converted by an exact kernel,
-4096 at a time.  The decimal exponent k of |x| comes from `log10` and is
-corrected exactly; the scale 10^(16-k) is an exact double (k >= -6), and
-the product |x|·10^(16-k) = hi + lo is error-free (Veltkamp's split and
-Dekker's product, Dekker 1971), so its 17-digit rounding, half to even,
-is exact too.  The shortest repr is the 15-, else the 16-, else the
-17-digit significand (`_shortest`).  The text is gathered from the
-digits by one layout per sign and exponent, which carries repr's and %g's
-rules (fixed or exponent notation, "2.0" against "2"); bytes a text does
-not use are NUL, and `join` drops them in one pass.  Zero, non-finite,
-subnormal and out-of-range values (a few per comb volume) are written one
-at a time by the standard library.
+Finite values with 1e-6 < |x| < 1e15 are converted by an exact kernel.
+The decimal exponent k of |x| comes from `log10` and is corrected exactly;
+the scale 10^(16-k) is an exact double (k >= -6), and the product
+|x|·10^(16-k) = hi + lo is error-free (Veltkamp's split and Dekker's
+product, Dekker 1971), so its 17-digit rounding, half to even, is exact
+too.  The shortest repr is the 15-, else the 16-, else the 17-digit
+significand (`_shortest`).  The text is gathered from the digits, four
+groups of four from one table, by one layout per sign and exponent, which
+carries repr's and %g's rules (fixed or exponent notation, "2.0" against
+"2"); bytes a text does not use are NUL, and `blocks` drops them in one
+pass per block.  Zero, non-finite, subnormal and out-of-range values (a
+few per comb volume) are written one at a time by the standard library.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ def _times_pow10(a, a_hi, a_lo, p):
     return hi, lo
 
 
-def _significand(a):
-    """(k, m, big, lo): the decimal exponent k of a, its 17-digit
-    significand m (int64, ties to even; 10^17 when a rounds up to
-    10^(k+1)), and the parts of a·10^(16-k) = m - big + lo."""
+def _significand(a, fmt):
+    """(k, m): the decimal exponent k of a and its 17-digit significand m
+    (int64, ties to even; 10^17 when a rounds up to 10^(k+1)), for "json"
+    the shortest repr's (`_shortest`, from a·10^(16-k) = m - big + lo)."""
     a_hi, a_lo = _split(a)
     k = np.clip(np.floor(np.log10(a)).astype(np.intp), _KMIN, _KMAX - 1)
     hi, lo = _times_pow10(a, a_hi, a_lo, 16 - k)
@@ -66,7 +66,8 @@ def _significand(a):
     # hi + lo >= 10^16 > 2^53, so hi is an even integer and the 17 digits
     # are hi + rint(lo), rint's ties to even
     big = np.rint(lo)
-    return k, hi.astype(np.int64) + big.astype(np.int64), big, lo
+    m = hi.astype(np.int64) + big.astype(np.int64)
+    return k, _shortest(a, k, m, big, lo) if fmt == "json" else m
 
 
 def _shortest(a, k, m, big, lo):
@@ -129,56 +130,54 @@ def _layouts(fmt):
     rows, dp, pad = zip(*(_layout(fmt, neg, k) for neg in (0, 1)
                           for k in range(_KMIN, _KMAX + 1)))
     span = _KMAX - _KMIN + 1
-    return np.array(rows), np.array(dp[:span]), np.array(pad[:span])
+    return (np.array(rows), np.array(dp[:span], dtype=np.uint8),
+            np.array(pad[:span], dtype=np.uint8))
 
 
 _LAYOUTS = {fmt: _layouts(fmt) for fmt in ("json", "csv")}
-# the two ASCII digits of each pair 00..99 as one uint16, the divisors
-# that cut 8 digits into pairs, and the place of each digit after the first
-_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)),
-                       dtype=np.uint16)
-_PAIR_DIV = np.array([1e6, 1e4, 1e2, 1.0])[:, None]
+# the four ASCII digits of each group 0000..9999 as one uint32, and for
+# group i of the 16 digits after the first, the place of its last nonzero
+# digit: 4i + 4 less the group's trailing zeros (0 for 0000)
 _PLACE = np.arange(1, 17, dtype=np.uint8)[:, None]
+_GROUP = np.arange(10000, dtype=np.int16)
+_GROUPS = (48 + _GROUP[:, None] // _GROUP[[1000, 100, 10, 1]] % 10).astype(
+    np.uint8).view(np.uint32)[:, 0]
+_LAST = np.where(_GROUP > 0, _PLACE[3::4] - sum(
+    (_GROUP % 10 ** p == 0 for p in (1, 2, 3)), np.uint8(0)), 0)
 
 
-def _kernel(x, fmt):
-    """Text rows (len(x), _WIDTH) of finite x, 1e-6 < |x| < 1e15, sorted by
-    bit pattern."""
-    a = np.abs(x)
-    k, m, big, lo = _significand(a)
-    if fmt == "json":
-        m = _shortest(a, k, m, big, lo)
+def _kernel(x, fmt, out):
+    """Write the texts of finite x, 1e-6 < |x| < 1e15, NUL-padded, into the
+    rows of out (len(x), _WIDTH); fastest in runs of one sign and k."""
+    k, m = _significand(np.abs(x), fmt)
     carry = m == 10 ** 17  # rounded up to the next power of ten
     m = np.where(carry, 10 ** 16, m)
     k = k + carry
-    # the 17 digits, one source row each: the first, then 8 pairs cut in
-    # doubles (exact below 10^8)
+    # the first digit, then the rest in 4 groups of 4 digits
     n = x.size
-    lead = m // 10 ** 16
-    rest = m - lead * 10 ** 16
-    halves = np.empty((2, 1, n))
-    halves[0, 0] = rest // 10 ** 8
-    halves[1, 0] = rest - halves[0, 0].astype(np.int64) * 10 ** 8
-    heads = np.floor(halves / _PAIR_DIV)  # the first 2, 4, 6, 8 digits
-    heads[:, 1:] -= 100.0 * heads[:, :-1]
-    pairs = _PAIRS.take(heads.reshape(8, n).astype(np.intp))
+    groups = np.empty((4, n), dtype=np.intp)
+    groups[1] = m // 10 ** 8
+    groups[3] = m - groups[1] * 10 ** 8
+    lead = groups[1] // 10 ** 8
+    groups[1] -= lead * 10 ** 8
+    groups[0::2] = groups[1::2] // 10 ** 4
+    groups[1::2] -= groups[0::2] * 10 ** 4
     src = np.empty((_POINT + 1 + _CONSTS.size, n), dtype=np.uint8)
     src[0] = lead + 48
-    src[1:17].reshape(8, 2, n).transpose(0, 2, 1)[...] = \
-        pairs.view(np.uint8).reshape(8, n, 2)
+    src[1:17].reshape(4, 4, n)[...] = _GROUPS.take(groups).view(
+        np.uint8).reshape(4, n, 4).transpose(0, 2, 1)
     src[_POINT + 1:] = _CONSTS[:, None]
     rows, dp, pad = _LAYOUTS[fmt]
-    nd = 1 + ((src[1:17] != 48) * _PLACE).max(axis=0)
+    nd = 1 + np.maximum.reduce([t.take(g) for t, g in zip(_LAST, groups)])
     dp, pad = dp[k - _KMIN], pad[k - _KMIN]
-    src[:17] *= np.arange(17)[:, None] < np.maximum(nd, dp + pad)
+    src[1:17] *= _PLACE < np.maximum(nd, dp + pad)
     src[_POINT] = np.where((nd > dp) | (pad == 1), 46, 0)
-    # values sorted by bit pattern come in runs of one sign and one k
+    # sorted values (by value or by bit pattern) come in runs of one sign
+    # and one k
     key = (x < 0) * (_KMAX - _KMIN + 1) + (k - _KMIN)
     cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
-    out = np.empty((n, _WIDTH), dtype=np.uint8)
     for start, stop in zip([0, *cuts.tolist()], [*cuts.tolist(), n]):
         out[start:stop] = src[rows[key[start]], start:stop].T
-    return out
 
 
 def one(value, fmt):
@@ -189,24 +188,24 @@ def one(value, fmt):
     return _JSON_NONFINITE.get(text, text)
 
 
-def _texts(values, fmt, tail):
-    """Text rows (len(values), _WIDTH + len(tail)) of a 1-D float64 array:
-    each text NUL-padded to _WIDTH, then the bytes `tail`.  Fastest in
-    runs of one sign and exponent, as `join` gives them."""
-    out = np.empty((values.size, _WIDTH + len(tail)), dtype=np.uint8)
-    out[:, _WIDTH:] = np.frombuffer(tail, dtype=np.uint8)
+def _cells(values, fmt, out=None):
+    """Write the texts of a 1-D float64 array, NUL-padded, into the rows of
+    out (values.size, _WIDTH), or a new array: the kernel on the values in
+    its domain, the standard library on the others.  Returns out as one
+    item per text, which `take` moves whole."""
+    if out is None:
+        out = np.empty((values.size, _WIDTH), dtype=np.uint8)
     a = np.abs(values)
     inside = (a > _LOW) & (a < _HIGH)  # False for NaN
-    idx = np.flatnonzero(inside)
-    for start in range(0, idx.size, _CHUNK):
-        part = idx[start:start + _CHUNK]
-        out[part, :_WIDTH] = _kernel(values[part], fmt)
+    x = np.where(inside, values, 1.0)  # the others are written below
+    for start in range(0, x.size, _CHUNK):
+        _kernel(x[start:start + _CHUNK], fmt, out[start:start + _CHUNK])
     idx = np.flatnonzero(~inside)
     if idx.size:
         rows = [one(value, fmt) for value in values[idx].tolist()]
-        out[idx, :_WIDTH] = np.array(rows, dtype="S%d" % _WIDTH).view(
+        out[idx] = np.array(rows, dtype="S%d" % _WIDTH).view(
             np.uint8).reshape(idx.size, _WIDTH)
-    return out
+    return out.view("V%d" % _WIDTH)[:, 0]
 
 
 def _column(arr):
@@ -217,43 +216,47 @@ def _column(arr):
     return arr
 
 
-def join(columns, fmt, end="\n"):
-    """The rows of equal-length float64 columns as text: each row's cells
-    joined by ",", every row followed by `end`.
+def blocks(columns, fmt, end="\n"):
+    """Yield the rows of equal-length float64 columns as text, each row's
+    cells joined by "," and followed by `end`: a uint8 array of ASCII
+    bytes per block of at most 4096 rows, all built in one row buffer.
 
-    Each distinct value of a column is written once (`_texts`), with the
-    separator after it: the column's bit patterns are sorted, each that
-    differs from its predecessor is kept, and `searchsorted` finds every
-    row's text among them (cheaper than `np.unique`'s argsort when a
-    column has few values).  A strictly increasing column (no NaN, no
-    repeat, no -0.0 before 0.0) has distinct values in runs of one sign and
-    exponent already, so its texts are written in row order and taken as
-    they are.  The rows are gathered from those texts, 4096 at a time, and
-    one pass over each block drops the NUL padding.
+    A sorted column's block with no repeat is written straight into its
+    cells, else by a `take` from the texts of its distinct values (by bit
+    pattern); any other column has one such table for all its blocks, in
+    which `searchsorted` finds each row.  NUL padding is then dropped.
     """
     columns = [_column(col) for col in columns]
-    texts, inverses = [], []
-    for i, col in enumerate(columns):
-        if col.size != columns[0].size:
-            raise ValueError("columns differ in length")
-        tail = ("," if i + 1 < len(columns) else end).encode("ascii")
-        if np.all(col[1:] > col[:-1]):
-            texts.append(_texts(col, fmt, tail))
-            inverses.append(None)
-            continue
-        bits = col.view(np.int64)
-        keys = np.sort(bits)
-        new = np.ones(keys.size, dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        keys = keys[new]
-        texts.append(_texts(keys.view(np.float64), fmt, tail))
-        inverses.append(np.searchsorted(keys, bits))
-    blocks = []
-    for start in range(0, columns[0].size, _CHUNK):
-        block = slice(start, start + _CHUNK)
-        rows = np.concatenate([text[block] if inverse is None
-                               else text.take(inverse[block], axis=0)
-                               for text, inverse in zip(texts, inverses)],
-                              axis=1).ravel()
-        blocks.append(str(rows[rows != 0].data, "ascii"))
-    return "".join(blocks)
+    size = columns[0].size
+    if any(col.size != size for col in columns):
+        raise ValueError("columns differ in length")
+    tails = [b","] * (len(columns) - 1) + [end.encode("ascii")]
+    rows = np.tile(np.frombuffer(b"".join(b"\0" * _WIDTH + tail
+                                          for tail in tails), dtype=np.uint8),
+                   (min(size, _CHUNK), 1))
+    cells, at = [], 0
+    for col, tail in zip(columns, tails):
+        keys = table = None
+        if not np.all(col[1:] >= col[:-1]):  # not sorted, or a NaN
+            keys = np.sort(col.view(np.int64))
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            table = _cells(keys.view(np.float64), fmt)
+        cells.append((rows[:, at:at + _WIDTH], col, keys, table))
+        at += _WIDTH + len(tail)
+    for start in range(0, size, _CHUNK):
+        count = min(_CHUNK, size - start)
+        for cell, col, keys, table in cells:
+            values = col[start:start + count]
+            bits = values.view(np.int64)
+            if keys is not None:
+                index = np.searchsorted(keys, bits)
+            else:
+                new = np.concatenate(([True], bits[1:] != bits[:-1]))
+                if new.all():
+                    _cells(values, fmt, cell[:count])
+                    continue
+                table, index = _cells(values[new], fmt), np.cumsum(new) - 1
+            table.take(index, out=cell[:count].view(table.dtype)[:, 0],
+                       mode="clip")
+        block = rows[:count].reshape(-1)
+        yield block[block != 0]

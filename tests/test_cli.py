@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -24,6 +25,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def text(pieces):
+    """The report of `cli._json` or `floattext.blocks`: its pieces of ASCII
+    bytes, joined."""
+    return "".join(str(piece, "ascii") for piece in pieces)
 
 
 def run_json(capsys, *argv):
@@ -754,10 +761,10 @@ FLOAT_CASES = {
                          ids=list(FLOAT_CASES))
 def test_float_texts_match_stdlib(values):
     arr = np.array(values, dtype=float)
-    assert cli._json(arr) == json.dumps(arr.tolist(), indent=2)
-    assert floattext.join([arr], "json") == "".join(
+    assert text(cli._json(arr)) == json.dumps(arr.tolist(), indent=2)
+    assert text(floattext.blocks([arr], "json")) == "".join(
         json.dumps(x) + "\n" for x in arr.tolist())
-    assert floattext.join([arr], "csv") == "".join(
+    assert text(floattext.blocks([arr], "csv")) == "".join(
         "%.17g\n" % x for x in arr.tolist())
 
 
@@ -766,25 +773,26 @@ def test_json_writer_matches_stdlib_layout():
            "m": {"b": -0.0, "a": float("nan"), "c": [float("-inf"), 2]},
            "e": {"s": "", "t": [{"u": 1e-310}]}, "n": None, "i": 3}
     want = json.dumps(doc, sort_keys=True, indent=2, allow_nan=True)
-    assert cli._json(doc) == want
+    assert text(cli._json(doc)) == want
     scalars = {"\u00e9\u4e2d\U0001f600": ["\x00\x1f\x7f", "\\/\t\r\b\f",
                                          "\ud800", "caf\u00e9 \u2028"],
                "b": [True, False, None], "big": [2 ** 70, -2 ** 64, 0, -1],
                "zeros": [0.0, -0.0, 5e-324, 1e16, 1.5e300, float("inf")],
                "\n": {"\u00ff": -0.0}}
-    assert cli._json(scalars) == json.dumps(scalars, sort_keys=True,
-                                            indent=2, allow_nan=True)
+    assert text(cli._json(scalars)) == json.dumps(
+        scalars, sort_keys=True, indent=2, allow_nan=True)
     for value in (True, False, None, -0.0, 0.0, 2 ** 100, "\u00e9\n",
                   float("nan"), float("-inf"), np.float64(0.1)):
-        assert cli._json(value) == json.dumps(value)
+        assert text(cli._json(value)) == json.dumps(value)
     for value in (np.int64(3), np.bool_(True), object(), {1: 2}):
         with pytest.raises(TypeError):
             cli._json(value)
     arrays = {"v": np.array([0.5, -0.0, 0.5]), "w": [np.array([]), 1]}
     lists = {"v": [0.5, -0.0, 0.5], "w": [[], 1]}
-    assert cli._json(arrays) == json.dumps(lists, sort_keys=True, indent=2)
+    assert text(cli._json(arrays)) == json.dumps(lists, sort_keys=True,
+                                                 indent=2)
     with pytest.raises(TypeError):
-        cli._json(np.arange(3))
+        text(cli._json(np.arange(3)))
 
 
 GOLDEN = [
@@ -802,8 +810,8 @@ GOLDEN = [
 @pytest.mark.parametrize("params,name,kw,n", GOLDEN,
                          ids=["comb-d1", "comb-d3", "comb-d1-free",
                               "lattice-d2", "comb-d3-n16"])
-def test_spectrum_and_ids_match_stdlib_serialisation(capsys, params, name,
-                                                     kw, n):
+def test_spectrum_and_ids_match_stdlib_serialisation(capsys, tmp_path,
+                                                     params, name, kw, n):
     vals, weights = family(name, **kw).spectrum(n)
     order = np.argsort(vals)
     shift = float(max(vals))
@@ -825,6 +833,7 @@ def test_spectrum_and_ids_match_stdlib_serialisation(capsys, params, name,
                 measure.points.tolist(),
                 itertools.accumulate(measure.weights.tolist()))],
     }
+    file = tmp_path / "out"
     for cmd in ("spectrum", "ids"):
         argv = (cmd, "--family", name) + params + ("--n", str(n))
         code, out = run_cli(capsys, *argv)
@@ -833,11 +842,41 @@ def test_spectrum_and_ids_match_stdlib_serialisation(capsys, params, name,
         assert out == json.dumps(
             {"manifest": manifest, "result": results[cmd]},
             sort_keys=True, indent=2, allow_nan=True) + "\n"
+        assert main([*argv, "--out", str(file)]) == 0
+        assert file.read_bytes() == out.encode("ascii")
         code, out = run_cli(capsys, *argv, "--format", "csv")
         assert code == 0
         assert out == "\n".join(
             ["# manifest: " + json.dumps(manifest, sort_keys=True)]
             + rows[cmd]) + "\n"
+        assert main([*argv, "--format", "csv", "--out", str(file)]) == 0
+        assert file.read_bytes() == out.encode("ascii")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "comb", "--param", "d=1", "--n", "170"],
+    ["ids", "--family", "comb", "--param", "d=1", "--n", "170", "--format",
+     "csv"]], ids=["spectrum-json", "ids-csv"])
+def test_a_report_is_written_in_less_memory_than_its_size(tmp_path,
+                                                          monkeypatch, argv):
+    # the 1.1-1.7 MB reports stream in blocks of 4096 rows: no whole-report
+    # text is made, and writing one holds a row buffer, a block and its
+    # kernel arrays
+    emit, peaks = cli._emit, []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            emit(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_emit", traced)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.stat().st_size > 10 ** 6
+    assert peaks[0] < out.stat().st_size
 
 
 def test_norm_comb_large_volume_lifts_no_vector(capsys, monkeypatch):

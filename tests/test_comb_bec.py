@@ -820,6 +820,28 @@ def test_comb_density_and_mu_solve_hold_one_chunk_at_a_time(capsys,
         assert shift.hex() == top.hex()
 
 
+def test_mu_solve_reads_a_kept_volume_s_weights_once(capsys, monkeypatch):
+    # the d=1 n=30 volume fits one chunk: its levels' weights are kept, and
+    # every Newton pass reads them; a streamed volume takes them anew on
+    # each pass, and both give mu to the bit
+    calls = []
+    weights = CombVolume.weights
+    monkeypatch.setattr(CombVolume, "weights", lambda self, blk:
+                        calls.append(blk) or weights(self, blk))
+    argv = ["mu-solve", "--family", "comb", "--param", "d=1", "--n", "30",
+            "--beta", "1", "--rho", "0.5"]
+    mus, counts = [], []
+    for one_chunk in (CombVolume.one_chunk, lambda self: False):
+        families.clear_volumes()
+        monkeypatch.setattr(CombVolume, "one_chunk", one_chunk)
+        calls.clear()
+        assert cli.main(argv) == 0
+        mus.append(json.loads(capsys.readouterr().out)["result"]["mu"])
+        counts.append(len(calls))
+    assert counts[0] == 1 and counts[1] > 3
+    assert mus[0].hex() == mus[1].hex()
+
+
 @pytest.mark.parametrize("d,n", [(1, 4), (1, 7), (2, 2), (2, 3)])
 def test_free_base_density_and_mu_solve_match_dense_eigh(capsys, d, n):
     # the free base takes the level path too (a = 2d - 2 gap)

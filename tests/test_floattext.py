@@ -17,6 +17,12 @@ PROPERTY = settings(max_examples=40, deadline=None, database=None)
 RNG_SEED = 20261018
 
 
+def join(columns, fmt, end="\n"):
+    """The text of `floattext.blocks`: its blocks, joined."""
+    return "".join(str(block, "ascii")
+                   for block in floattext.blocks(columns, fmt, end))
+
+
 def assert_stdlib_text(values):
     """Both formats of `join` agree with the standard library on every
     value, one value per row: json's float text (float.__repr__, with
@@ -24,8 +30,8 @@ def assert_stdlib_text(values):
     arr = np.asarray(values, dtype=np.float64)
     floats = arr.tolist()
     items = json.dumps(floats)[1:-1].split(", ") if floats else []
-    assert floattext.join([arr], "json") == "".join(t + "\n" for t in items)
-    assert floattext.join([arr], "csv") == "".join(
+    assert join([arr], "json") == "".join(t + "\n" for t in items)
+    assert join([arr], "csv") == "".join(
         "%.17g\n" % x for x in floats)
 
 
@@ -111,8 +117,8 @@ def test_columns_repeats_and_separators():
     ys = rng.standard_normal(5000)
     want = "".join("%.17g,%.17g|\n" % row for row in zip(xs.tolist(),
                                                        ys.tolist()))
-    assert floattext.join([xs, ys], "csv", end="|\n") == want
-    assert floattext.join([xs[:0], ys[:0]], "csv") == ""
+    assert join([xs, ys], "csv", end="|\n") == want
+    assert join([xs[:0], ys[:0]], "csv") == ""
 
 
 def increasing_column():
@@ -133,13 +139,14 @@ def increasing_column():
 def test_increasing_columns_are_written_in_row_order(monkeypatch):
     values = increasing_column()
     seen = []
-    texts = floattext._texts
-    monkeypatch.setattr(floattext, "_texts",
-                        lambda v, *rest: seen.append(v) or texts(v, *rest))
+    cells = floattext._cells
+    monkeypatch.setattr(floattext, "_cells",
+                        lambda v, *rest: seen.append(v) or cells(v, *rest))
     assert_stdlib_text(values)
-    # no dedupe: each format writes the column itself, in row order
-    assert len(seen) == 2
-    assert all(np.array_equal(v, values) for v in seen)
+    # no dedupe: each format writes the column itself, block by block, in
+    # row order
+    assert [v.size for v in seen] == 2 * [4096, 4096, values.size - 8192]
+    assert np.array_equal(np.concatenate(seen), np.tile(values, 2))
 
 
 def test_columns_that_do_not_strictly_increase():
@@ -158,18 +165,58 @@ def test_two_columns_of_which_one_increases():
     ys = rng.choice([0.25, -1e-7, 3.0, -0.0, 0.0, 1e300], xs.size)
     want = "".join("%.17g,%.17g\n" % row for row in zip(xs.tolist(),
                                                        ys.tolist()))
-    assert floattext.join([xs, ys], "csv") == want
+    assert join([xs, ys], "csv") == want
     want = "".join("%.17g,%.17g\n" % row for row in zip(ys.tolist(),
                                                        xs.tolist()))
-    assert floattext.join([ys, xs], "csv") == want
+    assert join([ys, xs], "csv") == want
+
+
+SPECIALS = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
+            1e15, 1e-6]
+
+
+def stdlib_rows(columns, fmt, end="\n"):
+    """The rows of `columns` as the standard library writes each value."""
+    text = json.dumps if fmt == "json" else "%.17g".__mod__
+    return "".join(",".join(text(x) for x in row) + end
+                   for row in zip(*(col.tolist() for col in columns)))
+
+
+@pytest.mark.parametrize("size", [4095, 4096, 4097, 8193])
+def test_block_edges(size):
+    # a few-valued column with the specials on both sides of each block
+    # edge, beside strictly increasing columns, one in the kernel's domain
+    # and one that crosses zero at the first edge and ends in 1e15 and inf,
+    # and a sorted one with repeats
+    rng = np.random.default_rng(RNG_SEED + size)
+    few = rng.choice([0.25, -1.0 / 3.0, 7.5], size)
+    for edge in range(4096, size + 4096, 4096):
+        for at in (edge - len(SPECIALS), edge):
+            part = few[at:at + len(SPECIALS)]
+            part[:] = SPECIALS[:part.size]
+    inc = 0.37 * (np.arange(size) - 4096.0)
+    part = inc[4094:4098]
+    part[:] = [-1e-6, -5e-324, 0.0, 5e-324][:part.size]
+    inc[0], inc[-2:] = -np.inf, (1e15, np.inf)
+    assert np.all(inc[1:] > inc[:-1])
+    columns = [1.0 + np.arange(size) / 7.0, inc, few,
+               np.repeat(inc, 2)[:size]]
+    for fmt in ("json", "csv"):
+        # compared line by line, so that a failure reports its first row
+        for cols, end in ((columns, "\n"), (columns[::-1], ",\n  ")):
+            assert join(cols, fmt, end).split("\n") == stdlib_rows(
+                cols, fmt, end).split("\n")
+        for col in columns:
+            assert join([col], fmt).split("\n") == stdlib_rows(
+                [col], fmt).split("\n")
 
 
 def test_refuses_other_arrays():
     for bad in (np.arange(3), np.zeros((2, 2)), [0.5], np.zeros(3, "f4")):
         with pytest.raises(TypeError):
-            floattext.join([bad], "json")
+            join([bad], "json")
     with pytest.raises(ValueError):
-        floattext.join([np.zeros(2), np.zeros(3)], "csv")
+        join([np.zeros(2), np.zeros(3)], "csv")
 
 
 def test_import_loads_no_scipy():
