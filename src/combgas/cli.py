@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Every run emits a manifest (command, inputs, tolerances, version) alongside
+Every run emits a manifest (command, inputs, version) alongside
 the results so identical invocations can be reproduced byte for byte.  JSON
 reports carry the manifest under "manifest"; CSV output prepends it as a
 single '#'-prefixed comment line.  A report goes out piece by piece as it is
@@ -78,8 +78,6 @@ def _manifest(args, command, extra=None):
         "version": __version__,
         "params": _parse_params(getattr(args, "param", None)),
     }
-    if "tol" in vars(args):  # only the commands that read it take --tol
-        man["tol"] = args.tol
     if extra:
         man.update(extra)
     return man
@@ -283,33 +281,28 @@ def cmd_catalog(args):
 
 
 def cmd_norm(args):
-    from .families import family
-    from .secular import SecularError, solve_secular
+    """The infinite graph's norm lambda0 from its secular system and, with
+    --n-max, the norm sequence of four truncations up to n_max."""
+    from .secular import solve_secular
 
     name, params = _family_args(args)
-    fam = family(name, **params)
-    result = {"family": name}
-    try:
-        sol = solve_secular(name, **params)
-    except SecularError:  # no secular system: exhaustion only
-        sol = None
-    if sol is not None:
-        result["secular"] = sol.to_record()
-        result["lambda0"] = sol.lambda0
-    if args.n_max is not None or sol is None:
+    sol = solve_secular(name, **params)
+    result = {"family": name, "lambda0": sol.lambda0,
+              "secular": sol.to_record()}
+    if args.n_max is not None:
+        from .families import family
         from .spectral import norm_sequence
 
-        n_max = args.n_max or 24
+        n_max = args.n_max
         ns = sorted({max(2, n_max // 4), max(3, n_max // 2),
                      max(4, (3 * n_max) // 4), n_max})
-        report = norm_sequence(fam, ns, tol=args.tol)
+        report = norm_sequence(family(name, **params), ns)
         result["norm_sequence"] = {
             "ns": report.ns,
             "norms": report.norms,
             "extrapolated": report.extrapolated_norm,
             "uncertainty": report.uncertainty,
         }
-        result.setdefault("lambda0", report.extrapolated_norm)
     _emit(args, _manifest(args, "norm", {"family": args.family}), result)
     return EXIT_OK
 
@@ -377,7 +370,7 @@ def cmd_density(args):
     shift = top if args.shift is None else args.shift
     result = {"family": name, "n": args.n, "beta": args.beta, "shift": shift}
     if solve:
-        mu, gap = thermo.solve_mu(levels, args.beta, args.rho, tol=args.tol)
+        mu, gap = thermo.solve_mu(levels, args.beta, args.rho)
         result.update(rho=args.rho, mu=mu + (shift - top), gap=gap)
     else:
         result.update(mu=args.mu, density=thermo.finite_volume_density(
@@ -465,9 +458,7 @@ _positive = _number(float, lambda v: math.isfinite(v) and v > 0,
 _positive_int = _number(int, lambda v: v >= 1, ">= 1")
 
 
-def _add_common(p, tol=False):
-    if tol:
-        p.add_argument("--tol", type=_positive, default=1e-10)
+def _add_common(p):
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -500,7 +491,7 @@ def build_parser():
                                     "exhaustion")
     _add_family(p)
     p.add_argument("--n-max", type=_positive_int, default=None)
-    _add_common(p, tol=True)
+    _add_common(p)
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("spectrum", help="finite-volume spectrum with weights")
@@ -544,7 +535,7 @@ def build_parser():
     p.add_argument("--beta", type=_positive, required=True)
     p.add_argument("--rho", type=_finite, required=True)
     p.add_argument("--shift", type=_finite, default=None)
-    _add_common(p, tol=True)
+    _add_common(p)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("transience", help="random-walk transience verdict")

@@ -1,4 +1,4 @@
-"""Hidden eigenvalues of the catalogue's infinite graphs.
+"""Norms and hidden eigenvalues of the catalogue's infinite graphs.
 
 A perturbation in block form A_p = [[A + D, C], [C^t, B]] has eigenvalues
 lam outside sigma(A) u sigma(B) exactly where 1 is an eigenvalue of the
@@ -6,8 +6,8 @@ secular matrix S(lam) = K(lam) R_A(lam), K(lam) = D + C R_B(lam) C^t, with
 R_A the base resolvent on the support of C and D
 (`resolvent.perturbed_resolvent_apply` applies the resolvent of A_p).
 
-For a catalogue entry A is the half-infinite chain of diagonal c and links
-l, D the head of the family's quotient minus it, and there is no B
+For every catalogue family A is the half-infinite chain of diagonal c and
+links l, D the head of the family's quotient minus it, and there is no B
 (`spectral._infinite_quotient`).  `solve_secular` finds the top root with
 no bracket search and no matrix: the Sturm count of the quotient at
 c + 2l + 1e-9, the tail entering by its exact pivot l z at
@@ -33,7 +33,7 @@ from .spectral import _bound_state_start, _infinite_quotient, _twisted_root
 
 
 class SecularError(DomainError):
-    pass
+    """A catalogue entry with no closed-form norm (`catalog_expected`)."""
 
 
 @dataclass(frozen=True)
@@ -70,15 +70,14 @@ def solve_secular(name, **params):
     Status `root_found` iff the Sturm count at c + 2l + 1e-9 is nonzero;
     otherwise lambda0 is c + 2l.  z = D psi on the support rows, psi the
     quotient's eigenvector (`spectral._HeadTail.vector`), signed to a
-    positive sum and scaled to a largest entry of 1.  Raises SecularError
-    for a name with no secular system.
+    positive sum and scaled to a largest entry of 1.
 
     The parameters are checked on every call; the solution is then kept
     per process, keyed by the name and the parameters with their types
     (k=3, k=3.0 and k=True are three keys), for the 64 most recently used
     entries.  A NumericFailure is not kept.
     """
-    _secular_family(name, params)
+    family(name, **params)
     return _solve_entry(name, json.dumps(params, sort_keys=True))
 
 
@@ -137,22 +136,18 @@ def catalog_expected(name, **params):
     return _CLOSED_FORMS[name](params)
 
 
-# The catalogue entries whose quotient is a constant chain plus a finite
-# perturbation; the other families have no secular system.
-_SECULAR_NAMES = ("comb", "h_graph", "modified_ladder", "nail_chain",
-                  "polygonal_star", "polygonal_star_box", "star", "star_box")
+# The infinite graph's box, whatever box the truncations use: the infinite
+# comb reads the periodic base, and the infinite lattice the free box, whose
+# quotient has a tail (a periodic box's is the one cell [2d]).
+_INFINITE_BOX = {"periodic": True, "boundary": "free"}
 
 
 def _secular_family(name, params):
-    """The family whose quotient carries the entry's secular system.  The
-    comb's `periodic` picks the base box of its truncations only: the
-    infinite comb reads the periodic one."""
-    fam = family(name, **params)
-    if name not in _SECULAR_NAMES:
-        raise SecularError("no catalog system for %r" % (name,))
-    if "periodic" in params:
-        fam = family(name, **dict(params, periodic=True))
-    return fam
+    """The family whose quotient carries the infinite graph's secular
+    system: `family(name, **params)` with its `periodic` or `boundary` set
+    to `_INFINITE_BOX`."""
+    return family(name, **{key: _INFINITE_BOX.get(key, value)
+                           for key, value in params.items()})
 
 
 def _perturbation(q, psi):

@@ -399,12 +399,16 @@ def extrapolate_power(ns, vals, p=2, terms=2):
     return float(coef[0]), max(resid, 1e-15)
 
 
-def norm_sequence(family, ns, tol=1e-10):
+# a norm may fall below the one before it by 10 * _SEQUENCE_TOL relative
+_SEQUENCE_TOL = 1e-10
+
+
+def norm_sequence(family, ns):
     """Norms ||A_{Lambda_n}|| over ns with an extrapolated limit.
 
     Each norm is the top eigenvalue of the family's tridiagonal quotient
     (`GraphFamily.quotient_matrix`, `quotient_norm`).  The sequence must be
-    strictly increasing (up to tol); a violation means a solver bug and
+    increasing (up to _SEQUENCE_TOL); a violation means a solver bug and
     raises.
     """
     ns = sorted(ns)
@@ -412,7 +416,7 @@ def norm_sequence(family, ns, tol=1e-10):
         raise SpectralError("need at least two volumes with n_max >= 2")
     norms = [quotient_norm(*family.quotient_matrix(n)) for n in ns]
     for a, b in zip(norms, norms[1:]):
-        if b < a - 10.0 * tol * max(1.0, abs(a)):
+        if b < a - 10.0 * _SEQUENCE_TOL * max(1.0, abs(a)):
             raise NumericFailure("norm sequence not increasing: %r" % (norms,))
     est, unc = extrapolate(norms)
     est = max(est, norms[-1])

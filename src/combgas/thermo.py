@@ -116,7 +116,10 @@ def finite_volume_density(levels, beta, mu):
     return rho
 
 
-def solve_mu(levels, beta, rho, tol=1e-12, max_steps=50):
+MU_TOL = 1e-10  # solve_mu stops at a step below MU_TOL * (h_min - mu)
+
+
+def solve_mu(levels, beta, rho, max_steps=50):
     """Chemical potential with prescribed finite-volume density rho.
 
     With h_min the bottom of the levels (as `finite_volume_density` takes
@@ -127,9 +130,9 @@ def solve_mu(levels, beta, rho, tol=1e-12, max_steps=50):
     t, so phi is convex and strictly decreasing: Newton started where
     phi >= 0 rises monotonically to the root and never overshoots.  It
     starts at t_0 = log1p(w_0/rho)/beta, where the bottom level (weight
-    w_0) alone holds rho, and stops once a step is below tol * t.  Every rho from about 1e-300 to 1e300 solves; a
-    density sum that leaves the double range, or reaching max_steps, raises
-    NumericFailure.
+    w_0) alone holds rho, and stops once a step is below MU_TOL * t.  Every
+    rho from about 1e-300 to 1e300 solves; a density sum that leaves the
+    double range, or reaching max_steps, raises NumericFailure.
 
     Returns (mu, t): t to its own precision, which mu = h_min - t loses to
     rounding when h_min is far above t (a shift far above the spectrum).
@@ -159,7 +162,7 @@ def solve_mu(levels, beta, rho, tol=1e-12, max_steps=50):
                                  "range" % (rho_t, h_min - t))
         step = t * (math.log(rho_t) - math.log(rho)) * rho_t / slope
         t += step
-        if abs(step) <= tol * t:
+        if abs(step) <= MU_TOL * t:
             return h_min - t, t
     raise NumericFailure("mu search took more than %d Newton steps"
                          % max_steps)

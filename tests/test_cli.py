@@ -18,7 +18,7 @@ import combgas
 from combgas import (DomainError, NumericFailure, cli, floattext, secular,
                      thermo)
 from combgas.cli import main
-from combgas.families import CombFamily, family, fiber_eigen
+from combgas.families import CombFamily, catalog_names, family, fiber_eigen
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +53,69 @@ def test_norm_comb_d2(capsys):
     assert code == 0
     assert doc["result"]["lambda0"] == pytest.approx(2 * math.sqrt(5),
                                                      abs=1e-7)
+
+
+# lambda0 of every family that has no eigenvalue above its base norm
+BASE_NORMS = [("chain", (), 2.0), ("ladder", (), 3.0)] + [
+    ("lattice", ("d=%d" % d, "boundary=" + json.dumps(boundary)), 2.0 * d)
+    for d in (1, 2, 3) for boundary in ("free", "periodic")] + [
+    ("fiber_union", ("d=%d" % d,), 2.0) for d in (1, 2)]
+
+
+@pytest.mark.parametrize("name,params,want", BASE_NORMS)
+def test_norm_is_exact_on_families_with_no_bound_state(capsys, name, params,
+                                                       want):
+    # the infinite quotient's base norm c + 2l, not a truncation limit
+    argv = ["norm", "--family", name]
+    for param in params:
+        argv += ["--param", param]
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    res = doc["result"]
+    assert abs(res["lambda0"] - want) <= math.ulp(want)
+    assert res["secular"]["status"] == "no_root_in_bracket"
+    assert "norm_sequence" not in res
+
+
+@pytest.mark.parametrize("name,param,d", [
+    (name, param, d) for name, param in (("lattice", 'boundary="periodic"'),
+                                         ("comb", "periodic=false"))
+    for d in (1, 2, 3)])
+@pytest.mark.parametrize("cmd", ["norm", "secular", "hidden"])
+def test_the_infinite_graph_ignores_the_truncations_boundary(capsys, cmd,
+                                                             name, param, d):
+    # the infinite lattice is the free box's limit, the infinite comb the
+    # periodic one's, whatever box --param picks for the truncations
+    argv = [cmd, "--family", name, "--param", "d=%d" % d]
+    code, doc = run_json(capsys, *argv, "--param", param)
+    assert code == 0
+    assert run_json(capsys, *argv)[1]["result"] == doc["result"]
+    lam0 = doc["result"]["lambda0"]
+    if name == "lattice":
+        assert lam0 == 2.0 * d
+    else:
+        assert lam0 == pytest.approx(2 * math.sqrt(d * d + 1), rel=1e-15)
+
+
+# valid parameters for each family
+FAMILY_ARGS = {
+    "chain": (), "comb": ("d=2",), "fiber_union": ("d=2",),
+    "h_graph": ("k=2",), "ladder": (), "lattice": ("d=3",),
+    "modified_ladder": ("k=3", "nrem=1"), "nail_chain": (),
+    "polygonal_star": (), "polygonal_star_box": (), "star": ("k=3",),
+    "star_box": ("k=5",)}
+
+
+@pytest.mark.parametrize("cmd", ["secular", "hidden"])
+def test_every_family_has_a_secular_system(capsys, cmd):
+    assert sorted(FAMILY_ARGS) == catalog_names()
+    for name, params in FAMILY_ARGS.items():
+        argv = [cmd, "--family", name]
+        for param in params:
+            argv += ["--param", param]
+        code, doc = run_json(capsys, *argv)
+        assert code == 0, name
+        assert doc["result"]["lambda0"] >= doc["result"]["base_radius"]
 
 
 def test_hidden_h_graph(capsys):
@@ -194,7 +257,7 @@ def test_norm_of_fiber_union_is_the_chain_norm(capsys):
     # disjoint chains: the volume's norm is the chain's, 2cos(pi/(2n+2)),
     # although it has no positive Perron-Frobenius vector
     code, doc = run_json(capsys, "norm", "--family", "fiber_union",
-                         "--param", "d=1")
+                         "--param", "d=1", "--n-max", "24")
     assert code == 0
     seq = doc["result"]["norm_sequence"]
     assert seq["norms"] == [
@@ -337,14 +400,16 @@ def test_exit_codes(capsys, tmp_path, argv, code, stderr):
     assert err.splitlines()[-1].startswith(stderr), err
 
 
-# the commands that read no tolerance, with valid arguments
-TOL_FREE = {
+# one valid job per command; no command takes a tolerance
+JOBS = {
     "build": ("--inline", '{"builder": "chain", "params": {"n": 2}}'),
     "catalog": (),
+    "norm": ("--family", "catalog:star", "--param", "k=3"),
     "spectrum": COMB_N,
     "ids": COMB_N,
     "density": COMB_N + ("--beta", "1", "--mu", "-3"),
     "critical": ("--beta", "1", "--gap", "1"),
+    "mu-solve": COMB_N + ("--beta", "1", "--rho", "0.25"),
     "transience": ("--param", "d=3"),
     "bec": BEC[1:] + ("--xi", "0,0,0,0"),
     "secular": ("--family", "catalog:star", "--param", "k=3"),
@@ -352,9 +417,9 @@ TOL_FREE = {
 }
 
 
-@pytest.mark.parametrize("cmd", sorted(TOL_FREE))
+@pytest.mark.parametrize("cmd", sorted(JOBS))
 def test_tol_is_refused_where_it_is_not_read(capsys, cmd):
-    argv = [cmd, *TOL_FREE[cmd]]
+    argv = [cmd, *JOBS[cmd]]
     code, doc = run_json(capsys, *argv)
     assert code == 0
     assert "tol" not in doc["manifest"]
@@ -371,7 +436,7 @@ PARAM_FREE = ("bec", "build", "catalog", "critical")
 
 @pytest.mark.parametrize("cmd", PARAM_FREE)
 def test_param_is_refused_where_it_is_not_read(capsys, cmd):
-    argv = [cmd, *TOL_FREE[cmd]]
+    argv = [cmd, *JOBS[cmd]]
     code, doc = run_json(capsys, *argv)
     assert code == 0
     assert doc["manifest"]["params"] == {}
@@ -406,16 +471,6 @@ def test_readme_cli_examples_run(tmp_path):
         assert argv[0] == "combgas", line
         want = 3 if argv[1:] == ["transience", "--param", "d=2"] else 0
         assert main(argv[1:] + ["--out", str(tmp_path / "out")]) == want, line
-
-
-@pytest.mark.parametrize("argv", [
-    ("norm", "--family", "catalog:star", "--param", "k=3"),
-    ("mu-solve",) + COMB_N + ("--beta", "1", "--rho", "0.25"),
-], ids=lambda argv: argv[0])
-def test_tol_is_stamped_where_it_is_read(capsys, argv):
-    code, doc = run_json(capsys, *argv, "--tol", "1e-8")
-    assert code == 0
-    assert doc["manifest"]["tol"] == 1e-8
 
 
 @pytest.mark.parametrize("exc", [TypeError("bug"), IndexError("bug"),
@@ -911,12 +966,6 @@ def test_error_surface_is_unchanged(capsys, monkeypatch, tmp_path, case):
     monkeypatch.chdir(tmp_path)
     assert main(case["argv"]) == case["code"]
     assert capsys.readouterr() == (case["out"], case["err"])
-
-
-# one valid job per command
-JOBS = dict(TOL_FREE, **{
-    "norm": ("--family", "catalog:star", "--param", "k=3"),
-    "mu-solve": COMB_N + ("--beta", "1", "--rho", "0.25")})
 
 
 def test_a_job_is_parsed_by_its_command_s_subparser_alone(capsys,

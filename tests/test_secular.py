@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combgas import DomainError, NumericFailure, secular, spectral
-from combgas.families import family
+from combgas.families import FamilyError, family
 from combgas.resolvent import chain_green
 from combgas.secular import (catalog_expected, hidden_spectrum_verdict,
                              solve_secular)
@@ -93,8 +93,13 @@ def test_pf_monotone_decreasing_in_lambda():
 
 
 def test_no_secular_system_outside_the_catalogue():
-    with pytest.raises(secular.SecularError):
-        solve_secular("ladder")
+    # every family of the catalogue has one: the ladder's infinite graph
+    # has no eigenvalue above its base norm 3; an unknown name is refused
+    sol = solve_secular("ladder")
+    assert (sol.status, sol.lambda0, sol.base_radius) == (
+        "no_root_in_bracket", 3.0, 3.0)
+    with pytest.raises(FamilyError):
+        solve_secular("bogus")
 
 
 @pytest.mark.parametrize("name,params,want", [
@@ -365,8 +370,8 @@ def test_each_entry_is_solved_once_per_process(monkeypatch):
     for params in ({"k": 3.0}, {"k": True}, {"k": 3, "p": 1}):
         with pytest.raises(DomainError):
             solve_secular("star", **params)
-    with pytest.raises(secular.SecularError):
-        solve_secular("ladder")
+    with pytest.raises(FamilyError):
+        solve_secular("bogus")
     assert len(calls) == 4
 
 

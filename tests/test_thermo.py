@@ -219,7 +219,7 @@ MU_CASES = [
                               "lattice-d3"])
 def test_solve_mu_matches_a_40_digit_root(monkeypatch, name, params, n, beta,
                                           rho, shift):
-    # Newton at the CLI's tolerance is right to full relative accuracy, in
+    # Newton at thermo.MU_TOL is right to full relative accuracy, in
     # at most 12 density sums, each one pass of the occupation helper
     mpmath = pytest.importorskip("mpmath")
     vals, w = family(name, **params).spectrum(n)
@@ -228,7 +228,7 @@ def test_solve_mu_matches_a_40_digit_root(monkeypatch, name, params, n, beta,
     occupations = thermo._occupations
     monkeypatch.setattr(thermo, "_occupations",
                         lambda x: passes.append(x.size) or occupations(x))
-    mu, _ = thermo.solve_mu([(shift - vals, w)], beta, rho, tol=1e-10)
+    mu, _ = thermo.solve_mu([(shift - vals, w)], beta, rho)
     assert 1 <= len(passes) <= 12
     with mpmath.workdps(40):
         levels = [(mpmath.mpf(shift) - mpmath.mpf(v), mpmath.mpf(wi))
