@@ -12,8 +12,7 @@ takes the levels as energies h = ||A|| - lam from one function, `_levels`.
 `sweep_row` computes one volume's row of a sweep in one pass over them;
 `level_energies` gives them, from the volume's top, to the `thermo`
 densities of the CLI's `density` and `mu-solve` (on the free base too) and
-of `density_limit`; `density_finite` and `fixed_density_mu`, the second
-copy of that sum, are gone.
+of `density_limit`.
 
 Every volume comes from `families.comb_volume`, which keeps the small ones
 with what their sums solved, so a sweep, a density or a limit that meets
@@ -105,37 +104,6 @@ def lattice_coeffs(d, n, eps):
         raise CombError("eps must be positive")
     vol = comb_volume(d, n)
     return 1.0 / (vol.modes * eps), torus_green(vol, eps, (0,) * d)
-
-
-def q_limit(d, delta):
-    """Q(Delta) = G(Delta) - G(0) - delta_{Delta,0}/d on the continuous torus.
-
-    1/s = int e^{-st} dt turns each angle average into a scaled modified
-    Bessel factor, so G(Delta) - G(0) = int_0^inf (prod_i ive(|Delta_i|, t)
-    - ive(0, t)^d) dt, absolutely convergent in every d: one
-    `thermo.log_trapezoid` integral.  ive is NaN from t ~ 1.07e9 on, so the
-    nodes stop below 2^30, and the rule sums the nodes beyond by the
-    integrand's leading decay -(|Delta|^2/2) (2 pi t)^{-d/2}/t.  Q(0) = -1/d.
-    """
-    delta = tuple(abs(t) for t in delta)
-    if len(delta) != d:
-        raise CombError("delta must have %d components" % d)
-    if not any(delta):
-        return -1.0 / d
-    if d == 1:
-        # the Fejer integral of (1 - cos(mt))/(1 - cos t) is |m|
-        return -float(delta[0])
-
-    from scipy import special
-
-    def integrand(t):
-        i0 = special.i0e(t)
-        return math.prod(special.ive(m, t) if m else i0
-                         for m in delta) - i0 ** d
-
-    val, _ = thermo.log_trapezoid(integrand, 30.0 * math.log(2.0),
-                                  decay=d / 2.0)
-    return float(val)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +359,9 @@ def two_point_limit(cfg, xi, eta):
             delta = tuple(e - x for e, x in zip(jv_e, jv_x))
             key = tuple(sorted(abs(t) for t in delta))
             if key not in qcache:
-                qcache[key] = q_limit(d, delta)
+                # Q(Delta) = G(Delta) - G(0) - delta_{Delta,0}/d
+                qcache[key] = (thermo.green_lattice(d, delta=delta)
+                               - (not any(delta)) / d)
             phi_part += 2.0 * d * d * (green + qcache[key]) * ae * ax
     wnorm2 = math.sqrt(d * d + 1.0) / (4.0 * d ** 3)
     cond = c * sum(wt.values()) * sum(wx.values()) / wnorm2

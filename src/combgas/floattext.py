@@ -23,6 +23,8 @@ few per comb volume) are written one at a time by the standard library.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _CHUNK = 4096
@@ -125,8 +127,9 @@ def _layout(fmt, neg, k):
     return rows + const("\0") * (_WIDTH - len(rows)), dp, pad
 
 
+@functools.cache
 def _layouts(fmt):
-    """Source rows of every (sign, k), and dp and pad of every k."""
+    """Source rows of every (sign, k), and dp and pad of every k (cached)."""
     rows, dp, pad = zip(*(_layout(fmt, neg, k) for neg in (0, 1)
                           for k in range(_KMIN, _KMAX + 1)))
     span = _KMAX - _KMIN + 1
@@ -134,16 +137,21 @@ def _layouts(fmt):
             np.array(pad[:span], dtype=np.uint8))
 
 
-_LAYOUTS = {fmt: _layouts(fmt) for fmt in ("json", "csv")}
-# the four ASCII digits of each group 0000..9999 as one uint32, and for
-# group i of the 16 digits after the first, the place of its last nonzero
-# digit: 4i + 4 less the group's trailing zeros (0 for 0000)
 _PLACE = np.arange(1, 17, dtype=np.uint8)[:, None]
-_GROUP = np.arange(10000, dtype=np.int16)
-_GROUPS = (48 + _GROUP[:, None] // _GROUP[[1000, 100, 10, 1]] % 10).astype(
-    np.uint8).view(np.uint32)[:, 0]
-_LAST = np.where(_GROUP > 0, _PLACE[3::4] - sum(
-    (_GROUP % 10 ** p == 0 for p in (1, 2, 3)), np.uint8(0)), 0)
+
+
+@functools.cache
+def _digits():
+    """Built on the first `_kernel` call: the four ASCII digits of each
+    group 0000..9999 as one uint32, and for group i of the 16 digits after
+    the first, the place of its last nonzero digit: 4i + 4 less the group's
+    trailing zeros (0 for 0000)."""
+    group = np.arange(10000, dtype=np.int16)
+    groups = (48 + group[:, None] // group[[1000, 100, 10, 1]] % 10).astype(
+        np.uint8).view(np.uint32)[:, 0]
+    last = np.where(group > 0, _PLACE[3::4] - sum(
+        (group % 10 ** p == 0 for p in (1, 2, 3)), np.uint8(0)), 0)
+    return groups, last
 
 
 def _kernel(x, fmt, out):
@@ -162,13 +170,14 @@ def _kernel(x, fmt, out):
     groups[1] -= lead * 10 ** 8
     groups[0::2] = groups[1::2] // 10 ** 4
     groups[1::2] -= groups[0::2] * 10 ** 4
+    digits, last = _digits()
     src = np.empty((_POINT + 1 + _CONSTS.size, n), dtype=np.uint8)
     src[0] = lead + 48
-    src[1:17].reshape(4, 4, n)[...] = _GROUPS.take(groups).view(
+    src[1:17].reshape(4, 4, n)[...] = digits.take(groups).view(
         np.uint8).reshape(4, n, 4).transpose(0, 2, 1)
     src[_POINT + 1:] = _CONSTS[:, None]
-    rows, dp, pad = _LAYOUTS[fmt]
-    nd = 1 + np.maximum.reduce([t.take(g) for t, g in zip(_LAST, groups)])
+    rows, dp, pad = _layouts(fmt)
+    nd = 1 + np.maximum.reduce([t.take(g) for t, g in zip(last, groups)])
     dp, pad = dp[k - _KMIN], pad[k - _KMIN]
     src[1:17] *= _PLACE < np.maximum(nd, dp + pad)
     src[_POINT] = np.where((nd > dp) | (pad == 1), 46, 0)

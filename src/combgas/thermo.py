@@ -258,38 +258,55 @@ def critical_density(beta, gap):
     return float(val) * (s / x_0)
 
 
-def green_lattice(d):
-    """Diagonal Green value integral over the torus, via Bessel transform.
+def green_lattice(d, eps=0.0, delta=None):
+    """The Z^d lattice Green function on the torus,
 
-    integral over T^d of dm / sum_i (1 - cos theta_i)
-      = integral_0^infty (e^{-t} I_0(t))^d dt,
-    finite exactly when d >= 3.  The integrand decays like (2 pi t)^{-d/2},
-    so nodes up to u = 90/(d-2) leave a tail below e^-45.
-    """
-    if d < 3:
-        return INF
-    from scipy import special
+        G_eps(Delta) = int over T^d of cos(Delta . theta) dm
+                       / (eps + sum_i (1 - cos theta_i))
+                     = int_0^inf e^{-eps t} prod_i ive(|Delta_i|, t) dt
 
-    val, _ = log_trapezoid(lambda t: special.i0e(t) ** d, 90.0 / (d - 2))
-    return float(val)
+    (1/s = int_0^inf e^{-st} dt, ive(m, t) = e^{-t} I_m(t)): one
+    `log_trapezoid` integral, its nodes and tail set by the form.
 
-
-def green_lattice_eps(d, eps):
-    """Regularized Green integral with +eps in the denominator,
-
-    integral_0^infty e^{-eps t} (e^{-t} I_0(t))^d dt,
-
-    for a float eps > 0 (returns a float) or an array of them (returns a
-    list), all on one node array up to u = log(45/min(eps)).
+    - green_lattice(d) = G(0), finite exactly when d >= 3 (inf below): the
+      integrand falls like (2 pi t)^{-d/2}, so nodes up to u = 90/(d-2)
+      leave a tail below e^-45.
+    - green_lattice(d, eps) = G_eps(0) for eps > 0, a float or an array of
+      them (returns a list), on one node array up to u = log(45/min eps).
+    - green_lattice(d, delta=Delta) = G(Delta) - G(0), the Delta = 0
+      product subtracted inside the integrand, so nothing cancels and it
+      converges absolutely in every d.  ive is NaN from t ~ 1.07e9 on, so
+      the nodes stop below 2^30, and the rule sums those beyond by the
+      integrand's leading decay -(|Delta|^2/2) (2 pi t)^{-d/2}/t.  At d = 1
+      it is -|Delta|, by Fejer's integral.
     """
     eps = np.asarray(eps, dtype=float)
-    if not np.all(eps > 0):
-        raise ThermoError("eps must be positive")
+    if delta is not None:
+        delta = tuple(abs(m) for m in delta)
+        if len(delta) != d or eps.any():
+            raise ThermoError("delta takes %d components and eps = 0" % d)
+        if not any(delta):
+            return 0.0
+        if d == 1:
+            return -float(delta[0])
+        u_max, decay = 30.0 * math.log(2.0), d / 2.0
+    elif not eps.any():
+        if d < 3:
+            return INF
+        u_max, decay = 90.0 / (d - 2), None
+    elif np.all(eps > 0):
+        u_max, decay = math.log(45.0 / eps.min()), None
+    else:
+        raise ThermoError("eps must be 0 or positive")
     from scipy import special
 
-    val, _ = log_trapezoid(
-        lambda t: np.exp(-eps[..., None] * t) * special.i0e(t) ** d,
-        math.log(45.0 / eps.min()))
+    def integrand(t):
+        i0 = special.i0e(t)
+        prod = i0 ** d if delta is None else math.prod(
+            special.ive(m, t) if m else i0 for m in delta) - i0 ** d
+        return np.exp(-eps[..., None] * t) * prod
+
+    val, _ = log_trapezoid(integrand, u_max, decay)
     return val.tolist()
 
 
@@ -311,7 +328,7 @@ def transience(d):
 @functools.lru_cache(maxsize=16, typed=True)
 def _classify(d):
     """`transience` with its values as a tuple."""
-    seq = tuple(green_lattice_eps(d, 10.0 ** -np.arange(1, 9)))
+    seq = tuple(green_lattice(d, 10.0 ** -np.arange(1, 9)))
     incs = [b - a for a, b in zip(seq, seq[1:])]
     ratios = [b / a for a, b in zip(incs, incs[1:]) if a > 0]
     shrinking = ratios and ratios[-1] < 0.5 and incs[-1] < 1e-2 * max(seq[-1], 1.0)

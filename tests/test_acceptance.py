@@ -146,7 +146,9 @@ def test_criterion_06_kernel_identities():
             mat = chain_green(lam, rows[:, None], rows, -n, n)
             worst_chain = max(worst_chain, float(np.max(np.abs(mat - dense))))
     # Q(0) = Q(e_1) = -1/d, the second from the lattice equation
-    worst_q = max(abs(cb.q_limit(d, delta + (0,) * (d - 1)) + 1.0 / d)
+    # Q(Delta) = G(Delta) - G(0) - delta_{Delta,0}/d
+    worst_q = max(abs(thermo.green_lattice(d, delta=delta + (0,) * (d - 1))
+                      - (not any(delta)) / d + 1.0 / d)
                   for d in (1, 2, 3, 4) for delta in ((0,), (1,)))
     worst_pert = _perturbed_apply_worst_error()
     ok = worst_chain < 1e-10 and worst_q < 1e-14 and worst_pert < 1e-9

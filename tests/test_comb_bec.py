@@ -13,7 +13,7 @@ from combgas.comb_bec import (CombRunConfig, FockVector, SweepRow,
                               block_matrix_element, bounded_correction,
                               density_limit, eps_n, lattice_coeffs,
                               level_energies, norm_limit, pf_projection_term,
-                              q_limit, sweep_csv, sweep_row, torus_green,
+                              sweep_csv, sweep_row, torus_green,
                               two_point_limit)
 from combgas.families import CombFamily, CombVolume
 
@@ -125,6 +125,13 @@ def test_kplus_converges_to_green_value():
 
     _, kplus = lattice_coeffs(3, 40, 1e-9)
     assert kplus == pytest.approx(green_lattice(3), abs=6e-3)
+
+
+def q_limit(d, delta):
+    """Q(Delta) = G(Delta) - G(0) - delta_{Delta,0}/d on the continuous
+    torus, as `two_point_limit` adds it to G(0): `thermo.green_lattice`
+    gives G(Delta) - G(0)."""
+    return thermo.green_lattice(d, delta=delta) - (not any(delta)) / d
 
 
 def test_q_limit_diagonal_value():

@@ -219,12 +219,33 @@ def test_refuses_other_arrays():
         join([np.zeros(2), np.zeros(3)], "csv")
 
 
-def test_import_loads_no_scipy():
-    script = ("import sys\n"
-              "import combgas.floattext\n"
-              "print([m for m in sys.modules if m.startswith('scipy')])\n")
+def run_fresh(script):
+    """The stdout of `script` in a new interpreter that imports this
+    checkout's combgas."""
     src = str(Path(combgas.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+def test_import_loads_no_scipy():
+    out = run_fresh("import sys\n"
+                    "import combgas.floattext\n"
+                    "print([m for m in sys.modules if m.startswith('scipy')])\n")
     assert out.strip() == "[]"
+
+
+def test_import_builds_no_table():
+    # the digit tables and each format's layouts wait for the first kernel
+    # call that needs them
+    out = run_fresh("import numpy as np\n"
+                    "from combgas import floattext as f\n"
+                    "def built():\n"
+                    "    print(f._digits.cache_info().currsize,\n"
+                    "          f._layouts.cache_info().currsize)\n"
+                    "built()\n"
+                    "list(f.blocks([np.array([0.5, 2.0])], 'csv'))\n"
+                    "built()\n"
+                    "list(f.blocks([np.array([0.5, 2.0])], 'json'))\n"
+                    "built()\n")
+    assert out.split("\n") == ["0 0", "1 1", "1 2", ""]

@@ -1,5 +1,7 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +261,14 @@ def test_solve_mu_refusals():
 WATSON = (math.sqrt(6.0) / (32.0 * math.pi ** 3) * math.gamma(1 / 24)
           * math.gamma(5 / 24) * math.gamma(7 / 24) * math.gamma(11 / 24))
 EPS = 10.0 ** -np.arange(1, 9)  # the regularizers of `transience`
+# G(0) at d=4 and 5, and G_eps(0) at d=4, eps = 1e-7 and 1e-8, from mpmath
+# (30 digits), with eps = 0 for G(0):
+#   mp.quad(lambda t: mp.exp(-eps*t) * (mp.exp(-t)*mp.besseli(0, t))**d,
+#           [0] + [mp.mpf(10)**k for k in range(-1, 13)] + [mp.inf])
+HYPERCUBIC_GREEN = {4: 0.309866780462120428169674416215,
+                    5: 0.231261624968046235741427024388}
+QUARTIC_GREEN_EPS = {7: 0.309866729251968672124942621411,
+                     8: 0.309866774757853528476593140392}
 
 
 def test_green_lattice_values():
@@ -266,24 +276,69 @@ def test_green_lattice_values():
     assert thermo.green_lattice(2) == math.inf
     # Watson's simple-cubic integral (1939) is 3 G(0)
     assert thermo.green_lattice(3) == pytest.approx(WATSON / 3, abs=1e-13)
+    for d, want in HYPERCUBIC_GREEN.items():
+        assert thermo.green_lattice(d) == pytest.approx(want, rel=1e-12)
+        assert thermo.transience(d)[:2] == ("transient",
+                                            pytest.approx(want, rel=1e-12))
 
 
 def test_green_lattice_eps_limits():
     # d=1 closed form 1/sqrt(eps(eps+2)), on every regularizer of the rule
     for eps in [1e30, 100.0, 2.0, 0.5, *EPS]:
-        assert thermo.green_lattice_eps(1, eps) == pytest.approx(
+        assert thermo.green_lattice(1, eps) == pytest.approx(
             1 / math.sqrt(eps * (eps + 2)), rel=1e-13)
     # d=3 regularized value approaches the unregularized one like sqrt(eps)
-    assert thermo.green_lattice_eps(3, 1e-8) == pytest.approx(
+    assert thermo.green_lattice(3, 1e-8) == pytest.approx(
         thermo.green_lattice(3), abs=1e-4)
     with pytest.raises(thermo.ThermoError):
-        thermo.green_lattice_eps(3, [1e-3, 0.0])
+        thermo.green_lattice(3, [1e-3, 0.0])
 
 
 # G_eps(0) at d=3, eps = 1e-7 and 1e-8, from mpmath (30 digits):
 #   mp.quad(lambda t: mp.exp(-eps*t) * (mp.exp(-t)*mp.besseli(0, t))**3,
 #           [0] + [mp.mpf(10)**k for k in range(-1, 13)] + [mp.inf])
 CUBIC_GREEN_EPS = {7: 0.50539083859910032847, 8: 0.50543951132291200552}
+
+
+def test_green_lattice_refusals():
+    with pytest.raises(thermo.ThermoError):
+        thermo.green_lattice(3, -1e-3)
+    with pytest.raises(thermo.ThermoError):
+        thermo.green_lattice(3, delta=(1, 0))
+    with pytest.raises(thermo.ThermoError):
+        thermo.green_lattice(3, 1e-3, delta=(1, 0, 0))
+
+
+def _special_imports(node, scope):
+    """The scope of every import in the tree of `node` that can bind
+    scipy.special (`from scipy import special`, `import scipy`, imports of
+    scipy.special or its submodules): the functions and classes that hold
+    it, as a dotted name under `scope`."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = scope + "." + child.name
+        if isinstance(child, ast.ImportFrom):
+            module = child.module or ""
+            names = {a.name for a in child.names}
+            if (module == "scipy" and names & {"special", "*"}
+                    or module.split(".")[:2] == ["scipy", "special"]):
+                yield inner
+        elif isinstance(child, ast.Import):
+            if any(a.name == "scipy" or a.name.split(".")[:2]
+                   == ["scipy", "special"] for a in child.names):
+                yield inner
+        yield from _special_imports(child, inner)
+
+
+def test_scipy_special_is_imported_in_green_lattice_alone():
+    # the one call site that numpy Bessel factors would replace
+    package = Path(thermo.__file__).parent
+    sites = [scope for path in sorted(package.glob("*.py"))
+             for scope in _special_imports(ast.parse(path.read_text()),
+                                           path.stem)]
+    assert sites == ["thermo.green_lattice"]
 
 
 def mp_square_green_eps(eps):
@@ -307,6 +362,11 @@ def test_transience_sequences_at_small_eps():
         assert seq2[k - 1] == pytest.approx(mp_square_green_eps(eps),
                                             rel=1e-12)
         assert seq3[k - 1] == pytest.approx(CUBIC_GREEN_EPS[k], rel=1e-12)
+    _, _, seq4 = thermo.transience(4)
+    for k, want in QUARTIC_GREEN_EPS.items():
+        assert seq4[k - 1] == pytest.approx(want, rel=1e-12)
+        assert thermo.green_lattice(4, 10.0 ** -k) == pytest.approx(
+            want, rel=1e-12)
 
 
 def test_rule_estimates_on_the_lattice_integrals(monkeypatch):
@@ -324,7 +384,7 @@ def test_rule_estimates_on_the_lattice_integrals(monkeypatch):
     for delta in [(1, 0, 0), (1, 0, 0, 0), (2, -1, 1), (1, 1, 2),
                   (2, -1, 1, 1), (1, 1, 1, 2), (8, 0, 0), (5, 3, 2),
                   (1, 1), (2, 1), (2, 0)]:
-        cb.q_limit(len(delta), delta)
+        thermo.green_lattice(len(delta), delta=delta)
     assert len(seen) == 5 + 3 + 11  # transience d >= 3 adds G(0)
     for value, estimate in seen:
         assert np.all(np.isfinite(estimate))
