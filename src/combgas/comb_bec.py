@@ -14,10 +14,11 @@ takes the levels as energies h = ||A|| - lam from one function, `_levels`.
 densities of the CLI's `density` and `mu-solve` (on the free base too) and
 of `density_limit`.
 
-Every volume comes from `families.comb_volume`, which keeps the small ones
-with what their sums solved, so a sweep, a density or a limit that meets
-the same (d, n) again searches no root again.  Nothing kept depends on
-beta, mu, c or the amplitudes, so no result depends on what was kept.
+Every volume comes from `families.comb_volume`, which keeps the last few
+one-chunk volumes with their roots, levels and the eigendata of each fiber
+support asked for, so a sweep, a density or a limit that meets the same
+(d, n) again searches no root again.  Nothing kept depends on beta, mu, c
+or the amplitudes, so no result depends on what was kept.
 The tensor decomposition
 
     H_n^{-1} = I (x) R_{Y_n}(lam_n)
@@ -96,13 +97,14 @@ def torus_green(vol, eps, delta):
     return float(vol.phase(delta)[1:] @ weights) / vol.modes
 
 
-def lattice_coeffs(d, n, eps):
+def lattice_coeffs(d, n, eps, vol=None):
     """(k_n^0, k_n^+) = (1/((2n+1)^d eps), G_n^+(0; eps)): the zero mode of
-    G_n(0; eps) and the rest (`torus_green`) on the periodic `comb_volume`
-    of Lambda_n."""
+    G_n(0; eps) and the rest (`torus_green`) on vol, the periodic
+    `comb_volume` of Lambda_n unless the caller holds it already."""
     if eps <= 0:
         raise CombError("eps must be positive")
-    vol = comb_volume(d, n)
+    if vol is None:
+        vol = comb_volume(d, n)
     return 1.0 / (vol.modes * eps), torus_green(vol, eps, (0,) * d)
 
 
@@ -493,7 +495,7 @@ def sweep_row(cfg, n, xi, eta):
     d, beta = cfg.d, cfg.beta
     eps = eps_n(d, n, mu)
     vol = comb_volume(d, n)
-    k0, kplus = lattice_coeffs(d, n, eps)
+    k0, kplus = lattice_coeffs(d, n, eps, vol)
     z = chain_green(lambda_n(d, mu), np.arange(-n, n + 1), 0, -n, n)
     kprime = 2.0 * d * (d + eps) * (k0 + kplus) * float(z @ z) / beta
     total = dens = 0.0

@@ -8,21 +8,19 @@ whose norms have closed forms; their truncations are used for exhaustion
 cross-checks.
 
 Comb volumes (`comb_volume`) are the one thing a process keeps between
-calls: the volumes whose fiber blocks fit one chunk (`fiber_chunks`), with
-their orbits, phase sums, fiber-block roots (searched once), eigenvector
-entries up to the widest fiber reach asked for, and level energies and
-weights, read-only, at most 32 volumes and 16 MB together.  They depend on
-(d, n) and the reach alone; beta, mu, c and the amplitudes never enter
-them.
+calls: the last _KEEP_VOLUMES volumes whose fiber blocks fit one chunk
+(`fiber_chunks`), with their orbits, phase sums, fiber-block roots (searched
+once), level energies and weights, and the eigenvector entries of each
+fiber support asked for, read-only.  They depend on (d, n) and the supports
+alone; beta, mu, c and the amplitudes never enter them.
 """
 
 from __future__ import annotations
 
-import collections
+import functools
 import inspect
 import itertools
 import math
-import weakref
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -207,10 +205,8 @@ class CombVolume:
 
     These arrays are read-only, as is everything the volume keeps
     (`keep`): the phase sums, and on a volume whose blocks fit one chunk the
-    fiber-block roots, the eigenvector entries by reach (`chunks`) and the
-    level energies and weights of `comb_bec`; nbytes counts all of them.
-    `comb_volume` hands out one volume per (d, n, periodic), and keeps it
-    (kept = True) while its blocks fit one chunk.
+    fiber-block roots, the eigendata of each support (`chunks`) and the
+    level energies and weights of `comb_bec`.
     """
 
     def __init__(self, d, n, periodic):
@@ -242,11 +238,8 @@ class CombVolume:
         self.a = self._sum_axes(one)
         self.gap = self._sum_axes(2.0 * np.sin(half) ** 2)
         self._memo = {}
-        self.kept = False
-        arrays = [self.reps, self.mult, self.a, self.gap]
-        for x in arrays:
+        for x in (self.reps, self.mult, self.a, self.gap):
             x.setflags(write=False)
-        self.nbytes = sum(x.nbytes for x in arrays)
 
     def _sum_axes(self, table):
         """sum_i table[k_i] over each representative, in the order i = 1..d."""
@@ -283,23 +276,18 @@ class CombVolume:
 
     def chunks(self, support=()):
         """`fiber_chunks` of the volume's blocks with eigenvector entries at
-        `support`.  A volume whose blocks fit one chunk searches its roots
-        once (`_fiber_roots`) and keeps them.  It keeps the entries at every
-        |j| up to the widest reach asked so far (`_fiber_entries`), solving
-        them again from the kept roots only when a support reaches further,
-        and gathers each support's FiberEigen from them (`_fiber_gather`).
-        A larger volume streams its chunks and keeps nothing of them."""
+        the sorted `support`.  A volume whose blocks fit one chunk searches
+        its roots once (`_fiber_roots`) and keeps them, and keeps the
+        FiberEigen of each support it is asked for, its entries solved from
+        the kept roots (`_fiber_gather`).  A larger volume streams its
+        chunks and keeps nothing of them."""
         if not self.one_chunk():
             yield from fiber_chunks(self.n, self.a, support)
             return
         roots = self.keep("roots", lambda: _fiber_roots(self.n, self.a))
-        absj = np.abs(np.asarray(support, dtype=int))
-        entries = self._memo.get("entries")
-        if absj.size and (entries is None or len(entries.odd) <= absj.max()):
-            entries = self._store("entries", _fiber_entries(
-                self.n, self.a, roots, np.arange(absj.max() + 1)))
-        yield (_fiber_gather(self.a, roots, entries, support, absj),
-               slice(0, self.a.size))
+        support = tuple(support)
+        yield (self.keep(("eigen", support), lambda: _fiber_gather(
+            self.n, self.a, roots, support)), slice(0, self.a.size))
 
     def levels(self, eig, blk):
         """(lam, `weights`) of the chunk (eig, blk) of `chunks`: the n odd
@@ -322,37 +310,16 @@ class CombVolume:
         return self.a.size <= max(1, _CHUNK // (self.n + 1))
 
     def keep(self, key, make):
-        """The value kept under `key`, from make() on the first call: an
-        array or a tuple of arrays, none of which depends on beta, mu, c,
-        a support or the amplitudes (`_store`)."""
+        """The value kept under `key`, from make() on the first call with
+        its arrays made read-only: an array or a tuple holding arrays, none
+        of which depends on beta, mu, c or the amplitudes."""
         value = self._memo.get(key)
         if value is None:
-            value = self._store(key, make())
+            value = self._memo[key] = make()
+            for x in value if isinstance(value, tuple) else (value,):
+                if isinstance(x, np.ndarray):
+                    x.setflags(write=False)
         return value
-
-    def _store(self, key, value):
-        """Keep value under key in place of what it held, its arrays made
-        read-only and counted in nbytes, unless the volume is kept and
-        would outgrow _KEEP_BYTES; a store on a kept volume trims the
-        others (`_trim`).  Returns value."""
-        size = _nbytes(value) - _nbytes(self._memo.get(key, ()))
-        if self.kept and self.nbytes + size > _KEEP_BYTES:
-            return value
-        for x in _arrays(value):
-            x.setflags(write=False)
-        self._memo[key] = value
-        self.nbytes += size
-        if self.kept:
-            _trim(self)
-        return value
-
-
-def _arrays(value):
-    return [value] if isinstance(value, np.ndarray) else list(value)
-
-
-def _nbytes(value):
-    return sum(x.nbytes for x in _arrays(value))
 
 
 class FiberSolveError(NumericFailure):
@@ -362,7 +329,8 @@ class FiberSolveError(NumericFailure):
 class FiberEigen(NamedTuple):
     """Eigendata of the fiber blocks A_Y + a*P_0 on the chain [-n, n] that
     one `fiber_eigen` call solves (a chunk of a volume's blocks under
-    `fiber_chunks`), or that a kept volume gathers (`CombVolume.chunks`).
+    `fiber_chunks`), or that a kept volume keeps for each support it is
+    asked (`CombVolume.chunks`).
 
     odd (n,): odd-sector eigenvalues, shared by every block.
     even (B, n+1): even-sector eigenvalues, row b for block a[b].
@@ -396,10 +364,8 @@ _HALLEY_STOP = (_ROOT_TOL / 4.0) ** (1.0 / 3.0)
 # what a sum over a volume's blocks holds at once.
 _CHUNK = 1 << 14
 # One-chunk comb volumes a process keeps (`comb_volume`), least recently
-# used out first, and the bytes of orbits, phase sums, roots, entries and
-# level energies that they hold together: at most 16 MB.
+# used out first
 _KEEP_VOLUMES = 32
-_KEEP_BYTES = 16 << 20
 
 
 def _bracketed_newton(fun, x, lo, hi, scale):
@@ -590,17 +556,12 @@ def fiber_eigen(n, a, support=()):
     A negative a uses spec(A_Y + a P_0) = -spec(A_Y - a P_0), with vectors
     multiplied by (-1)^j.  `support` lists the fiber coordinates j at which
     unit eigenvector entries are returned.  The root search
-    (`_fiber_roots`), the entries (`_fiber_entries`) and their signs
-    (`_fiber_gather`) are separate steps, so that a kept `CombVolume`
-    searches its roots once and solves entries only for a wider |j|.
+    (`_fiber_roots`) and the entries (`_fiber_gather`) are separate steps,
+    so that a kept `CombVolume` searches its roots once and solves entries
+    once per support.
     """
     a = np.asarray(a, dtype=float)
-    roots = _fiber_roots(n, a)
-    absj = np.abs(np.asarray(support, dtype=int))
-    if not absj.size:
-        return FiberEigen(roots.odd, roots.even)
-    return _fiber_gather(a, roots, _fiber_entries(n, a, roots, absj),
-                         support, slice(None))
+    return _fiber_gather(n, a, _fiber_roots(n, a), support)
 
 
 class FiberRoots(NamedTuple):
@@ -612,16 +573,6 @@ class FiberRoots(NamedTuple):
     odd: np.ndarray
     even: np.ndarray
     sn: np.ndarray
-
-
-class FiberEntries(NamedTuple):
-    """Unit eigenvector entries of the blocks a at the L fiber levels |j|
-    that `_fiber_entries` is given, before the signs sign(j) (odd) and
-    sign(a)^j (even): odd (L, n) and even (L, B, n+1), in the column order
-    of FiberEigen's odd and even."""
-
-    odd: np.ndarray
-    even: np.ndarray
 
 
 def _fiber_roots(n, a):
@@ -639,8 +590,11 @@ def _fiber_roots(n, a):
 
 
 def _fiber_entries(n, a, roots, levels):
-    """`FiberEntries` at |j| = levels (an int array) of the blocks a from
-    their `_fiber_roots`, with no root search."""
+    """Unit eigenvector entries of the blocks a at the L fiber levels
+    |j| = levels (an int array), from their `_fiber_roots` with no root
+    search, before the signs sign(j) (odd) and sign(a)^j (even): odd (L, n)
+    and even (L, B, n+1), in the column order of FiberEigen's odd and
+    even."""
     big = n + 1
     sign = np.where(a < 0.0, -1.0, 1.0)[:, None]
     even = np.empty((levels.size,) + roots.even.shape)
@@ -650,19 +604,19 @@ def _fiber_entries(n, a, roots, levels):
                                    np.abs(a)[:, None], big, levels)
     odd = (np.sin((big - levels)[:, None] * (math.pi / big)
                   * np.arange(1, big)) / math.sqrt(big))
-    return FiberEntries(odd, even)
+    return odd, even
 
 
-def _fiber_gather(a, roots, entries, support, rows):
-    """The `FiberEigen` of the blocks a at `support`, the entries' rows
-    taken by the index `rows` (one row per j; a slice signs the entries in
-    place) with sign(j) on the odd entries and sign(a)^j on the even ones,
-    that is sign(a) on the rows of odd j."""
+def _fiber_gather(n, a, roots, support):
+    """The `FiberEigen` of the blocks a at `support` from their
+    `_fiber_roots`: the entries at |j| (`_fiber_entries`) with sign(j) on
+    the odd ones and sign(a)^j on the even ones, that is sign(a) on the
+    rows of odd j."""
     fib = np.asarray(support, dtype=int)
     if not fib.size:
         return FiberEigen(roots.odd, roots.even)
-    odd_vec = np.sign(fib)[:, None] * entries.odd[rows]
-    even_vec = entries.even[rows]
+    odd_vec, even_vec = _fiber_entries(n, a, roots, np.abs(fib))
+    odd_vec *= np.sign(fib)[:, None]
     sign = np.where(a < 0.0, -1.0, 1.0)[:, None]
     for s in np.flatnonzero(fib % 2):
         even_vec[s] *= sign
@@ -682,58 +636,29 @@ def fiber_chunks(n, a, support=()):
         yield fiber_eigen(n, a[blk], support), blk
 
 
-_kept = collections.OrderedDict()  # (d, n, periodic) -> kept CombVolume
-_alive = weakref.WeakValueDictionary()  # every volume still in use
-
-
 def comb_volume(d, n, periodic=True):
-    """The `CombVolume` of (d, n, periodic), one per process.
+    """The `CombVolume` of (d, n, periodic).
 
-    A volume whose blocks fit one `fiber_chunks` chunk, B <= _CHUNK // (n+1),
-    is kept with its phase sums, its fiber-block roots, searched once, the
-    eigenvector entries up to the widest fiber reach max |j| it is asked
-    for (`CombVolume.chunks`) and its level energies and weights
-    (`comb_bec._levels`), so a later call on the same volume searches no
-    root again and solves entries only for a wider reach.  The process
-    keeps at most _KEEP_VOLUMES volumes holding at most _KEEP_BYTES (16 MB)
-    together, dropping the least recently used, and does not keep what
-    would exceed that alone.  A larger volume is shared only while some
-    caller holds it.  What is kept depends on (d, n), the reach and the
-    `delta`s of the phase sums alone, never on beta, mu, c or the
-    amplitudes.
+    A volume whose blocks fit one `fiber_chunks` chunk, C(n+d, d) orbits
+    (periodic) or C(2n+d, d) (free) against _CHUNK // (n+1), comes from a
+    store of the last _KEEP_VOLUMES such volumes asked for.  Each keeps its
+    phase sums, its fiber-block roots, searched once, with their level
+    energies and weights (`comb_bec._levels`), at most 2^14 roots, and the
+    eigendata of each support S it is asked for (`CombVolume.chunks`),
+    2^17 |S| bytes at most, so a later call on the same volume and support
+    solves nothing again.  Any other volume is built for each call.  What
+    is kept depends on (d, n), the supports and the `delta`s of the phase
+    sums alone, never on beta, mu, c or the amplitudes.
     """
-    key = (d, n, periodic)
-    vol = _alive.get(key)
-    if vol is None:
-        vol = _alive[key] = CombVolume(d, n, periodic)
-    if vol.kept:
-        _kept.move_to_end(key)
-    elif vol.one_chunk() and vol.nbytes <= _KEEP_BYTES:
-        vol.kept = True
-        _kept[key] = vol
-        _trim(vol)
-    return vol
+    orbits = math.comb((n if periodic else 2 * n) + d, d)
+    if orbits <= max(1, _CHUNK // (n + 1)):
+        return _kept_volume(d, n, periodic)
+    return CombVolume(d, n, periodic)
 
 
-def _trim(keep):
-    """Drop the least recently used kept volumes but `keep` until at most
-    _KEEP_VOLUMES hold at most _KEEP_BYTES."""
-    total = sum(vol.nbytes for vol in _kept.values())
-    for key, vol in list(_kept.items()):
-        if len(_kept) <= _KEEP_VOLUMES and total <= _KEEP_BYTES:
-            return
-        if vol is not keep:
-            del _kept[key]
-            vol.kept = False
-            total -= vol.nbytes
-
-
-def clear_volumes():
-    """Forget every volume `comb_volume` has handed out."""
-    for vol in _kept.values():
-        vol.kept = False
-    _kept.clear()
-    _alive.clear()
+@functools.lru_cache(maxsize=_KEEP_VOLUMES)
+def _kept_volume(d, n, periodic):
+    return CombVolume(d, n, periodic)
 
 
 class CombFamily(GraphFamily):

@@ -34,6 +34,6 @@ def _no_kept_volumes():
     no secular solution (`secular.solve_secular`) and no transience verdict
     (`thermo.transience`), so it solves, builds and chunks its volumes and
     solves its infinite systems itself."""
-    families.clear_volumes()
+    families._kept_volume.cache_clear()
     secular._solve_entry.cache_clear()
     thermo._classify.cache_clear()

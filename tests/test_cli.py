@@ -617,6 +617,9 @@ BEC_REPEATS = [
      "--eta=1,0,0,-2"),
     ("--d", "3", "--beta", "0.7", "--c", "2", "--n", "5", "--xi",
      "0,1,0,1@0.5", "--format", "csv"),
+    # 33 one-chunk volumes, one more than the store keeps
+    ("--d", "1", "--beta", "1", "--mu-power", "1", "--n", "95:127", "--xi",
+     "0,90"),
 ]
 
 
@@ -632,9 +635,17 @@ def test_bec_output_does_not_depend_on_kept_volumes(tmp_path):
         return out
 
     cold = outputs()
-    assert families._kept
+    # the least recently used of the last sweep's volumes, n = 95, is gone
+    kept = families._kept_volume
+    before = kept.cache_info()
+    assert before.currsize == families._KEEP_VOLUMES
+    families.comb_volume(1, 127)
+    families.comb_volume(1, 95)
+    after = kept.cache_info()
+    assert after.hits == before.hits + 1
+    assert after.misses == before.misses + 1
     warm = outputs()
-    families.clear_volumes()
+    kept.cache_clear()
     assert outputs() == warm == cold
 
 

@@ -685,7 +685,7 @@ def _count_solves(monkeypatch):
 def test_sweep_rows_solves_each_volume_once(monkeypatch):
     # every block of a volume has its roots searched once and its entries
     # solved once, in one pass over its chunks, for both the two-point
-    # function and the density
+    # function and the density, which asks for no entries
     roots, entries = _count_solves(monkeypatch)
     cfg = CombRunConfig(d=3, beta=1.0, mu_schedule=("condensate_scaled", 1.0))
     xi = FockVector({((0, 0, 0), 0): 1.0, ((1, 0, 0), -1): 0.5})
@@ -693,15 +693,16 @@ def test_sweep_rows_solves_each_volume_once(monkeypatch):
     densities = [density_finite(3, n, 1.0, cfg.mu_of(n)) for n in (2, 3)]
     blocks = {n: CombVolume(3, n, True).a.size for n in (2, 3)}
     assert roots == [(n, blocks[n]) for n in (2, 3)]
-    assert entries == [(n, blocks[n], [0, 1]) for n in (2, 3)]
+    assert entries == [(n, blocks[n], [1, 0]) for n in (2, 3)]
     for row, density in zip(rows, densities):
         assert row.density_n == pytest.approx(density, rel=1e-14)
 
 
 def test_a_kept_volume_searches_its_roots_once(monkeypatch):
-    # supports reaching |j| = 0, 2, 1, 0 at several beta and c: one root
-    # search, entries solved at reach 0 and again at reach 2 only, and every
-    # support's eigendata bit for bit what one `fiber_eigen` call gives
+    # the supports (0,), (0, 2), (-1, 0, 1) and (0,) again at several beta
+    # and c: one root search, entries solved once for each distinct support,
+    # and every support's eigendata bit for bit what one `fiber_eigen` call
+    # gives
     n = 5
     supports = [(0,), (0, 2), (-1, 1), (0,)]
 
@@ -712,7 +713,7 @@ def test_a_kept_volume_searches_its_roots_once(monkeypatch):
                                 mu_schedule=("condensate_scaled", c))
             for support in supports:
                 if cold:
-                    families.clear_volumes()
+                    families._kept_volume.cache_clear()
                 xi = FockVector({((t, 0, 0), j): 1.0 - 0.25 * t
                                  for t, j in enumerate(support)})
                 row = sweep_row(cfg, n, xi, FockVector.delta((0, 1, 0), 0))
@@ -722,11 +723,13 @@ def test_a_kept_volume_searches_its_roots_once(monkeypatch):
     roots, entries = _count_solves(monkeypatch)
     warm = rows(cold=False)
     vol = families.comb_volume(3, n)
-    gathered = [next(vol.chunks(support))[0] for support in supports]
+    asked = [tuple(sorted({0, *support})) for support in supports]
+    gathered = [next(vol.chunks(support))[0] for support in asked]
     assert roots == [(n, vol.a.size)]
-    assert entries == [(n, vol.a.size, [0]), (n, vol.a.size, [0, 1, 2])]
+    assert entries == [(n, vol.a.size, [0]), (n, vol.a.size, [0, 2]),
+                       (n, vol.a.size, [1, 0, 1])]
     monkeypatch.undo()
-    for support, eig in zip(supports, gathered):
+    for support, eig in zip(asked, gathered):
         want = families.fiber_eigen(n, vol.a, support)
         assert eig.support == want.support == support
         for got, ref in zip(eig, want):
@@ -839,7 +842,7 @@ def test_mu_solve_reads_a_kept_volume_s_weights_once(capsys, monkeypatch):
             "--beta", "1", "--rho", "0.5"]
     mus, counts = [], []
     for one_chunk in (CombVolume.one_chunk, lambda self: False):
-        families.clear_volumes()
+        families._kept_volume.cache_clear()
         monkeypatch.setattr(CombVolume, "one_chunk", one_chunk)
         calls.clear()
         assert cli.main(argv) == 0
@@ -912,7 +915,7 @@ def test_a_second_sweep_row_solves_nothing(monkeypatch):
     xi = FockVector({((0, 0, 0), 0): 1.0, ((1, 0, 0), -1): 0.5})
     eta = FockVector({((0, 1, 0), 2): -0.25})
     first = sweep_row(cfg, 5, xi, eta)
-    assert (3, 5, True) in families._kept
+    assert families._kept_volume.cache_info().currsize == 1
 
     def refused(*args):
         raise AssertionError("a kept volume solved again")
@@ -943,43 +946,24 @@ def _held_arrays(obj):
 
 
 def test_kept_arrays_are_read_only():
-    cfg = CombRunConfig(d=3, beta=1.0, mu_schedule=("condensate_scaled", 1.0))
-    xi = _delta_vector(3, 0, 1)
-    sweep_row(cfg, 4, xi, xi)
+    # everything a kept volume holds, after sweeps, projections, densities
+    # and mu solves on several supports, is read-only
+    cfg = CombRunConfig(d=3, beta=0.7, mu_schedule=("condensate_scaled", 2.0))
+    for fibers in ((0,), (0, 1), (-2, 0), (3,)):
+        xi = _delta_vector(3, *fibers)
+        sweep_row(cfg, 4, xi, xi)
+        pf_projection_term(3, 4, -0.01, xi, xi)
+    density_finite(3, 4, 0.7, cfg.mu_of(4))
+    fixed_density_mu(3, 4, 0.7, 0.5)
     vol = families.comb_volume(3, 4)
-    roots, entries = vol._memo["roots"], vol._memo["entries"]
-    levels = vol._memo["levels"]
-    kept = [vol.reps, vol.mult, vol.a, vol.gap, vol.phase((1, 0, 0)),
-            *roots, *entries, *levels]
-    assert len(kept) == 4 + 1 + 3 + 2 + 2
-    assert len(entries.odd) == 2  # |j| = 0, 1
-    for arr in kept:
+    eigen = sorted(key[1] for key in vol._memo if key[0] == "eigen")
+    assert eigen == [(), (-2, 0), (0,), (0, 1), (3,)]
+    assert vol._memo["eigen", (0, 1)].even_vec.shape == (2, vol.a.size, 5)
+    held = _held_arrays(vol)
+    assert len(held) == 4 + 2 + 3 + 2 * 4 + 2  # phases at |Delta| = 0, 1
+    for arr in held:
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 0
-
-
-def test_kept_bytes_count_every_kept_array():
-    # whatever a volume holds is counted in its nbytes and read-only, so no
-    # kept array escapes _KEEP_BYTES; a wider reach replaces the entries
-    cfg = CombRunConfig(d=3, beta=0.7, mu_schedule=("condensate_scaled", 2.0))
-    for n, fibers in ((4, (0,)), (4, (0, 1)), (5, (-2, 0)), (4, (3,)),
-                      (5, (1,)), (6, ())):
-        xi = _delta_vector(3, *fibers)
-        if fibers:
-            sweep_row(cfg, n, xi, xi)
-            pf_projection_term(3, n, -0.01, xi, xi)
-        density_finite(3, n, 0.7, cfg.mu_of(n))
-        fixed_density_mu(3, n, 0.7, 0.5)
-        assert families._kept
-        for vol in families._kept.values():
-            held = _held_arrays(vol)
-            assert vol.nbytes == sum(x.nbytes for x in held)
-            for arr in held:
-                assert not arr.flags.writeable
-    kept = families._kept
-    assert set(kept[3, 4, True]._memo) >= {"roots", "entries", "levels"}
-    assert len(kept[3, 4, True]._memo["entries"].odd) == 4
-    assert "entries" not in kept[3, 6, True]._memo
 
 
 @pytest.mark.parametrize("d,n,schedule", CHUNK_CASES)
@@ -990,36 +974,22 @@ def test_volumes_of_several_chunks_are_not_kept(monkeypatch, d, n, schedule):
     sweep_row(cfg, n, xi, xi)
     density_finite(d, n, 0.7, cfg.mu_of(n))
     lattice_coeffs(d, n, 0.1)
-    assert not families._kept
+    assert families._kept_volume.cache_info().currsize == 0
 
 
-def test_kept_volumes_stay_within_their_bound(monkeypatch):
-    # three volumes and 50 kB, where the five volumes with three supports
-    # each would hold 82 kB, n = 5 and 6 alone 61 kB
-    monkeypatch.setattr(families, "_KEEP_VOLUMES", 3)
-    monkeypatch.setattr(families, "_KEEP_BYTES", 50_000)
-    cfg = CombRunConfig(d=3, beta=1.0, mu_schedule=("condensate_scaled", 1.0))
-    rows = []
-    for n in (2, 3, 4, 5, 6, 3, 2):
-        for fibers in ((0,), (0, 1), (-2, 0, 2)):
-            xi = _delta_vector(3, *fibers)
-            rows.append(sweep_row(cfg, n, xi, xi))
-            kept = families._kept.values()
-            assert 1 <= len(kept) <= 3
-            assert sum(vol.nbytes for vol in kept) <= 50_000
-    # entries wider than the budget are not kept, the volume and its
-    # narrower entries still are
-    vol = families._kept[3, 6, True]
-    assert len(vol._memo["entries"].odd) == 3
-    wide = _delta_vector(3, *range(-6, 7))
-    sweep_row(cfg, 6, wide, wide)
-    assert families._kept[3, 6, True] is vol
-    assert len(vol._memo["entries"].odd) == 3
-    assert vol.nbytes <= 50_000
-    # the bound changes what is solved again, never a result
-    monkeypatch.undo()
-    families.clear_volumes()
-    assert rows == [sweep_row(cfg, n, _delta_vector(3, *fibers),
-                              _delta_vector(3, *fibers))
-                    for n in (2, 3, 4, 5, 6, 3, 2)
-                    for fibers in ((0,), (0, 1), (-2, 0, 2))]
+def test_a_sweep_keeps_the_eigendata_of_its_support_only(capsys):
+    # 32 one-chunk volumes, up to 128 x 128 roots, asked at j = 96 alone:
+    # each keeps that one row of entries, 2^17 bytes at most
+    argv = ["bec", "--d", "1", "--beta", "1", "--mu-power", "1", "--n",
+            "96:127", "--xi", "0,96"]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    kept = {n: families.comb_volume(1, n) for n in range(96, 128)}
+    assert families._kept_volume.cache_info().currsize == len(kept)
+    for n, vol in kept.items():
+        eigen = {key: eig for key, eig in vol._memo.items()
+                 if key[0] == "eigen"}
+        assert list(eigen) == [("eigen", (96,))]
+        assert eigen["eigen", (96,)].even_vec.shape == (1, n + 1, n + 1)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
