@@ -291,9 +291,10 @@ def test_fiber_eigen_converges_near_pi(n, a):
 
 
 def test_fiber_eigen_root_budget(monkeypatch):
-    # two Halley passes for the roots below the top one and two Newton steps
-    # for the top one, a pass to spare: a solver that needs more passes on
-    # these blocks fails here rather than slowing down unseen
+    # at most two Halley passes for each root below the top one (a pass over
+    # the roots still moving counts as one) and two Newton steps for the top
+    # one, a pass to spare: a solver that needs more passes on these blocks
+    # fails here rather than slowing down unseen
     monkeypatch.setattr(families, "_ROOT_CAP", 3)
     for d, n, periodic in FIBER_CASES:
         edge = [0.0, 2.0 * d, -2.0 * d, 2.0 / (n + 1), -2.0 / (n + 1)]
@@ -301,6 +302,80 @@ def test_fiber_eigen_root_budget(monkeypatch):
         families.fiber_eigen(n, blocks, tuple(range(min(n, 2) + 1)))
     for n, a in NEAR_PI_BLOCKS:
         families.fiber_eigen(n, [a], (0,))
+
+
+def _halley_steps_per_root(monkeypatch, d, n):
+    # elements the Halley steps of `_even_roots` see (np.arctan2 is called
+    # by the Halley step alone), over every chunk of the periodic volume,
+    # per root below the top one: the start and one full pass give 2
+    seen = []
+    arctan2 = np.arctan2
+
+    def counted(*args):
+        out = arctan2(*args)
+        seen.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "arctan2", counted)
+    a = CombVolume(d, n, True).a
+    for _ in families.fiber_chunks(n, a):
+        pass
+    return sum(seen) / (a.size * n)
+
+
+@pytest.mark.parametrize("d,n", [(1, 170), (3, 40)])
+def test_fiber_roots_stop_one_by_one(monkeypatch, d, n):
+    # on large volumes few roots move by more than _HALLEY_STOP in the first
+    # pass, and only those take a second one (two whole passes give 3.0)
+    assert _halley_steps_per_root(monkeypatch, d, n) <= 2.1
+
+
+@pytest.mark.parametrize("d,n", [(3, 2), (4, 5)])
+def test_fiber_roots_of_small_volumes_take_whole_passes(monkeypatch, d, n):
+    # where more than half of the roots are late, every pass runs on the
+    # whole chunk: two full passes after the start
+    assert _halley_steps_per_root(monkeypatch, d, n) == 3.0
+
+
+def _mp_roots_below_the_top(n, b):
+    """The n even eigenvalues of A_Y + b P_0, b >= 0, below the top one, in
+    ascending order: roots of (lam - b) U_n(lam/2) - 2 U_{n-1}(lam/2), the
+    polynomial of `mp_blocks` in test_comb_bec, with U_m(cos phi) =
+    sin((m+1) phi)/sin(phi), by three 40-digit Newton steps in phi from
+    LAPACK's eigenvalues of the even quotient."""
+    mpmath = pytest.importorskip("mpmath")
+    quotient = np.diag(np.ones(n), 1) + np.diag(np.ones(n), -1)
+    quotient[0, 0] = b
+    quotient[0, 1] = quotient[1, 0] = math.sqrt(2.0)
+    big = n + 1
+    roots = []
+    with mpmath.workdps(40):
+        for lam in np.linalg.eigvalsh(quotient)[:-1]:
+            phi = mpmath.acos(mpmath.mpf(lam) / 2)
+            for _ in range(3):
+                # g(phi) = sin(phi) p(2cos(phi)) and its phi-derivative
+                lin = 2 * mpmath.cos(phi) - b
+                g = lin * mpmath.sin(big * phi) - 2 * mpmath.sin(n * phi)
+                dg = (big * lin * mpmath.cos(big * phi)
+                      - 2 * mpmath.sin(phi) * mpmath.sin(big * phi)
+                      - 2 * n * mpmath.cos(n * phi))
+                phi -= g / dg
+            roots.append(2 * mpmath.cos(phi))
+    return roots
+
+
+@pytest.mark.parametrize("d,n", [(1, 170), (2, 30)])
+def test_fiber_roots_below_the_top_within_rounding_of_40_digits(d, n):
+    # six blocks spread over the volume's values of a, most of whose roots
+    # stop after one Halley pass: each root below the top one (columns
+    # 1..n of even, times sign(a)) against 40-digit roots of its block
+    a = np.sort(CombVolume(d, n, True).a)
+    blocks = a[np.linspace(0, a.size - 1, 6).astype(int)]
+    eig = families.fiber_eigen(n, blocks)
+    for row, value in enumerate(blocks):
+        ours = np.sort(eig.even[row, 1:] * (-1.0 if value < 0 else 1.0))
+        want = _mp_roots_below_the_top(n, abs(float(value)))
+        assert max(abs(float(x - y)) for x, y in zip(ours, want)) < 4e-15
 
 
 def test_fiber_eigen_top_root_at_an_unrounded_block():
@@ -355,6 +430,25 @@ def test_fiber_eigen_iteration_cap_raises(monkeypatch, capsys):
     assert main(["spectrum", "--family", "comb", "--param", "d=1",
                  "--n", "4"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_fiber_root_search_failure_says_why(monkeypatch, capsys):
+    # the roots below the top one report how many were still moving and
+    # their largest last move; the top root's Newton keeps its message
+    from combgas.cli import main
+
+    monkeypatch.setattr(families, "_ROOT_CAP", 1)
+    why = (r"^fiber-block root search did not converge in 1 iterations: "
+           r"[1-9]\d* roots still moving, largest last move \d\.\d+e-\d+$")
+    with pytest.raises(families.FiberSolveError, match=why) as moving:
+        families.fiber_eigen(2, CombVolume(3, 2, True).a)
+    assert main(["spectrum", "--family", "comb", "--param", "d=3",
+                 "--n", "2"]) == 2
+    assert capsys.readouterr().err == "numeric failure: %s\n" % moving.value
+    with pytest.raises(families.FiberSolveError) as top:
+        families._top_root(np.array([3.0]), 3, np.array([2.0]))
+    assert str(top.value) == ("fiber-block root search did not converge in "
+                              "1 iterations")
 
 
 ATOM_CASES = [(1, 3, True), (1, 6, True), (2, 3, True), (1, 4, False),
