@@ -282,7 +282,9 @@ def cmd_catalog(args):
 
 def cmd_norm(args):
     """The infinite graph's norm lambda0 from its secular system and, with
-    --n-max, the norm sequence of four truncations up to n_max."""
+    --n-max, the norm sequence of the truncations n_max/4, n_max/2 and
+    3 n_max/4 (rounded down, at least 2, 3 and 4) and n_max, none above
+    n_max: at least two, so n_max >= 3."""
     from .secular import solve_secular
 
     name, params = _family_args(args)
@@ -294,8 +296,12 @@ def cmd_norm(args):
         from .spectral import norm_sequence
 
         n_max = args.n_max
-        ns = sorted({max(2, n_max // 4), max(3, n_max // 2),
-                     max(4, (3 * n_max) // 4), n_max})
+        ns = sorted({n for n in (max(2, n_max // 4), max(3, n_max // 2),
+                                 max(4, (3 * n_max) // 4), n_max)
+                     if n <= n_max})
+        if len(ns) < 2:
+            raise InputError("norm --n-max %d: fewer than two truncations "
+                             "up to n_max; n_max must be at least 3" % n_max)
         report = norm_sequence(family(name, **params), ns)
         result["norm_sequence"] = {
             "ns": report.ns,
@@ -392,7 +398,11 @@ def cmd_critical(args):
 def cmd_transience(args):
     from . import thermo
 
-    d = _parse_params(args.param).get("d")
+    params = _parse_params(args.param)
+    unknown = [key for key in params if key != "d"]
+    if unknown:
+        raise InputError("transience takes no parameter %s" % unknown[0])
+    d = params.get("d")
     if type(d) is not int or d < 1:
         raise InputError("transience needs --param d=<positive integer>")
     verdict, value, seq = thermo.transience(d)

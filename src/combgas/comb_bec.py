@@ -3,22 +3,21 @@
 Finite volumes are X_n -| Y_n with X_n the periodic box (Z_{2n+1})^d and Y_n
 the chain [-n,n].  The base Fourier modes split A_{Lambda_n} into one
 chain-plus-impurity fiber block A_Y + a P_0 per orbit of modes under sign
-flips and axis permutations (`CombVolume`), solved a chunk at a time by
-`families.fiber_chunks`; the finite-volume two-point function, density and
-PF projection are sums over those blocks, so no computation ever assembles
-the full (2n+1)^(d+1) operator, and each sum holds one chunk's eigendata
-and O(orbits) phase sums, never an array over every block root.  Each sum
-takes the levels as energies h = ||A|| - lam from one function, `_levels`.
-`sweep_row` computes one volume's row of a sweep in one pass over them;
-`level_energies` gives them, from the volume's top, to the `thermo`
-densities of the CLI's `density` and `mu-solve` (on the free base too) and
-of `density_limit`.
+flips and axis permutations (`CombVolume`); the finite-volume two-point
+function, density and PF projection are sums over those blocks, so no
+computation ever assembles the full (2n+1)^(d+1) operator.  Each sum goes
+over them by the one loop `CombVolume.chunks`, which gives every chunk's
+eigendata with its levels' energies h = ||A|| - lam and weights, and holds
+one chunk and O(orbits) phase sums at a time, never an array over every
+block root.  `sweep_row` computes one volume's row of a sweep in one pass
+over them; `level_energies` gives them, from the volume's top, to the
+`thermo` densities of the CLI's `density` and `mu-solve` (on the free base
+too) and of `density_limit`.
 
-Every volume comes from `families.comb_volume`, which keeps the last few
-one-chunk volumes with their roots, levels and the eigendata of each fiber
-support asked for, so a sweep, a density or a limit that meets the same
-(d, n) again searches no root again.  Nothing kept depends on beta, mu, c
-or the amplitudes, so no result depends on what was kept.
+Every volume comes from `families.comb_volume`, whose one-chunk volumes
+keep what `chunks` makes, so a sweep, a density or a limit that meets the
+same (d, n) again searches no root again.  Nothing kept depends on beta,
+mu, c or the amplitudes, so no result depends on what was kept.
 The tensor decomposition
 
     H_n^{-1} = I (x) R_{Y_n}(lam_n)
@@ -199,45 +198,9 @@ def fiber_support(n, *vectors):
     return support
 
 
-def _levels(vol, func, support=()):
-    """Yield (eig, blk, f, w) per chunk (`CombVolume.chunks`) of the
-    `CombVolume` vol: f = func(h) on the energies h = ||A|| - lam of the
-    chunk's levels, one call per chunk, and w their per-site weights
-    (`_energies`).  A volume whose blocks fit one chunk computes h and w
-    once and keeps them (`CombVolume.keep`): neither depends on beta, mu,
-    c, the support or the amplitudes."""
-    one = vol.one_chunk()
-    for eig, blk in vol.chunks(support):
-        h, w = (vol.keep("levels", lambda: _energies(vol, eig, blk)) if one
-                else _energies(vol, eig, blk))
-        yield eig, blk, func(h), w
-
-
-def _energies(vol, eig, blk):
-    """(h, w) of one chunk of `_levels`: its levels and weights as
-    `CombVolume.levels` lays them out.  A top root lam = 2cosh(t) > 2
-    solves a tanh(Nt) = 2 sinh t, N = n + 1, a = 2d - 2 gamma
-    (`CombVolume.gap`), so
-    h = 2(d + sinh t)(2d q/(1+q) + gamma tanh(Nt))/(sqrt(d^2+1) + cosh t),
-    q = e^{-2Nt}, with no cancellation where ||A|| - lam would lose
-    ulp(||A||)/h relative, h down to 1e-20; other levels take ||A|| - lam."""
-    d, big = vol.d, vol.n + 1
-    lam, w = vol.levels(eig, blk)
-    h = norm_limit(d) - lam
-    skip = lam.size - eig.even.size
-    top = lam[skip::big]
-    up = top > 2.0
-    t = np.arccosh(0.5 * top[up])
-    q = np.exp(-2.0 * big * t)
-    h[skip::big][up] = (
-        2.0 * (d + np.sinh(t))
-        * (2.0 * d * q / (1.0 + q) + vol.gap[blk][up] * np.tanh(big * t))
-        / (math.sqrt(d * d + 1.0) + np.cosh(t)))
-    return h, w
-
-
 def _element_chunks(vol, func, xi, eta):
-    """Yield (f, w, share) per chunk of `_levels(vol, func)`: share is its
+    """Yield (f, w, share) per chunk of `vol.chunks`: f = func(h) on its
+    level energies h, one call per chunk, w their weights and share its
     part of modes * <eta, func(H) xi>, H = ||A|| - A_{Lambda_n}, the orbit
     phase sums (`CombVolume.phase`, one (O,) array per |Delta|) dotted with
     per-block fiber elements.  One `np.dot` per chunk projects the
@@ -255,7 +218,8 @@ def _element_chunks(vol, func, xi, eta):
     pairs = [(e, pe + x, vol.phase(tuple(s - t for s, t in zip(jv_e, jv_x))))
              for e, jv_e in enumerate(fib_eta)
              for x, jv_x in enumerate(fib_xi)]
-    for eig, blk, f, w in _levels(vol, func, support):
+    for blk, eig, h, w in vol.chunks(support):
+        f = func(h)
         if not blk.start:
             # <eta, u> f <u, xi> summed over the odd vectors u, per pair
             proj = amps @ eig.odd_vec
@@ -273,7 +237,7 @@ def _element_chunks(vol, func, xi, eta):
 
 def block_matrix_element(d, n, func, xi, eta):
     """Exact <eta, func(H) xi>, H = ||A|| - A_{Lambda_n}, func acting on an
-    array of level energies (`_levels`): the chunks' shares
+    array of level energies: the chunks' shares
     (`_element_chunks`) over the periodic `comb_volume` of Lambda_n, with
     one chunk's eigendata held at a time."""
     vol = comb_volume(d, n)
@@ -410,28 +374,28 @@ def level_energies(d, n, periodic=True, keep=False):
     """(top, h_min, levels) of the comb volume Lambda_n (`comb_volume`):
     its top eigenvalue, the zero-mode block's eig.even[0, 0] on the first
     chunk, that level's energy h_min = h[n] there, and (g, w) per chunk of
-    `_levels`: the energies g = h - h_min = top - lam, each to its own
-    rounding where top - lam would lose ulp(||A||), and their weights.
-    levels solves one chunk at a time; with keep it holds every chunk's g,
-    with the kept w of a one-chunk volume, and can be gone over again."""
+    `CombVolume.chunks`: the energies g = h - h_min = top - lam, each to
+    its own rounding where top - lam would lose ulp(||A||), and their
+    weights.  levels solves one chunk at a time; with keep it holds every
+    chunk's g and can be gone over again (`_Held`)."""
     vol = comb_volume(d, n, periodic)
-    chunks = _levels(vol, lambda h: h)
-    eig, _, h, _ = first = next(chunks)
+    chunks = vol.chunks()
+    _, eig, h, _ = first = next(chunks)
     top, h_min = float(eig.even[0, 0]), float(h[n])
     levels = ((h - h_min, blk, w)
-              for _, blk, h, w in itertools.chain([first], chunks))
-    if keep and vol.one_chunk():
-        return top, h_min, [(g, w) for g, _, w in levels]
+              for blk, _, h, w in itertools.chain([first], chunks))
     if keep:
-        return top, h_min, _Held(vol, ((g, blk) for g, blk, _ in levels))
+        return top, h_min, _Held(vol, [(g, blk) for g, blk, _ in levels])
     return top, h_min, ((g, w) for g, _, w in levels)
 
 
 class _Held:
-    """Every chunk's (g, blk) of vol, gone over as (g, weights) pairs."""
+    """Every chunk's (g, blk) of vol, gone over as (g, weights) pairs: a
+    kept volume's weights from its memo, any other's made anew
+    (`CombVolume.weights`)."""
 
     def __init__(self, vol, chunks):
-        self.vol, self.chunks = vol, list(chunks)
+        self.vol, self.chunks = vol, chunks
 
     def __iter__(self):
         return ((g, self.vol.weights(blk)) for g, blk in self.chunks)
@@ -456,11 +420,10 @@ def pf_projection_term(d, n, mu, xi, eta):
     """<eta, H_n^{-1} P_{v_n} xi> with v_n the finite-volume PF eigenvector.
 
     v_n = u (x) w_n/sqrt((2n+1)^d): u = 1 on the base box and w_n the unit
-    top vector of the zero-mode fiber block A_Y + 2d P_0 (`fiber_eigen`),
-    whose top eigenvalue is lam0 = ||A_{Lambda_n}||: block 0 of `_levels`,
-    energy h[n]."""
-    eig, _, h, _ = next(_levels(comb_volume(d, n), lambda h: h,
-                                fiber_support(n, xi, eta)))
+    top vector of the zero-mode fiber block A_Y + 2d P_0, whose top
+    eigenvalue is lam0 = ||A_{Lambda_n}||: block 0 of the first chunk of
+    `CombVolume.chunks`, energy h[n]."""
+    _, eig, h, _ = next(comb_volume(d, n).chunks(fiber_support(n, xi, eta)))
     w = dict(zip(eig.support, eig.even_vec[:, 0, 0]))
     at_eta, at_xi = (sum(w[j] * amp for (_, j), amp in fv.entries.items())
                      for fv in (eta, xi))
@@ -484,7 +447,7 @@ def sweep_row(cfg, n, xi, eta):
     """Volume n under the run's mu schedule, lam_n = ||A|| - mu_n, from one
     `comb_volume`, lattice sum, fiber vector z_n = R_{Y_n}(lam_n) delta_0 and
     pass over its chunks: each chunk takes the Bose occupations of its
-    level energies h once (`_levels`), and adds from them its share of the
+    level energies h once, and adds from them its share of the
     two-point function <eta, (e^{beta(H - mu_n)} - 1)^{-1} xi>, H = ||A|| -
     A_{Lambda_n} (`_element_chunks`), and of the per-site density;
     k'_n = (2d(d+eps_n)(k_n^0 + k_n^+)/beta) ||z_n||^2.  Refuses n = 0,

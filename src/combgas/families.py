@@ -8,11 +8,12 @@ whose norms have closed forms; their truncations are used for exhaustion
 cross-checks.
 
 Comb volumes (`comb_volume`) are the one thing a process keeps between
-calls: the last _KEEP_VOLUMES volumes whose fiber blocks fit one chunk
-(`fiber_chunks`), with their orbits, phase sums, fiber-block roots (searched
-once), level energies and weights, and the eigenvector entries of each
-fiber support asked for, read-only.  They depend on (d, n) and the supports
-alone; beta, mu, c and the amplitudes never enter them.
+calls: the last _KEEP_VOLUMES volumes whose fiber blocks fit one chunk of
+`CombVolume.chunks`, the one loop over a volume's blocks, with their orbits,
+phase sums, fiber-block roots (searched once), level energies and weights,
+and the eigenvector entries of each fiber support asked for, read-only.
+They depend on (d, n) and the supports alone; beta, mu, c and the
+amplitudes never enter them.
 """
 
 from __future__ import annotations
@@ -205,8 +206,8 @@ class CombVolume:
 
     These arrays are read-only, as is everything the volume keeps
     (`keep`): the phase sums, and on a volume whose blocks fit one chunk the
-    fiber-block roots, the eigendata of each support (`chunks`) and the
-    level energies and weights of `comb_bec`.
+    fiber-block roots, the eigendata of each support and the level energies
+    and weights (`chunks`).
     """
 
     def __init__(self, d, n, periodic):
@@ -274,40 +275,79 @@ class CombVolume:
             total += term
         return self.mult * total / math.perm(self.d, len(key))
 
-    def chunks(self, support=()):
-        """`fiber_chunks` of the volume's blocks with eigenvector entries at
-        the sorted `support`.  A volume whose blocks fit one chunk searches
-        its roots once (`_fiber_roots`) and keeps them, and keeps the
-        FiberEigen of each support it is asked for, its entries solved from
-        the kept roots (`_fiber_gather`).  A larger volume streams its
-        chunks and keeps nothing of them."""
-        if not self.one_chunk():
-            yield from fiber_chunks(self.n, self.a, support)
-            return
-        roots = self.keep("roots", lambda: _fiber_roots(self.n, self.a))
+    def chunks(self, support=(), energies=True):
+        """The one loop over the volume's fiber blocks, `_chunk_rows(n)` of
+        them at a time: yields (blk, eig, levels, w) per chunk, blk the
+        slice of `a` it solves, eig their FiberEigen with eigenvector
+        entries at the sorted `support`, levels the energies
+        h = ||A|| - lam of its levels (lam itself with energies false) and
+        w their `weights`, both laid out by `_layout`.  A volume of one
+        chunk searches its roots once and keeps them, eig for each support
+        and the levels, the first time they are made (`_kept`); any other
+        makes them chunk by chunk and holds one chunk at a time."""
         support = tuple(support)
-        yield (self.keep(("eigen", support), lambda: _fiber_gather(
-            self.n, self.a, roots, support)), slice(0, self.a.size))
+        rows = _chunk_rows(self.n)
+        for lo in range(0, self.a.size, rows):
+            blk = slice(lo, min(lo + rows, self.a.size))
+            eig = self._kept(("eigen", support), lambda: _fiber_gather(
+                self.n, self.a[blk], self._kept(
+                    "roots", lambda: _fiber_roots(self.n, self.a[blk])),
+                support))
+            levels = self._kept(("levels", energies),
+                                lambda: self._chunk_levels(eig, blk, energies))
+            yield blk, eig, levels, self.weights(blk)
 
-    def levels(self, eig, blk):
-        """(lam, `weights`) of the chunk (eig, blk) of `chunks`: the n odd
-        levels on the first chunk only, then the even ones as in eig.even."""
-        skip = 0 if blk.start else self.n
-        return (np.concatenate((eig.odd[:skip], eig.even.ravel())),
-                self.weights(blk))
+    def _chunk_levels(self, eig, blk, energies):
+        """The levels of chunk blk, eig.odd and eig.even laid out, or with
+        energies their energies h = ||A|| - lam, ||A|| = 2 sqrt(d^2 + 1).  A
+        top root lam = 2cosh(t) > 2 solves a tanh(Nt) = 2 sinh t, N = n + 1,
+        a = 2d - 2 gamma (`gap`), so
+        h = 2(d + sinh t)(2d q/(1+q) + gamma tanh(Nt))/(sqrt(d^2+1) + cosh t),
+        q = e^{-2Nt}, with no cancellation where ||A|| - lam would lose
+        ulp(||A||)/h relative, h down to 1e-20; other levels take
+        ||A|| - lam."""
+        odd, even = eig.odd, eig.even
+        if energies:
+            d, big = self.d, self.n + 1
+            norm = 2.0 * math.sqrt(d * d + 1.0)
+            odd, even = norm - odd, norm - even
+            top = eig.even[:, 0]
+            up = top > 2.0
+            t = np.arccosh(0.5 * top[up])
+            q = np.exp(-2.0 * big * t)
+            even[up, 0] = 2.0 * (d + np.sinh(t)) * (
+                2.0 * d * q / (1.0 + q) + self.gap[blk][up]
+                * np.tanh(big * t)) / (math.sqrt(d * d + 1.0) + np.cosh(t))
+        return self._layout(blk, odd, even)
 
     def weights(self, blk):
-        """The per-site weights of chunk blk's `levels`: 1/(2n+1) on each
-        odd level, mult/((2n+1)^d (2n+1)) on each even one; they sum to 1
-        over the chunks."""
+        """The per-site weights of chunk blk's levels: 1/(2n+1) on each odd
+        level, mult/((2n+1)^d (2n+1)) on each even one; they sum to 1 over
+        the chunks.  Kept on a volume of one chunk (`_kept`)."""
         side = 2 * self.n + 1
-        return np.concatenate((
-            np.full(0 if blk.start else self.n, 1.0 / side),
-            np.repeat(self.mult[blk] / (self.modes * side), self.n + 1)))
+        return self._kept("weights", lambda: self._layout(
+            blk, np.full(self.n, 1.0 / side),
+            self.mult[blk, None] / (self.modes * side)))
+
+    def _layout(self, blk, odd, even):
+        """Values on the levels of chunk blk in the order every chunk takes:
+        the n odd levels (odd, (n,), the same in every block) on the first
+        chunk only, then each block's n+1 even levels (even, (B, n+1) or
+        broadcast to it)."""
+        skip = 0 if blk.start else self.n
+        out = np.empty(skip + (blk.stop - blk.start) * (self.n + 1))
+        out[:skip] = odd[:skip]
+        out[skip:].reshape(-1, self.n + 1)[...] = even
+        return out
 
     def one_chunk(self):
-        """Whether `fiber_chunks` solves all the blocks in one chunk."""
-        return self.a.size <= max(1, _CHUNK // (self.n + 1))
+        """Whether `chunks` solves all the blocks in one chunk."""
+        return self.a.size <= _chunk_rows(self.n)
+
+    def _kept(self, key, make):
+        """The keep rule of `chunks`: make() kept under key (`keep`) on a
+        volume of one chunk, made anew on any other."""
+        return self.keep(key, make) if self.one_chunk() else make()
 
     def keep(self, key, make):
         """The value kept under `key`, from make() on the first call with
@@ -328,15 +368,16 @@ class FiberSolveError(NumericFailure):
 
 class FiberEigen(NamedTuple):
     """Eigendata of the fiber blocks A_Y + a*P_0 on the chain [-n, n] that
-    one `fiber_eigen` call solves (a chunk of a volume's blocks under
-    `fiber_chunks`), or that a kept volume keeps for each support it is
-    asked (`CombVolume.chunks`).
+    one `fiber_eigen` call solves, or a chunk of a volume's blocks
+    (`CombVolume.chunks`).
 
     odd (n,): odd-sector eigenvalues, shared by every block.
     even (B, n+1): even-sector eigenvalues, row b for block a[b].
     support: fiber coordinates j of the eigenvector entries below.
     odd_vec (S, n), even_vec (S, B, n+1): unit eigenvector entries v(j) at
     j = support[s], in the column order of odd / even.
+    sn (B, n): the root search's sin(phi) of each even root below the top
+    one, lam = 2cos(phi) for a >= 0, until the entries are solved.
     """
 
     odd: np.ndarray
@@ -344,6 +385,7 @@ class FiberEigen(NamedTuple):
     support: tuple = ()
     odd_vec: np.ndarray = None
     even_vec: np.ndarray = None
+    sn: np.ndarray = None
 
 
 _ROOT_TOL = 1e-14
@@ -367,7 +409,7 @@ _HALLEY_STOP = (_ROOT_TOL / 4.0) ** (1.0 / 3.0)
 # roots move in the first pass; a cut-off at a quarter gave up 4-12% on
 # d=2 n=16-20 and d=3 n=14-16, where 30-48% do.
 _LATE_SHARE = 0.5
-# Blocks solved together (`fiber_chunks`): _CHUNK / N rows keep each
+# Blocks solved together (`_chunk_rows`): _CHUNK / N rows keep each
 # (rows, n) temporary of the root passes near 128 kB, in cache, and bound
 # what a sum over a volume's blocks holds at once.
 _CHUNK = 1 << 14
@@ -560,8 +602,8 @@ def _even_entries(sn, cs, b, big, fiber):
 
 def fiber_eigen(n, a, support=()):
     """Every eigenvalue of the fiber blocks A_Y + a*P_0, one block per a,
-    solved together (`fiber_chunks` passes a volume's blocks a chunk at a
-    time).
+    solved together (`CombVolume.chunks` passes a volume's blocks a chunk
+    at a time).
 
     A_Y is the chain [-n, n] and P_0 the projection on its origin.  Each
     block splits by the reflection j -> -j:
@@ -594,20 +636,10 @@ def fiber_eigen(n, a, support=()):
     return _fiber_gather(n, a, _fiber_roots(n, a), support)
 
 
-class FiberRoots(NamedTuple):
-    """The root search of `fiber_eigen` on the blocks a: its odd and even
-    eigenvalues, and sn (B, n), sin(phi) of each even root below the top
-    one, lam = 2cos(phi) for a >= 0.  cos(phi) is even[:, 1:] sign(a)/2,
-    exactly."""
-
-    odd: np.ndarray
-    even: np.ndarray
-    sn: np.ndarray
-
-
 def _fiber_roots(n, a):
     """`fiber_eigen`'s eigenvalues of the blocks a (float64, (B,)), with
-    the sines its entries need (`FiberRoots`)."""
+    the sines its entries need (`FiberEigen.sn`): cos(phi) is
+    even[:, 1:] sign(a)/2, exactly."""
     b = np.abs(a)
     big = n + 1
     odd = 2.0 * np.cos(math.pi * np.arange(1, big) / big)
@@ -616,72 +648,54 @@ def _fiber_roots(n, a):
     even[:, 0] = _top_root(b, big, b - 2.0 * cs.sum(axis=1))
     even[:, 1:] = 2.0 * cs
     even *= np.where(a < 0.0, -1.0, 1.0)[:, None]
-    return FiberRoots(odd, even, sn)
+    return FiberEigen(odd, even, sn=sn)
 
 
-def _fiber_entries(n, a, roots, levels):
-    """Unit eigenvector entries of the blocks a at the L fiber levels
-    |j| = levels (an int array), from their `_fiber_roots` with no root
-    search, before the signs sign(j) (odd) and sign(a)^j (even): odd (L, n)
-    and even (L, B, n+1), in the column order of FiberEigen's odd and
-    even."""
-    big = n + 1
+def _fiber_gather(n, a, roots, support):
+    """The `FiberEigen` of the blocks a at `support` from their
+    `_fiber_roots`, with no root search: the unit entries at |j| times
+    sign(j) on the odd vectors and sign(a)^j on the even ones, that is
+    sign(a) on the rows of odd j."""
+    fib = np.asarray(support, dtype=int)
+    if not fib.size:
+        return roots._replace(sn=None)
+    levels, big = np.abs(fib), n + 1
     sign = np.where(a < 0.0, -1.0, 1.0)[:, None]
     even = np.empty((levels.size,) + roots.even.shape)
     even[:, :, 0] = _top_entries(roots.even[:, 0] * sign[:, 0], big,
                                  levels).T
     even[:, :, 1:] = _even_entries(roots.sn, 0.5 * sign * roots.even[:, 1:],
                                    np.abs(a)[:, None], big, levels)
-    odd = (np.sin((big - levels)[:, None] * (math.pi / big)
-                  * np.arange(1, big)) / math.sqrt(big))
-    return odd, even
-
-
-def _fiber_gather(n, a, roots, support):
-    """The `FiberEigen` of the blocks a at `support` from their
-    `_fiber_roots`: the entries at |j| (`_fiber_entries`) with sign(j) on
-    the odd ones and sign(a)^j on the even ones, that is sign(a) on the
-    rows of odd j."""
-    fib = np.asarray(support, dtype=int)
-    if not fib.size:
-        return FiberEigen(roots.odd, roots.even)
-    odd_vec, even_vec = _fiber_entries(n, a, roots, np.abs(fib))
-    odd_vec *= np.sign(fib)[:, None]
-    sign = np.where(a < 0.0, -1.0, 1.0)[:, None]
     for s in np.flatnonzero(fib % 2):
-        even_vec[s] *= sign
-    return FiberEigen(roots.odd, roots.even, tuple(int(j) for j in fib),
-                      odd_vec, even_vec)
+        even[s] *= sign
+    odd = np.sin((big - levels)[:, None] * (math.pi / big)
+                 * np.arange(1, big)) / math.sqrt(big) * np.sign(fib)[:, None]
+    return roots._replace(support=tuple(int(j) for j in fib), odd_vec=odd,
+                          even_vec=even, sn=None)
 
 
-def fiber_chunks(n, a, support=()):
-    """`fiber_eigen` of the blocks a, _CHUNK // (n+1) of them at a time:
-    yields (FiberEigen, blk) with blk the slice of a that it solves.  The
-    root passes run on arrays that stay in cache, and a sum over a volume's
-    blocks holds one chunk's eigendata at a time."""
-    a = np.asarray(a, dtype=float)
-    rows = max(1, _CHUNK // (n + 1))
-    for lo in range(0, a.size, rows):
-        blk = slice(lo, min(lo + rows, a.size))
-        yield fiber_eigen(n, a[blk], support), blk
+def _chunk_rows(n):
+    """The blocks on the chain [-n, n] that one chunk of
+    `CombVolume.chunks` solves together."""
+    return max(1, _CHUNK // (n + 1))
 
 
 def comb_volume(d, n, periodic=True):
     """The `CombVolume` of (d, n, periodic).
 
-    A volume whose blocks fit one `fiber_chunks` chunk, C(n+d, d) orbits
-    (periodic) or C(2n+d, d) (free) against _CHUNK // (n+1), comes from a
-    store of the last _KEEP_VOLUMES such volumes asked for.  Each keeps its
-    phase sums, its fiber-block roots, searched once, with their level
-    energies and weights (`comb_bec._levels`), at most 2^14 roots, and the
-    eigendata of each support S it is asked for (`CombVolume.chunks`),
+    A volume whose blocks fit one chunk of `CombVolume.chunks`, C(n+d, d)
+    orbits (periodic) or C(2n+d, d) (free) against `_chunk_rows(n)`, comes
+    from a store of the last _KEEP_VOLUMES such volumes asked for.  Each
+    keeps its phase sums, its fiber-block roots, searched once, with their
+    level energies and weights, at most 2^14 roots, and the eigendata of
+    each support S it is asked for (`CombVolume.chunks`),
     2^17 |S| bytes at most, so a later call on the same volume and support
     solves nothing again.  Any other volume is built for each call.  What
     is kept depends on (d, n), the supports and the `delta`s of the phase
     sums alone, never on beta, mu, c or the amplitudes.
     """
     orbits = math.comb((n if periodic else 2 * n) + d, d)
-    if orbits <= max(1, _CHUNK // (n + 1)):
+    if orbits <= _chunk_rows(n):
         return _kept_volume(d, n, periodic)
     return CombVolume(d, n, periodic)
 
@@ -752,16 +766,15 @@ class CombFamily(GraphFamily):
 
         In the eigenbasis of the base, I (x) A_Y + A_X (x) P_0 splits into
         tridiagonal blocks A_Y + a*P_0, one per orbit of base modes
-        (`CombVolume`), taken mult times.  `fiber_chunks` solves them a
-        chunk at a time, each laid out with its weights by
-        `CombVolume.levels`: the n odd roots 2cos(pi k/(n+1)), shared by
-        every block, once, then each block's n+1 even roots once.  The
-        result is sorted once, ascending.  The blocks are exact and no
-        matrix is ever formed.
+        (`CombVolume`), taken mult times.  `CombVolume.chunks` solves them
+        a chunk at a time, each with its levels and weights laid out: the n
+        odd roots 2cos(pi k/(n+1)), shared by every block, once, then each
+        block's n+1 even roots once.  The result is sorted once, ascending.
+        The blocks are exact and no matrix is ever formed.
         """
         vol = CombVolume(self.d, n, self.periodic)
         vals, weights = map(np.concatenate, zip(*(
-            vol.levels(eig, blk) for eig, blk in fiber_chunks(n, vol.a))))
+            (lam, w) for _, _, lam, w in vol.chunks(energies=False))))
         order = np.argsort(vals)
         return vals[order], weights[order]
 

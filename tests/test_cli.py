@@ -172,6 +172,34 @@ def test_transience_exit_codes(capsys):
     assert code == 3
 
 
+def test_transience_refuses_parameters_it_does_not_read(capsys):
+    # only d is read, so any other key is refused rather than written into
+    # the manifest as if it had been honoured
+    for argv in (["--param", "d=3", "--param", "bogus=7"],
+                 ["--param", "bogus=7", "--param", "d=3", "--param", "k=1"]):
+        assert main(["transience", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "input error: transience takes no parameter bogus\n"
+
+
+@pytest.mark.parametrize("n_max,ns", [(1, None), (2, None), (3, [2, 3]),
+                                      (4, [2, 3, 4]), (8, [2, 4, 6, 8])])
+def test_norm_sequence_evaluates_no_volume_above_n_max(capsys, n_max, ns):
+    # n_max/4, n_max/2, 3 n_max/4 (at least 2, 3, 4) and n_max, those above
+    # n_max dropped; fewer than two left is an input error naming n_max
+    code = main(["norm", "--family", "chain", "--n-max", str(n_max)])
+    out, err = capsys.readouterr()
+    if ns is None:
+        assert code == 1 and out == ""
+        assert err == ("input error: norm --n-max %d: fewer than two "
+                       "truncations up to n_max; n_max must be at least 3\n"
+                       % n_max)
+    else:
+        assert code == 0
+        assert json.loads(out)["result"]["norm_sequence"]["ns"] == ns
+
+
 def test_spectrum_csv_determinism(capsys, tmp_path):
     args = ["spectrum", "--family", "comb", "--param", "d=1", "--n", "6",
             "--format", "csv"]

@@ -1,7 +1,9 @@
+import ast
 import functools
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -665,20 +667,22 @@ def test_sweep_csv_shape():
 
 def _count_solves(monkeypatch):
     """Record every root search (n, blocks) and entry solve (n, blocks,
-    |j| levels) of `families.fiber_eigen`'s two steps."""
+    |j| levels) of `families.fiber_eigen`'s two steps; a gather at no
+    support solves no entry."""
     roots, entries = [], []
-    find, solve = families._fiber_roots, families._fiber_entries
+    find, solve = families._fiber_roots, families._fiber_gather
 
     def counting_roots(n, a):
         roots.append((n, a.size))
         return find(n, a)
 
-    def counting_entries(n, a, found, levels):
-        entries.append((n, a.size, levels.tolist()))
-        return solve(n, a, found, levels)
+    def counting_entries(n, a, found, support):
+        if support:
+            entries.append((n, a.size, [abs(j) for j in support]))
+        return solve(n, a, found, support)
 
     monkeypatch.setattr(families, "_fiber_roots", counting_roots)
-    monkeypatch.setattr(families, "_fiber_entries", counting_entries)
+    monkeypatch.setattr(families, "_fiber_gather", counting_entries)
     return roots, entries
 
 
@@ -724,7 +728,7 @@ def test_a_kept_volume_searches_its_roots_once(monkeypatch):
     warm = rows(cold=False)
     vol = families.comb_volume(3, n)
     asked = [tuple(sorted({0, *support})) for support in supports]
-    gathered = [next(vol.chunks(support))[0] for support in asked]
+    gathered = [next(vol.chunks(support))[1] for support in asked]
     assert roots == [(n, vol.a.size)]
     assert entries == [(n, vol.a.size, [0]), (n, vol.a.size, [0, 2]),
                        (n, vol.a.size, [1, 0, 1])]
@@ -831,13 +835,13 @@ def test_comb_density_and_mu_solve_hold_one_chunk_at_a_time(capsys,
 
 
 def test_mu_solve_reads_a_kept_volume_s_weights_once(capsys, monkeypatch):
-    # the d=1 n=30 volume fits one chunk: its levels' weights are kept, and
-    # every Newton pass reads them; a streamed volume takes them anew on
-    # each pass, and both give mu to the bit
+    # the d=1 n=30 volume fits one chunk: its levels' weights are made once
+    # and kept, and every Newton pass reads that one array; a streamed
+    # volume makes them anew on each pass, and both give mu to the bit
     calls = []
     weights = CombVolume.weights
     monkeypatch.setattr(CombVolume, "weights", lambda self, blk:
-                        calls.append(blk) or weights(self, blk))
+                        calls.append(weights(self, blk)) or calls[-1])
     argv = ["mu-solve", "--family", "comb", "--param", "d=1", "--n", "30",
             "--beta", "1", "--rho", "0.5"]
     mus, counts = [], []
@@ -847,9 +851,59 @@ def test_mu_solve_reads_a_kept_volume_s_weights_once(capsys, monkeypatch):
         calls.clear()
         assert cli.main(argv) == 0
         mus.append(json.loads(capsys.readouterr().out)["result"]["mu"])
-        counts.append(len(calls))
+        counts.append(len({id(w) for w in calls}))
     assert counts[0] == 1 and counts[1] > 3
     assert mus[0].hex() == mus[1].hex()
+
+
+@pytest.mark.parametrize("d,n", [(3, 5), (1, 30)])
+def test_kept_and_streamed_volumes_give_the_same_bits(capsys, monkeypatch, d,
+                                                      n):
+    # a one-chunk volume kept by `comb_volume`, and the same volume with
+    # keeping off, solved anew chunk by chunk on every call: every sweep row
+    # field, block matrix element, density and mu-solve output and the
+    # spectrum's arrays to the bit
+    cfg = CombRunConfig(d=d, beta=0.7, mu_schedule=("condensate_scaled", 2.0))
+    xi = FockVector({((0,) * d, 0): 1.0, ((1,) + (0,) * (d - 1), -1): 0.5})
+    eta = FockVector({((0,) * d, 2): -0.25, ((0,) * (d - 1) + (1,), 0): 1.0})
+    argv = ["--family", "comb", "--param", "d=%d" % d, "--n", str(n),
+            "--beta", "0.7"]
+
+    def results():
+        families._kept_volume.cache_clear()
+        out = [v.hex() for v in sweep_row(cfg, n, xi, eta)[1:]]
+        out.append(block_matrix_element(
+            d, n, lambda h: bounded_correction(0.7 * (h + 0.01)), xi,
+            eta).hex())
+        for cmd, more in (("density", ["--mu", "-0.05"]),
+                          ("mu-solve", ["--rho", "0.5"])):
+            assert cli.main([cmd, *argv, *more]) == 0
+            out.append(capsys.readouterr().out)
+        out += [arr.tobytes().hex() for arr in CombFamily(d).spectrum(n)]
+        return out
+
+    kept = results()
+    assert families._kept_volume.cache_info().currsize == 1
+    monkeypatch.setattr(CombVolume, "one_chunk", lambda self: False)
+    assert results() == kept
+
+
+def test_chunks_alone_decide_chunk_size_layout_and_keeping():
+    # comb_bec and cli go over a comb volume by `CombVolume.chunks` alone:
+    # neither reads the chunk size, solves fiber blocks itself or asks what
+    # a volume keeps
+    names = {"_CHUNK", "fiber_chunks", "fiber_eigen"}
+    attrs = names | {"one_chunk", "keep"}
+    for module in (cb, cli):
+        tree = ast.parse(Path(module.__file__).read_text())
+        used = [node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id in names]
+        used += [node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in attrs]
+        used += [alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 for alias in node.names if alias.name in names]
+        assert used == [], module.__name__
 
 
 @pytest.mark.parametrize("d,n", [(1, 4), (1, 7), (2, 2), (2, 3)])
@@ -920,9 +974,10 @@ def test_a_second_sweep_row_solves_nothing(monkeypatch):
     def refused(*args):
         raise AssertionError("a kept volume solved again")
 
-    for name in ("fiber_eigen", "_fiber_roots", "_fiber_entries"):
+    for name in ("fiber_eigen", "_fiber_roots", "_fiber_gather"):
         monkeypatch.setattr(families, name, refused)
-    monkeypatch.setattr(cb, "_energies", refused)
+    for name in ("_chunk_levels", "_layout"):
+        monkeypatch.setattr(CombVolume, name, refused)
     again = sweep_row(cfg, 5, xi, eta)
     assert [v.hex() for v in again[1:]] == [v.hex() for v in first[1:]]
     assert again == first

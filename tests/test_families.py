@@ -317,10 +317,10 @@ def _halley_steps_per_root(monkeypatch, d, n):
         return out
 
     monkeypatch.setattr(np, "arctan2", counted)
-    a = CombVolume(d, n, True).a
-    for _ in families.fiber_chunks(n, a):
+    vol = CombVolume(d, n, True)
+    for _ in vol.chunks():
         pass
-    return sum(seen) / (a.size * n)
+    return sum(seen) / (vol.a.size * n)
 
 
 @pytest.mark.parametrize("d,n", [(1, 170), (3, 40)])
